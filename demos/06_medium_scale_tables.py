@@ -20,6 +20,7 @@ import time
 from fractions import Fraction
 
 from ergmax import (
+    Graph,
     Hamiltonian,
     SampleSpace,
     SearchConfig,
@@ -28,6 +29,8 @@ from ergmax import (
     graph_metrics,
     multi_restart,
     random_unit_square_delta,
+    star_with_chords,
+    structural_lower_bounds,
 )
 from ergmax.reporting import metrics_row
 
@@ -41,7 +44,8 @@ TRI = StatisticSpec(StatisticKind.TRIANGLES)
 for alpha in (Fraction(7, 10), Fraction(1, 2), Fraction(3, 10)):
     h = Hamiltonian.max_min_pair(alpha, NE, TRI)
     t0 = time.perf_counter()
-    res = multi_restart(60, h, space, SearchConfig(seed=1, restarts=2, start="star_plus_chords"))
+    start = star_with_chords(60, structural_lower_bounds(60, alpha).min_triangles)
+    res = multi_restart(60, h, space, SearchConfig(seed=1, restarts=2, start=start))
     row = metrics_row(graph_metrics(res.graph))
     print(f"{str(alpha):7}  {row}   ({time.perf_counter() - t0:.1f}s)")
 
@@ -57,6 +61,6 @@ for scale in (1, 20):
     for alpha in (Fraction(7, 10), Fraction(1, 2), Fraction(3, 10),
                   Fraction(1, 10), Fraction(2, 10)):
         h = Hamiltonian.max_min_pair(alpha, PHYS, FLOW, sense="minimize")
-        res = multi_restart(n, h, space, SearchConfig(seed=3, restarts=2, start="star"))
+        res = multi_restart(n, h, space, SearchConfig(seed=3, restarts=2, start=Graph.star(n)))
         row = metrics_row(graph_metrics(res.graph))
         print(f"{str(alpha):7}  {row}")

@@ -13,13 +13,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .exact import (
-    available_chord_slots,
-    branch_and_bound,
-    brute_force,
-    star_with_chords,
-    structural_lower_bounds,
-)
+from .exact import branch_and_bound, brute_force, star_with_chords, structural_lower_bounds
 from .graph import graph_metrics, read_edge_list
 from .lp import (
     ConstraintSystem,
@@ -48,6 +42,13 @@ def parse_fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
+def node_count(text: str) -> int:
+    n = int(text)
+    if n < 2:
+        raise argparse.ArgumentTypeError(f"need at least 2 nodes, got {n}")
+    return n
+
+
 def resolve_seed(args: argparse.Namespace) -> int:
     if args.seed is not None:
         return args.seed
@@ -64,7 +65,7 @@ def build_space(args: argparse.Namespace) -> SampleSpace:
 
 
 def add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, required=True, help="number of nodes")
+    p.add_argument("--n", type=node_count, required=True, help="number of nodes (at least 2)")
     p.add_argument("--alpha", type=parse_fraction, default=Fraction(1, 2),
                    help="weight split, rational 'p/q' or decimal (default 1/2)")
     p.add_argument("--space", choices=("connected", "all"), default="connected")
@@ -106,9 +107,7 @@ def make_spec(args: argparse.Namespace, solver: str) -> ExperimentSpec:
 
 def cmd_bound(args: argparse.Namespace) -> int:
     bound = structural_lower_bounds(args.n, args.alpha)
-    witness = star_with_chords(
-        args.n, min(bound.min_triangles, available_chord_slots(args.n))
-    )
+    witness = star_with_chords(args.n, bound.min_triangles)
     print(json.dumps({
         "n": args.n,
         "alpha": fraction_json(args.alpha),
@@ -204,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bound", help="structural lower bounds and their witness construction")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=node_count, required=True)
     p.add_argument("--alpha", type=parse_fraction, required=True)
     p.set_defaults(func=cmd_bound)
 

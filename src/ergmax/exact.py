@@ -17,11 +17,10 @@ from .graph import DisconnectedGraphError, Graph, count_triangles, is_connected,
 from .space import SampleSpace
 from .stats import (
     Hamiltonian,
-    HamiltonianForm,
     StatisticKind,
     StatisticSpec,
+    combine,
     eval_hamiltonian,
-    evaluate_statistic,
     improves,
     s_flow_distance,
     s_physical_distance,
@@ -198,27 +197,12 @@ def _statistic_extreme(
 
 def _node_bound(h: Hamiltonian, n: int, realized: Graph, optimistic: Graph) -> Fraction:
     """Admissible objective bound over every completion of a partial assignment."""
-    values = []
+    maximize = h.sense == "maximize"
+    weighted = []
     for theta, spec in h.terms:
-        want_max = (theta >= 0) == (h.sense == "maximize")
-        s = _statistic_extreme(spec, n, realized, optimistic, want_max)
-        values.append(theta * Fraction(s))
-    if h.form is HamiltonianForm.LINEAR:
-        return sum(values, start=Fraction(0))
-    return min(values) if h.sense == "maximize" else max(values)
-
-
-def _linear_max(
-    terms: tuple[tuple[Fraction, StatisticSpec], ...],
-    n: int,
-    realized: Graph,
-    optimistic: Graph,
-) -> Fraction:
-    total = Fraction(0)
-    for theta, spec in terms:
-        s = _statistic_extreme(spec, n, realized, optimistic, theta >= 0)
-        total += theta * Fraction(s)
-    return total
+        s = _statistic_extreme(spec, n, realized, optimistic, (theta >= 0) == maximize)
+        weighted.append(theta * Fraction(s))
+    return combine(h, weighted)
 
 
 def branch_and_bound(
@@ -244,6 +228,7 @@ def branch_and_bound(
     space.validate_for(n)
     if (floor_terms is None) != (floor_value is None):
         raise ValueError("floor_terms and floor_value must be given together")
+    floor_h = None if floor_terms is None else Hamiltonian.linear(list(floor_terms))
     pairs = num_pairs(n)
     full = (1 << pairs) - 1
     start = time.perf_counter()
@@ -253,13 +238,8 @@ def branch_and_bound(
     if incumbent is not None:
         if incumbent.n != n or not space.admits(incumbent):
             raise ValueError("warm-start incumbent is infeasible for the space")
-        if floor_terms is not None:
-            total = sum(
-                (th * Fraction(evaluate_statistic(sp, incumbent)) for th, sp in floor_terms),
-                start=Fraction(0),
-            )
-            if total < floor_value:
-                raise ValueError("warm-start incumbent violates the floor row")
+        if floor_h is not None and eval_hamiltonian(floor_h, incumbent) < floor_value:
+            raise ValueError("warm-start incumbent violates the floor row")
         best_graph = incumbent
         best_val = eval_hamiltonian(h, incumbent)
 
@@ -289,13 +269,8 @@ def branch_and_bound(
             if space.connected and not is_connected(realized):
                 continue
             try:
-                if floor_terms is not None:
-                    total = sum(
-                        (th * Fraction(evaluate_statistic(sp, realized)) for th, sp in floor_terms),
-                        start=Fraction(0),
-                    )
-                    if total < floor_value:
-                        continue
+                if floor_h is not None and eval_hamiltonian(floor_h, realized) < floor_value:
+                    continue
                 value = eval_hamiltonian(h, realized)
             except (_Infeasible, DisconnectedGraphError):
                 continue
@@ -305,9 +280,8 @@ def branch_and_bound(
             continue
         try:
             bound = _node_bound(h, n, realized, optimistic)
-            if floor_terms is not None:
-                if _linear_max(floor_terms, n, realized, optimistic) < floor_value:
-                    continue
+            if floor_h is not None and _node_bound(floor_h, n, realized, optimistic) < floor_value:
+                continue
         except _Infeasible:
             continue
         if bound_at_root is None:
@@ -371,10 +345,8 @@ def solve_two_stage(
     if method not in ("brute", "bnb"):
         raise ValueError("method must be 'brute' or 'bnb'")
     terms_t = tuple((Fraction(th), sp) for th, sp in terms)
-    if p_star_objective == "maxmin":
-        stage1_h = Hamiltonian.max_min(list(terms_t))
-    else:
-        stage1_h = Hamiltonian.linear(list(terms_t))
+    linear_h = Hamiltonian.linear(list(terms_t))
+    stage1_h = Hamiltonian.max_min(list(terms_t)) if p_star_objective == "maxmin" else linear_h
     if method == "brute":
         stage1, _ = brute_force(n, space, stage1_h)
     else:
@@ -386,15 +358,9 @@ def solve_two_stage(
     floor = gamma * p_star
     stage2_h = Hamiltonian.max_min(list(terms_t))
     if method == "brute":
-
-        def keeps_floor(g: Graph) -> bool:
-            total = sum(
-                (th * Fraction(evaluate_statistic(sp, g)) for th, sp in terms_t),
-                start=Fraction(0),
-            )
-            return total >= floor
-
-        stage2, _ = brute_force(n, space, stage2_h, extra_filter=keeps_floor)
+        stage2, _ = brute_force(
+            n, space, stage2_h, extra_filter=lambda g: eval_hamiltonian(linear_h, g) >= floor
+        )
     else:
         stage2 = branch_and_bound(
             n, space, stage2_h, floor_terms=terms_t, floor_value=floor, **bnb_options

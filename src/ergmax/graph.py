@@ -201,12 +201,19 @@ def connected_triples(g: Graph) -> int:
     return sum(d * (d - 1) // 2 for d in (a.bit_count() for a in adj))
 
 
-def reachable_mask(g: Graph, start: int = 0) -> int:
-    """Bitmask of nodes reachable from ``start``."""
+def bfs(g: Graph, source: int) -> tuple[int, int]:
+    """Breadth-first search from ``source``.
+
+    Returns the bitmask of reached nodes and the sum of their hop counts
+    from ``source``.
+    """
     adj = g.adjacency()
-    seen = 1 << start
+    seen = 1 << source
     frontier = seen
+    d = 0
+    hop_sum = 0
     while frontier:
+        d += 1
         nxt = 0
         f = frontier
         while f:
@@ -215,66 +222,25 @@ def reachable_mask(g: Graph, start: int = 0) -> int:
             f ^= low
         frontier = nxt & ~seen
         seen |= frontier
-    return seen
+        hop_sum += d * frontier.bit_count()
+    return seen, hop_sum
 
 
 def is_connected(g: Graph) -> bool:
     """True iff one traversal from node 0 reaches every node."""
-    return reachable_mask(g, 0) == (1 << g.n) - 1
-
-
-def hop_counts(g: Graph, source: int) -> list[int]:
-    """BFS hop counts from ``source``; unreachable nodes get -1."""
-    adj = g.adjacency()
-    dist = [-1] * g.n
-    dist[source] = 0
-    seen = 1 << source
-    frontier = seen
-    d = 0
-    while frontier:
-        d += 1
-        nxt = 0
-        f = frontier
-        while f:
-            low = f & -f
-            nxt |= adj[low.bit_length() - 1]
-            f ^= low
-        frontier = nxt & ~seen
-        seen |= frontier
-        f = frontier
-        while f:
-            low = f & -f
-            dist[low.bit_length() - 1] = d
-            f ^= low
-    return dist
-
-
-def _hop_sum_from(g: Graph, source: int) -> int:
-    """Sum of BFS hop counts from ``source``; raises if any node is unreachable."""
-    adj = g.adjacency()
-    seen = 1 << source
-    frontier = seen
-    d = 0
-    total = 0
-    while frontier:
-        d += 1
-        nxt = 0
-        f = frontier
-        while f:
-            low = f & -f
-            nxt |= adj[low.bit_length() - 1]
-            f ^= low
-        frontier = nxt & ~seen
-        seen |= frontier
-        total += d * frontier.bit_count()
-    if seen != (1 << g.n) - 1:
-        raise DisconnectedGraphError("hop sums are undefined on a disconnected graph")
-    return total
+    return bfs(g, 0)[0] == (1 << g.n) - 1
 
 
 def total_hop_count(g: Graph) -> int:
     """Sum of shortest-path hop counts over all ordered node pairs."""
-    return sum(_hop_sum_from(g, s) for s in range(g.n))
+    everyone = (1 << g.n) - 1
+    total = 0
+    for s in range(g.n):
+        reached, hop_sum = bfs(g, s)
+        if reached != everyone:
+            raise DisconnectedGraphError("hop sums are undefined on a disconnected graph")
+        total += hop_sum
+    return total
 
 
 def average_path_length(g: Graph) -> Fraction:
@@ -342,7 +308,8 @@ def graph_metrics(g: Graph) -> GraphMetrics:
 
 
 # ---------------------------------------------------------------------------
-# edge-list text format: first line "n m", then m lines "i j" with i < j
+# edge-list text format: first line "n m", then m distinct lines "i j" with
+# i < j, and nothing but blank lines after them
 
 
 def write_edge_list(g: Graph, out: TextIO) -> None:
@@ -371,4 +338,9 @@ def read_edge_list(inp: TextIO) -> Graph:
         if not (0 <= i < j < n):
             raise ValueError(f"edge ({i}, {j}) violates 0 <= i < j < n")
         edges.append((i, j))
+    distinct = len(set(edges))
+    if distinct != m:
+        raise ValueError(f"header promises {m} edges but the list holds {distinct} distinct ones")
+    if any(line.strip() for line in inp):
+        raise ValueError(f"unexpected text after the {m} edge lines")
     return Graph.from_edges(n, edges)

@@ -13,20 +13,13 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import SolveResult, available_chord_slots, star_with_chords, structural_lower_bounds
-from .graph import (
-    DisconnectedGraphError,
-    Graph,
-    is_connected,
-    num_pairs,
-    pair_of,
-    reachable_mask,
-)
+from .exact import SolveResult
+from .graph import DisconnectedGraphError, Graph, bfs, is_connected, num_pairs, pair_of
 from .space import SampleSpace
 from .stats import (
     Hamiltonian,
-    HamiltonianForm,
     StatisticKind,
+    combine,
     evaluate_statistic,
     improves,
     s_flow_distance,
@@ -38,9 +31,12 @@ class SearchConfig:
     seed: int = 0
     max_iterations: int = 100_000
     restarts: int = 1
-    start: str | Graph = "star_plus_chords"  # 'star' | 'star_plus_chords' | 'random_connected'
+    # every restart climbs from this graph, or from a fresh seeded random one
+    start: Graph | str = "random_connected"
 
     def __post_init__(self) -> None:
+        if not isinstance(self.start, Graph) and self.start != "random_connected":
+            raise ValueError(f"start must be a Graph or 'random_connected', not {self.start!r}")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
         if self.max_iterations < 1:
@@ -53,8 +49,7 @@ def random_connected_graph(n: int, rng: random.Random, p: float = 0.5) -> Graph:
         n,
         ((i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p),
     )
-    while not is_connected(g):
-        comp = reachable_mask(g, 0)
+    while (comp := bfs(g, 0)[0]) != (1 << n) - 1:
         inside = [v for v in range(n) if comp >> v & 1]
         outside = [v for v in range(n) if not comp >> v & 1]
         a = rng.choice(inside)
@@ -64,10 +59,7 @@ def random_connected_graph(n: int, rng: random.Random, p: float = 0.5) -> Graph:
 
 
 def _weighted(h: Hamiltonian, values: list[Fraction | int]) -> Fraction:
-    weighted = [theta * Fraction(v) for (theta, _), v in zip(h.terms, values)]
-    if h.form is HamiltonianForm.LINEAR:
-        return sum(weighted, start=Fraction(0))
-    return min(weighted) if h.sense == "maximize" else max(weighted)
+    return combine(h, [theta * Fraction(v) for (theta, _), v in zip(h.terms, values)])
 
 
 def _toggle_values(
@@ -185,27 +177,6 @@ def has_improving_toggle(g: Graph, h: Hamiltonian, space: SampleSpace) -> bool:
     return False
 
 
-def _start_graph(
-    n: int, h: Hamiltonian, start: str | Graph, rng: random.Random
-) -> Graph:
-    if isinstance(start, Graph):
-        return start
-    if start == "star":
-        return Graph.star(n)
-    if start == "star_plus_chords":
-        if h.alpha is not None:
-            chords = min(
-                structural_lower_bounds(n, h.alpha).min_triangles,
-                available_chord_slots(n),
-            )
-        else:
-            chords = 0
-        return star_with_chords(n, chords)
-    if start == "random_connected":
-        return random_connected_graph(n, rng)
-    raise ValueError(f"unknown start strategy {start!r}")
-
-
 def multi_restart(
     n: int,
     h: Hamiltonian,
@@ -224,7 +195,7 @@ def multi_restart(
     for _ in range(cfg.restarts):
         sub_seed = master.randrange(2**63)
         sub_rng = random.Random(sub_seed)
-        start = _start_graph(n, h, cfg.start, sub_rng)
+        start = cfg.start if isinstance(cfg.start, Graph) else random_connected_graph(n, sub_rng)
         sub_cfg = SearchConfig(
             seed=sub_seed,
             max_iterations=cfg.max_iterations,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from decimal import Decimal
 from fractions import Fraction
 from typing import Any, Iterable, Mapping
 
@@ -20,12 +19,13 @@ from .graph import (
     DisconnectedGraphError,
     Graph,
     all_pairs,
+    bfs,
     count_triangles,
     is_connected,
     num_pairs,
-    reachable_mask,
 )
 from .space import SampleSpace
+from .stats import exact_decimal
 
 Number = Fraction | int
 
@@ -482,23 +482,11 @@ def build_robust_second_stage(
 # CPLEX LP text export
 
 
-def _fmt_number(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    rest = q.denominator
-    for p in (2, 5):
-        while rest % p == 0:
-            rest //= p
-    if rest == 1:
-        return str(Decimal(q.numerator) / Decimal(q.denominator))
-    return repr(float(q))
-
-
 def _fmt_terms(coeffs: Mapping[str, Fraction]) -> str:
     parts = []
     for name, c in coeffs.items():
         sign = "-" if c < 0 else "+"
-        parts.append(f"{sign} {_fmt_number(abs(c))} {name}")
+        parts.append(f"{sign} {exact_decimal(abs(c))} {name}")
     return " ".join(parts)
 
 
@@ -510,7 +498,7 @@ def lp_string(cs: ConstraintSystem) -> str:
     lines.append("Subject To")
     for row in cs.rows:
         rel = row.relation
-        lines.append(f" {row.name}: {_fmt_terms(row.coeffs)} {rel} {_fmt_number(row.rhs)}")
+        lines.append(f" {row.name}: {_fmt_terms(row.coeffs)} {rel} {exact_decimal(row.rhs)}")
     bounds = []
     for v in cs.variables:
         if v.kind == "binary":
@@ -518,11 +506,11 @@ def lp_string(cs: ConstraintSystem) -> str:
         if v.lower is None and v.upper is None:
             bounds.append(f" {v.name} free")
         elif v.upper is None:
-            bounds.append(f" {_fmt_number(v.lower or Fraction(0))} <= {v.name}")
+            bounds.append(f" {exact_decimal(v.lower or Fraction(0))} <= {v.name}")
         elif v.lower is None:
-            bounds.append(f" -infinity <= {v.name} <= {_fmt_number(v.upper)}")
+            bounds.append(f" -infinity <= {v.name} <= {exact_decimal(v.upper)}")
         else:
-            bounds.append(f" {_fmt_number(v.lower)} <= {v.name} <= {_fmt_number(v.upper)}")
+            bounds.append(f" {exact_decimal(v.lower)} <= {v.name} <= {exact_decimal(v.upper)}")
     if bounds:
         lines.append("Bounds")
         lines.extend(bounds)
@@ -627,7 +615,7 @@ def zero_capacity_cut(g: Graph, root: int = 0) -> frozenset[int]:
     force zero flow across it while the balance rows demand a positive
     net outflow.
     """
-    mask = reachable_mask(g, root)
+    mask, _ = bfs(g, root)
     return frozenset(v for v in range(g.n) if mask >> v & 1)
 
 

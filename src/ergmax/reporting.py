@@ -16,7 +16,6 @@ from .exact import (
     solve_two_stage,
     star_with_chords,
     structural_lower_bounds,
-    available_chord_slots,
 )
 from .graph import Graph, GraphMetrics, edge_list_string, graph_metrics
 from .local_search import SearchConfig, multi_restart
@@ -125,44 +124,32 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path | None = None) -> E
             p_star_objective = two.p_star_objective
     elif spec.solver == "brute":
         result, _ = brute_force(spec.n, spec.space, h)
-    elif spec.solver == "bnb":
-        incumbent = _warm_start(spec, h)
-        result = branch_and_bound(
-            spec.n,
-            spec.space,
-            h,
-            incumbent=incumbent,
-            node_limit=spec.node_limit,
-            time_limit=spec.time_limit,
-        )
     else:
-        cfg = SearchConfig(
-            seed=spec.seed,
-            restarts=spec.restarts,
-            start="star_plus_chords" if spec.model == "triads_vs_nonedges" else "star",
-        )
-        result = multi_restart(spec.n, h, spec.space, cfg)
+        # a connected graph of free edge count: bnb's incumbent, local search's start
+        if spec.model == "triads_vs_nonedges":
+            chords = structural_lower_bounds(spec.n, spec.alpha).min_triangles
+            start = star_with_chords(spec.n, chords)
+        else:
+            start = Graph.star(spec.n)
+        if spec.solver == "bnb":
+            warm = spec.space.connected and spec.space.density is None
+            result = branch_and_bound(
+                spec.n,
+                spec.space,
+                h,
+                incumbent=start if warm else None,
+                node_limit=spec.node_limit,
+                time_limit=spec.time_limit,
+            )
+        else:
+            cfg = SearchConfig(seed=spec.seed, restarts=spec.restarts, start=start)
+            result = multi_restart(spec.n, h, spec.space, cfg)
 
     metrics = graph_metrics(result.graph) if result.graph is not None else None
     report = ExperimentReport(spec, h, result, metrics, p_star, p_star_objective)
     if out_dir is not None:
         write_report_files(report, Path(out_dir))
     return report
-
-
-def _warm_start(spec: ExperimentSpec, h: Hamiltonian) -> Graph | None:
-    """Feasible construction used to seed branch-and-bound."""
-    if spec.space.density is not None:
-        return None
-    if not spec.space.connected:
-        return None
-    if spec.model == "triads_vs_nonedges":
-        chords = min(
-            structural_lower_bounds(spec.n, spec.alpha).min_triangles,
-            available_chord_slots(spec.n),
-        )
-        return star_with_chords(spec.n, chords)
-    return Graph.star(spec.n)
 
 
 # ---------------------------------------------------------------------------

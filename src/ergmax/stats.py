@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 from typing import TextIO
@@ -170,12 +171,17 @@ class Hamiltonian:
         )
 
 
-def eval_hamiltonian(h: Hamiltonian, g: Graph) -> Fraction:
-    """Exact objective value of ``h`` at ``g``."""
-    weighted = [theta * Fraction(evaluate_statistic(spec, g)) for theta, spec in h.terms]
+def combine(h: Hamiltonian, weighted: list[Fraction]) -> Fraction:
+    """Reduce the weighted term values of ``h``: their sum for the linear
+    form; for max_min, their minimum when maximizing, maximum when minimizing."""
     if h.form is HamiltonianForm.LINEAR:
         return sum(weighted, start=Fraction(0))
     return min(weighted) if h.sense == "maximize" else max(weighted)
+
+
+def eval_hamiltonian(h: Hamiltonian, g: Graph) -> Fraction:
+    """Exact objective value of ``h`` at ``g``."""
+    return combine(h, [theta * Fraction(evaluate_statistic(spec, g)) for theta, spec in h.terms])
 
 
 def statistic_values(h: Hamiltonian, g: Graph) -> tuple[Fraction | int, ...]:
@@ -226,12 +232,12 @@ def uniform_delta(n: int, value: Fraction = Fraction(1)) -> DeltaMatrix:
 def write_delta(delta: DeltaMatrix, out: TextIO) -> None:
     out.write(f"{len(delta)}\n")
     for row in delta:
-        out.write(" ".join(_format_exact_decimal(v) for v in row) + "\n")
+        out.write(" ".join(exact_decimal(v) for v in row) + "\n")
 
 
-def _format_exact_decimal(value: Fraction) -> str:
-    from decimal import Decimal
-
+def exact_decimal(value: Fraction) -> str:
+    """Decimal text that parses back to exactly ``value`` when its denominator
+    has no prime factor besides 2 and 5; otherwise the nearest float's repr."""
     if value.denominator == 1:
         return str(value.numerator)
     rest = value.denominator
@@ -258,6 +264,8 @@ def read_delta(inp: TextIO) -> DeltaMatrix:
         if len(fields) != n:
             raise ValueError(f"each matrix row needs exactly {n} entries")
         rows.append(tuple(Fraction(f) for f in fields))
+    if any(line.strip() for line in inp):
+        raise ValueError(f"unexpected text after the {n} matrix rows")
     delta = tuple(rows)
     validate_delta(delta)
     return delta

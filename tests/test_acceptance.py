@@ -184,7 +184,8 @@ def test_criterion_7_paper_scale_qualitative_consistency():
     t0 = time.perf_counter()
     n, alpha = 60, Fraction(7, 10)
     h = triads_maxmin(alpha)
-    cfg = SearchConfig(seed=1, restarts=3, start="star_plus_chords")
+    start = star_with_chords(n, structural_lower_bounds(n, alpha).min_triangles)
+    cfg = SearchConfig(seed=1, restarts=3, start=start)
     res = multi_restart(n, h, CONNECTED, cfg)
     elapsed = time.perf_counter() - t0
     m = graph_metrics(res.graph)

@@ -4,6 +4,7 @@ import pytest
 
 from ergmax import (
     Graph,
+    Hamiltonian,
     SampleSpace,
     StatisticKind,
     StatisticSpec,
@@ -12,6 +13,7 @@ from ergmax import (
     count_triangles,
     eval_hamiltonian,
     is_connected,
+    random_unit_square_delta,
     solve_two_stage,
     star_with_chords,
     structural_lower_bounds,
@@ -182,6 +184,31 @@ def test_bnb_warm_start_never_worsens_on_the_n6_grid(alpha):
     assert warm.nodes_explored <= cold.nodes_explored
 
 
+def spaces_for(n):
+    """Connected, all, and both with the edge count fixed to n."""
+    return [
+        CONNECTED,
+        SampleSpace.all_graphs(),
+        SampleSpace.fixed_density(n, connected=True),
+        SampleSpace.fixed_density(n),
+    ]
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_bnb_matches_brute_force_on_the_distance_model(n, seed):
+    phys = StatisticSpec(StatisticKind.PHYSICAL_DISTANCE, random_unit_square_delta(n, seed))
+    flow = StatisticSpec(StatisticKind.FLOW_DISTANCE)
+    for alpha in (Fraction(1, 2), Fraction(9, 10)):
+        h = Hamiltonian.max_min_pair(alpha, phys, flow, sense="minimize")
+        for space in spaces_for(n):
+            ref, argmax = brute_force(n, space, h)
+            res = branch_and_bound(n, space, h)
+            assert res.status == ref.status == "optimal"
+            assert res.objective == ref.objective
+            assert res.graph in argmax
+
+
 def test_bnb_node_limit_yields_incumbent_status():
     h = triads_maxmin(Fraction(1, 2))
     res = branch_and_bound(6, CONNECTED, h, node_limit=50)
@@ -260,6 +287,20 @@ def test_two_stage_bnb_agrees_with_brute():
         )
         assert alt.stage2.objective == ref.stage2.objective
         assert alt.p_star == ref.p_star
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_two_stage_bnb_agrees_with_brute_across_spaces_and_objectives(n):
+    for space in spaces_for(n):
+        for alpha in (Fraction(3, 10), Fraction(1, 2), Fraction(7, 10)):
+            terms = list(triads_maxmin(alpha).terms)
+            for gamma in (Fraction(0), Fraction(1, 2), Fraction(9, 10), Fraction(1)):
+                for objective in ("maxmin", "linear"):
+                    ref = solve_two_stage(n, space, terms, gamma, objective)
+                    alt = solve_two_stage(n, space, terms, gamma, objective, method="bnb")
+                    assert alt.p_star == ref.p_star
+                    assert alt.stage2.status == ref.stage2.status
+                    assert alt.stage2.objective == ref.stage2.objective
 
 
 def test_two_stage_infeasible_stage_one_propagates():

@@ -12,14 +12,16 @@ from ergmax import (
     clustering_coefficient,
     count_triangles,
     edge_index,
+    eval_hamiltonian,
     graph_metrics,
     is_connected,
     pair_of,
     read_edge_list,
 )
-from ergmax.graph import edge_list_string, num_pairs
+from ergmax.graph import bfs, edge_list_string, num_pairs, total_hop_count
+from ergmax.stats import random_unit_square_delta, s_physical_distance
 
-from helpers import iter_graphs, triangle_count_by_triples, union_find_connected
+from helpers import iter_graphs, triads_maxmin, triangle_count_by_triples, union_find_connected
 
 
 # -- pair indexing -----------------------------------------------------------
@@ -187,3 +189,46 @@ def test_edge_list_rejects_malformed():
         read_edge_list(io.StringIO("3 1\n1 0\n"))
     with pytest.raises(ValueError):
         read_edge_list(io.StringIO("3 1\n0 3\n"))
+
+
+def test_edge_list_rejects_a_header_count_that_differs_from_the_distinct_edges():
+    with pytest.raises(ValueError, match="distinct"):
+        read_edge_list(io.StringIO("3 3\n0 1\n0 1\n1 2\n"))
+
+
+def test_edge_list_rejects_lines_after_the_last_edge():
+    with pytest.raises(ValueError, match="after"):
+        read_edge_list(io.StringIO("3 1\n0 1\n1 2\n"))
+    # trailing blank lines are harmless
+    assert read_edge_list(io.StringIO("3 1\n0 1\n\n  \n")) == Graph.from_edges(3, [(0, 1)])
+
+
+# -- relabelling -------------------------------------------------------------
+
+
+@given(st.integers(min_value=2, max_value=8), st.data())
+def test_relabelling_nodes_preserves_statistics_and_bfs(n, data):
+    g = Graph(n, data.draw(st.integers(min_value=0, max_value=(1 << num_pairs(n)) - 1)))
+    pi = data.draw(st.permutations(range(n)))
+    pg = Graph.from_edges(n, ((pi[i], pi[j]) for i, j in g.edges()))
+    h = triads_maxmin(Fraction(3, 10))
+    assert eval_hamiltonian(h, pg) == eval_hamiltonian(h, g)
+
+    delta = random_unit_square_delta(n, seed=data.draw(st.integers(min_value=0, max_value=2**32)))
+    moved = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            moved[pi[i]][pi[j]] = delta[i][j]
+    p_delta = tuple(tuple(row) for row in moved)
+    assert s_physical_distance(pg, p_delta) == s_physical_distance(g, delta)
+
+    if is_connected(g):
+        assert total_hop_count(pg) == total_hop_count(g)
+    else:
+        with pytest.raises(DisconnectedGraphError):
+            total_hop_count(pg)
+    for s in range(n):
+        reached, hop_sum = bfs(g, s)
+        p_reached, p_hop_sum = bfs(pg, pi[s])
+        assert p_reached == sum(1 << pi[v] for v in range(n) if reached >> v & 1)
+        assert p_hop_sum == hop_sum

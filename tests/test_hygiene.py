@@ -1,0 +1,71 @@
+"""Static checks that keep dead code from accumulating in the package.
+
+Each module of ``src/ergmax`` (``__init__.py`` aside, since it exists to
+re-export) must use every name it imports at module level, and every
+``_``-prefixed module-level function must be referenced somewhere in the
+package outside its own definition.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ergmax"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def used_names(node: ast.AST) -> set[str]:
+    """Every identifier read in ``node``: bare names and attribute names."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names.update(alias.name for alias in sub.names)
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_module_level_import_is_used(path):
+    tree = parse(path)
+    imported = {}
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+            continue
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            for alias in stmt.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                imported[bound] = stmt.lineno
+    used = set()
+    for stmt in tree.body:
+        if not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            used |= used_names(stmt)
+    unused = sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+    assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def test_every_private_function_is_referenced():
+    trees = {path.name: parse(PACKAGE / path.name) for path in PACKAGE.glob("*.py")}
+    unreferenced = []
+    for path in MODULES:
+        for stmt in trees[path.name].body:
+            if not (isinstance(stmt, ast.FunctionDef) and stmt.name.startswith("_")):
+                continue
+            referenced = any(
+                stmt.name in used_names(other)
+                for name, tree in trees.items()
+                for other in tree.body
+                if other is not stmt
+            )
+            if not referenced:
+                unreferenced.append(f"{path.name}:{stmt.lineno} {stmt.name}")
+    assert not unreferenced, f"private functions nothing references: {unreferenced}"

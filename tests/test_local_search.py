@@ -77,11 +77,11 @@ def test_multi_restart_is_deterministic():
 
 def test_single_restart_equals_first_improve_with_derived_seed():
     h = triads_maxmin(Fraction(1, 2))
-    cfg = SearchConfig(seed=13, restarts=1, start="star")
+    cfg = SearchConfig(seed=13, restarts=1, start=Graph.star(6))
     combined = multi_restart(6, h, CONNECTED, cfg)
     sub_seed = random.Random(13).randrange(2**63)
     direct = first_improve(
-        Graph.star(6), h, CONNECTED, SearchConfig(seed=sub_seed, start="star")
+        Graph.star(6), h, CONNECTED, SearchConfig(seed=sub_seed, start=Graph.star(6))
     )
     assert combined.graph == direct.graph
     assert combined.objective == direct.objective
@@ -124,3 +124,5 @@ def test_search_config_validation():
         SearchConfig(restarts=0)
     with pytest.raises(ValueError):
         SearchConfig(max_iterations=0)
+    with pytest.raises(ValueError):
+        SearchConfig(start="star")

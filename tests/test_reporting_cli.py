@@ -2,6 +2,8 @@ import json
 import re
 from fractions import Fraction
 
+import pytest
+
 from ergmax import Graph, SampleSpace, brute_force, graph_metrics, star_with_chords
 from ergmax.cli import main
 from ergmax.reporting import (
@@ -147,6 +149,28 @@ def test_cli_metrics(capsys, tmp_path):
 
 def test_cli_metrics_missing_file_is_usage_error(capsys):
     assert main(["metrics", "/nonexistent/file.txt"]) == 1
+
+
+def test_cli_metrics_rejects_a_miscounted_edge_list(capsys, tmp_path):
+    f = tmp_path / "g.txt"
+    f.write_text("3 3\n0 1\n0 1\n1 2\n")
+    assert main(["metrics", str(f)]) == 1
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound", "--alpha", "1/2"],
+        ["solve", "--solver", "bnb"],
+        ["solve", "--solver", "brute"],
+        ["heuristic"],
+        ["export-lp", "--out", "never-written.lp"],
+    ],
+)
+def test_cli_refuses_fewer_than_two_nodes(capsys, argv):
+    assert main(argv + ["--n", "1"]) == 1
+    assert f"ergmax {argv[0]}: error: argument --n" in capsys.readouterr().err
 
 
 def test_cli_export_and_check_roundtrip(capsys, tmp_path):

@@ -158,3 +158,8 @@ def test_delta_roundtrip_and_asymmetric_rejection():
     bad = "2\n0 0.5\n0.4 0\n"
     with pytest.raises(ValueError):
         read_delta(io.StringIO(bad))
+
+
+def test_delta_rejects_rows_after_the_last():
+    with pytest.raises(ValueError, match="after"):
+        read_delta(io.StringIO("2\n0 1\n1 0\n1 0\n"))
