@@ -17,7 +17,7 @@ from ergmax import lp
 
 # --- triangle indicators ----------------------------------------------------
 # For each triple, binary w must equal the product of its three edge bits.
-cs = lp.build_triangle_indicators(3, "and")
+cs = lp.build_triangle_indicators(3)
 print("AND linearization, one triple, all 8 edge corners:")
 for corner in itertools.product((0, 1), repeat=3):
     xij, xjk, xik = corner
@@ -28,17 +28,6 @@ for corner in itertools.product((0, 1), repeat=3):
         ).feasible
     ]
     print(f"  x = {corner} -> feasible w: {feasible_w}")
-
-# The 'aux' variant (auxiliary y/z variables, with its third sandwich row
-# repeating the first edge) fails to pin w when only the closing edge is
-# missing -- keep it for comparison, never for production models.
-cs_aux = lp.build_triangle_indicators(3, "aux")
-feasible_w = set()
-for w, y, z in itertools.product((0, 1), repeat=3):
-    a = {"x_0_1": 1, "x_1_2": 1, "x_0_2": 0, "w_0_1_2": w, "y_0_1_2": y, "z_0_1_2": z}
-    if lp.check_assignment(cs_aux, a).feasible:
-        feasible_w.add(w)
-print("aux variant at x=(1,1,0): feasible w =", sorted(feasible_w), "(not pinned!)")
 
 # --- connectivity as a flow ---------------------------------------------------
 # n-1 units leave the root; capacities n*x zero out absent pairs, so a

@@ -42,7 +42,6 @@ from .lp import (
     build_maxmin,
     build_minmax_distance,
     build_multicommodity_flow,
-    build_robust_second_stage,
     build_triangle_indicators,
     check_assignment,
     export_lp,
@@ -97,7 +96,6 @@ __all__ = [
     "build_maxmin",
     "build_minmax_distance",
     "build_multicommodity_flow",
-    "build_robust_second_stage",
     "build_triangle_indicators",
     "check_assignment",
     "export_lp",

@@ -28,6 +28,7 @@ from .reporting import (
     hamiltonian_for,
     metrics_row,
     report_json_dict,
+    resolve_delta,
     run_experiment,
 )
 from .space import SampleSpace
@@ -118,15 +119,8 @@ def cmd_bound(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_solve(args: argparse.Namespace) -> int:
+def cmd_run(args: argparse.Namespace) -> int:
     spec = make_spec(args, args.solver)
-    report = run_experiment(spec, args.out_dir)
-    print(json.dumps(report_json_dict(report), indent=2))
-    return STATUS_EXIT[report.result.status]
-
-
-def cmd_heuristic(args: argparse.Namespace) -> int:
-    spec = make_spec(args, "local_search")
     report = run_experiment(spec, args.out_dir)
     print(json.dumps(report_json_dict(report), indent=2))
     return STATUS_EXIT[report.result.status]
@@ -137,10 +131,7 @@ def cmd_export_lp(args: argparse.Namespace) -> int:
     if args.model == "triads_vs_nonedges":
         cs = build_maxmin(args.n, args.alpha, space)
     else:
-        spec = make_spec(args, "brute")
-        from .reporting import resolve_delta
-
-        delta = resolve_delta(spec)
+        delta = resolve_delta(make_spec(args, "brute"))
         cs = build_minmax_distance(args.n, args.alpha, delta, space)
     export_lp(cs, args.out)
     if args.ir_json:
@@ -211,12 +202,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_model_flags(p)
     add_run_flags(p)
     p.add_argument("--solver", choices=("brute", "bnb"), default="bnb")
-    p.set_defaults(func=cmd_solve)
+    p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("heuristic", help="first-improve local search with restarts")
     add_model_flags(p)
     add_run_flags(p)
-    p.set_defaults(func=cmd_heuristic)
+    p.set_defaults(func=cmd_run, solver="local_search")
 
     p = sub.add_parser("export-lp", help="write the CPLEX-LP file for a model")
     add_model_flags(p)

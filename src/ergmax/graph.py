@@ -72,16 +72,11 @@ class Graph:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def empty(cls, n: int) -> "Graph":
-        return cls(n)
-
-    @classmethod
     def complete(cls, n: int) -> "Graph":
         return cls(n, (1 << num_pairs(n)) - 1)
 
     @classmethod
     def star(cls, n: int, center: int = 0) -> "Graph":
-        g = cls(n)
         bits = 0
         for v in range(n):
             if v != center:
@@ -142,9 +137,6 @@ class Graph:
                 adj[j] |= 1 << i
             self._adj = tuple(adj)
         return self._adj
-
-    def degree(self, v: int) -> int:
-        return self.adjacency()[v].bit_count()
 
     def common_neighbor_count(self, i: int, j: int) -> int:
         adj = self.adjacency()
@@ -313,9 +305,7 @@ def graph_metrics(g: Graph) -> GraphMetrics:
 
 
 def write_edge_list(g: Graph, out: TextIO) -> None:
-    out.write(f"{g.n} {g.edge_count}\n")
-    for i, j in sorted(g.edges()):
-        out.write(f"{i} {j}\n")
+    out.write(edge_list_string(g))
 
 
 def edge_list_string(g: Graph) -> str:

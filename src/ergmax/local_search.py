@@ -114,17 +114,12 @@ def first_improve(
     n = start.n
     pairs = [pair_of(idx, n) for idx in range(num_pairs(n))]
     order = list(range(len(pairs)))
-    needs_connectivity = any(
-        spec.kind is StatisticKind.FLOW_DISTANCE for _, spec in h.terms
-    )
 
     g = start
     values = [evaluate_statistic(spec, g) for _, spec in h.terms]
     objective = _weighted(h, values)
     moves = 0
     evaluations = 0
-    # a connected space already rejects disconnecting removals below
-    check_flow_connectivity = needs_connectivity and not space.connected
     improved = True
     while improved and moves < cfg.max_iterations:
         improved = False
@@ -133,8 +128,6 @@ def first_improve(
             i, j = pairs[idx]
             adding = not g.has_edge(i, j)
             if not _toggle_keeps_space(g, i, j, adding, space):
-                continue
-            if check_flow_connectivity and not adding and not is_connected(g.without_edge(i, j)):
                 continue
             try:
                 cand_values = _toggle_values(h, g, values, i, j, adding)

@@ -13,7 +13,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Iterable, Mapping
+from functools import partial
+from itertools import combinations
+from typing import Any, Callable, Mapping
 
 from .graph import (
     DisconnectedGraphError,
@@ -44,14 +46,6 @@ class Row:
     coeffs: dict[str, Fraction]
     relation: str  # '<=' | '=' | '>='
     rhs: Fraction
-
-
-@dataclass(frozen=True)
-class AffineExpr:
-    """A linear expression plus constant, used to splice statistics into models."""
-
-    coeffs: dict[str, Fraction]
-    constant: Fraction = Fraction(0)
 
 
 class ConstraintSystem:
@@ -154,24 +148,30 @@ class ConstraintSystem:
 
     @classmethod
     def from_json_dict(cls, data: dict[str, Any]) -> "ConstraintSystem":
-        cs = cls(data.get("name", "model"))
-        cs.meta = dict(data.get("meta", {}))
-        for v in data["variables"]:
-            cs.add_variable(
-                v["name"],
-                v["kind"],
-                None if v["lower"] is None else Fraction(v["lower"]),
-                None if v["upper"] is None else Fraction(v["upper"]),
-            )
-        for r in data["rows"]:
-            cs.add_row(
-                r["name"],
-                {v: Fraction(c) for v, c in r["coeffs"].items()},
-                r["relation"],
-                Fraction(r["rhs"]),
-            )
-        obj = data["objective"]
-        cs.set_objective(obj["sense"], {v: Fraction(c) for v, c in obj["coeffs"].items()})
+        """Inverse of :meth:`to_json_dict`; a missing key or a wrong type raises ValueError."""
+        try:
+            cs = cls(data.get("name", "model"))
+            cs.meta = dict(data.get("meta", {}))
+            for v in data["variables"]:
+                cs.add_variable(
+                    v["name"],
+                    v["kind"],
+                    None if v["lower"] is None else Fraction(v["lower"]),
+                    None if v["upper"] is None else Fraction(v["upper"]),
+                )
+            for r in data["rows"]:
+                cs.add_row(
+                    r["name"],
+                    {v: Fraction(c) for v, c in r["coeffs"].items()},
+                    r["relation"],
+                    Fraction(r["rhs"]),
+                )
+            obj = data["objective"]
+            cs.set_objective(obj["sense"], {v: Fraction(c) for v, c in obj["coeffs"].items()})
+        except KeyError as exc:
+            raise ValueError(f"malformed constraint IR: missing key {exc}") from exc
+        except (TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed constraint IR: {exc}") from exc
         return cs
 
 
@@ -206,13 +206,6 @@ def ensure_edge_variables(cs: ConstraintSystem, n: int) -> None:
             cs.add_variable(name, "binary")
 
 
-def triples(n: int) -> Iterable[tuple[int, int, int]]:
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                yield i, j, k
-
-
 # ---------------------------------------------------------------------------
 # builders
 
@@ -227,51 +220,46 @@ def build_fixed_density(n: int, d: int, cs: ConstraintSystem | None = None) -> C
     return cs
 
 
-def build_triangle_indicators(
-    n: int,
-    variant: str = "and",
-    cs: ConstraintSystem | None = None,
-) -> ConstraintSystem:
+def build_triangle_indicators(n: int, cs: ConstraintSystem | None = None) -> ConstraintSystem:
     """Binary triangle indicators w_ijk for every triple i < j < k.
 
-    ``variant='and'`` is the standard 4-row AND linearization, which pins
-    w to the product of the three edge variables without auxiliaries.
-    ``variant='aux'`` is an alternative 6-row system with auxiliary
-    variables whose third sandwich row repeats the first edge instead of
-    covering the closing edge; it does NOT pin w for every corner and is
-    kept only for comparison experiments.
+    The standard 4-row AND linearization pins w to the product of the
+    three edge variables without auxiliaries.
     """
     if n < 3:
         raise ValueError("triangle indicators need n >= 3")
-    if variant not in ("and", "aux"):
-        raise ValueError(f"unknown variant {variant!r}")
     cs = cs or ConstraintSystem("triangle_indicators")
     ensure_edge_variables(cs, n)
-    cs.meta["triangle_variant"] = variant
-    for i, j, k in triples(n):
+    cs.meta["triangle_variant"] = "and"
+    for i, j, k in combinations(range(n), 3):
         w = w_name(i, j, k)
         xij, xjk, xik = x_name(i, j), x_name(j, k), x_name(i, k)
         cs.add_variable(w, "binary")
-        if variant == "and":
-            cs.add_row(f"tri_ub1_{i}_{j}_{k}", {w: 1, xij: -1}, "<=", 0)
-            cs.add_row(f"tri_ub2_{i}_{j}_{k}", {w: 1, xjk: -1}, "<=", 0)
-            cs.add_row(f"tri_ub3_{i}_{j}_{k}", {w: 1, xik: -1}, "<=", 0)
-            cs.add_row(
-                f"tri_lb_{i}_{j}_{k}", {xij: 1, xjk: 1, xik: 1, w: -1}, "<=", 2
-            )
-        else:
-            y = f"y_{i}_{j}_{k}"
-            z = f"z_{i}_{j}_{k}"
-            cs.add_variable(y, "binary")
-            cs.add_variable(z, "binary")
-            # sandwich rows; the third deliberately repeats x_ij
-            for tag, xv in (("e1", xij), ("e2", xjk), ("e3", xij)):
-                cs.add_row(f"triaux_{tag}lo_{i}_{j}_{k}", {xv: 1, z: 1}, ">=", 1)
-                cs.add_row(f"triaux_{tag}hi_{i}_{j}_{k}", {xv: 1, y: -1}, "<=", 0)
-            cs.add_row(f"triaux_wlo_{i}_{j}_{k}", {y: 1, z: -1, w: -1}, "<=", 0)
-            cs.add_row(f"triaux_whi_{i}_{j}_{k}", {w: 1, z: 1}, "<=", 1)
-            cs.add_row(f"triaux_sum_{i}_{j}_{k}", {xij: 1, xjk: 1, xik: 1, z: 1}, "<=", 3)
+        cs.add_row(f"tri_ub1_{i}_{j}_{k}", {w: 1, xij: -1}, "<=", 0)
+        cs.add_row(f"tri_ub2_{i}_{j}_{k}", {w: 1, xjk: -1}, "<=", 0)
+        cs.add_row(f"tri_ub3_{i}_{j}_{k}", {w: 1, xik: -1}, "<=", 0)
+        cs.add_row(f"tri_lb_{i}_{j}_{k}", {xij: 1, xjk: 1, xik: 1, w: -1}, "<=", 2)
     return cs
+
+
+def _add_commodity(
+    cs: ConstraintSystem, n: int, source: int, arc: Callable[[int, int], str], balance: str
+) -> None:
+    """Arc variables of one commodity plus its balance rows ``{balance}_{k}``.
+
+    n-1 units leave ``source`` and one unit terminates at every other node.
+    """
+    for i, j in all_pairs(n):
+        cs.add_variable(arc(i, j), "continuous", lower=0)
+        cs.add_variable(arc(j, i), "continuous", lower=0)
+    for k in range(n):
+        coeffs: dict[str, Fraction] = {}
+        for j in range(n):
+            if j == k:
+                continue
+            coeffs[arc(k, j)] = Fraction(1)
+            coeffs[arc(j, k)] = Fraction(-1)
+        cs.add_row(f"{balance}_{k}", coeffs, "=", n - 1 if k == source else -1)
 
 
 def build_connectivity_flow(
@@ -287,17 +275,7 @@ def build_connectivity_flow(
     cs = cs or ConstraintSystem("connectivity_flow")
     ensure_edge_variables(cs, n)
     cs.meta["flow_root"] = root
-    for i, j in all_pairs(n):
-        cs.add_variable(flow_name(i, j), "continuous", lower=0)
-        cs.add_variable(flow_name(j, i), "continuous", lower=0)
-    for k in range(n):
-        coeffs: dict[str, Fraction] = {}
-        for j in range(n):
-            if j == k:
-                continue
-            coeffs[flow_name(k, j)] = Fraction(1)
-            coeffs[flow_name(j, k)] = Fraction(-1)
-        cs.add_row(f"flow_balance_{k}", coeffs, "=", n - 1 if k == root else -1)
+    _add_commodity(cs, n, root, flow_name, "flow_balance")
     for i, j in all_pairs(n):
         cs.add_row(
             f"flow_cap_{i}_{j}",
@@ -319,48 +297,12 @@ def build_multicommodity_flow(n: int, cs: ConstraintSystem | None = None) -> Con
     cs = cs or ConstraintSystem("multicommodity_flow")
     ensure_edge_variables(cs, n)
     for h in range(n):
-        for i, j in all_pairs(n):
-            cs.add_variable(mcflow_name(h, i, j), "continuous", lower=0)
-            cs.add_variable(mcflow_name(h, j, i), "continuous", lower=0)
-    for h in range(n):
-        for k in range(n):
-            coeffs = {}
-            for j in range(n):
-                if j == k:
-                    continue
-                coeffs[mcflow_name(h, k, j)] = Fraction(1)
-                coeffs[mcflow_name(h, j, k)] = Fraction(-1)
-            cs.add_row(f"mcflow_balance_{h}_{k}", coeffs, "=", n - 1 if k == h else -1)
+        _add_commodity(cs, n, h, partial(mcflow_name, h), f"mcflow_balance_{h}")
     for i, j in all_pairs(n):
         coeffs = {mcflow_name(h, a, b): Fraction(1) for h in range(n) for a, b in ((i, j), (j, i))}
         coeffs[x_name(i, j)] = Fraction(-n * n)
         cs.add_row(f"mcflow_cap_{i}_{j}", coeffs, "<=", 0)
     return cs
-
-
-# -- affine views of the statistics over LP variables -----------------------
-
-
-def non_edges_expression(n: int) -> AffineExpr:
-    return AffineExpr({x_name(i, j): Fraction(-1) for i, j in all_pairs(n)}, Fraction(num_pairs(n)))
-
-
-def triangles_expression(n: int) -> AffineExpr:
-    return AffineExpr({w_name(i, j, k): Fraction(1) for i, j, k in triples(n)})
-
-
-def physical_distance_expression(n: int, delta) -> AffineExpr:
-    return AffineExpr({x_name(i, j): Fraction(delta[i][j]) for i, j in all_pairs(n)})
-
-
-def multicommodity_flow_expression(n: int) -> AffineExpr:
-    """Total circulating flow; epigraph-sound only on the minimization side."""
-    coeffs = {}
-    for h in range(n):
-        for i, j in all_pairs(n):
-            coeffs[mcflow_name(h, i, j)] = Fraction(1)
-            coeffs[mcflow_name(h, j, i)] = Fraction(1)
-    return AffineExpr(coeffs)
 
 
 def _add_space_rows(cs: ConstraintSystem, n: int, space: SampleSpace) -> None:
@@ -389,16 +331,17 @@ def build_maxmin(
     space.validate_for(n)
     cs = cs or ConstraintSystem("maxmin_nonedges_triangles")
     ensure_edge_variables(cs, n)
-    build_triangle_indicators(n, "and", cs)
+    build_triangle_indicators(n, cs)
     _add_space_rows(cs, n, space)
     pairs = num_pairs(n)
     cs.add_variable("H", "continuous", lower=0, upper=alpha * pairs)
-    ne = non_edges_expression(n)
-    row = {name: alpha * -c for name, c in ne.coeffs.items()}  # H - alpha*S1 <= 0
+    # H + alpha * (edges) <= alpha * pairs
+    row = {x_name(i, j): alpha for i, j in all_pairs(n)}
     row["H"] = Fraction(1)
-    cs.add_row("epi_non_edges", row, "<=", alpha * ne.constant)
-    tri = triangles_expression(n)
-    row = {name: -(1 - alpha) * c for name, c in tri.coeffs.items()}
+    cs.add_row("epi_non_edges", row, "<=", alpha * pairs)
+    # H - (1 - alpha) * (triangles) <= 0
+    c = alpha - 1
+    row = {w_name(i, j, k): c for i, j, k in combinations(range(n), 3)}
     row["H"] = Fraction(1)
     cs.add_row("epi_triangles", row, "<=", 0)
     cs.set_objective("maximize", {"H": 1})
@@ -430,51 +373,23 @@ def build_minmax_distance(
         build_fixed_density(n, space.density, cs)
     cs.meta["space"] = space.label()
     cs.add_variable("H", "continuous", lower=0)
-    phys = physical_distance_expression(n, delta)
-    row = {name: alpha * c for name, c in phys.coeffs.items()}
+    # alpha * (physical distance) - H <= 0
+    row = {x_name(i, j): alpha * Fraction(delta[i][j]) for i, j in all_pairs(n)}
     row["H"] = Fraction(-1)
-    cs.add_row("epi_physical", row, "<=", 0)  # alpha*S1 - H <= 0
-    flow = multicommodity_flow_expression(n)
-    row = {name: (1 - alpha) * c for name, c in flow.coeffs.items()}
+    cs.add_row("epi_physical", row, "<=", 0)
+    # (1 - alpha) * (total flow) - H <= 0
+    c = 1 - alpha
+    row = {
+        mcflow_name(h, a, b): c
+        for h in range(n)
+        for i, j in all_pairs(n)
+        for a, b in ((i, j), (j, i))
+    }
     row["H"] = Fraction(-1)
     cs.add_row("epi_flow", row, "<=", 0)
     cs.set_objective("minimize", {"H": 1})
     cs.meta["alpha"] = str(alpha)
     cs.meta["formulation"] = "minmax_distance"
-    return cs
-
-
-def build_robust_second_stage(
-    base: ConstraintSystem,
-    terms: list[tuple[Fraction, AffineExpr]],
-    p_star: Fraction,
-    gamma: Fraction,
-) -> ConstraintSystem:
-    """Add epigraph rows H <= theta_j * S_j plus the suboptimality floor.
-
-    The floor requires the weighted sum of statistics to stay above
-    gamma * p_star, tying the robust solve to a first-stage optimum.
-    """
-    gamma = Fraction(gamma)
-    if not (0 <= gamma <= 1):
-        raise ValueError("gamma must lie in [0, 1]")
-    cs = base
-    if not cs.has_variable("H"):
-        cs.add_variable("H", "continuous", lower=0)
-    floor_coeffs: dict[str, Fraction] = {}
-    floor_const = Fraction(0)
-    for idx, (theta, expr) in enumerate(terms, start=1):
-        theta = Fraction(theta)
-        row = {name: -theta * c for name, c in expr.coeffs.items()}
-        row["H"] = row.get("H", Fraction(0)) + 1
-        cs.add_row(f"epi_term_{idx}", row, "<=", theta * expr.constant)
-        for name, c in expr.coeffs.items():
-            floor_coeffs[name] = floor_coeffs.get(name, Fraction(0)) + theta * c
-        floor_const += theta * expr.constant
-    cs.add_row("suboptimality_floor", floor_coeffs, ">=", gamma * Fraction(p_star) - floor_const)
-    cs.set_objective("maximize", {"H": 1})
-    cs.meta["gamma"] = str(gamma)
-    cs.meta["p_star"] = str(Fraction(p_star))
     return cs
 
 
@@ -537,19 +452,20 @@ def edge_assignment(g: Graph) -> dict[str, Fraction]:
     }
 
 
-def triangle_indicator_assignment(g: Graph, variant: str = "and") -> dict[str, Fraction]:
+def triangle_indicator_assignment(g: Graph) -> dict[str, Fraction]:
     values: dict[str, Fraction] = {}
-    for i, j, k in triples(g.n):
+    for i, j, k in combinations(range(g.n), 3):
         prod = int(g.has_edge(i, j) and g.has_edge(j, k) and g.has_edge(i, k))
         values[w_name(i, j, k)] = Fraction(prod)
-        if variant == "aux":
-            values[f"y_{i}_{j}_{k}"] = Fraction(1)
-            values[f"z_{i}_{j}_{k}"] = Fraction(1 - prod)
     return values
 
 
-def _bfs_tree(g: Graph, root: int) -> tuple[list[int], list[int]]:
-    """(parent, visit order) of a BFS tree; raises if g is disconnected."""
+def _tree_flow(g: Graph, root: int, name: Callable[[int, int], str]) -> dict[str, Fraction]:
+    """One commodity routed from ``root`` along a BFS tree of g.
+
+    Every arc (a, b) gets a value under ``name(a, b)``: the size of b's
+    subtree on tree arcs, zero elsewhere.  Raises if g is disconnected.
+    """
     adj = g.adjacency()
     parent = [-1] * g.n
     order = [root]
@@ -570,41 +486,25 @@ def _bfs_tree(g: Graph, root: int) -> tuple[list[int], list[int]]:
         frontier = nxt
     if seen != (1 << g.n) - 1:
         raise DisconnectedGraphError("graph is disconnected; no spanning tree exists")
-    return parent, order
-
-
-def _subtree_sizes(parent: list[int], order: list[int]) -> list[int]:
-    size = [1] * len(parent)
+    size = [1] * g.n
     for v in reversed(order[1:]):
         size[parent[v]] += size[v]
-    return size
+    values = {name(a, b): Fraction(0) for i, j in all_pairs(g.n) for a, b in ((i, j), (j, i))}
+    for v in order[1:]:
+        values[name(parent[v], v)] = Fraction(size[v])
+    return values
 
 
 def connectivity_flow_assignment(g: Graph, root: int = 0) -> dict[str, Fraction]:
     """Feasible flow certifying connectivity: route along a BFS tree."""
-    parent, order = _bfs_tree(g, root)
-    size = _subtree_sizes(parent, order)
-    values = {
-        flow_name(a, b): Fraction(0)
-        for i, j in all_pairs(g.n)
-        for a, b in ((i, j), (j, i))
-    }
-    for v in order[1:]:
-        values[flow_name(parent[v], v)] = Fraction(size[v])
-    return values
+    return _tree_flow(g, root, flow_name)
 
 
 def multicommodity_flow_assignment(g: Graph) -> dict[str, Fraction]:
     """Shortest-path routing for every commodity, via per-root BFS trees."""
     values: dict[str, Fraction] = {}
     for h in range(g.n):
-        parent, order = _bfs_tree(g, h)
-        size = _subtree_sizes(parent, order)
-        for i, j in all_pairs(g.n):
-            values[mcflow_name(h, i, j)] = Fraction(0)
-            values[mcflow_name(h, j, i)] = Fraction(0)
-        for v in order[1:]:
-            values[mcflow_name(h, parent[v], v)] = Fraction(size[v])
+        values.update(_tree_flow(g, h, partial(mcflow_name, h)))
     return values
 
 
@@ -625,7 +525,7 @@ def maxmin_assignment(
     """Complete variable assignment for a `build_maxmin` system at graph g."""
     alpha = Fraction(alpha)
     values = edge_assignment(g)
-    values.update(triangle_indicator_assignment(g, "and"))
+    values.update(triangle_indicator_assignment(g))
     if space.connected:
         values.update(connectivity_flow_assignment(g, 0))
     s1 = Fraction(num_pairs(n) - g.edge_count)
@@ -709,7 +609,7 @@ def check_assignment(
         result.graph = g
         tri_total = Fraction(0)
         w_present = False
-        for i, j, k in triples(n):
+        for i, j, k in combinations(range(n), 3):
             name = w_name(i, j, k)
             if not cs.has_variable(name):
                 continue

@@ -26,6 +26,7 @@ from .stats import (
     StatisticKind,
     StatisticSpec,
     random_unit_square_delta,
+    read_delta,
 )
 
 MODELS = ("triads_vs_nonedges", "distance_vs_flow")
@@ -63,10 +64,11 @@ def resolve_delta(spec: ExperimentSpec) -> DeltaMatrix | None:
         return None
     if spec.delta_source is None:
         return random_unit_square_delta(spec.n, spec.seed)
-    from .stats import read_delta
-
     with open(spec.delta_source) as f:
-        return read_delta(f)
+        delta = read_delta(f)
+    if len(delta) != spec.n:
+        raise ValueError(f"distance matrix is {len(delta)}x{len(delta)}, graph has n={spec.n}")
+    return delta
 
 
 def hamiltonian_for(spec: ExperimentSpec, delta: DeltaMatrix | None = None) -> Hamiltonian:

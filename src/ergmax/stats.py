@@ -113,29 +113,18 @@ class Hamiltonian:
     ``linear`` form evaluates to the weighted sum of statistics.  The
     ``max_min`` form evaluates to the weighted minimum when maximizing
     (and to the weighted maximum when minimizing, i.e. the min-max
-    mirror obtained by switching negative weights to positive).  When
-    ``alpha`` is set the form must be ``max_min`` with exactly two terms
-    weighted (alpha, 1 - alpha).
+    mirror obtained by switching negative weights to positive).
     """
 
     form: HamiltonianForm
     terms: tuple[tuple[Fraction, StatisticSpec], ...]
     sense: str = "maximize"
-    alpha: Fraction | None = None
 
     def __post_init__(self) -> None:
         if self.sense not in ("maximize", "minimize"):
             raise ValueError("sense must be 'maximize' or 'minimize'")
         if not self.terms:
             raise ValueError("a Hamiltonian needs at least one term")
-        if self.alpha is not None:
-            if self.form is not HamiltonianForm.MAX_MIN or len(self.terms) != 2:
-                raise ValueError("alpha rescaling needs the max_min form with two terms")
-            if not (0 <= self.alpha <= 1):
-                raise ValueError("alpha must lie in [0, 1]")
-            t1, t2 = self.terms
-            if t1[0] != self.alpha or t2[0] != 1 - self.alpha:
-                raise ValueError("term weights must equal (alpha, 1 - alpha)")
 
     @classmethod
     def linear(
@@ -163,12 +152,9 @@ class Hamiltonian:
     ) -> "Hamiltonian":
         """Two-term robust objective with weights (alpha, 1 - alpha)."""
         alpha = Fraction(alpha)
-        return cls(
-            HamiltonianForm.MAX_MIN,
-            ((alpha, first), (1 - alpha, second)),
-            sense,
-            alpha,
-        )
+        if not (0 <= alpha <= 1):
+            raise ValueError("alpha must lie in [0, 1]")
+        return cls(HamiltonianForm.MAX_MIN, ((alpha, first), (1 - alpha, second)), sense)
 
 
 def combine(h: Hamiltonian, weighted: list[Fraction]) -> Fraction:

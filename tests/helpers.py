@@ -97,11 +97,10 @@ def mc_flow_lp_value(g: Graph) -> float | None:
 
     n = g.n
     cs = lp.build_multicommodity_flow(n)
-    obj = lp.multicommodity_flow_expression(n)
     x_vals = lp.edge_assignment(g)
     names = [v.name for v in cs.variables if v.name.startswith("fm_")]
     idx = {name: i for i, name in enumerate(names)}
-    c = np.array([float(obj.coeffs.get(name, 0)) for name in names])
+    c = np.ones(len(names))  # total circulating flow
     A_eq, b_eq, A_ub, b_ub = [], [], [], []
     for row in cs.rows:
         coeffs = np.zeros(len(names))

@@ -44,7 +44,7 @@ def conclude(num: int, ok: bool, detail: str) -> None:
 
 def test_criterion_1_triangle_linearization_truth_table():
     t0 = time.perf_counter()
-    cs = lp.build_triangle_indicators(3, "and")
+    cs = lp.build_triangle_indicators(3)
     all_pinned = True
     for xij, xjk, xik in itertools.product((0, 1), repeat=3):
         feasible_w = []

@@ -1,0 +1,34 @@
+"""Smoke test: the narrative demos 01-05 run to completion.
+
+Demo 06 (the n = 60 tables, several seconds) is left to manual runs.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = [
+    "01_graphs_and_metrics.py",
+    "02_statistics_and_objectives.py",
+    "03_linear_formulations.py",
+    "04_exact_optimization.py",
+    "05_local_search.py",
+]
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_exits_cleanly(demo, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -24,8 +24,38 @@ def feasible(cs, assignment):
 # -- triangle indicators -----------------------------------------------------
 
 
+def aux_triangle_system(n):
+    """Auxiliary-variable triangle system, kept only as a negative result.
+
+    Nine rows per triple.  The third sandwich row repeats x_ij instead of
+    covering the closing edge x_ik, so w is NOT pinned on every corner.
+    """
+    cs = lp.ConstraintSystem("triangle_indicators_aux")
+    lp.ensure_edge_variables(cs, n)
+    for i, j, k in itertools.combinations(range(n), 3):
+        w, y, z = (f"{v}_{i}_{j}_{k}" for v in "wyz")
+        xij, xjk, xik = lp.x_name(i, j), lp.x_name(j, k), lp.x_name(i, k)
+        for v in (w, y, z):
+            cs.add_variable(v, "binary")
+        for tag, xv in (("e1", xij), ("e2", xjk), ("e3", xij)):
+            cs.add_row(f"triaux_{tag}lo_{i}_{j}_{k}", {xv: 1, z: 1}, ">=", 1)
+            cs.add_row(f"triaux_{tag}hi_{i}_{j}_{k}", {xv: 1, y: -1}, "<=", 0)
+        cs.add_row(f"triaux_wlo_{i}_{j}_{k}", {y: 1, z: -1, w: -1}, "<=", 0)
+        cs.add_row(f"triaux_whi_{i}_{j}_{k}", {w: 1, z: 1}, "<=", 1)
+        cs.add_row(f"triaux_sum_{i}_{j}_{k}", {xij: 1, xjk: 1, xik: 1, z: 1}, "<=", 3)
+    return cs
+
+
+def aux_triangle_assignment(g):
+    values = {}
+    for i, j, k in itertools.combinations(range(g.n), 3):
+        prod = int(g.has_edge(i, j) and g.has_edge(j, k) and g.has_edge(i, k))
+        values |= {f"w_{i}_{j}_{k}": prod, f"y_{i}_{j}_{k}": 1, f"z_{i}_{j}_{k}": 1 - prod}
+    return values
+
+
 def test_and_linearization_pins_w_on_every_corner():
-    cs = lp.build_triangle_indicators(3, "and")
+    cs = lp.build_triangle_indicators(3)
     for xij, xjk, xik in itertools.product((0, 1), repeat=3):
         feasible_w = [
             w
@@ -36,7 +66,7 @@ def test_and_linearization_pins_w_on_every_corner():
 
 
 def test_aux_variant_fails_to_pin_w_on_the_repeated_row_corner():
-    cs = lp.build_triangle_indicators(3, "aux")
+    cs = aux_triangle_system(3)
     unpinned = {}
     for corner in itertools.product((0, 1), repeat=3):
         feasible_w = set()
@@ -53,10 +83,9 @@ def test_aux_variant_fails_to_pin_w_on_the_repeated_row_corner():
 
 def test_triangle_indicator_assignment_is_feasible_for_both_variants():
     g = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
-    for variant in ("and", "aux"):
-        cs = lp.build_triangle_indicators(4, variant)
-        a = lp.edge_assignment(g) | lp.triangle_indicator_assignment(g, variant)
-        assert feasible(cs, a)
+    cs = lp.build_triangle_indicators(4)
+    assert feasible(cs, lp.edge_assignment(g) | lp.triangle_indicator_assignment(g))
+    assert feasible(aux_triangle_system(4), lp.edge_assignment(g) | aux_triangle_assignment(g))
 
 
 # -- fixed density -----------------------------------------------------------
@@ -222,29 +251,6 @@ def test_minmax_distance_model_builds_and_checks():
     assert feasible(cs, a)
 
 
-def test_robust_second_stage_rows():
-    n = 4
-    cs = lp.build_triangle_indicators(n, "and")
-    terms = [
-        (Fraction(1), lp.non_edges_expression(n)),
-        (Fraction(1), lp.triangles_expression(n)),
-    ]
-    # stage-1 optimum of S1 + S2 over connected 4-node graphs is 4 (K4 alone)
-    cs = lp.build_robust_second_stage(cs, terms, p_star=Fraction(4), gamma=Fraction(1))
-    names = {r.name for r in cs.rows}
-    assert {"epi_term_1", "epi_term_2", "suboptimality_floor"} <= names
-    assert cs.objective_sense == "maximize"
-    k4 = Graph.complete(4)
-    a = lp.edge_assignment(k4) | lp.triangle_indicator_assignment(k4)
-    a["H"] = Fraction(0)
-    assert feasible(cs, a)  # S1 + S2 = 4 >= 4
-    near = k4.without_edge(0, 1)
-    a2 = lp.edge_assignment(near) | lp.triangle_indicator_assignment(near)
-    a2["H"] = Fraction(0)
-    r = lp.check_assignment(cs, a2)
-    assert any(v.row == "suboptimality_floor" for v in r.row_violations)  # 3 < 4
-
-
 # -- checker details ---------------------------------------------------------
 
 
@@ -255,7 +261,7 @@ def test_check_assignment_requires_full_coverage():
 
 
 def test_check_assignment_flags_w_without_edge():
-    cs = lp.build_triangle_indicators(3, "and")
+    cs = lp.build_triangle_indicators(3)
     a = corner_assignment(1, 1, 0, w_0_1_2=1)
     r = lp.check_assignment(cs, a)
     assert any(v.row == "tri_ub3_0_1_2" for v in r.row_violations)

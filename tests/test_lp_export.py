@@ -1,12 +1,14 @@
 """Export-format tests: determinism, golden shapes, and an independent parse-back."""
 
+import hashlib
 import re
 from fractions import Fraction
 
 import pytest
 
-from ergmax import ConstraintSystem
+from ergmax import ConstraintSystem, SampleSpace
 from ergmax import lp
+from ergmax.stats import random_unit_square_delta
 
 TERM_RE = re.compile(r"([+-])\s*([0-9.]+(?:e-?\d+)?)\s+(\w+)")
 
@@ -128,3 +130,41 @@ def test_json_ir_roundtrip():
     assert clone.objective == cs.objective
     assert clone.meta["n"] == 4
     assert lp.lp_string(clone) == lp.lp_string(cs)
+
+
+# sha256 of (lp_string, to_json) per model; a change here is a format change
+GOLDEN_DIGESTS = {
+    "maxmin_6_1/2_connected": (
+        lambda: lp.build_maxmin(6, Fraction(1, 2)),
+        "e94692eea7ce9da99399558fc0d7aa286e45756698124127b544d6729784bb0e",
+        "9745c04e73ca6f1a51b39a517499ec4230feaee50cbc168d25db144411f79ad9",
+    ),
+    "maxmin_6_7/10_all_m8": (
+        lambda: lp.build_maxmin(6, Fraction(7, 10), SampleSpace.fixed_density(8)),
+        "5c22fceca6aa6eb3e15f7c6e698695505ffbc46b243893f4876790afb3802e83",
+        "d91a22cb18ade4f67f2e5104306f540e6a20160d63edaa3e4f1b22eb776ae625",
+    ),
+    "maxmin_5_0": (
+        lambda: lp.build_maxmin(5, Fraction(0)),
+        "c720b59f4e04d4b0ed3d66bb96830980e5ccaabebd925cf8666974a8ef98c9d5",
+        "2120578f922ad563a442897c213ab99486fcbac4a3bad39349183b9b75abdc9d",
+    ),
+    "maxmin_5_1": (
+        lambda: lp.build_maxmin(5, Fraction(1)),
+        "597df8b5a3b8a9624dd8b551e3546abe9f031b0db98e9cc8cc92e2678cae880b",
+        "e641c1c3c3946ca65b32284101e1eacdd4618d9d1b98cf0593de2421e3fb6df9",
+    ),
+    "minmax_distance_5_3/10": (
+        lambda: lp.build_minmax_distance(5, Fraction(3, 10), random_unit_square_delta(5, 3)),
+        "f5325b467ceb86542b4946398facf6f7fb27fe03fe00865d91bcc91975058d19",
+        "4a65668602950232e006aaa2da059e3f05aea6ab67c725be25cf7ae4478bd48b",
+    ),
+}
+
+
+@pytest.mark.parametrize("model", GOLDEN_DIGESTS)
+def test_export_bytes_match_the_golden_digests(model):
+    build, lp_digest, ir_digest = GOLDEN_DIGESTS[model]
+    cs = build()
+    assert hashlib.sha256(lp.lp_string(cs).encode()).hexdigest() == lp_digest
+    assert hashlib.sha256(cs.to_json().encode()).hexdigest() == ir_digest

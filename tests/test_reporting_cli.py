@@ -6,6 +6,7 @@ import pytest
 
 from ergmax import Graph, SampleSpace, brute_force, graph_metrics, star_with_chords
 from ergmax.cli import main
+from ergmax.stats import uniform_delta, write_delta
 from ergmax.reporting import (
     ExperimentSpec,
     dot_string,
@@ -171,6 +172,38 @@ def test_cli_metrics_rejects_a_miscounted_edge_list(capsys, tmp_path):
 def test_cli_refuses_fewer_than_two_nodes(capsys, argv):
     assert main(argv + ["--n", "1"]) == 1
     assert f"ergmax {argv[0]}: error: argument --n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("size", [4, 8])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["export-lp", "--out", "model.lp"],
+        ["solve", "--solver", "brute", "--out-dir", "run"],
+        ["heuristic", "--restarts", "1", "--out-dir", "run"],
+    ],
+)
+def test_cli_refuses_a_distance_matrix_of_the_wrong_size(capsys, monkeypatch, tmp_path, argv, size):
+    monkeypatch.chdir(tmp_path)
+    with open("delta.txt", "w") as f:
+        write_delta(uniform_delta(size), f)
+    code = main(argv + ["--model", "distance_vs_flow", "--n", "6", "--delta-file", "delta.txt"])
+    assert code == 1
+    assert f"error: distance matrix is {size}x{size}, graph has n=6" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["delta.txt"]
+
+
+@pytest.mark.parametrize(
+    "ir",
+    [{}, {"variables": [{"name": "x_0_1", "lower": None, "upper": None}], "rows": []}],
+)
+def test_cli_check_refuses_a_malformed_ir(capsys, tmp_path, ir):
+    ir_path = tmp_path / "model.json"
+    ir_path.write_text(json.dumps(ir))
+    assignment = tmp_path / "a.json"
+    assignment.write_text("{}")
+    assert main(["check", "--ir-json", str(ir_path), "--assignment", str(assignment)]) == 1
+    assert "error: malformed constraint IR: missing key" in capsys.readouterr().err
 
 
 def test_cli_export_and_check_roundtrip(capsys, tmp_path):

@@ -122,12 +122,7 @@ def test_hamiltonian_validation():
     with pytest.raises(ValueError):
         Hamiltonian(HamiltonianForm.LINEAR, ((Fraction(1), NE),), sense="upward")
     with pytest.raises(ValueError):
-        # alpha demands matching term weights
-        Hamiltonian(
-            HamiltonianForm.MAX_MIN,
-            ((Fraction(1, 3), NE), (Fraction(1, 3), TRI)),
-            alpha=Fraction(1, 2),
-        )
+        Hamiltonian.max_min_pair(Fraction(3, 2), NE, TRI)
     with pytest.raises(ValueError):
         StatisticSpec(StatisticKind.PHYSICAL_DISTANCE)
     with pytest.raises(ValueError):
