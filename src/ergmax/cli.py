@@ -60,9 +60,7 @@ def resolve_seed(args: argparse.Namespace) -> int:
 
 
 def build_space(args: argparse.Namespace) -> SampleSpace:
-    connected = args.space == "connected"
-    density = getattr(args, "density", None)
-    return SampleSpace(connected=connected, density=density)
+    return SampleSpace(connected=args.space == "connected", density=args.density)
 
 
 def add_model_flags(p: argparse.ArgumentParser) -> None:
@@ -81,13 +79,9 @@ def add_model_flags(p: argparse.ArgumentParser) -> None:
                    help="PRNG seed (falls back to NETOPT_SEED, then 0)")
 
 
-def add_run_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--gamma", type=parse_fraction, default=None,
-                   help="two-stage suboptimality tolerance in [0, 1]")
-    p.add_argument("--out-dir", default=None, help="write result files here")
-    p.add_argument("--node-limit", type=int, default=10_000_000)
-    p.add_argument("--time-limit", type=float, default=300.0)
-    p.add_argument("--restarts", type=int, default=10)
+# Flags only solve or heuristic takes.  They default to argparse.SUPPRESS,
+# so an unset one is absent from args and ExperimentSpec's default applies.
+SOLVER_OPTIONS = ("gamma", "node_limit", "time_limit", "restarts")
 
 
 def make_spec(args: argparse.Namespace, solver: str) -> ExperimentSpec:
@@ -97,12 +91,9 @@ def make_spec(args: argparse.Namespace, solver: str) -> ExperimentSpec:
         alpha=args.alpha,
         space=build_space(args),
         solver=solver,
-        gamma=getattr(args, "gamma", None),
         seed=resolve_seed(args),
         delta_source=args.delta_file,
-        restarts=getattr(args, "restarts", 10),
-        node_limit=getattr(args, "node_limit", 10_000_000),
-        time_limit=getattr(args, "time_limit", 300.0),
+        **{key: getattr(args, key) for key in SOLVER_OPTIONS if hasattr(args, key)},
     )
 
 
@@ -200,13 +191,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="exact solve by brute force or branch-and-bound")
     add_model_flags(p)
-    add_run_flags(p)
     p.add_argument("--solver", choices=("brute", "bnb"), default="bnb")
+    p.add_argument("--gamma", type=parse_fraction, default=argparse.SUPPRESS,
+                   help="two-stage suboptimality tolerance in [0, 1]")
+    p.add_argument("--node-limit", type=int, default=argparse.SUPPRESS,
+                   help=f"bnb nodes per stage (default {ExperimentSpec.node_limit})")
+    p.add_argument("--time-limit", type=float, default=argparse.SUPPRESS,
+                   help=f"bnb seconds per stage (default {ExperimentSpec.time_limit})")
+    p.add_argument("--out-dir", default=None, help="write result files here")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("heuristic", help="first-improve local search with restarts")
     add_model_flags(p)
-    add_run_flags(p)
+    p.add_argument("--restarts", type=int, default=argparse.SUPPRESS,
+                   help=f"seeded restarts (default {ExperimentSpec.restarts})")
+    p.add_argument("--out-dir", default=None, help="write result files here")
     p.set_defaults(func=cmd_run, solver="local_search")
 
     p = sub.add_parser("export-lp", help="write the CPLEX-LP file for a model")

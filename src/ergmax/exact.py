@@ -11,7 +11,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator
 
 from .graph import DisconnectedGraphError, Graph, count_triangles, is_connected, num_pairs
 from .space import SampleSpace
@@ -20,11 +19,11 @@ from .stats import (
     StatisticKind,
     StatisticSpec,
     combine,
-    eval_hamiltonian,
     improves,
     s_flow_distance,
     s_physical_distance,
     statistic_values,
+    weigh,
 )
 
 BRUTE_FORCE_MAX_N = 7
@@ -99,24 +98,18 @@ def star_with_chords(n: int, chords: int) -> Graph:
 # brute force
 
 
-def _iter_space(n: int, space: SampleSpace) -> Iterator[Graph]:
-    pairs = num_pairs(n)
-    for bits in range(1 << pairs):
-        g = Graph(n, bits)
-        if space.admits(g):
-            yield g
-
-
 def brute_force(
     n: int,
     space: SampleSpace,
     h: Hamiltonian,
-    extra_filter: Callable[[Graph], bool] | None = None,
+    floor: Fraction | None = None,
 ) -> tuple[SolveResult, tuple[Graph, ...]]:
     """Enumerate every graph in the space; return the optimum and all argmaxes.
 
-    Hard-capped at n = 7.  The argmax tuple is ordered by increasing edge
-    bitset, and the result graph is its first element.
+    With a `floor`, only graphs whose weighted statistic sum (h's own
+    terms) reaches it compete.  Hard-capped at n = 7.  The argmax tuple
+    is ordered by increasing edge bitset, and the result graph is its
+    first element.
     """
     if n > BRUTE_FORCE_MAX_N:
         raise ValueError(f"brute force capped at n = {BRUTE_FORCE_MAX_N}")
@@ -125,16 +118,21 @@ def brute_force(
     best: Fraction | None = None
     argmax: list[Graph] = []
     evaluated = 0
-    for g in _iter_space(n, space):
-        if extra_filter is not None and not extra_filter(g):
+    for bits in range(1 << num_pairs(n)):
+        g = Graph(n, bits)
+        if not space.admits(g):
             continue
-        evaluated += 1
         try:
-            value = eval_hamiltonian(h, g)
+            weighted = weigh(h, statistic_values(h, g))
         except DisconnectedGraphError:
             # flow distance is undefined here; the graph is outside the
             # objective's domain, hence infeasible
+            evaluated += 1
             continue
+        if floor is not None and sum(weighted) < floor:
+            continue
+        evaluated += 1
+        value = combine(h, weighted)
         if best is None or improves(value, best, h.sense):
             best = value
             argmax = [g]
@@ -159,10 +157,6 @@ def brute_force(
 # branch and bound
 
 
-class _Infeasible(Exception):
-    """No completion of the current partial assignment is feasible."""
-
-
 def _statistic_extreme(
     spec: StatisticSpec,
     n: int,
@@ -173,7 +167,8 @@ def _statistic_extreme(
     """Best-case statistic value over all completions of a partial assignment.
 
     `realized` has only the decided-present edges; `optimistic` also has
-    every undecided pair present.
+    every undecided pair present.  Raises DisconnectedGraphError when no
+    completion has a finite flow distance.
     """
     kind = spec.kind
     if kind is StatisticKind.NON_EDGES:
@@ -189,20 +184,22 @@ def _statistic_extreme(
             raise ValueError(
                 "flow distance admits no finite optimistic maximum over partial assignments"
             )
-        if not is_connected(optimistic):
-            raise _Infeasible
         return s_flow_distance(optimistic)
     raise ValueError(f"unknown statistic kind {kind!r}")
 
 
-def _node_bound(h: Hamiltonian, n: int, realized: Graph, optimistic: Graph) -> Fraction:
-    """Admissible objective bound over every completion of a partial assignment."""
+def _node_bound(h: Hamiltonian, n: int, realized: Graph, optimistic: Graph) -> list[Fraction]:
+    """Weighted per-term extremes over every completion of a partial assignment.
+
+    ``combine(h, ...)`` of them bounds the objective admissibly; when h
+    maximizes, their sum also bounds the weighted statistic sum.  Once
+    every pair is decided (`realized` == `optimistic`) they are exact.
+    """
     maximize = h.sense == "maximize"
-    weighted = []
-    for theta, spec in h.terms:
-        s = _statistic_extreme(spec, n, realized, optimistic, (theta >= 0) == maximize)
-        weighted.append(theta * Fraction(s))
-    return combine(h, weighted)
+    return weigh(h, [
+        _statistic_extreme(spec, n, realized, optimistic, (theta >= 0) == maximize)
+        for theta, spec in h.terms
+    ])
 
 
 def branch_and_bound(
@@ -212,23 +209,21 @@ def branch_and_bound(
     incumbent: Graph | None = None,
     node_limit: int = 10_000_000,
     time_limit: float = 300.0,
-    floor_terms: tuple[tuple[Fraction, StatisticSpec], ...] | None = None,
-    floor_value: Fraction | None = None,
+    floor: Fraction | None = None,
 ) -> SolveResult:
     """Depth-first search over edge variables in lexicographic order, 1-branch first.
 
     A node is pruned when its admissible bound cannot beat the incumbent,
     when the forced-absent pairs already disconnect the optimistic graph
     (undecided treated as present), or when a fixed edge count has become
-    unreachable.  `floor_terms`/`floor_value` add the second-stage
-    requirement that the weighted statistic sum stay at or above the
-    floor.  Exhausting node or time limits downgrades the status to
+    unreachable.  A `floor` adds the second-stage requirement that the
+    weighted sum of h's own terms stay at or above it; h must then
+    maximize.  Exhausting node or time limits downgrades the status to
     'incumbent'; it never mislabels a best-so-far as optimal.
     """
     space.validate_for(n)
-    if (floor_terms is None) != (floor_value is None):
-        raise ValueError("floor_terms and floor_value must be given together")
-    floor_h = None if floor_terms is None else Hamiltonian.linear(list(floor_terms))
+    if floor is not None and h.sense != "maximize":
+        raise ValueError("a floor needs a maximizing objective")
     pairs = num_pairs(n)
     full = (1 << pairs) - 1
     start = time.perf_counter()
@@ -238,10 +233,11 @@ def branch_and_bound(
     if incumbent is not None:
         if incumbent.n != n or not space.admits(incumbent):
             raise ValueError("warm-start incumbent is infeasible for the space")
-        if floor_h is not None and eval_hamiltonian(floor_h, incumbent) < floor_value:
+        weighted = weigh(h, statistic_values(h, incumbent))
+        if floor is not None and sum(weighted) < floor:
             raise ValueError("warm-start incumbent violates the floor row")
         best_graph = incumbent
-        best_val = eval_hamiltonian(h, incumbent)
+        best_val = combine(h, weighted)
 
     bound_at_root: Fraction | None = None
     nodes = 0
@@ -260,29 +256,22 @@ def branch_and_bound(
             if included_count > space.density or included_count + undecided < space.density:
                 continue
         realized = Graph(n, included)
-        optimistic = Graph(n, included | (full >> depth << depth))
+        optimistic = realized if depth == pairs else Graph(n, included | (full >> depth << depth))
         if space.connected and not is_connected(optimistic):
             continue
-        if depth == pairs:
-            if space.density is not None and included_count != space.density:
-                continue
-            if space.connected and not is_connected(realized):
-                continue
-            try:
-                if floor_h is not None and eval_hamiltonian(floor_h, realized) < floor_value:
-                    continue
-                value = eval_hamiltonian(h, realized)
-            except (_Infeasible, DisconnectedGraphError):
-                continue
-            if best_val is None or improves(value, best_val, h.sense):
-                best_val = value
-                best_graph = realized
-            continue
         try:
-            bound = _node_bound(h, n, realized, optimistic)
-            if floor_h is not None and _node_bound(floor_h, n, realized, optimistic) < floor_value:
-                continue
-        except _Infeasible:
+            weighted = _node_bound(h, n, realized, optimistic)
+        except DisconnectedGraphError:
+            continue
+        if floor is not None and sum(weighted) < floor:
+            continue
+        bound = combine(h, weighted)
+        if depth == pairs:
+            # a leaf: the density and connectivity checks above were
+            # exact, and its bound is its objective
+            if best_val is None or improves(bound, best_val, h.sense):
+                best_val = bound
+                best_graph = realized
             continue
         if bound_at_root is None:
             bound_at_root = bound
@@ -335,7 +324,9 @@ def solve_two_stage(
 
     `p_star_objective` selects what stage 1 maximizes: the weighted
     minimum ('maxmin', default) or the weighted sum ('linear'); the
-    choice is echoed in the result.
+    choice is echoed in the result.  With method='bnb', `bnb_options`
+    (limits, say) apply to each stage, and stage 2 is 'optimal' only if
+    stage 1 is too.
     """
     gamma = Fraction(gamma)
     if not (0 <= gamma <= 1):
@@ -344,25 +335,21 @@ def solve_two_stage(
         raise ValueError("p_star_objective must be 'maxmin' or 'linear'")
     if method not in ("brute", "bnb"):
         raise ValueError("method must be 'brute' or 'bnb'")
-    terms_t = tuple((Fraction(th), sp) for th, sp in terms)
-    linear_h = Hamiltonian.linear(list(terms_t))
-    stage1_h = Hamiltonian.max_min(list(terms_t)) if p_star_objective == "maxmin" else linear_h
-    if method == "brute":
-        stage1, _ = brute_force(n, space, stage1_h)
-    else:
-        stage1 = branch_and_bound(n, space, stage1_h, **bnb_options)
+    terms = [(Fraction(th), sp) for th, sp in terms]
+
+    def solve(h: Hamiltonian, floor: Fraction | None = None) -> SolveResult:
+        if method == "brute":
+            return brute_force(n, space, h, floor=floor)[0]
+        return branch_and_bound(n, space, h, floor=floor, **bnb_options)
+
+    maxmin_h = Hamiltonian.max_min(terms)
+    stage1 = solve(maxmin_h if p_star_objective == "maxmin" else Hamiltonian.linear(terms))
     if stage1.status == "infeasible" or stage1.objective is None:
         return TwoStageResult(None, p_star_objective, gamma, stage1, None)
 
     p_star = stage1.objective
-    floor = gamma * p_star
-    stage2_h = Hamiltonian.max_min(list(terms_t))
-    if method == "brute":
-        stage2, _ = brute_force(
-            n, space, stage2_h, extra_filter=lambda g: eval_hamiltonian(linear_h, g) >= floor
-        )
-    else:
-        stage2 = branch_and_bound(
-            n, space, stage2_h, floor_terms=terms_t, floor_value=floor, **bnb_options
-        )
+    stage2 = solve(maxmin_h, floor=gamma * p_star)
+    if stage2.status == "optimal" and stage1.status != "optimal":
+        # the floor rests on an unproven p*, so stage 2's optimum is unproven too
+        stage2.status = "incumbent"
     return TwoStageResult(p_star, p_star_objective, gamma, stage1, stage2)

@@ -8,21 +8,24 @@ restarts redundant, so the shuffle is reseeded per restart.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .exact import SolveResult
-from .graph import DisconnectedGraphError, Graph, bfs, is_connected, num_pairs, pair_of
+from .graph import DisconnectedGraphError, Graph, all_pairs, bfs, is_connected
 from .space import SampleSpace
 from .stats import (
     Hamiltonian,
     StatisticKind,
     combine,
-    evaluate_statistic,
     improves,
     s_flow_distance,
+    statistic_values,
+    weigh,
 )
 
 
@@ -58,16 +61,17 @@ def random_connected_graph(n: int, rng: random.Random, p: float = 0.5) -> Graph:
     return g
 
 
-def _weighted(h: Hamiltonian, values: list[Fraction | int]) -> Fraction:
-    return combine(h, [theta * Fraction(v) for (theta, _), v in zip(h.terms, values)])
-
-
 def _toggle_values(
-    h: Hamiltonian, g: Graph, values: list[Fraction | int], i: int, j: int, adding: bool
-) -> list[Fraction | int]:
-    """Statistic values after toggling (i, j), computed incrementally where cheap."""
+    h: Hamiltonian,
+    g: Graph,
+    toggled: Graph,
+    values: tuple[Fraction | int, ...],
+    i: int,
+    j: int,
+    adding: bool,
+) -> tuple[Fraction | int, ...]:
+    """Statistic values of `toggled` (g with (i, j) toggled), incremental where cheap."""
     out: list[Fraction | int] = []
-    toggled: Graph | None = None
     for (theta, spec), current in zip(h.terms, values):
         kind = spec.kind
         if kind is StatisticKind.NON_EDGES:
@@ -79,20 +83,36 @@ def _toggle_values(
             assert spec.delta is not None
             out.append(current + (spec.delta[i][j] if adding else -spec.delta[i][j]))
         elif kind is StatisticKind.FLOW_DISTANCE:
-            if toggled is None:
-                toggled = g.toggled(i, j)
             out.append(s_flow_distance(toggled))
         else:
             raise ValueError(f"unknown statistic kind {kind!r}")
-    return out
+    return tuple(out)
 
 
-def _toggle_keeps_space(g: Graph, i: int, j: int, adding: bool, space: SampleSpace) -> bool:
+def _feasible_toggles(
+    g: Graph,
+    h: Hamiltonian,
+    space: SampleSpace,
+    values: tuple[Fraction | int, ...],
+    pairs: list[tuple[int, int]],
+) -> Iterator[tuple[Graph, tuple[Fraction | int, ...], Fraction]]:
+    """Yield (toggled graph, its statistic values, its objective) per feasible toggle.
+
+    A toggle is feasible when it keeps g in the space and in the
+    objective's domain; toggles come in `pairs` order.
+    """
     if space.density is not None:
-        return False  # any single toggle changes the edge count
-    if not adding and space.connected:
-        return is_connected(g.without_edge(i, j))
-    return True
+        return  # any single toggle changes the edge count
+    for i, j in pairs:
+        adding = not g.has_edge(i, j)
+        toggled = g.toggled(i, j)
+        if not adding and space.connected and not is_connected(toggled):
+            continue
+        try:
+            cand_values = _toggle_values(h, g, toggled, values, i, j, adding)
+        except DisconnectedGraphError:
+            continue
+        yield toggled, cand_values, combine(h, weigh(h, cand_values))
 
 
 def first_improve(
@@ -111,41 +131,28 @@ def first_improve(
         raise ValueError("start graph is infeasible for the sample space")
     t0 = time.perf_counter()
     rng = random.Random(cfg.seed)
-    n = start.n
-    pairs = [pair_of(idx, n) for idx in range(num_pairs(n))]
-    order = list(range(len(pairs)))
+    pairs = list(all_pairs(start.n))
 
     g = start
-    values = [evaluate_statistic(spec, g) for _, spec in h.terms]
-    objective = _weighted(h, values)
+    values = statistic_values(h, g)
+    objective = combine(h, weigh(h, values))
     moves = 0
     evaluations = 0
     improved = True
     while improved and moves < cfg.max_iterations:
         improved = False
-        rng.shuffle(order)
-        for idx in order:
-            i, j = pairs[idx]
-            adding = not g.has_edge(i, j)
-            if not _toggle_keeps_space(g, i, j, adding, space):
-                continue
-            try:
-                cand_values = _toggle_values(h, g, values, i, j, adding)
-            except DisconnectedGraphError:
-                continue
+        rng.shuffle(pairs)
+        for toggled, cand_values, cand_obj in _feasible_toggles(g, h, space, values, pairs):
             evaluations += 1
-            cand_obj = _weighted(h, cand_values)
             if improves(cand_obj, objective, h.sense):
-                g = g.toggled(i, j)
-                values = cand_values
-                objective = cand_obj
+                g, values, objective = toggled, cand_values, cand_obj
                 moves += 1
                 improved = True
                 break
     return SolveResult(
         graph=g,
         objective=objective,
-        statistic_values=tuple(values),
+        statistic_values=values,
         status="incumbent",
         nodes_explored=evaluations,
         wall_time=time.perf_counter() - t0,
@@ -154,20 +161,12 @@ def first_improve(
 
 def has_improving_toggle(g: Graph, h: Hamiltonian, space: SampleSpace) -> bool:
     """Exhaustive post-hoc scan used to verify 1-toggle local optimality."""
-    values = [evaluate_statistic(spec, g) for _, spec in h.terms]
-    objective = _weighted(h, values)
-    for idx in range(num_pairs(g.n)):
-        i, j = pair_of(idx, g.n)
-        adding = not g.has_edge(i, j)
-        if not _toggle_keeps_space(g, i, j, adding, space):
-            continue
-        try:
-            cand = _weighted(h, _toggle_values(h, g, values, i, j, adding))
-        except DisconnectedGraphError:
-            continue
-        if improves(cand, objective, h.sense):
-            return True
-    return False
+    values = statistic_values(h, g)
+    objective = combine(h, weigh(h, values))
+    return any(
+        improves(cand_obj, objective, h.sense)
+        for _, _, cand_obj in _feasible_toggles(g, h, space, values, list(all_pairs(g.n)))
+    )
 
 
 def multi_restart(
@@ -189,12 +188,7 @@ def multi_restart(
         sub_seed = master.randrange(2**63)
         sub_rng = random.Random(sub_seed)
         start = cfg.start if isinstance(cfg.start, Graph) else random_connected_graph(n, sub_rng)
-        sub_cfg = SearchConfig(
-            seed=sub_seed,
-            max_iterations=cfg.max_iterations,
-            restarts=1,
-            start=cfg.start,
-        )
+        sub_cfg = dataclasses.replace(cfg, seed=sub_seed, restarts=1)
         result = first_improve(start, h, space, sub_cfg)
         total_evals += result.nodes_explored
         if (

@@ -571,7 +571,10 @@ def check_assignment(
             missing.append(v.name)
         else:
             raw = assignment[v.name]
-            values[v.name] = Fraction(str(raw)) if isinstance(raw, float) else Fraction(raw)
+            try:
+                values[v.name] = Fraction(str(raw)) if isinstance(raw, float) else Fraction(raw)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"assignment value of {v.name} is not a number: {raw!r}") from exc
     if missing:
         raise ValueError(f"assignment is missing variables: {missing[:5]}"
                          + ("..." if len(missing) > 5 else ""))

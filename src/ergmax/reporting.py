@@ -117,6 +117,8 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path | None = None) -> E
             list(h.terms),
             spec.gamma,
             method=spec.solver,
+            node_limit=spec.node_limit,
+            time_limit=spec.time_limit,
         )
         if two.stage2 is None:
             result = two.stage1

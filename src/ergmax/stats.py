@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
-from typing import TextIO
+from typing import Sequence, TextIO
 
 import numpy as np
 
@@ -165,9 +165,14 @@ def combine(h: Hamiltonian, weighted: list[Fraction]) -> Fraction:
     return min(weighted) if h.sense == "maximize" else max(weighted)
 
 
+def weigh(h: Hamiltonian, values: Sequence[Fraction | int]) -> list[Fraction]:
+    """Each term's weight times its statistic value, in term order."""
+    return [theta * Fraction(v) for (theta, _), v in zip(h.terms, values)]
+
+
 def eval_hamiltonian(h: Hamiltonian, g: Graph) -> Fraction:
     """Exact objective value of ``h`` at ``g``."""
-    return combine(h, [theta * Fraction(evaluate_statistic(spec, g)) for theta, spec in h.terms])
+    return combine(h, weigh(h, statistic_values(h, g)))
 
 
 def statistic_values(h: Hamiltonian, g: Graph) -> tuple[Fraction | int, ...]:

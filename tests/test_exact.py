@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergmax import (
     Graph,
@@ -20,6 +22,7 @@ from ergmax import (
 )
 from ergmax.exact import _node_bound, available_chord_slots
 from ergmax.graph import num_pairs
+from ergmax.stats import combine
 
 from helpers import triads_maxmin
 
@@ -209,6 +212,56 @@ def test_bnb_matches_brute_force_on_the_distance_model(n, seed):
             assert res.graph in argmax
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=2, max_value=5), st.data())
+def test_bnb_equals_brute_force_on_random_cells(n, data):
+    space = SampleSpace(
+        connected=data.draw(st.booleans()),
+        density=data.draw(st.none() | st.integers(min_value=0, max_value=num_pairs(n))),
+    )
+    alpha = data.draw(st.sampled_from([Fraction(k, 10) for k in range(11)]))
+    model = data.draw(st.sampled_from(["triads", "triads_gamma", "distance"]))
+    if model == "triads_gamma":
+        terms = list(triads_maxmin(alpha).terms)
+        gamma = data.draw(st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(9, 10), 1]))
+        objective = data.draw(st.sampled_from(["maxmin", "linear"]))
+        ref = solve_two_stage(n, space, terms, gamma, objective)
+        alt = solve_two_stage(n, space, terms, gamma, objective, method="bnb")
+        assert alt.p_star == ref.p_star
+        ref, res = ref.stage2 or ref.stage1, alt.stage2 or alt.stage1
+    else:
+        if model == "triads":
+            h = triads_maxmin(alpha)
+        else:
+            delta = random_unit_square_delta(n, data.draw(st.integers(min_value=0, max_value=99)))
+            phys = StatisticSpec(StatisticKind.PHYSICAL_DISTANCE, delta)
+            flow = StatisticSpec(StatisticKind.FLOW_DISTANCE)
+            h = Hamiltonian.max_min_pair(alpha, phys, flow, sense="minimize")
+        ref, _ = brute_force(n, space, h)
+        res = branch_and_bound(n, space, h)
+    assert res.status == ref.status
+    assert res.objective == ref.objective
+
+
+def test_two_stage_is_optimal_only_if_both_stages_are():
+    # stage 1 stops at the node limit; stage 2 finishes within it, but its
+    # floor rests on an unproven p*
+    terms = list(triads_maxmin(Fraction(7, 10)).terms)
+    two = solve_two_stage(5, CONNECTED, terms, Fraction(1, 2), "linear", method="bnb",
+                          node_limit=500)
+    assert two.stage1.status == "incumbent"
+    assert two.stage2.nodes_explored < 500
+    assert two.stage2.status == "incumbent"
+    unlimited = solve_two_stage(5, CONNECTED, terms, Fraction(1, 2), "linear", method="bnb")
+    assert unlimited.stage2.status == "optimal"
+
+
+def test_bnb_refuses_a_floor_when_minimizing():
+    h = triads_maxmin(Fraction(1, 2), sense="minimize")
+    with pytest.raises(ValueError, match="floor"):
+        branch_and_bound(4, CONNECTED, h, floor=Fraction(1))
+
+
 def test_bnb_node_limit_yields_incumbent_status():
     h = triads_maxmin(Fraction(1, 2))
     res = branch_and_bound(6, CONNECTED, h, node_limit=50)
@@ -225,7 +278,7 @@ def test_node_bound_is_admissible_on_partial_assignments():
         for included in range(0, 1 << depth, 3):
             realized = Graph(n, included)
             optimistic = Graph(n, included | (full >> depth << depth))
-            bound = _node_bound(h, n, realized, optimistic)
+            bound = combine(h, _node_bound(h, n, realized, optimistic))
             for completion_bits in range(1 << (pairs - depth)):
                 bits = included | (completion_bits << depth)
                 g = Graph(n, bits)

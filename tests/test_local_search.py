@@ -2,10 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergmax import (
     Graph,
+    Hamiltonian,
     SampleSpace,
+    StatisticKind,
+    StatisticSpec,
     SearchConfig,
     branch_and_bound,
     brute_force,
@@ -14,8 +19,11 @@ from ergmax import (
     has_improving_toggle,
     is_connected,
     multi_restart,
+    random_unit_square_delta,
 )
+from ergmax.graph import DisconnectedGraphError, all_pairs, num_pairs
 from ergmax.local_search import random_connected_graph
+from ergmax.stats import improves
 
 from helpers import triads_maxmin
 
@@ -126,3 +134,51 @@ def test_search_config_validation():
         SearchConfig(max_iterations=0)
     with pytest.raises(ValueError):
         SearchConfig(start="star")
+
+
+def reference_has_improving_toggle(g, h, space):
+    """Evaluate every toggled graph from scratch."""
+    base = eval_hamiltonian(h, g)
+    for i, j in all_pairs(g.n):
+        t = g.toggled(i, j)
+        if not space.admits(t):
+            continue
+        try:
+            value = eval_hamiltonian(h, t)
+        except DisconnectedGraphError:
+            continue
+        if improves(value, base, h.sense):
+            return True
+    return False
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=2, max_value=7), st.data())
+def test_has_improving_toggle_matches_a_from_scratch_scan(n, data):
+    model = data.draw(st.sampled_from(["triads", "distance"]))
+    space_kind = data.draw(st.sampled_from(["connected", "all", "fixed"]))
+    alpha = data.draw(st.sampled_from([Fraction(k, 10) for k in range(11)]))
+    g = Graph(n, data.draw(st.integers(min_value=0, max_value=(1 << num_pairs(n)) - 1)))
+    if space_kind == "connected" or model == "distance":
+        # a random spanning tree keeps g in the space and its flow distance finite
+        for v in range(1, n):
+            g = g.with_edge(data.draw(st.integers(min_value=0, max_value=v - 1)), v)
+    space = {
+        "connected": CONNECTED,
+        "all": SampleSpace.all_graphs(),
+        "fixed": SampleSpace.fixed_density(g.edge_count),
+    }[space_kind]
+    if model == "triads":
+        h = triads_maxmin(alpha)
+    else:
+        scale = data.draw(st.sampled_from([1, 20]))
+        delta = random_unit_square_delta(n, data.draw(st.integers(min_value=0, max_value=99)))
+        phys = StatisticSpec(
+            StatisticKind.PHYSICAL_DISTANCE, tuple(tuple(scale * d for d in row) for row in delta)
+        )
+        flow = StatisticSpec(StatisticKind.FLOW_DISTANCE)
+        h = Hamiltonian.max_min_pair(alpha, phys, flow, sense="minimize")
+    if data.draw(st.booleans()):
+        # also cover local optima, where the answer is False
+        g = first_improve(g, h, space, SearchConfig(seed=0)).graph
+    assert has_improving_toggle(g, h, space) == reference_has_improving_toggle(g, h, space)

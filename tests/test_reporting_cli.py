@@ -174,6 +174,41 @@ def test_cli_refuses_fewer_than_two_nodes(capsys, argv):
     assert f"ergmax {argv[0]}: error: argument --n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["heuristic", "--restarts", "2", "--gamma", "1/2"],
+        ["heuristic", "--node-limit", "1"],
+        ["heuristic", "--time-limit", "0"],
+        ["solve", "--restarts", "0"],
+    ],
+)
+def test_cli_refuses_a_flag_the_command_does_not_read(capsys, argv):
+    assert main(argv + ["--n", "4"]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_cli_gamma_solve_obeys_the_node_limit(capsys):
+    code = main(["solve", "--n", "6", "--alpha", "1/2", "--gamma", "9/10", "--node-limit", "5"])
+    data = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert data["status"] == "incumbent"
+    assert data["spec"]["node_limit"] == 5
+
+
+def test_cli_spec_echoes_the_experiment_defaults(capsys):
+    main(["solve", "--n", "4", "--solver", "brute"])
+    solve = json.loads(capsys.readouterr().out)["spec"]
+    main(["heuristic", "--n", "4"])
+    heuristic = json.loads(capsys.readouterr().out)["spec"]
+    default = ExperimentSpec(n=4)
+    for spec in (solve, heuristic):
+        assert spec["gamma"] is None
+        assert (spec["restarts"], spec["node_limit"], spec["time_limit"]) == (
+            default.restarts, default.node_limit, default.time_limit
+        )
+
+
 @pytest.mark.parametrize("size", [4, 8])
 @pytest.mark.parametrize(
     "argv",
@@ -204,6 +239,18 @@ def test_cli_check_refuses_a_malformed_ir(capsys, tmp_path, ir):
     assignment.write_text("{}")
     assert main(["check", "--ir-json", str(ir_path), "--assignment", str(assignment)]) == 1
     assert "error: malformed constraint IR: missing key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [None, [0]])
+def test_cli_check_refuses_a_non_numeric_value(capsys, tmp_path, value):
+    ir_path = tmp_path / "model.json"
+    assert main(["export-lp", "--n", "3", "--out", str(tmp_path / "m.lp"),
+                 "--ir-json", str(ir_path)]) == 0
+    assignment = tmp_path / "a.json"
+    assignment.write_text(json.dumps({"x_0_1": value, "x_0_2": 0, "x_1_2": 0}))
+    capsys.readouterr()
+    assert main(["check", "--ir-json", str(ir_path), "--assignment", str(assignment)]) == 1
+    assert "error: assignment value of x_0_1 is not a number" in capsys.readouterr().err
 
 
 def test_cli_export_and_check_roundtrip(capsys, tmp_path):
