@@ -111,6 +111,8 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    if args.solver == "brute" and {"node_limit", "time_limit"} & vars(args).keys():
+        raise ValueError("--node-limit and --time-limit limit bnb; brute force takes no limit")
     spec = make_spec(args, args.solver)
     report = run_experiment(spec, args.out_dir)
     print(json.dumps(report_json_dict(report), indent=2))

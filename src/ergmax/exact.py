@@ -12,16 +12,15 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph import DisconnectedGraphError, Graph, count_triangles, is_connected, num_pairs
+from .graph import DisconnectedGraphError, Graph, is_connected, num_pairs
 from .space import SampleSpace
 from .stats import (
     Hamiltonian,
     StatisticKind,
     StatisticSpec,
     combine,
+    evaluate_statistic,
     improves,
-    s_flow_distance,
-    s_physical_distance,
     statistic_values,
     weigh,
 )
@@ -157,47 +156,21 @@ def brute_force(
 # branch and bound
 
 
-def _statistic_extreme(
-    spec: StatisticSpec,
-    n: int,
-    realized: Graph,
-    optimistic: Graph,
-    want_max: bool,
-) -> Fraction | int:
-    """Best-case statistic value over all completions of a partial assignment.
-
-    `realized` has only the decided-present edges; `optimistic` also has
-    every undecided pair present.  Raises DisconnectedGraphError when no
-    completion has a finite flow distance.
-    """
-    kind = spec.kind
-    if kind is StatisticKind.NON_EDGES:
-        pairs = num_pairs(n)
-        return pairs - (realized.edge_count if want_max else optimistic.edge_count)
-    if kind is StatisticKind.TRIANGLES:
-        return count_triangles(optimistic if want_max else realized)
-    if kind is StatisticKind.PHYSICAL_DISTANCE:
-        assert spec.delta is not None
-        return s_physical_distance(optimistic if want_max else realized, spec.delta)
-    if kind is StatisticKind.FLOW_DISTANCE:
-        if want_max:
-            raise ValueError(
-                "flow distance admits no finite optimistic maximum over partial assignments"
-            )
-        return s_flow_distance(optimistic)
-    raise ValueError(f"unknown statistic kind {kind!r}")
-
-
-def _node_bound(h: Hamiltonian, n: int, realized: Graph, optimistic: Graph) -> list[Fraction]:
+def _node_bound(h: Hamiltonian, realized: Graph, optimistic: Graph) -> list[Fraction]:
     """Weighted per-term extremes over every completion of a partial assignment.
 
-    ``combine(h, ...)`` of them bounds the objective admissibly; when h
-    maximizes, their sum also bounds the weighted statistic sum.  Once
-    every pair is decided (`realized` == `optimistic`) they are exact.
+    `realized` has the decided-present edges, `optimistic` every undecided
+    pair too; each statistic is monotone in the edge set, so takes its
+    extreme at one of the two.  ``combine(h, ...)`` of them bounds the
+    objective; when h maximizes, their sum bounds the weighted statistic
+    sum.  At a leaf they are exact.  Raises DisconnectedGraphError when no
+    completion has a finite flow distance.
     """
     maximize = h.sense == "maximize"
     return weigh(h, [
-        _statistic_extreme(spec, n, realized, optimistic, (theta >= 0) == maximize)
+        evaluate_statistic(
+            spec, optimistic if spec.kind.increasing == ((theta >= 0) == maximize) else realized
+        )
         for theta, spec in h.terms
     ])
 
@@ -222,8 +195,14 @@ def branch_and_bound(
     'incumbent'; it never mislabels a best-so-far as optimal.
     """
     space.validate_for(n)
-    if floor is not None and h.sense != "maximize":
+    maximize = h.sense == "maximize"
+    if floor is not None and not maximize:
         raise ValueError("a floor needs a maximizing objective")
+    if any(s.kind is StatisticKind.FLOW_DISTANCE and (t >= 0) == maximize for t, s in h.terms):
+        # its maximum would be taken at `realized`, which may be disconnected
+        # while some completion is connected: the node would be pruned wrongly
+        raise ValueError(
+            "flow distance admits no finite optimistic maximum over partial assignments")
     pairs = num_pairs(n)
     full = (1 << pairs) - 1
     start = time.perf_counter()
@@ -260,7 +239,7 @@ def branch_and_bound(
         if space.connected and not is_connected(optimistic):
             continue
         try:
-            weighted = _node_bound(h, n, realized, optimistic)
+            weighted = _node_bound(h, realized, optimistic)
         except DisconnectedGraphError:
             continue
         if floor is not None and sum(weighted) < floor:

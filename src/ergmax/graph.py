@@ -109,10 +109,6 @@ class Graph:
     # -- basic queries -----------------------------------------------------
 
     @property
-    def pair_count(self) -> int:
-        return num_pairs(self.n)
-
-    @property
     def edge_count(self) -> int:
         return self.bits.bit_count()
 

@@ -18,15 +18,7 @@ from typing import Iterator
 from .exact import SolveResult
 from .graph import DisconnectedGraphError, Graph, all_pairs, bfs, is_connected
 from .space import SampleSpace
-from .stats import (
-    Hamiltonian,
-    StatisticKind,
-    combine,
-    improves,
-    s_flow_distance,
-    statistic_values,
-    weigh,
-)
+from .stats import Hamiltonian, combine, improves, statistic_values, toggled_value, weigh
 
 
 @dataclass(frozen=True)
@@ -61,34 +53,6 @@ def random_connected_graph(n: int, rng: random.Random, p: float = 0.5) -> Graph:
     return g
 
 
-def _toggle_values(
-    h: Hamiltonian,
-    g: Graph,
-    toggled: Graph,
-    values: tuple[Fraction | int, ...],
-    i: int,
-    j: int,
-    adding: bool,
-) -> tuple[Fraction | int, ...]:
-    """Statistic values of `toggled` (g with (i, j) toggled), incremental where cheap."""
-    out: list[Fraction | int] = []
-    for (theta, spec), current in zip(h.terms, values):
-        kind = spec.kind
-        if kind is StatisticKind.NON_EDGES:
-            out.append(current + (-1 if adding else 1))
-        elif kind is StatisticKind.TRIANGLES:
-            d = g.common_neighbor_count(i, j)
-            out.append(current + (d if adding else -d))
-        elif kind is StatisticKind.PHYSICAL_DISTANCE:
-            assert spec.delta is not None
-            out.append(current + (spec.delta[i][j] if adding else -spec.delta[i][j]))
-        elif kind is StatisticKind.FLOW_DISTANCE:
-            out.append(s_flow_distance(toggled))
-        else:
-            raise ValueError(f"unknown statistic kind {kind!r}")
-    return tuple(out)
-
-
 def _feasible_toggles(
     g: Graph,
     h: Hamiltonian,
@@ -104,12 +68,14 @@ def _feasible_toggles(
     if space.density is not None:
         return  # any single toggle changes the edge count
     for i, j in pairs:
-        adding = not g.has_edge(i, j)
         toggled = g.toggled(i, j)
-        if not adding and space.connected and not is_connected(toggled):
+        if space.connected and g.has_edge(i, j) and not is_connected(toggled):
             continue
         try:
-            cand_values = _toggle_values(h, g, toggled, values, i, j, adding)
+            cand_values = tuple(
+                toggled_value(spec, g, toggled, current, i, j)
+                for (_, spec), current in zip(h.terms, values)
+            )
         except DisconnectedGraphError:
             continue
         yield toggled, cand_values, combine(h, weigh(h, cand_values))

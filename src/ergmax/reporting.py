@@ -101,6 +101,8 @@ class ExperimentReport:
 
 def run_experiment(spec: ExperimentSpec, out_dir: str | Path | None = None) -> ExperimentReport:
     """Solve per the spec; optionally write JSON, table row, DOT, and edge list."""
+    if spec.solver == "local_search" and spec.space.density is not None:
+        raise ValueError("local search cannot keep a fixed edge count; use solve for --density")
     delta = resolve_delta(spec)
     h = hamiltonian_for(spec, delta)
     p_star = None

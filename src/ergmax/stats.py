@@ -28,6 +28,11 @@ class StatisticKind(str, Enum):
     PHYSICAL_DISTANCE = "physical_distance"
     FLOW_DISTANCE = "flow_distance"
 
+    def __init__(self, value: str) -> None:
+        # adding an edge never lowers an increasing statistic (distances are
+        # nonnegative) nor raises another; a plain attribute, as bnb reads it per node
+        self.increasing = value in ("triangles", "physical_distance")
+
 
 def validate_delta(delta: DeltaMatrix) -> None:
     """Reject asymmetric, negative, or nonzero-diagonal distance matrices."""
@@ -53,6 +58,8 @@ class StatisticSpec:
     delta: DeltaMatrix | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, StatisticKind):
+            raise ValueError(f"unknown statistic kind {self.kind!r}")
         if self.kind is StatisticKind.PHYSICAL_DISTANCE:
             if self.delta is None:
                 raise ValueError("physical_distance needs a distance matrix")
@@ -96,9 +103,32 @@ def evaluate_statistic(spec: StatisticSpec, g: Graph) -> Fraction | int:
     if spec.kind is StatisticKind.PHYSICAL_DISTANCE:
         assert spec.delta is not None
         return s_physical_distance(g, spec.delta)
-    if spec.kind is StatisticKind.FLOW_DISTANCE:
-        return s_flow_distance(g)
-    raise ValueError(f"unknown statistic kind {spec.kind!r}")
+    return s_flow_distance(g)  # flow distance
+
+
+def toggled_value(
+    spec: StatisticSpec,
+    g: Graph,
+    toggled: Graph,
+    current: Fraction | int,
+    i: int,
+    j: int,
+) -> Fraction | int:
+    """The statistic at `toggled` (g with pair (i, j) toggled) from its value
+    `current` at g: in O(1), except that flow distance is recomputed and
+    raises DisconnectedGraphError when `toggled` is disconnected."""
+    kind = spec.kind
+    if kind is StatisticKind.FLOW_DISTANCE:
+        return s_flow_distance(toggled)
+    # the change when the pair is added; a removal undoes it
+    if kind is StatisticKind.NON_EDGES:
+        step = -1
+    elif kind is StatisticKind.TRIANGLES:
+        step = g.common_neighbor_count(i, j)
+    else:  # physical distance
+        assert spec.delta is not None
+        step = spec.delta[i][j]
+    return current + step if toggled.bits > g.bits else current - step
 
 
 class HamiltonianForm(str, Enum):

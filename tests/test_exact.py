@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ergmax import (
+    DisconnectedGraphError,
     Graph,
     Hamiltonian,
     SampleSpace,
@@ -22,7 +23,7 @@ from ergmax import (
 )
 from ergmax.exact import _node_bound, available_chord_slots
 from ergmax.graph import num_pairs
-from ergmax.stats import combine
+from ergmax.stats import combine, improves
 
 from helpers import triads_maxmin
 
@@ -271,18 +272,38 @@ def test_bnb_node_limit_yields_incumbent_status():
 def test_node_bound_is_admissible_on_partial_assignments():
     n = 5
     pairs = num_pairs(n)
-    h = triads_maxmin(Fraction(1, 2))
     full = (1 << pairs) - 1
-    # spot-check a grid of partial assignments at several depths
-    for depth in (2, 5, 7):
-        for included in range(0, 1 << depth, 3):
-            realized = Graph(n, included)
-            optimistic = Graph(n, included | (full >> depth << depth))
-            bound = combine(h, _node_bound(h, n, realized, optimistic))
-            for completion_bits in range(1 << (pairs - depth)):
-                bits = included | (completion_bits << depth)
-                g = Graph(n, bits)
-                assert eval_hamiltonian(h, g) <= bound
+    # at alpha = 9/10 either term can be the larger one
+    distance_model = Hamiltonian.max_min_pair(
+        Fraction(9, 10),
+        StatisticSpec(StatisticKind.PHYSICAL_DISTANCE, random_unit_square_delta(n, 1)),
+        StatisticSpec(StatisticKind.FLOW_DISTANCE),
+        sense="minimize",
+    )
+    for h in (triads_maxmin(Fraction(1, 2)), distance_model):
+        # spot-check a grid of partial assignments at several depths
+        for depth in (2, 5, 7):
+            for included in range(0, 1 << depth, 3):
+                realized = Graph(n, included)
+                optimistic = Graph(n, included | (full >> depth << depth))
+                try:
+                    bound = combine(h, _node_bound(h, realized, optimistic))
+                except DisconnectedGraphError:
+                    bound = None  # then no completion may have a flow distance
+                for completion_bits in range(1 << (pairs - depth)):
+                    g = Graph(n, included | (completion_bits << depth))
+                    try:
+                        value = eval_hamiltonian(h, g)
+                    except DisconnectedGraphError:
+                        continue  # outside the flow objective's domain
+                    assert bound is not None and not improves(value, bound, h.sense)
+
+
+@pytest.mark.parametrize("sense, weight", [("maximize", 1), ("minimize", -1)])
+def test_bnb_refuses_to_maximize_flow_distance(sense, weight):
+    h = Hamiltonian.linear([(Fraction(weight), StatisticSpec(StatisticKind.FLOW_DISTANCE))], sense)
+    with pytest.raises(ValueError, match="flow distance admits no finite optimistic maximum"):
+        branch_and_bound(4, CONNECTED, h)
 
 
 def test_bound_at_root_recorded():

@@ -3,17 +3,24 @@
 Each module of ``src/ergmax`` (``__init__.py`` aside, since it exists to
 re-export) must use every name it imports at module level, and every
 ``_``-prefixed module-level function must be referenced somewhere in the
-package outside its own definition.
+package outside its own definition.  Every other function, method and
+property of the package must be referenced somewhere in the repository's
+Python code (package, tests, demos, benchmark) or be exported in
+``ergmax.__all__``.
 """
 
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ergmax"
+import ergmax
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "ergmax"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -21,14 +28,15 @@ def parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
 
 
-def used_names(node: ast.AST) -> set[str]:
-    """Every identifier read in ``node``: bare names and attribute names."""
-    names = set()
+def used_names(node: ast.AST) -> Counter[str]:
+    """Every identifier read in ``node``, with its number of uses: bare
+    names, attribute names and names imported from a module."""
+    names: Counter[str] = Counter()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
-            names.add(sub.id)
+            names[sub.id] += 1
         elif isinstance(sub, ast.Attribute):
-            names.add(sub.attr)
+            names[sub.attr] += 1
         elif isinstance(sub, ast.ImportFrom):
             names.update(alias.name for alias in sub.names)
     return names
@@ -45,7 +53,7 @@ def test_every_module_level_import_is_used(path):
             for alias in stmt.names:
                 bound = alias.asname or alias.name.split(".")[0]
                 imported[bound] = stmt.lineno
-    used = set()
+    used: Counter[str] = Counter()
     for stmt in tree.body:
         if not isinstance(stmt, (ast.Import, ast.ImportFrom)):
             used |= used_names(stmt)
@@ -69,3 +77,23 @@ def test_every_private_function_is_referenced():
             if not referenced:
                 unreferenced.append(f"{path.name}:{stmt.lineno} {stmt.name}")
     assert not unreferenced, f"private functions nothing references: {unreferenced}"
+
+
+def test_every_function_is_referenced_or_exported():
+    uses: Counter[str] = Counter()
+    for top in ("src", "tests", "demos", "bench"):
+        for path in (ROOT / top).rglob("*.py"):
+            uses.update(used_names(parse(path)))
+    exported = set(ergmax.__all__)
+    unreferenced = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(parse(path)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            name = node.name
+            if name.startswith("__") and name.endswith("__") or name in exported:
+                continue
+            # uses inside its own body (recursion) do not count
+            if uses[name] <= used_names(node)[name]:
+                unreferenced.append(f"{path.name}:{node.lineno} {name}")
+    assert not unreferenced, f"functions nothing references or exports: {unreferenced}"

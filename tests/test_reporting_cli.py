@@ -196,6 +196,21 @@ def test_cli_gamma_solve_obeys_the_node_limit(capsys):
     assert data["spec"]["node_limit"] == 5
 
 
+@pytest.mark.parametrize("flag, value", [("--node-limit", "5"), ("--time-limit", "0.001")])
+def test_cli_brute_force_refuses_the_bnb_limits(capsys, flag, value):
+    assert main(["solve", "--n", "5", "--solver", "brute", flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and flag in err
+
+
+@pytest.mark.parametrize("density", ["14", "10"])
+def test_cli_heuristic_refuses_a_fixed_edge_count(capsys, density):
+    argv = ["heuristic", "--n", "8", "--alpha", "1/2", "--density", density, "--restarts", "1"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "use solve" in err
+
+
 def test_cli_spec_echoes_the_experiment_defaults(capsys):
     main(["solve", "--n", "4", "--solver", "brute"])
     solve = json.loads(capsys.readouterr().out)["spec"]

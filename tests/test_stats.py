@@ -2,7 +2,7 @@ import io
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ergmax import (
@@ -19,7 +19,16 @@ from ergmax import (
     s_non_edges,
     s_physical_distance,
 )
-from ergmax.stats import HamiltonianForm, read_delta, uniform_delta, validate_delta, write_delta
+from ergmax.graph import num_pairs
+from ergmax.stats import (
+    HamiltonianForm,
+    evaluate_statistic,
+    read_delta,
+    toggled_value,
+    uniform_delta,
+    validate_delta,
+    write_delta,
+)
 
 from helpers import iter_graphs, ordered_hop_sum, triads_maxmin
 
@@ -116,6 +125,29 @@ def test_maxmin_argmax_invariant_under_rescaling(t1, t2, c):
     assert argmax(t1, t2) == argmax(c * t1, c * t2)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_toggled_value_is_exact_and_moves_in_the_monotone_direction(data):
+    n = data.draw(st.integers(2, 7), label="n")
+    g = Graph(n, data.draw(st.integers(0, (1 << num_pairs(n)) - 1), label="bits"))
+    i, j = sorted(data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
+    kind = data.draw(st.sampled_from(StatisticKind), label="kind")
+    delta = random_unit_square_delta(n, n) if kind is StatisticKind.PHYSICAL_DISTANCE else None
+    spec = StatisticSpec(kind, delta)
+    toggled = g.toggled(i, j)
+    if kind is StatisticKind.FLOW_DISTANCE:
+        assume(is_connected(g))  # local search only updates from a value at g
+        if not is_connected(toggled):
+            with pytest.raises(DisconnectedGraphError):
+                toggled_value(spec, g, toggled, s_flow_distance(g), i, j)
+            return
+    current = evaluate_statistic(spec, g)
+    value = toggled_value(spec, g, toggled, current, i, j)
+    assert value == evaluate_statistic(spec, toggled)
+    added = toggled.edge_count > g.edge_count
+    assert value >= current if added == kind.increasing else value <= current
+
+
 def test_hamiltonian_validation():
     with pytest.raises(ValueError):
         Hamiltonian.linear([])
@@ -127,6 +159,8 @@ def test_hamiltonian_validation():
         StatisticSpec(StatisticKind.PHYSICAL_DISTANCE)
     with pytest.raises(ValueError):
         StatisticSpec(StatisticKind.TRIANGLES, uniform_delta(3))
+    with pytest.raises(ValueError, match="unknown statistic kind"):
+        StatisticSpec("triangles")
 
 
 # -- distance matrices -------------------------------------------------------
