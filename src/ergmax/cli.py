@@ -223,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="verify an external solver assignment against the IR")
     p.add_argument("--ir-json", required=True)
     p.add_argument("--assignment", required=True, help="JSON mapping variable -> value")
-    p.add_argument("--tol", default="0", help="violation tolerance (rational or decimal)")
+    p.add_argument("--tol", default="0", help="nonnegative violation tolerance (rational or decimal)")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("oracle-compare", help="brute force vs branch-and-bound on a grid")

@@ -87,9 +87,7 @@ def star_with_chords(n: int, chords: int) -> Graph:
     g = Graph.star(n, center=0)
     leaves = list(range(1, n))
     for t in range(chords):
-        a = leaves[t]
-        b = leaves[(t + 1) % len(leaves)]
-        g = g.with_edge(min(a, b), max(a, b))
+        g = g.with_edge(leaves[t], leaves[(t + 1) % len(leaves)])
     return g
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Iterable, Iterator, TextIO
 
 
@@ -29,24 +30,27 @@ def edge_index(i: int, j: int, n: int) -> int:
     return i * n - i * (i + 1) // 2 + (j - i - 1)
 
 
+@cache
+def all_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    """All unordered pairs ``(i, j)``, ``i < j``, in rank order.
+
+    Built once per ``n`` and shared by every caller; :func:`pair_of` indexes it.
+    """
+    return tuple((i, j) for i in range(n) for j in range(i + 1, n))
+
+
 def pair_of(index: int, n: int) -> tuple[int, int]:
     """Inverse of :func:`edge_index`."""
     if not (0 <= index < num_pairs(n)):
         raise ValueError(f"pair index {index} out of range for n={n}")
-    i = 0
-    row = n - 1
-    while index >= row:
-        index -= row
-        i += 1
-        row -= 1
-    return i, i + 1 + index
+    return all_pairs(n)[index]
 
 
-def all_pairs(n: int) -> Iterator[tuple[int, int]]:
-    """All unordered pairs ``(i, j)``, ``i < j``, in lexicographic order."""
-    for i in range(n):
-        for j in range(i + 1, n):
-            yield i, j
+def _pair_bit(i: int, j: int, n: int) -> int:
+    """The bitset bit of the pair ``{i, j}``, given in either order."""
+    if i > j:
+        i, j = j, i
+    return 1 << edge_index(i, j, n)
 
 
 class Graph:
@@ -77,33 +81,23 @@ class Graph:
 
     @classmethod
     def star(cls, n: int, center: int = 0) -> "Graph":
-        bits = 0
-        for v in range(n):
-            if v != center:
-                bits |= 1 << edge_index(min(center, v), max(center, v), n)
-        return cls(n, bits)
+        return cls.from_edges(n, ((center, v) for v in range(n) if v != center))
 
     @classmethod
     def path(cls, n: int) -> "Graph":
-        bits = 0
-        for v in range(n - 1):
-            bits |= 1 << edge_index(v, v + 1, n)
-        return cls(n, bits)
+        return cls.from_edges(n, ((v, v + 1) for v in range(n - 1)))
 
     @classmethod
     def cycle(cls, n: int) -> "Graph":
         if n < 3:
             raise ValueError("a cycle needs at least 3 nodes")
-        g = cls.path(n)
-        return g.with_edge(0, n - 1)
+        return cls.from_edges(n, ((v, (v + 1) % n) for v in range(n)))
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         bits = 0
         for i, j in edges:
-            if i > j:
-                i, j = j, i
-            bits |= 1 << edge_index(i, j, n)
+            bits |= _pair_bit(i, j, n)
         return cls(n, bits)
 
     # -- basic queries -----------------------------------------------------
@@ -113,9 +107,7 @@ class Graph:
         return self.bits.bit_count()
 
     def has_edge(self, i: int, j: int) -> bool:
-        if i > j:
-            i, j = j, i
-        return bool(self.bits >> edge_index(i, j, self.n) & 1)
+        return bool(self.bits & _pair_bit(i, j, self.n))
 
     def edges(self) -> Iterator[tuple[int, int]]:
         bits = self.bits
@@ -141,19 +133,13 @@ class Graph:
     # -- derived graphs ----------------------------------------------------
 
     def toggled(self, i: int, j: int) -> "Graph":
-        if i > j:
-            i, j = j, i
-        return Graph(self.n, self.bits ^ (1 << edge_index(i, j, self.n)))
+        return Graph(self.n, self.bits ^ _pair_bit(i, j, self.n))
 
     def with_edge(self, i: int, j: int) -> "Graph":
-        if i > j:
-            i, j = j, i
-        return Graph(self.n, self.bits | (1 << edge_index(i, j, self.n)))
+        return Graph(self.n, self.bits | _pair_bit(i, j, self.n))
 
     def without_edge(self, i: int, j: int) -> "Graph":
-        if i > j:
-            i, j = j, i
-        return Graph(self.n, self.bits & ~(1 << edge_index(i, j, self.n)))
+        return Graph(self.n, self.bits & ~_pair_bit(i, j, self.n))
 
     # -- dunder ------------------------------------------------------------
 

@@ -13,7 +13,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .exact import SolveResult
 from .graph import DisconnectedGraphError, Graph, all_pairs, bfs, is_connected
@@ -40,16 +40,11 @@ class SearchConfig:
 
 def random_connected_graph(n: int, rng: random.Random, p: float = 0.5) -> Graph:
     """Seeded G(n, p) sample, patched with extra edges until connected."""
-    g = Graph.from_edges(
-        n,
-        ((i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p),
-    )
+    g = Graph.from_edges(n, (pair for pair in all_pairs(n) if rng.random() < p))
     while (comp := bfs(g, 0)[0]) != (1 << n) - 1:
         inside = [v for v in range(n) if comp >> v & 1]
         outside = [v for v in range(n) if not comp >> v & 1]
-        a = rng.choice(inside)
-        b = rng.choice(outside)
-        g = g.with_edge(min(a, b), max(a, b))
+        g = g.with_edge(rng.choice(inside), rng.choice(outside))
     return g
 
 
@@ -58,7 +53,7 @@ def _feasible_toggles(
     h: Hamiltonian,
     space: SampleSpace,
     values: tuple[Fraction | int, ...],
-    pairs: list[tuple[int, int]],
+    pairs: Sequence[tuple[int, int]],
 ) -> Iterator[tuple[Graph, tuple[Fraction | int, ...], Fraction]]:
     """Yield (toggled graph, its statistic values, its objective) per feasible toggle.
 
@@ -131,7 +126,7 @@ def has_improving_toggle(g: Graph, h: Hamiltonian, space: SampleSpace) -> bool:
     objective = combine(h, weigh(h, values))
     return any(
         improves(cand_obj, objective, h.sense)
-        for _, _, cand_obj in _feasible_toggles(g, h, space, values, list(all_pairs(g.n)))
+        for _, _, cand_obj in _feasible_toggles(g, h, space, values, all_pairs(g.n))
     )
 
 

@@ -27,7 +27,7 @@ from .graph import (
     num_pairs,
 )
 from .space import SampleSpace
-from .stats import exact_decimal
+from .stats import Hamiltonian, StatisticKind, StatisticSpec, eval_hamiltonian, exact_decimal
 
 Number = Fraction | int
 
@@ -523,14 +523,16 @@ def maxmin_assignment(
     n: int, alpha: Fraction, g: Graph, space: SampleSpace = SampleSpace.connected_graphs()
 ) -> dict[str, Fraction]:
     """Complete variable assignment for a `build_maxmin` system at graph g."""
-    alpha = Fraction(alpha)
+    if g.n != n:
+        raise ValueError(f"graph has n={g.n} but the model has n={n}")
     values = edge_assignment(g)
     values.update(triangle_indicator_assignment(g))
     if space.connected:
         values.update(connectivity_flow_assignment(g, 0))
-    s1 = Fraction(num_pairs(n) - g.edge_count)
-    s2 = Fraction(count_triangles(g))
-    values["H"] = min(alpha * s1, (1 - alpha) * s2)
+    h = Hamiltonian.max_min_pair(
+        alpha, StatisticSpec(StatisticKind.NON_EDGES), StatisticSpec(StatisticKind.TRIANGLES)
+    )
+    values["H"] = eval_hamiltonian(h, g)
     return values
 
 
@@ -564,6 +566,8 @@ def check_assignment(
     and flow rows are checked against triangle counts and connectivity.
     """
     tol = Fraction(tolerance)
+    if tol < 0:
+        raise ValueError(f"tolerance must be nonnegative, not {tol}")
     values: dict[str, Fraction] = {}
     missing = []
     for v in cs.variables:
@@ -612,13 +616,11 @@ def check_assignment(
         result.graph = g
         tri_total = Fraction(0)
         w_present = False
-        for i, j, k in combinations(range(n), 3):
-            name = w_name(i, j, k)
+        for name, expected in triangle_indicator_assignment(g).items():
             if not cs.has_variable(name):
                 continue
             w_present = True
             tri_total += values[name]
-            expected = int(g.has_edge(i, j) and g.has_edge(j, k) and g.has_edge(i, k))
             if values[name] != expected:
                 result.semantic_notes.append(
                     f"{name} = {values[name]} but the edge product is {expected}"

@@ -18,7 +18,7 @@ from ergmax import (
     pair_of,
     read_edge_list,
 )
-from ergmax.graph import bfs, edge_list_string, num_pairs, total_hop_count
+from ergmax.graph import all_pairs, bfs, edge_list_string, num_pairs, total_hop_count
 from ergmax.stats import random_unit_square_delta, s_physical_distance
 
 from helpers import iter_graphs, triads_maxmin, triangle_count_by_triples, union_find_connected
@@ -48,6 +48,9 @@ def test_pair_index_roundtrip_exhaustive(n):
             assert pair_of(idx, n) == (i, j)
             seen.add(idx)
     assert seen == set(range(num_pairs(n)))
+    for index in (-1, num_pairs(n)):
+        with pytest.raises(ValueError, match="out of range"):
+            pair_of(index, n)
 
 
 @given(st.integers(min_value=2, max_value=200), st.data())
@@ -55,6 +58,28 @@ def test_pair_index_roundtrip_random(n, data):
     i = data.draw(st.integers(min_value=0, max_value=n - 2))
     j = data.draw(st.integers(min_value=i + 1, max_value=n - 1))
     assert pair_of(edge_index(i, j, n), n) == (i, j)
+
+
+def test_all_pairs_is_one_shared_table_in_rank_order():
+    assert all_pairs(5) is all_pairs(5)
+    assert [edge_index(i, j, 5) for i, j in all_pairs(5)] == list(range(num_pairs(5)))
+    assert all_pairs(1) == ()
+
+
+# -- constructors ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_star_path_and_cycle_edge_sets(n):
+    for center in range(n):
+        expected = {(min(center, v), max(center, v)) for v in range(n) if v != center}
+        assert set(Graph.star(n, center).edges()) == expected
+    assert set(Graph.path(n).edges()) == {(v, v + 1) for v in range(n - 1)}
+    if n >= 3:
+        assert set(Graph.cycle(n).edges()) == {(v, v + 1) for v in range(n - 1)} | {(0, n - 1)}
+    else:
+        with pytest.raises(ValueError):
+            Graph.cycle(n)
 
 
 # -- triangles ---------------------------------------------------------------

@@ -125,6 +125,9 @@ def test_random_connected_graph_is_connected_and_seeded():
     assert is_connected(g1)
     sparse = random_connected_graph(9, random.Random(4), p=0.05)
     assert is_connected(sparse)
+    # a seed names one graph: the draws follow the pairs in rank order
+    assert g1.bits == 241177
+    assert sparse.bits == 1342489112
 
 
 def test_search_config_validation():

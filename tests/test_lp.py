@@ -193,6 +193,8 @@ def test_maxmin_model_accepts_the_brute_force_optimum():
     a = lp.maxmin_assignment(4, alpha, res.graph)
     assert a["H"] == res.objective
     assert feasible(cs, a)
+    with pytest.raises(ValueError, match="the model has n=5"):
+        lp.maxmin_assignment(5, alpha, res.graph)
 
 
 def test_maxmin_alpha_zero_forces_h_to_zero():

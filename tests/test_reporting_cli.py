@@ -268,6 +268,24 @@ def test_cli_check_refuses_a_non_numeric_value(capsys, tmp_path, value):
     assert "error: assignment value of x_0_1 is not a number" in capsys.readouterr().err
 
 
+def test_cli_check_refuses_a_negative_tolerance(capsys, tmp_path):
+    from ergmax.lp import maxmin_assignment
+
+    ir_path = tmp_path / "m.json"
+    assert main(["export-lp", "--n", "3", "--out", str(tmp_path / "m.lp"),
+                 "--ir-json", str(ir_path)]) == 0
+    assignment = tmp_path / "a.json"
+    witness = maxmin_assignment(3, Fraction(1, 2), Graph.complete(3))
+    assignment.write_text(json.dumps({k: str(v) for k, v in witness.items()}))
+    argv = ["check", "--ir-json", str(ir_path), "--assignment", str(assignment)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(argv + ["--tol", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert "error: tolerance must be nonnegative" in captured.err
+    assert "violated" not in captured.out
+
+
 def test_cli_export_and_check_roundtrip(capsys, tmp_path):
     lp_path = tmp_path / "model.lp"
     ir_path = tmp_path / "model.json"
