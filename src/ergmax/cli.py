@@ -50,6 +50,20 @@ def node_count(text: str) -> int:
     return n
 
 
+def node_limit(text: str) -> int:
+    limit = int(text)
+    if limit < 1:
+        raise argparse.ArgumentTypeError(f"need a node limit of at least 1, got {limit}")
+    return limit
+
+
+def time_limit(text: str) -> float:
+    limit = float(text)
+    if not limit > 0:
+        raise argparse.ArgumentTypeError(f"need a positive time limit, got {limit}")
+    return limit
+
+
 def resolve_seed(args: argparse.Namespace) -> int:
     if args.seed is not None:
         return args.seed
@@ -196,9 +210,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solver", choices=("brute", "bnb"), default="bnb")
     p.add_argument("--gamma", type=parse_fraction, default=argparse.SUPPRESS,
                    help="two-stage suboptimality tolerance in [0, 1]")
-    p.add_argument("--node-limit", type=int, default=argparse.SUPPRESS,
+    p.add_argument("--node-limit", type=node_limit, default=argparse.SUPPRESS,
                    help=f"bnb nodes per stage (default {ExperimentSpec.node_limit})")
-    p.add_argument("--time-limit", type=float, default=argparse.SUPPRESS,
+    p.add_argument("--time-limit", type=time_limit, default=argparse.SUPPRESS,
                    help=f"bnb seconds per stage (default {ExperimentSpec.time_limit})")
     p.add_argument("--out-dir", default=None, help="write result files here")
     p.set_defaults(func=cmd_run)
@@ -244,7 +258,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

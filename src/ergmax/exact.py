@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph import DisconnectedGraphError, Graph, is_connected, num_pairs
+from .graph import DisconnectedGraphError, Graph, all_pairs, is_connected, num_pairs
 from .space import SampleSpace
 from .stats import (
     Hamiltonian,
@@ -173,6 +173,25 @@ def _node_bound(h: Hamiltonian, realized: Graph, optimistic: Graph) -> list[Frac
     ])
 
 
+def _breaks_lex_order(rows: list[int], x: int, columns: int) -> bool:
+    """True when row x of the adjacency matrix is lexicographically above
+    some earlier row over the decided `columns` (a bitmask, column 0 most
+    significant), leaving out the columns of the two rows themselves.
+
+    Every earlier row must be decided on those columns.  A graph none of
+    whose rows is above an earlier one is a lex-leader in the sense of
+    Codish, Miller, Prosser & Stuckey (Constraints 24, 2019): every
+    isomorphism class holds one.
+    """
+    row = rows[x]
+    for i in range(x):
+        diff = (rows[i] ^ row) & columns & ~(1 << i | 1 << x)
+        # the lowest set bit of diff is the first column where the rows differ
+        if row & diff & -diff:
+            return True
+    return False
+
+
 def branch_and_bound(
     n: int,
     space: SampleSpace,
@@ -191,6 +210,11 @@ def branch_and_bound(
     weighted sum of h's own terms stay at or above it; h must then
     maximize.  Exhausting node or time limits downgrades the status to
     'incumbent'; it never mislabels a best-so-far as optimal.
+
+    When every term is label-invariant, the 1-branch is not taken when it
+    lifts a row of the adjacency matrix above an earlier one, so only
+    lex-leaders are completed: each isomorphism class is searched once,
+    and the graph returned may be a relabelling of another optimum.
     """
     space.validate_for(n)
     maximize = h.sense == "maximize"
@@ -203,6 +227,8 @@ def branch_and_bound(
             "flow distance admits no finite optimistic maximum over partial assignments")
     pairs = num_pairs(n)
     full = (1 << pairs) - 1
+    pair_list = all_pairs(n)
+    symmetric = all(spec.kind.label_invariant for _, spec in h.terms)
     start = time.perf_counter()
 
     best_graph: Graph | None = None
@@ -219,13 +245,14 @@ def branch_and_bound(
     bound_at_root: Fraction | None = None
     nodes = 0
     limit_hit = False
-    # stack of (depth, included_bits); the 1-branch is pushed last so it pops first
-    stack: list[tuple[int, int]] = [(0, 0)]
+    # stack of (depth, included_bits, adjacency rows of the included edges);
+    # the 1-branch is pushed last so it pops first
+    stack: list[tuple[int, int, list[int]]] = [(0, 0, [0] * n)]
     while stack:
         if nodes >= node_limit or time.perf_counter() - start > time_limit:
             limit_hit = True
             break
-        depth, included = stack.pop()
+        depth, included, rows = stack.pop()
         nodes += 1
         undecided = pairs - depth
         included_count = included.bit_count()
@@ -254,8 +281,18 @@ def branch_and_bound(
             bound_at_root = bound
         if best_val is not None and not improves(bound, best_val, h.sense):
             continue
-        stack.append((depth + 1, included))
-        stack.append((depth + 1, included | (1 << depth)))
+        stack.append((depth + 1, included, rows))
+        # pairs are decided in rank order, so the rows before i are decided,
+        # row i up to column j and each row up to j up to column i.  A 0
+        # never lifts a row; a 1 can lift only the two rows it is set in.
+        i, j = pair_list[depth]
+        rows = rows.copy()
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+        if symmetric and (_breaks_lex_order(rows, i, (2 << j) - 1)
+                          or _breaks_lex_order(rows, j, (2 << i) - 1)):
+            continue
+        stack.append((depth + 1, included | (1 << depth), rows))
 
     elapsed = time.perf_counter() - start
     if best_graph is None:

@@ -163,9 +163,14 @@ def count_triangles(g: Graph) -> int:
     """Number of node triples ``i < j < k`` with all three edges present."""
     adj = g.adjacency()
     total = 0
-    for i, j in g.edges():
-        # common neighbors above j close a triangle exactly once per triple
-        total += ((adj[i] & adj[j]) >> (j + 1)).bit_count()
+    for i, row in enumerate(adj):
+        above = row >> (i + 1)
+        while above:
+            low = above & -above
+            j = i + low.bit_length()
+            # common neighbors above j close a triangle exactly once per triple
+            total += ((row & adj[j]) >> (j + 1)).bit_count()
+            above ^= low
     return total
 
 

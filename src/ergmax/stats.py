@@ -32,6 +32,9 @@ class StatisticKind(str, Enum):
         # adding an edge never lowers an increasing statistic (distances are
         # nonnegative) nor raises another; a plain attribute, as bnb reads it per node
         self.increasing = value in ("triangles", "physical_distance")
+        # relabelling the nodes leaves the statistic unchanged: all but physical
+        # distance, which depends on where each node sits
+        self.label_invariant = value != "physical_distance"
 
 
 def validate_delta(delta: DeltaMatrix) -> None:

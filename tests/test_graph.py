@@ -1,4 +1,5 @@
 import io
+import random
 from fractions import Fraction
 
 import pytest
@@ -98,9 +99,14 @@ def test_triangles_match_triple_enumeration(n):
 
 
 def test_triangles_match_triple_enumeration_n6():
-    # full sweep of all 2^15 graphs
+    # full sweep of all 2^15 graphs, then random graphs up to n = 8
     for g in iter_graphs(6):
         assert count_triangles(g) == triangle_count_by_triples(g)
+    rng = random.Random(6)
+    for n in (7, 8):
+        for _ in range(500):
+            g = Graph(n, rng.getrandbits(num_pairs(n)))
+            assert count_triangles(g) == triangle_count_by_triples(g)
 
 
 # -- connectivity ------------------------------------------------------------

@@ -203,6 +203,17 @@ def test_cli_brute_force_refuses_the_bnb_limits(capsys, flag, value):
     assert err.startswith("error:") and flag in err
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--node-limit", "-3"), ("--node-limit", "0"), ("--time-limit", "-1"),
+     ("--time-limit", "0"), ("--time-limit", "nan")],
+)
+def test_cli_solve_refuses_a_limit_that_cannot_be_met(capsys, flag, value):
+    # such a limit explores no node and would report the warm start as an incumbent
+    assert main(["solve", "--n", "5", flag, value]) == 1
+    assert f"ergmax solve: error: argument {flag}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("density", ["14", "10"])
 def test_cli_heuristic_refuses_a_fixed_edge_count(capsys, density):
     argv = ["heuristic", "--n", "8", "--alpha", "1/2", "--density", density, "--restarts", "1"]
@@ -338,6 +349,13 @@ def test_cli_oracle_compare(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.count("OK") == 2
+
+
+def test_cli_oracle_compare_refuses_an_alpha_that_is_not_rational(capsys):
+    assert main(["oracle-compare", "--n-list", "4", "--alpha-list", "1/2,x"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: not a rational number: 'x'\n"
 
 
 def test_cli_seed_env_fallback(capsys, monkeypatch, tmp_path):

@@ -49,6 +49,15 @@ def test_physical_distance_examples():
     assert s_physical_distance(Graph.complete(3), uniform_delta(3)) == 3
 
 
+def test_only_physical_distance_depends_on_the_node_labels():
+    # bnb breaks label symmetry only when every term is label-invariant
+    assert [k for k in StatisticKind if not k.label_invariant] == [StatisticKind.PHYSICAL_DISTANCE]
+    # the same star, centred elsewhere, sits on other distances
+    delta = random_unit_square_delta(5, seed=1)
+    assert s_physical_distance(Graph.star(5, center=0), delta) != s_physical_distance(
+        Graph.star(5, center=1), delta)
+
+
 def test_physical_distance_dimension_mismatch():
     with pytest.raises(ValueError):
         s_physical_distance(Graph.complete(3), uniform_delta(4))
