@@ -157,7 +157,10 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     cs = ConstraintSystem.from_json_dict(json.loads(Path(args.ir_json).read_text()))
     assignment = json.loads(Path(args.assignment).read_text())
-    result = check_assignment(cs, assignment, tolerance=Fraction(args.tol))
+    if not isinstance(assignment, dict):
+        raise ValueError("assignment must be a JSON object mapping variable names to values, "
+                         f"not {type(assignment).__name__}")
+    result = check_assignment(cs, assignment, tolerance=args.tol)
     for v in result.row_violations:
         print(f"violated {v.row}: lhs={float(v.lhs)} {v.relation} rhs={float(v.rhs)} "
               f"(by {float(v.amount)})")
@@ -170,7 +173,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle_compare(args: argparse.Namespace) -> int:
-    ns = [int(v) for v in args.n_list.split(",")]
+    ns = [node_count(v) for v in args.n_list.split(",")]
     alphas = [parse_fraction(v) for v in args.alpha_list.split(",")]
     space = build_space(args)
     all_ok = True
@@ -237,7 +240,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="verify an external solver assignment against the IR")
     p.add_argument("--ir-json", required=True)
     p.add_argument("--assignment", required=True, help="JSON mapping variable -> value")
-    p.add_argument("--tol", default="0", help="nonnegative violation tolerance (rational or decimal)")
+    p.add_argument("--tol", type=parse_fraction, default=Fraction(0),
+                   help="nonnegative violation tolerance (rational or decimal)")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("oracle-compare", help="brute force vs branch-and-bound on a grid")

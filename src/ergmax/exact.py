@@ -173,7 +173,7 @@ def _node_bound(h: Hamiltonian, realized: Graph, optimistic: Graph) -> list[Frac
     ])
 
 
-def _breaks_lex_order(rows: list[int], x: int, columns: int) -> bool:
+def _breaks_lex_order(rows: tuple[int, ...], x: int, columns: int) -> bool:
     """True when row x of the adjacency matrix is lexicographically above
     some earlier row over the decided `columns` (a bitmask, column 0 most
     significant), leaving out the columns of the two rows themselves.
@@ -226,7 +226,6 @@ def branch_and_bound(
         raise ValueError(
             "flow distance admits no finite optimistic maximum over partial assignments")
     pairs = num_pairs(n)
-    full = (1 << pairs) - 1
     pair_list = all_pairs(n)
     symmetric = all(spec.kind.label_invariant for _, spec in h.terms)
     start = time.perf_counter()
@@ -245,22 +244,19 @@ def branch_and_bound(
     bound_at_root: Fraction | None = None
     nodes = 0
     limit_hit = False
-    # stack of (depth, included_bits, adjacency rows of the included edges);
+    # stack of (depth, realized, optimistic): pairs of rank below depth are
+    # decided, the rest are absent from realized and present in optimistic;
     # the 1-branch is pushed last so it pops first
-    stack: list[tuple[int, int, list[int]]] = [(0, 0, [0] * n)]
+    stack: list[tuple[int, Graph, Graph]] = [(0, Graph(n), Graph.complete(n))]
     while stack:
         if nodes >= node_limit or time.perf_counter() - start > time_limit:
             limit_hit = True
             break
-        depth, included, rows = stack.pop()
+        depth, realized, optimistic = stack.pop()
         nodes += 1
-        undecided = pairs - depth
-        included_count = included.bit_count()
         if space.density is not None:
-            if included_count > space.density or included_count + undecided < space.density:
+            if realized.edge_count > space.density or optimistic.edge_count < space.density:
                 continue
-        realized = Graph(n, included)
-        optimistic = realized if depth == pairs else Graph(n, included | (full >> depth << depth))
         if space.connected and not is_connected(optimistic):
             continue
         try:
@@ -271,8 +267,8 @@ def branch_and_bound(
             continue
         bound = combine(h, weighted)
         if depth == pairs:
-            # a leaf: the density and connectivity checks above were
-            # exact, and its bound is its objective
+            # a leaf: realized equals optimistic, the density and
+            # connectivity checks above were exact, and its bound is its objective
             if best_val is None or improves(bound, best_val, h.sense):
                 best_val = bound
                 best_graph = realized
@@ -281,18 +277,16 @@ def branch_and_bound(
             bound_at_root = bound
         if best_val is not None and not improves(bound, best_val, h.sense):
             continue
-        stack.append((depth + 1, included, rows))
+        i, j = pair_list[depth]
+        stack.append((depth + 1, realized, optimistic.toggled(i, j)))
         # pairs are decided in rank order, so the rows before i are decided,
         # row i up to column j and each row up to j up to column i.  A 0
         # never lifts a row; a 1 can lift only the two rows it is set in.
-        i, j = pair_list[depth]
-        rows = rows.copy()
-        rows[i] |= 1 << j
-        rows[j] |= 1 << i
-        if symmetric and (_breaks_lex_order(rows, i, (2 << j) - 1)
-                          or _breaks_lex_order(rows, j, (2 << i) - 1)):
+        child = realized.toggled(i, j)
+        if symmetric and (_breaks_lex_order(child.adjacency(), i, (2 << j) - 1)
+                          or _breaks_lex_order(child.adjacency(), j, (2 << i) - 1)):
             continue
-        stack.append((depth + 1, included | (1 << depth), rows))
+        stack.append((depth + 1, child, optimistic))
 
     elapsed = time.perf_counter() - start
     if best_graph is None:
@@ -339,7 +333,8 @@ def solve_two_stage(
     `p_star_objective` selects what stage 1 maximizes: the weighted
     minimum ('maxmin', default) or the weighted sum ('linear'); the
     choice is echoed in the result.  With method='bnb', `bnb_options`
-    (limits, say) apply to each stage, and stage 2 is 'optimal' only if
+    (limits, say) apply to each stage, stage 2 starts from stage 1's
+    graph when that meets the floor, and stage 2 is 'optimal' only if
     stage 1 is too.
     """
     gamma = Fraction(gamma)
@@ -351,10 +346,12 @@ def solve_two_stage(
         raise ValueError("method must be 'brute' or 'bnb'")
     terms = [(Fraction(th), sp) for th, sp in terms]
 
-    def solve(h: Hamiltonian, floor: Fraction | None = None) -> SolveResult:
+    def solve(
+        h: Hamiltonian, floor: Fraction | None = None, incumbent: Graph | None = None
+    ) -> SolveResult:
         if method == "brute":
             return brute_force(n, space, h, floor=floor)[0]
-        return branch_and_bound(n, space, h, floor=floor, **bnb_options)
+        return branch_and_bound(n, space, h, incumbent=incumbent, floor=floor, **bnb_options)
 
     maxmin_h = Hamiltonian.max_min(terms)
     stage1 = solve(maxmin_h if p_star_objective == "maxmin" else Hamiltonian.linear(terms))
@@ -362,7 +359,9 @@ def solve_two_stage(
         return TwoStageResult(None, p_star_objective, gamma, stage1, None)
 
     p_star = stage1.objective
-    stage2 = solve(maxmin_h, floor=gamma * p_star)
+    floor = gamma * p_star
+    meets_floor = sum(weigh(maxmin_h, stage1.statistic_values)) >= floor
+    stage2 = solve(maxmin_h, floor, stage1.graph if meets_floor else None)
     if stage2.status == "optimal" and stage1.status != "optimal":
         # the floor rests on an unproven p*, so stage 2's optimum is unproven too
         stage2.status = "incumbent"

@@ -133,7 +133,14 @@ class Graph:
     # -- derived graphs ----------------------------------------------------
 
     def toggled(self, i: int, j: int) -> "Graph":
-        return Graph(self.n, self.bits ^ _pair_bit(i, j, self.n))
+        """This graph with pair (i, j) flipped; built rows are carried, not rebuilt."""
+        g = Graph(self.n, self.bits ^ _pair_bit(i, j, self.n))
+        if self._adj is not None:
+            adj = list(self._adj)
+            adj[i] ^= 1 << j
+            adj[j] ^= 1 << i
+            g._adj = tuple(adj)
+        return g
 
     def with_edge(self, i: int, j: int) -> "Graph":
         return Graph(self.n, self.bits | _pair_bit(i, j, self.n))

@@ -170,7 +170,7 @@ class ConstraintSystem:
             cs.set_objective(obj["sense"], {v: Fraction(c) for v, c in obj["coeffs"].items()})
         except KeyError as exc:
             raise ValueError(f"malformed constraint IR: missing key {exc}") from exc
-        except (TypeError, AttributeError) as exc:
+        except (TypeError, AttributeError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed constraint IR: {exc}") from exc
         return cs
 
@@ -577,7 +577,7 @@ def check_assignment(
             raw = assignment[v.name]
             try:
                 values[v.name] = Fraction(str(raw)) if isinstance(raw, float) else Fraction(raw)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, ZeroDivisionError) as exc:
                 raise ValueError(f"assignment value of {v.name} is not a number: {raw!r}") from exc
     if missing:
         raise ValueError(f"assignment is missing variables: {missing[:5]}"

@@ -287,7 +287,10 @@ def read_delta(inp: TextIO) -> DeltaMatrix:
         fields = inp.readline().split()
         if len(fields) != n:
             raise ValueError(f"each matrix row needs exactly {n} entries")
-        rows.append(tuple(Fraction(f) for f in fields))
+        try:
+            rows.append(tuple(Fraction(f) for f in fields))
+        except ZeroDivisionError as exc:
+            raise ValueError(f"distance-matrix row {len(rows)} has a zero denominator") from exc
     if any(line.strip() for line in inp):
         raise ValueError(f"unexpected text after the {n} matrix rows")
     delta = tuple(rows)

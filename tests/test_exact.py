@@ -434,6 +434,16 @@ def test_two_stage_bnb_agrees_with_brute_across_spaces_and_objectives(n):
                     assert alt.stage2.objective == ref.stage2.objective
 
 
+def test_two_stage_bnb_starts_stage_two_from_the_stage_one_graph():
+    # without the warm start stage 2 explores 240 nodes; 21/10 is brute force's optimum
+    terms = list(triads_maxmin(Fraction(3, 10)).terms)
+    two = solve_two_stage(6, CONNECTED, terms, Fraction(9, 10), method="bnb")
+    assert two.stage2.status == "optimal"
+    assert two.stage2.nodes_explored < 240
+    assert two.stage2.objective == Fraction(21, 10)
+    assert two.stage2.graph == two.stage1.graph
+
+
 def test_two_stage_infeasible_stage_one_propagates():
     space = SampleSpace.fixed_density(0, connected=True)
     two = solve_two_stage(3, space, two_nonedge_triangle_terms(), Fraction(1, 2))

@@ -175,6 +175,16 @@ def test_adding_an_edge_is_monotone(n, data):
         assert average_path_length(g2) <= average_path_length(g)
 
 
+@given(st.integers(min_value=2, max_value=8), st.booleans(), st.data())
+def test_toggled_graphs_carry_their_adjacency_rows(n, rows_built, data):
+    g = Graph(n, data.draw(st.integers(min_value=0, max_value=(1 << num_pairs(n)) - 1)))
+    if rows_built:
+        g.adjacency()
+    for i, j in data.draw(st.lists(st.sampled_from(all_pairs(n)), max_size=12)):
+        g = g.toggled(i, j) if data.draw(st.booleans()) else g.toggled(j, i)
+    assert g.adjacency() == Graph(n, g.bits).adjacency()
+
+
 # -- metrics bundle ----------------------------------------------------------
 
 

@@ -297,6 +297,48 @@ def test_cli_check_refuses_a_negative_tolerance(capsys, tmp_path):
     assert "violated" not in captured.out
 
 
+@pytest.mark.parametrize("path", ["--tol", "--delta-file", "rhs", "assignment value"])
+def test_cli_refuses_a_zero_denominator(capsys, monkeypatch, tmp_path, path):
+    from ergmax.lp import maxmin_assignment
+
+    monkeypatch.chdir(tmp_path)
+    if path == "--delta-file":
+        (tmp_path / "delta.txt").write_text("2\n0 1/0\n1/0 0\n")
+        argv = ["export-lp", "--model", "distance_vs_flow", "--n", "2",
+                "--delta-file", "delta.txt", "--out", "m.lp"]
+    else:
+        assert main(["export-lp", "--n", "3", "--out", "m.lp", "--ir-json", "m.json"]) == 0
+        ir = json.loads((tmp_path / "m.json").read_text())
+        witness = maxmin_assignment(3, Fraction(1, 2), Graph.complete(3))
+        assignment = {k: str(v) for k, v in witness.items()}
+        if path == "rhs":
+            ir["rows"][0]["rhs"] = "1/0"
+        elif path == "assignment value":
+            assignment["x_0_1"] = "1/0"
+        (tmp_path / "m.json").write_text(json.dumps(ir))
+        (tmp_path / "a.json").write_text(json.dumps(assignment))
+        argv = ["check", "--ir-json", "m.json", "--assignment", "a.json"]
+        if path == "--tol":
+            argv += ["--tol", "1/0"]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("assignment", [5, "x_0_1 x_0_2 x_1_2", [0, 0, 0]])
+def test_cli_check_refuses_an_assignment_that_is_not_an_object(capsys, tmp_path, assignment):
+    ir_path = tmp_path / "model.json"
+    assert main(["export-lp", "--n", "3", "--out", str(tmp_path / "m.lp"),
+                 "--ir-json", str(ir_path)]) == 0
+    assignment_path = tmp_path / "a.json"
+    assignment_path.write_text(json.dumps(assignment))
+    capsys.readouterr()
+    assert main(["check", "--ir-json", str(ir_path), "--assignment", str(assignment_path)]) == 1
+    assert "error: assignment must be a JSON object" in capsys.readouterr().err
+
+
 def test_cli_export_and_check_roundtrip(capsys, tmp_path):
     lp_path = tmp_path / "model.lp"
     ir_path = tmp_path / "model.json"
@@ -356,6 +398,13 @@ def test_cli_oracle_compare_refuses_an_alpha_that_is_not_rational(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: not a rational number: 'x'\n"
+
+
+def test_cli_oracle_compare_refuses_fewer_than_two_nodes(capsys):
+    assert main(["oracle-compare", "--n-list", "4,1", "--alpha-list", "1/2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: need at least 2 nodes, got 1\n"
 
 
 def test_cli_seed_env_fallback(capsys, monkeypatch, tmp_path):
