@@ -99,6 +99,8 @@ SOLVER_OPTIONS = ("gamma", "node_limit", "time_limit", "restarts")
 
 
 def make_spec(args: argparse.Namespace, solver: str) -> ExperimentSpec:
+    if args.delta_file is not None and args.model != "distance_vs_flow":
+        raise ValueError("--delta-file is read only by --model distance_vs_flow")
     return ExperimentSpec(
         n=args.n,
         model=args.model,
@@ -134,12 +136,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_export_lp(args: argparse.Namespace) -> int:
-    space = build_space(args)
+    spec = make_spec(args, "brute")
     if args.model == "triads_vs_nonedges":
-        cs = build_maxmin(args.n, args.alpha, space)
+        cs = build_maxmin(args.n, args.alpha, spec.space)
     else:
-        delta = resolve_delta(make_spec(args, "brute"))
-        cs = build_minmax_distance(args.n, args.alpha, delta, space)
+        cs = build_minmax_distance(args.n, args.alpha, resolve_delta(spec), spec.space)
     export_lp(cs, args.out)
     if args.ir_json:
         Path(args.ir_json).write_text(cs.to_json() + "\n")

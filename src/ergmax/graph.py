@@ -62,7 +62,7 @@ class Graph:
     ``with_edge``, ``without_edge``) return new graphs.
     """
 
-    __slots__ = ("n", "bits", "_adj")
+    __slots__ = ("n", "bits", "_adj", "_triangles")
 
     def __init__(self, n: int, bits: int = 0):
         if n < 1:
@@ -72,6 +72,7 @@ class Graph:
         self.n = n
         self.bits = bits
         self._adj: tuple[int, ...] | None = None
+        self._triangles: int | None = None  # set by count_triangles or carried by toggled
 
     # -- constructors ------------------------------------------------------
 
@@ -126,27 +127,28 @@ class Graph:
             self._adj = tuple(adj)
         return self._adj
 
-    def common_neighbor_count(self, i: int, j: int) -> int:
-        adj = self.adjacency()
-        return (adj[i] & adj[j]).bit_count()
-
     # -- derived graphs ----------------------------------------------------
 
     def toggled(self, i: int, j: int) -> "Graph":
-        """This graph with pair (i, j) flipped; built rows are carried, not rebuilt."""
+        """This graph with pair (i, j) flipped; built rows and a known triangle
+        count are carried, not rebuilt: the pair's common neighbors close the
+        triangles it adds or removes."""
         g = Graph(self.n, self.bits ^ _pair_bit(i, j, self.n))
         if self._adj is not None:
             adj = list(self._adj)
+            if self._triangles is not None:
+                closed = (adj[i] & adj[j]).bit_count()
+                g._triangles = self._triangles + (closed if g.bits > self.bits else -closed)
             adj[i] ^= 1 << j
             adj[j] ^= 1 << i
             g._adj = tuple(adj)
         return g
 
     def with_edge(self, i: int, j: int) -> "Graph":
-        return Graph(self.n, self.bits | _pair_bit(i, j, self.n))
+        return self if self.has_edge(i, j) else self.toggled(i, j)
 
     def without_edge(self, i: int, j: int) -> "Graph":
-        return Graph(self.n, self.bits & ~_pair_bit(i, j, self.n))
+        return self.toggled(i, j) if self.has_edge(i, j) else self
 
     # -- dunder ------------------------------------------------------------
 
@@ -167,7 +169,10 @@ class Graph:
 
 
 def count_triangles(g: Graph) -> int:
-    """Number of node triples ``i < j < k`` with all three edges present."""
+    """Number of node triples ``i < j < k`` with all three edges present; a count
+    carried by :meth:`Graph.toggled` or stored by an earlier call is returned as is."""
+    if g._triangles is not None:
+        return g._triangles
     adj = g.adjacency()
     total = 0
     for i, row in enumerate(adj):
@@ -178,6 +183,7 @@ def count_triangles(g: Graph) -> int:
             # common neighbors above j close a triangle exactly once per triple
             total += ((row & adj[j]) >> (j + 1)).bit_count()
             above ^= low
+    g._triangles = total
     return total
 
 

@@ -143,12 +143,14 @@ class ConstraintSystem:
             ],
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), indent=2)
 
     @classmethod
     def from_json_dict(cls, data: dict[str, Any]) -> "ConstraintSystem":
-        """Inverse of :meth:`to_json_dict`; a missing key or a wrong type raises ValueError."""
+        """Inverse of :meth:`to_json_dict`; a missing key, a wrong type, or a
+        ``meta.n`` that does not count the declared ``x_`` edge variables
+        raises ValueError."""
         try:
             cs = cls(data.get("name", "model"))
             cs.meta = dict(data.get("meta", {}))
@@ -172,6 +174,12 @@ class ConstraintSystem:
             raise ValueError(f"malformed constraint IR: missing key {exc}") from exc
         except (TypeError, AttributeError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed constraint IR: {exc}") from exc
+        # checked here, before check_assignment builds the pair table of n
+        n = cs.meta.get("n")
+        edge_vars = sum(v.name.startswith("x_") for v in cs.variables)
+        if n is not None and (type(n) is not int or num_pairs(n) != edge_vars):
+            raise ValueError(
+                f"malformed constraint IR: meta.n = {n!r} does not fit {edge_vars} edge variables")
         return cs
 
 
@@ -317,7 +325,6 @@ def build_maxmin(
     n: int,
     alpha: Fraction,
     space: SampleSpace = SampleSpace.connected_graphs(),
-    cs: ConstraintSystem | None = None,
 ) -> ConstraintSystem:
     """Full robust model: maximize H with H below each weighted statistic.
 
@@ -329,7 +336,7 @@ def build_maxmin(
     if not (0 <= alpha <= 1):
         raise ValueError("alpha must lie in [0, 1]")
     space.validate_for(n)
-    cs = cs or ConstraintSystem("maxmin_nonedges_triangles")
+    cs = ConstraintSystem("maxmin_nonedges_triangles")
     ensure_edge_variables(cs, n)
     build_triangle_indicators(n, cs)
     _add_space_rows(cs, n, space)
@@ -355,7 +362,6 @@ def build_minmax_distance(
     alpha: Fraction,
     delta,
     space: SampleSpace = SampleSpace.connected_graphs(),
-    cs: ConstraintSystem | None = None,
 ) -> ConstraintSystem:
     """Min-max mirror: minimize H with H above each weighted distance statistic.
 
@@ -366,7 +372,7 @@ def build_minmax_distance(
     if not (0 <= alpha <= 1):
         raise ValueError("alpha must lie in [0, 1]")
     space.validate_for(n)
-    cs = cs or ConstraintSystem("minmax_distance")
+    cs = ConstraintSystem("minmax_distance")
     ensure_edge_variables(cs, n)
     build_multicommodity_flow(n, cs)
     if space.density is not None:

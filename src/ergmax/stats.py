@@ -118,19 +118,16 @@ def toggled_value(
     j: int,
 ) -> Fraction | int:
     """The statistic at `toggled` (g with pair (i, j) toggled) from its value
-    `current` at g: in O(1), except that flow distance is recomputed and
-    raises DisconnectedGraphError when `toggled` is disconnected."""
-    kind = spec.kind
-    if kind is StatisticKind.FLOW_DISTANCE:
-        return s_flow_distance(toggled)
-    # the change when the pair is added; a removal undoes it
-    if kind is StatisticKind.NON_EDGES:
-        step = -1
-    elif kind is StatisticKind.TRIANGLES:
-        step = g.common_neighbor_count(i, j)
-    else:  # physical distance
-        assert spec.delta is not None
-        step = spec.delta[i][j]
+    `current` at g.  Only physical distance steps from `current`; every
+    other statistic is read off `toggled`: in O(1) for non-edges, and for
+    triangles once g's count is known, since `toggled` carries it.  Flow
+    distance is recomputed and raises DisconnectedGraphError when
+    `toggled` is disconnected."""
+    if spec.kind is not StatisticKind.PHYSICAL_DISTANCE:
+        return evaluate_statistic(spec, toggled)
+    # the pair's distance joins the sum when it is added and leaves it when removed
+    assert spec.delta is not None
+    step = spec.delta[i][j]
     return current + step if toggled.bits > g.bits else current - step
 
 

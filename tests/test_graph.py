@@ -175,13 +175,20 @@ def test_adding_an_edge_is_monotone(n, data):
         assert average_path_length(g2) <= average_path_length(g)
 
 
-@given(st.integers(min_value=2, max_value=8), st.booleans(), st.data())
-def test_toggled_graphs_carry_their_adjacency_rows(n, rows_built, data):
+@given(st.integers(min_value=2, max_value=8), st.sampled_from(["bare", "rows", "counted"]),
+       st.data())
+def test_toggled_graphs_carry_their_adjacency_rows(n, start, data):
     g = Graph(n, data.draw(st.integers(min_value=0, max_value=(1 << num_pairs(n)) - 1)))
-    if rows_built:
+    if start == "rows":
         g.adjacency()
+    elif start == "counted":
+        count_triangles(g)
+    steps = (Graph.toggled, Graph.with_edge, Graph.without_edge)
     for i, j in data.draw(st.lists(st.sampled_from(all_pairs(n)), max_size=12)):
-        g = g.toggled(i, j) if data.draw(st.booleans()) else g.toggled(j, i)
+        step = data.draw(st.sampled_from(steps))
+        g = step(g, i, j) if data.draw(st.booleans()) else step(g, j, i)
+    # a carried count is read first, before anything could count it afresh
+    assert count_triangles(g) == count_triangles(Graph(n, g.bits))
     assert g.adjacency() == Graph(n, g.bits).adjacency()
 
 

@@ -6,12 +6,14 @@ re-export) must use every name it imports at module level, and every
 package outside its own definition.  Every other function, method and
 property of the package must be referenced somewhere in the repository's
 Python code (package, tests, demos, benchmark) or be exported in
-``ergmax.__all__``.
+``ergmax.__all__``.  Every probe the benchmark's tracer installs must
+name a function it can find.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -97,3 +99,26 @@ def test_every_function_is_referenced_or_exported():
             if uses[name] <= used_names(node)[name]:
                 unreferenced.append(f"{path.name}:{node.lineno} {name}")
     assert not unreferenced, f"functions nothing references or exports: {unreferenced}"
+
+
+def test_every_benchmark_probe_resolves():
+    # read PROBES from the tracer's source, without importing the benchmark
+    tree = parse(ROOT / "bench" / "tracer.py")
+    [probes] = [
+        ast.literal_eval(stmt.value)
+        for stmt in tree.body
+        if isinstance(stmt, ast.Assign) and [t.id for t in stmt.targets] == ["PROBES"]
+    ]
+    missing = []
+    for name, module_name, attr, cls_name, _ in probes:
+        home = importlib.import_module(module_name)
+        # the tracer swaps a method in its class's own __dict__, and a
+        # function wherever a module binds it
+        if cls_name is not None:
+            owner = getattr(home, cls_name, None)
+            target = None if owner is None else vars(owner).get(attr)
+        else:
+            target = getattr(home, attr, None)
+        if not callable(target):
+            missing.append(f"{name}: {module_name}.{cls_name + '.' if cls_name else ''}{attr}")
+    assert not missing, f"benchmark probes whose target is gone: {missing}"

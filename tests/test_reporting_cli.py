@@ -339,6 +339,48 @@ def test_cli_check_refuses_an_assignment_that_is_not_an_object(capsys, tmp_path,
     assert "error: assignment must be a JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", ["abc", 3.5, [3], True, 2, 10**9])
+def test_cli_check_refuses_a_meta_n_that_does_not_fit_the_edge_variables(
+    capsys, monkeypatch, tmp_path, n
+):
+    from ergmax import lp
+
+    monkeypatch.chdir(tmp_path)
+    assert main(["export-lp", "--n", "3", "--out", "m.lp", "--ir-json", "m.json"]) == 0
+    ir = json.loads((tmp_path / "m.json").read_text())
+    ir["meta"]["n"] = n
+    (tmp_path / "m.json").write_text(json.dumps(ir))
+    witness = lp.maxmin_assignment(3, Fraction(1, 2), Graph.complete(3))
+    (tmp_path / "a.json").write_text(json.dumps({k: str(v) for k, v in witness.items()}))
+    # the refusal must come before any pair table is built, at n = 10**9 above all
+    monkeypatch.setattr(lp, "all_pairs", lambda n: pytest.fail(f"pair table built for n={n}"))
+    capsys.readouterr()
+    assert main(["check", "--ir-json", "m.json", "--assignment", "a.json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [line for line in captured.err.splitlines() if "error:" in line] == [
+        f"error: malformed constraint IR: meta.n = {n!r} does not fit 3 edge variables"
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--solver", "brute", "--out-dir", "run"],
+        ["heuristic", "--restarts", "1", "--out-dir", "run"],
+        ["export-lp", "--out", "model.lp"],
+    ],
+)
+def test_cli_refuses_a_delta_file_without_the_distance_model(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    with open("delta.txt", "w") as f:
+        write_delta(uniform_delta(4), f)
+    assert main(argv + ["--n", "4", "--delta-file", "delta.txt"]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: --delta-file is read only by --model distance_vs_flow"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["delta.txt"]
+
+
 def test_cli_export_and_check_roundtrip(capsys, tmp_path):
     lp_path = tmp_path / "model.lp"
     ir_path = tmp_path / "model.json"
