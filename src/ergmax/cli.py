@@ -64,13 +64,23 @@ def time_limit(text: str) -> float:
     return limit
 
 
+def seed(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"need a nonnegative seed, got {value}")
+    return value
+
+
 def resolve_seed(args: argparse.Namespace) -> int:
     if args.seed is not None:
         return args.seed
     env = os.environ.get("NETOPT_SEED")
-    if env is not None:
-        return int(env)
-    return 0
+    if env is None:
+        return 0
+    try:
+        return seed(env)
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise ValueError(f"NETOPT_SEED must be a nonnegative integer, got {env!r}") from exc
 
 
 def build_space(args: argparse.Namespace) -> SampleSpace:
@@ -89,7 +99,7 @@ def add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--delta-file", default=None,
                    help="distance-matrix file for the distance model "
                         "(default: seeded unit-square generator)")
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=seed, default=None,
                    help="PRNG seed (falls back to NETOPT_SEED, then 0)")
 
 
@@ -143,7 +153,9 @@ def cmd_export_lp(args: argparse.Namespace) -> int:
         cs = build_minmax_distance(args.n, args.alpha, resolve_delta(spec), spec.space)
     export_lp(cs, args.out)
     if args.ir_json:
-        Path(args.ir_json).write_text(cs.to_json() + "\n")
+        with open(args.ir_json, "w") as f:
+            cs.to_json(f)
+            f.write("\n")
     print(f"wrote {args.out}" + (f" and {args.ir_json}" if args.ir_json else ""))
     return 0
 

@@ -1,9 +1,11 @@
 """First-improve single-edge local search with seeded restarts.
 
-Each pass scans the candidate edge toggles in a freshly shuffled order
-and applies the first strictly improving feasible one; the walk stops at
-a state where no single toggle helps.  A fixed scan order would make
-restarts redundant, so the shuffle is reseeded per restart.
+Each pass scans the candidate edge toggles in a fresh uniformly random
+order and applies the first strictly improving feasible one; the walk
+stops at a state where no single toggle helps.  The order is drawn
+lazily, one pair per scanned position (forward Fisher-Yates), so a pass
+that stops early pays only for the pairs it scanned.  A fixed scan order
+would make restarts redundant, so the order is reseeded per restart.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .exact import SolveResult
 from .graph import DisconnectedGraphError, Graph, all_pairs, bfs, is_connected
@@ -48,12 +50,25 @@ def random_connected_graph(n: int, rng: random.Random, p: float = 0.5) -> Graph:
     return g
 
 
+def _scan_order(pairs: list[tuple[int, int]], rng: random.Random) -> Iterator[tuple[int, int]]:
+    """Yield `pairs` in a uniformly random order, drawing each position on demand.
+
+    Position k swaps in a pair drawn from positions k onward, so a scan
+    run to the end yields every pair exactly once, and one stopped early
+    has drawn only the positions it reached.  `pairs` is permuted in place.
+    """
+    for k in range(len(pairs)):
+        r = rng.randrange(k, len(pairs))
+        pairs[k], pairs[r] = pairs[r], pairs[k]
+        yield pairs[k]
+
+
 def _feasible_toggles(
     g: Graph,
     h: Hamiltonian,
     space: SampleSpace,
     values: tuple[Fraction | int, ...],
-    pairs: Sequence[tuple[int, int]],
+    pairs: Iterable[tuple[int, int]],
 ) -> Iterator[tuple[Graph, tuple[Fraction | int, ...], Fraction]]:
     """Yield (toggled graph, its statistic values, its objective) per feasible toggle.
 
@@ -102,8 +117,8 @@ def first_improve(
     improved = True
     while improved and moves < cfg.max_iterations:
         improved = False
-        rng.shuffle(pairs)
-        for toggled, cand_values, cand_obj in _feasible_toggles(g, h, space, values, pairs):
+        scan = _scan_order(pairs, rng)
+        for toggled, cand_values, cand_obj in _feasible_toggles(g, h, space, values, scan):
             evaluations += 1
             if improves(cand_obj, objective, h.sense):
                 g, values, objective = toggled, cand_values, cand_obj

@@ -14,8 +14,8 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from itertools import combinations
-from typing import Any, Callable, Mapping
+from itertools import combinations, islice
+from typing import Any, Callable, Mapping, TextIO
 
 from .graph import (
     DisconnectedGraphError,
@@ -143,8 +143,16 @@ class ConstraintSystem:
             ],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+    def to_json(self, f: TextIO) -> None:
+        """Write :meth:`to_json_dict` into the open text file `f`, indented by 2.
+
+        The encoder's chunks go out in joined batches: the whole string
+        would cost several times the IR's memory, and one write per chunk,
+        as `json.dump` makes, is slower than joining.
+        """
+        chunks = json.JSONEncoder(indent=2).iterencode(self.to_json_dict())
+        while batch := "".join(islice(chunks, 65536)):
+            f.write(batch)
 
     @classmethod
     def from_json_dict(cls, data: dict[str, Any]) -> "ConstraintSystem":

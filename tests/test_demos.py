@@ -1,7 +1,4 @@
-"""Smoke test: the narrative demos 01-05 run to completion.
-
-Demo 06 (the n = 60 tables, several seconds) is left to manual runs.
-"""
+"""Smoke test: the narrative demos 01-06 run to completion."""
 
 import os
 import subprocess
@@ -17,6 +14,7 @@ DEMOS = [
     "03_linear_formulations.py",
     "04_exact_optimization.py",
     "05_local_search.py",
+    "06_medium_scale_tables.py",
 ]
 
 

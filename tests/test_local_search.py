@@ -1,4 +1,6 @@
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -22,7 +24,7 @@ from ergmax import (
     random_unit_square_delta,
 )
 from ergmax.graph import DisconnectedGraphError, all_pairs, num_pairs
-from ergmax.local_search import random_connected_graph
+from ergmax.local_search import _scan_order, random_connected_graph
 from ergmax.stats import improves
 
 from helpers import triads_maxmin
@@ -185,3 +187,19 @@ def test_has_improving_toggle_matches_a_from_scratch_scan(n, data):
         # also cover local optima, where the answer is False
         g = first_improve(g, h, space, SearchConfig(seed=0)).graph
     assert has_improving_toggle(g, h, space) == reference_has_improving_toggle(g, h, space)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=30).flatmap(lambda m: st.permutations(range(m))),
+       st.integers(min_value=0, max_value=2**63))
+def test_scan_order_run_to_the_end_yields_each_element_once(items, seed):
+    pairs = list(items)
+    assert sorted(_scan_order(pairs, random.Random(seed))) == sorted(items)
+
+
+def test_scan_order_draws_every_order_of_three_about_equally_often():
+    # 6 000 seeds: each of the 3! orders expects 1 000 draws, standard deviation ~29
+    counts = Counter(tuple(_scan_order(["a", "b", "c"], random.Random(seed)))
+                     for seed in range(6_000))
+    assert set(counts) == set(itertools.permutations("abc"))
+    assert all(900 <= c <= 1_100 for c in counts.values()), counts

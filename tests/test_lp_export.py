@@ -1,6 +1,8 @@
 """Export-format tests: determinism, golden shapes, and an independent parse-back."""
 
 import hashlib
+import io
+import json
 import re
 from fractions import Fraction
 
@@ -167,4 +169,14 @@ def test_export_bytes_match_the_golden_digests(model):
     build, lp_digest, ir_digest = GOLDEN_DIGESTS[model]
     cs = build()
     assert hashlib.sha256(lp.lp_string(cs).encode()).hexdigest() == lp_digest
-    assert hashlib.sha256(cs.to_json().encode()).hexdigest() == ir_digest
+    ir = io.StringIO()
+    cs.to_json(ir)
+    assert hashlib.sha256(ir.getvalue().encode()).hexdigest() == ir_digest
+
+
+def test_streamed_ir_spans_several_batches_and_equals_the_one_string_rendering():
+    # n = 14 makes over 65 536 encoder chunks, so to_json writes at least two batches
+    cs = lp.build_maxmin(14, Fraction(1, 2))
+    ir = io.StringIO()
+    cs.to_json(ir)
+    assert ir.getvalue() == json.dumps(cs.to_json_dict(), indent=2)

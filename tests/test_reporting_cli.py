@@ -465,5 +465,40 @@ def test_cli_seed_env_fallback(capsys, monkeypatch, tmp_path):
     assert data["spec"]["seed"] == 5
 
 
+@pytest.mark.parametrize(
+    "env, argv, message",
+    [
+        (None, ["heuristic", "--n", "20", "--alpha", "7/10", "--restarts", "1", "--seed", "-5"],
+         "argument --seed: need a nonnegative seed, got -5"),
+        (None, ["solve", "--n", "4", "--seed", "-1"],
+         "argument --seed: need a nonnegative seed, got -1"),
+        (None, ["heuristic", "--model", "distance_vs_flow", "--n", "5", "--seed", "-1"],
+         "argument --seed: need a nonnegative seed, got -1"),
+        (None, ["export-lp", "--model", "distance_vs_flow", "--n", "5", "--seed", "-1",
+                "--out", "m.lp"],
+         "argument --seed: need a nonnegative seed, got -1"),
+        ("abc", ["heuristic", "--n", "4", "--restarts", "1"],
+         "NETOPT_SEED must be a nonnegative integer, got 'abc'"),
+        ("-3", ["export-lp", "--model", "distance_vs_flow", "--n", "5", "--out", "m.lp"],
+         "NETOPT_SEED must be a nonnegative integer, got '-3'"),
+    ],
+)
+def test_cli_refuses_a_negative_or_malformed_seed(
+    capsys, monkeypatch, tmp_path, env, argv, message
+):
+    # random.Random seeds with abs(seed), so -5 would silently rerun seed 5
+    monkeypatch.chdir(tmp_path)
+    if env is None:
+        monkeypatch.delenv("NETOPT_SEED", raising=False)
+    else:
+        monkeypatch.setenv("NETOPT_SEED", env)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0].endswith(message)
+    assert not (tmp_path / "m.lp").exists()
+
+
 def test_cli_usage_error_returns_one(capsys):
     assert main(["solve", "--n", "not-a-number"]) == 1
