@@ -52,9 +52,15 @@ class StructuralBound:
 def structural_lower_bounds(n: int, alpha: Fraction) -> StructuralBound:
     """Lower bounds derived from the star-plus-chords construction.
 
-    The guaranteed triangle count is min(n-1, floor(alpha*(n-2)*(n-1)/2));
-    the fractional value is floored because a partial chord contributes
-    no triangle.  Optimal solutions then carry at least n-1+h edges.
+    With Q = (n-1)(n-2)/2, the guaranteed triangle count is
+    h = min(n-1, floor(alpha*Q)); the fractional value is floored because
+    a partial chord contributes no triangle.  The star with h chords has
+    Q-h non-edges and at least h triangles, and h <= alpha*Q gives
+    alpha*(Q-h) >= (1-alpha)*h, so its value is at least (1-alpha)*h.
+    When alpha < 1 a graph with fewer triangles scores less, so every
+    optimum has at least h triangles.  At alpha = 1 the triangle weight
+    is 0 and every connected graph is optimal, trees included, so h = 0.
+    Some optimal solution then carries at least n-1+h edges.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -62,7 +68,7 @@ def structural_lower_bounds(n: int, alpha: Fraction) -> StructuralBound:
     if not (0 <= alpha <= 1):
         raise ValueError("alpha must lie in [0, 1]")
     frac_bound = alpha * (n - 2) * (n - 1) / 2
-    h = min(n - 1, frac_bound.numerator // frac_bound.denominator)
+    h = min(n - 1, frac_bound.numerator // frac_bound.denominator) if alpha < 1 else 0
     return StructuralBound(min_triangles=h, min_edges=(n - 1) + h)
 
 
@@ -333,9 +339,9 @@ def solve_two_stage(
     `p_star_objective` selects what stage 1 maximizes: the weighted
     minimum ('maxmin', default) or the weighted sum ('linear'); the
     choice is echoed in the result.  With method='bnb', `bnb_options`
-    (limits, say) apply to each stage, stage 2 starts from stage 1's
-    graph when that meets the floor, and stage 2 is 'optimal' only if
-    stage 1 is too.
+    (limits, an incumbent) apply to stage 1 and, but for the incumbent,
+    to stage 2, which starts from stage 1's graph when that meets the
+    floor and is 'optimal' only if stage 1 is too.
     """
     gamma = Fraction(gamma)
     if not (0 <= gamma <= 1):
@@ -346,12 +352,10 @@ def solve_two_stage(
         raise ValueError("method must be 'brute' or 'bnb'")
     terms = [(Fraction(th), sp) for th, sp in terms]
 
-    def solve(
-        h: Hamiltonian, floor: Fraction | None = None, incumbent: Graph | None = None
-    ) -> SolveResult:
+    def solve(h: Hamiltonian, floor: Fraction | None = None, **options) -> SolveResult:
         if method == "brute":
             return brute_force(n, space, h, floor=floor)[0]
-        return branch_and_bound(n, space, h, incumbent=incumbent, floor=floor, **bnb_options)
+        return branch_and_bound(n, space, h, floor=floor, **(bnb_options | options))
 
     maxmin_h = Hamiltonian.max_min(terms)
     stage1 = solve(maxmin_h if p_star_objective == "maxmin" else Hamiltonian.linear(terms))
@@ -361,7 +365,8 @@ def solve_two_stage(
     p_star = stage1.objective
     floor = gamma * p_star
     meets_floor = sum(weigh(maxmin_h, stage1.statistic_values)) >= floor
-    stage2 = solve(maxmin_h, floor, stage1.graph if meets_floor else None)
+    # stage 1's start may violate the floor, so stage 2 never inherits it
+    stage2 = solve(maxmin_h, floor, incumbent=stage1.graph if meets_floor else None)
     if stage2.status == "optimal" and stage1.status != "optimal":
         # the floor rests on an unproven p*, so stage 2's optimum is unproven too
         stage2.status = "incumbent"

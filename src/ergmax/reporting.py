@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -107,6 +107,17 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path | None = None) -> E
     h = hamiltonian_for(spec, delta)
     p_star = None
     p_star_objective = None
+    # a connected graph of free edge count: bnb's incumbent, local search's start
+    if spec.model == "triads_vs_nonedges":
+        chords = structural_lower_bounds(spec.n, spec.alpha).min_triangles
+        start = star_with_chords(spec.n, chords)
+    else:
+        start = Graph.star(spec.n)
+    bnb_options = {
+        "incumbent": start if spec.space.density is None else None,
+        "node_limit": spec.node_limit,
+        "time_limit": spec.time_limit,
+    }
 
     if spec.gamma is not None:
         if spec.model != "triads_vs_nonedges" or spec.solver == "local_search":
@@ -114,42 +125,26 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path | None = None) -> E
                 "two-stage gamma solves support the triads model with brute or bnb solvers"
             )
         two = solve_two_stage(
-            spec.n,
-            spec.space,
-            list(h.terms),
-            spec.gamma,
-            method=spec.solver,
-            node_limit=spec.node_limit,
-            time_limit=spec.time_limit,
+            spec.n, spec.space, list(h.terms), spec.gamma, method=spec.solver, **bnb_options
         )
         if two.stage2 is None:
             result = two.stage1
         else:
-            result = two.stage2
             p_star = two.p_star
             p_star_objective = two.p_star_objective
+            # the report's telemetry covers both stages' searches
+            result = replace(
+                two.stage2,
+                nodes_explored=two.stage1.nodes_explored + two.stage2.nodes_explored,
+                wall_time=two.stage1.wall_time + two.stage2.wall_time,
+            )
     elif spec.solver == "brute":
         result, _ = brute_force(spec.n, spec.space, h)
+    elif spec.solver == "bnb":
+        result = branch_and_bound(spec.n, spec.space, h, **bnb_options)
     else:
-        # a connected graph of free edge count: bnb's incumbent, local search's start
-        if spec.model == "triads_vs_nonedges":
-            chords = structural_lower_bounds(spec.n, spec.alpha).min_triangles
-            start = star_with_chords(spec.n, chords)
-        else:
-            start = Graph.star(spec.n)
-        if spec.solver == "bnb":
-            warm = spec.space.connected and spec.space.density is None
-            result = branch_and_bound(
-                spec.n,
-                spec.space,
-                h,
-                incumbent=start if warm else None,
-                node_limit=spec.node_limit,
-                time_limit=spec.time_limit,
-            )
-        else:
-            cfg = SearchConfig(seed=spec.seed, restarts=spec.restarts, start=start)
-            result = multi_restart(spec.n, h, spec.space, cfg)
+        cfg = SearchConfig(seed=spec.seed, restarts=spec.restarts, start=start)
+        result = multi_restart(spec.n, h, spec.space, cfg)
 
     metrics = graph_metrics(result.graph) if result.graph is not None else None
     report = ExperimentReport(spec, h, result, metrics, p_star, p_star_objective)

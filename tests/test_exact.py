@@ -94,9 +94,11 @@ def test_structural_bounds_examples():
 def test_structural_bounds_hold_at_oracle_scale():
     # The triangle bound holds for EVERY optimal solution; the edge bound
     # only for SOME optimum: at n=6, alpha=1/2 the optimum 5/2 is also
-    # attained by 9-edge graphs (S = (6, 5)) below the claimed 10.
+    # attained by 9-edge graphs (S = (6, 5)) below the claimed 10.  At
+    # alpha = 1 every connected graph is optimal, trees included.
     for n in (4, 5, 6):
-        for alpha in (Fraction(3, 10), Fraction(1, 2), Fraction(7, 10)):
+        for alpha in (Fraction(0), Fraction(3, 10), Fraction(1, 2), Fraction(7, 10),
+                      Fraction(9, 10), Fraction(1)):
             bound = structural_lower_bounds(n, alpha)
             _, argmax = brute_force(n, CONNECTED, triads_maxmin(alpha))
             for g in argmax:
@@ -442,6 +444,57 @@ def test_two_stage_bnb_starts_stage_two_from_the_stage_one_graph():
     assert two.stage2.nodes_explored < 240
     assert two.stage2.objective == Fraction(21, 10)
     assert two.stage2.graph == two.stage1.graph
+
+
+@pytest.mark.parametrize("objective, cold_nodes", [("maxmin", 237), ("linear", 80)])
+def test_two_stage_bnb_warms_stage_one_from_an_incumbent_option(objective, cold_nodes):
+    # at gamma = 1 the linear floor is p* = 10, which the start's weighted
+    # sum 5 misses: the start warms stage 1 only
+    n, alpha = 6, Fraction(1, 2)
+    terms = list(triads_maxmin(alpha).terms)
+    start = star_with_chords(n, structural_lower_bounds(n, alpha).min_triangles)
+    h = Hamiltonian.max_min(terms) if objective == "maxmin" else Hamiltonian.linear(terms)
+    two = solve_two_stage(n, CONNECTED, terms, Fraction(1), objective, method="bnb",
+                          incumbent=start)
+    warm = branch_and_bound(n, CONNECTED, h, incumbent=start)
+    assert (two.stage1.nodes_explored, two.p_star) == (warm.nodes_explored, warm.objective)
+    assert warm.nodes_explored <= cold_nodes
+    ref = solve_two_stage(n, CONNECTED, terms, Fraction(1), objective)
+    assert two.stage2.status == "optimal"
+    assert two.stage2.objective == ref.stage2.objective
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=3, max_value=5), st.data())
+def test_two_stage_equals_brute_force_with_the_floor_row(n, data):
+    # brute force with the floor row referees both stages, weights of either sign included
+    space = SampleSpace(
+        connected=data.draw(st.booleans()),
+        density=data.draw(st.none() | st.integers(min_value=0, max_value=num_pairs(n))),
+    )
+    gamma = data.draw(st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(9, 10), Fraction(1)]))
+    method = data.draw(st.sampled_from(["brute", "bnb"]))
+    delta = random_unit_square_delta(n, data.draw(st.integers(min_value=0, max_value=99)))
+    statistic = st.sampled_from([
+        StatisticSpec(StatisticKind.NON_EDGES),
+        StatisticSpec(StatisticKind.TRIANGLES),
+        StatisticSpec(StatisticKind.PHYSICAL_DISTANCE, delta),
+    ])
+    weight = st.builds(Fraction, st.integers(min_value=-3, max_value=3),
+                       st.integers(min_value=1, max_value=4))
+    terms = data.draw(st.lists(st.tuples(weight, statistic), min_size=1, max_size=3))
+    h = Hamiltonian.max_min(terms)
+    two = solve_two_stage(n, space, terms, gamma, method=method)
+    stage1, _ = brute_force(n, space, h)
+    assert two.p_star == stage1.objective
+    if stage1.objective is None:
+        assert two.stage2 is None
+        return
+    ref, _ = brute_force(n, space, h, floor=gamma * stage1.objective)
+    assert two.stage2.status == ref.status
+    assert two.stage2.objective == ref.objective
+    if method == "brute":
+        assert two.stage2.graph == ref.graph
 
 
 def test_two_stage_infeasible_stage_one_propagates():

@@ -4,7 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from ergmax import Graph, SampleSpace, brute_force, graph_metrics, star_with_chords
+from ergmax import (
+    Graph,
+    SampleSpace,
+    brute_force,
+    graph_metrics,
+    solve_two_stage,
+    star_with_chords,
+    structural_lower_bounds,
+)
 from ergmax.cli import main
 from ergmax.stats import uniform_delta, write_delta
 from ergmax.reporting import (
@@ -103,6 +111,18 @@ def test_run_experiment_two_stage_records_p_star():
     assert report.p_star is not None
     assert report.p_star_objective == "maxmin"
     assert report.result.objective == report.p_star
+
+
+def test_run_experiment_two_stage_telemetry_covers_both_stages():
+    spec = ExperimentSpec(n=6, alpha=Fraction(1, 2), gamma=Fraction(9, 10), node_limit=40)
+    report = run_experiment(spec)
+    start = star_with_chords(6, structural_lower_bounds(6, spec.alpha).min_triangles)
+    two = solve_two_stage(6, spec.space, list(report.hamiltonian.terms), spec.gamma,
+                          method="bnb", incumbent=start, node_limit=40)
+    assert two.stage1.nodes_explored > 0 and two.stage2.nodes_explored > 0
+    telemetry = report_json_dict(report)["telemetry"]
+    assert telemetry["nodes_explored"] == two.stage1.nodes_explored + two.stage2.nodes_explored
+    assert report.result.graph == two.stage2.graph
 
 
 def test_report_json_shape():
