@@ -196,9 +196,10 @@ def cmd_oracle_compare(args: argparse.Namespace) -> int:
             h = hamiltonian_for(spec)
             ref, _ = brute_force(n, space, h)
             cand = branch_and_bound(n, space, h)
+            # agreement: both proven optimal with one objective, or both infeasible
             ok = (
-                cand.status == "optimal"
-                and ref.status == "optimal"
+                cand.status == ref.status
+                and ref.status in ("optimal", "infeasible")
                 and cand.objective == ref.objective
             )
             all_ok &= ok

@@ -62,7 +62,7 @@ class Graph:
     ``with_edge``, ``without_edge``) return new graphs.
     """
 
-    __slots__ = ("n", "bits", "_adj", "_triangles")
+    __slots__ = ("n", "bits", "_adj", "_triangles", "_hop_rows")
 
     def __init__(self, n: int, bits: int = 0):
         if n < 1:
@@ -73,6 +73,8 @@ class Graph:
         self.bits = bits
         self._adj: tuple[int, ...] | None = None
         self._triangles: int | None = None  # set by count_triangles or carried by toggled
+        # per source (hop sum, BFS layers); set by total_hop_count or carried by carry_hop_rows
+        self._hop_rows: tuple[tuple[int, tuple[int, ...]], ...] | None = None
 
     # -- constructors ------------------------------------------------------
 
@@ -193,19 +195,13 @@ def connected_triples(g: Graph) -> int:
     return sum(d * (d - 1) // 2 for d in (a.bit_count() for a in adj))
 
 
-def bfs(g: Graph, source: int) -> tuple[int, int]:
-    """Breadth-first search from ``source``.
-
-    Returns the bitmask of reached nodes and the sum of their hop counts
-    from ``source``.
-    """
+def bfs_layers(g: Graph, source: int) -> tuple[int, ...]:
+    """Breadth-first search from ``source``: the bitmasks of the nodes at hop
+    0, 1, 2, ... from it, up to the last nonempty one."""
     adj = g.adjacency()
-    seen = 1 << source
-    frontier = seen
-    d = 0
-    hop_sum = 0
-    while frontier:
-        d += 1
+    seen = frontier = 1 << source
+    layers = [frontier]
+    while True:
         nxt = 0
         f = frontier
         while f:
@@ -213,8 +209,22 @@ def bfs(g: Graph, source: int) -> tuple[int, int]:
             nxt |= adj[low.bit_length() - 1]
             f ^= low
         frontier = nxt & ~seen
+        if not frontier:
+            return tuple(layers)
         seen |= frontier
-        hop_sum += d * frontier.bit_count()
+        layers.append(frontier)
+
+
+def bfs(g: Graph, source: int) -> tuple[int, int]:
+    """Breadth-first search from ``source``.
+
+    Returns the bitmask of reached nodes and the sum of their hop counts
+    from ``source``.
+    """
+    seen = hop_sum = 0
+    for d, layer in enumerate(bfs_layers(g, source)):
+        seen |= layer
+        hop_sum += d * layer.bit_count()
     return seen, hop_sum
 
 
@@ -223,16 +233,81 @@ def is_connected(g: Graph) -> bool:
     return bfs(g, 0)[0] == (1 << g.n) - 1
 
 
+def _hop_row(g: Graph, source: int) -> tuple[int, tuple[int, ...]]:
+    """(hop sum, BFS layers) from ``source``; raises if it misses a node."""
+    layers = bfs_layers(g, source)
+    counts = [layer.bit_count() for layer in layers]
+    if sum(counts) != g.n:
+        raise DisconnectedGraphError("hop sums are undefined on a disconnected graph")
+    return sum(d * c for d, c in enumerate(counts)), layers
+
+
+def _hop_rows(g: Graph) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    if g._hop_rows is None:
+        g._hop_rows = tuple(_hop_row(g, s) for s in range(g.n))
+    return g._hop_rows
+
+
 def total_hop_count(g: Graph) -> int:
-    """Sum of shortest-path hop counts over all ordered node pairs."""
-    everyone = (1 << g.n) - 1
-    total = 0
-    for s in range(g.n):
-        reached, hop_sum = bfs(g, s)
-        if reached != everyone:
-            raise DisconnectedGraphError("hop sums are undefined on a disconnected graph")
-        total += hop_sum
-    return total
+    """Sum of shortest-path hop counts over all ordered node pairs; the
+    per-source rows are searched once per graph, or carried by carry_hop_rows."""
+    return sum(hop_sum for hop_sum, _ in _hop_rows(g))
+
+
+def _two_hops_nearer(near: tuple[int, ...], far: tuple[int, ...]) -> int:
+    """The sources at least two hops nearer to one endpoint than to the other,
+    given the two endpoints' BFS layers (by symmetry, layer a of an endpoint
+    holds the sources a hops from it)."""
+    out = 0
+    within = far[0]  # sources within a + 1 hops of the far endpoint
+    for a, layer in enumerate(near):
+        if a + 1 < len(far):
+            within |= far[a + 1]
+        out |= layer & ~within
+    return out
+
+
+def _sole_parent_sources(
+    rows: tuple[tuple[int, tuple[int, ...]], ...], adj: tuple[int, ...], i: int, j: int
+) -> int:
+    """The sources one hop nearer to i than to j for which i is j's only
+    neighbour a hop nearer: removing (i, j) moves j farther from them."""
+    near, far = rows[i][1], rows[j][1]
+    out = 0
+    for a in range(min(len(near), len(far) - 1)):
+        sources = near[a] & far[a + 1]
+        while sources:
+            low = sources & -sources
+            if adj[j] & rows[low.bit_length() - 1][1][a] == 1 << i:
+                out |= low
+            sources ^= low
+    return out
+
+
+def carry_hop_rows(g: Graph, toggled: Graph, i: int, j: int) -> None:
+    """Give `toggled` (g with pair (i, j) flipped) g's hop rows, searched again
+    only from the sources whose distances the flip changes.
+
+    Adding (i, j) shortens paths exactly from the sources two or more hops
+    nearer to one endpoint than to the other.  Removing it lengthens them
+    exactly from the sources for which it is the far endpoint's only link
+    to the layer of the near one; a removal that disconnects the graph is
+    one of those and raises DisconnectedGraphError.
+    """
+    rows = _hop_rows(g)
+    if toggled.bits > g.bits:
+        near_i, near_j = rows[i][1], rows[j][1]
+        affected = _two_hops_nearer(near_i, near_j) | _two_hops_nearer(near_j, near_i)
+    else:
+        adj = g.adjacency()
+        affected = _sole_parent_sources(rows, adj, i, j) | _sole_parent_sources(rows, adj, j, i)
+    carried = list(rows)
+    while affected:
+        low = affected & -affected
+        s = low.bit_length() - 1
+        carried[s] = _hop_row(toggled, s)
+        affected ^= low
+    toggled._hop_rows = tuple(carried)
 
 
 def average_path_length(g: Graph) -> Fraction:

@@ -17,7 +17,14 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .graph import DisconnectedGraphError, Graph, num_pairs, total_hop_count, count_triangles
+from .graph import (
+    DisconnectedGraphError,
+    Graph,
+    carry_hop_rows,
+    count_triangles,
+    num_pairs,
+    total_hop_count,
+)
 
 DeltaMatrix = tuple[tuple[Fraction, ...], ...]
 
@@ -121,8 +128,11 @@ def toggled_value(
     `current` at g.  Only physical distance steps from `current`; every
     other statistic is read off `toggled`: in O(1) for non-edges, and for
     triangles once g's count is known, since `toggled` carries it.  Flow
-    distance is recomputed and raises DisconnectedGraphError when
-    `toggled` is disconnected."""
+    distance sums the per-source hop rows that `toggled` takes from g's,
+    re-searched only from the sources the toggle can change; it raises
+    DisconnectedGraphError when `toggled` is disconnected."""
+    if spec.kind is StatisticKind.FLOW_DISTANCE:
+        carry_hop_rows(g, toggled, i, j)
     if spec.kind is not StatisticKind.PHYSICAL_DISTANCE:
         return evaluate_statistic(spec, toggled)
     # the pair's distance joins the sum when it is added and leaves it when removed

@@ -23,11 +23,11 @@ from ergmax import (
     multi_restart,
     random_unit_square_delta,
 )
-from ergmax.graph import DisconnectedGraphError, all_pairs, num_pairs
-from ergmax.local_search import _scan_order, random_connected_graph
-from ergmax.stats import improves
+from ergmax.graph import DisconnectedGraphError, all_pairs, bfs, bfs_layers, num_pairs
+from ergmax.local_search import _feasible_toggles, _scan_order, random_connected_graph
+from ergmax.stats import improves, statistic_values, toggled_value
 
-from helpers import triads_maxmin
+from helpers import ordered_hop_sum, triads_maxmin
 
 CONNECTED = SampleSpace.connected_graphs()
 
@@ -130,6 +130,54 @@ def test_random_connected_graph_is_connected_and_seeded():
     # a seed names one graph: the draws follow the pairs in rank order
     assert g1.bits == 241177
     assert sparse.bits == 1342489112
+
+
+# Recorded before local search stepped the flow total from carried hop rows:
+# the scan order, and with it every answer, must not move.
+@pytest.mark.parametrize("alpha, objective, bits, evaluations", [
+    (Fraction(7, 10), Fraction(24720787, 250000), 0x200108001000100001FFF, 205),
+    (Fraction(1, 2), Fraction(599893, 4000), 0x40305108E120081129C1FFF, 231),
+    (Fraction(3, 10), Fraction(86204331, 500000), 0x34FD57BBE13F0DB12DD9FFF, 328),
+])
+def test_seeded_distance_model_answers_are_pinned(alpha, objective, bits, evaluations):
+    # demo 06's x20 layout at n = 14, seed 3, two restarts from the star
+    n = 14
+    delta = tuple(tuple(20 * v for v in row) for row in random_unit_square_delta(n, seed=2))
+    h = Hamiltonian.max_min_pair(
+        alpha,
+        StatisticSpec(StatisticKind.PHYSICAL_DISTANCE, delta),
+        StatisticSpec(StatisticKind.FLOW_DISTANCE),
+        sense="minimize",
+    )
+    res = multi_restart(n, h, CONNECTED, SearchConfig(seed=3, restarts=2, start=Graph.star(n)))
+    assert (res.objective, res.graph.bits, res.nodes_explored) == (objective, bits, evaluations)
+
+
+FLOW = StatisticSpec(StatisticKind.FLOW_DISTANCE)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=2, max_value=12),
+       st.sampled_from([CONNECTED, SampleSpace.all_graphs()]), st.data())
+def test_flow_distance_steps_exactly_along_a_walk_of_toggles(n, space, data):
+    h = Hamiltonian.linear([(Fraction(1), FLOW)], sense="minimize")
+    g = random_connected_graph(n, random.Random(data.draw(st.integers(0, 2**32), label="seed")))
+    values = statistic_values(h, g)
+    for i, j in data.draw(st.lists(st.sampled_from(all_pairs(n)), max_size=25), label="toggles"):
+        toggled = g.toggled(i, j)
+        if not is_connected(toggled):
+            with pytest.raises(DisconnectedGraphError):
+                toggled_value(FLOW, g, toggled, values[0], i, j)
+            assert not list(_feasible_toggles(g, h, space, values, [(i, j)]))
+            continue
+        [(toggled, cand_values, _)] = _feasible_toggles(g, h, space, values, [(i, j)])
+        assert cand_values == (ordered_hop_sum(toggled),)
+        # the carried rows are the ones a fresh graph searches for
+        fresh = Graph(n, toggled.bits)
+        assert toggled._hop_rows == tuple(
+            (bfs(fresh, s)[1], bfs_layers(fresh, s)) for s in range(n))
+        if data.draw(st.booleans(), label="accept"):
+            g, values = toggled, cand_values
 
 
 def test_search_config_validation():

@@ -455,6 +455,15 @@ def test_cli_oracle_compare(capsys):
     assert out.count("OK") == 2
 
 
+def test_cli_oracle_compare_agrees_on_an_infeasible_space(capsys):
+    # no connected graph on 4 nodes has 2 edges: both solvers say infeasible
+    code = main(["oracle-compare", "--n-list", "4", "--density", "2", "--alpha-list", "1/2"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.startswith("n=4 alpha=1/2 brute=None bnb=None ")
+    assert out.endswith(" OK\n")
+
+
 def test_cli_oracle_compare_refuses_an_alpha_that_is_not_rational(capsys):
     assert main(["oracle-compare", "--n-list", "4", "--alpha-list", "1/2,x"]) == 1
     captured = capsys.readouterr()
