@@ -21,7 +21,6 @@ from .graph import (
     is_connected,
     pair_of,
     read_edge_list,
-    write_edge_list,
 )
 from .space import SampleSpace
 from .stats import (
@@ -79,7 +78,6 @@ __all__ = [
     "is_connected",
     "pair_of",
     "read_edge_list",
-    "write_edge_list",
     "SampleSpace",
     "Hamiltonian",
     "HamiltonianForm",

@@ -350,7 +350,6 @@ def solve_two_stage(
         raise ValueError("p_star_objective must be 'maxmin' or 'linear'")
     if method not in ("brute", "bnb"):
         raise ValueError("method must be 'brute' or 'bnb'")
-    terms = [(Fraction(th), sp) for th, sp in terms]
 
     def solve(h: Hamiltonian, floor: Fraction | None = None, **options) -> SolveResult:
         if method == "brute":

@@ -73,7 +73,8 @@ class Graph:
         self.bits = bits
         self._adj: tuple[int, ...] | None = None
         self._triangles: int | None = None  # set by count_triangles or carried by toggled
-        # per source (hop sum, BFS layers); set by total_hop_count or carried by carry_hop_rows
+        # per source (hop sum, BFS layers), held only by a connected graph;
+        # set by total_hop_count or carried by carry_hop_rows
         self._hop_rows: tuple[tuple[int, tuple[int, ...]], ...] | None = None
 
     # -- constructors ------------------------------------------------------
@@ -215,22 +216,19 @@ def bfs_layers(g: Graph, source: int) -> tuple[int, ...]:
         layers.append(frontier)
 
 
-def bfs(g: Graph, source: int) -> tuple[int, int]:
-    """Breadth-first search from ``source``.
-
-    Returns the bitmask of reached nodes and the sum of their hop counts
-    from ``source``.
-    """
-    seen = hop_sum = 0
-    for d, layer in enumerate(bfs_layers(g, source)):
+def reached(g: Graph, source: int) -> int:
+    """Bitmask of the nodes a breadth-first search from ``source`` reaches."""
+    seen = 0
+    for layer in bfs_layers(g, source):
         seen |= layer
-        hop_sum += d * layer.bit_count()
-    return seen, hop_sum
+    return seen
 
 
 def is_connected(g: Graph) -> bool:
-    """True iff one traversal from node 0 reaches every node."""
-    return bfs(g, 0)[0] == (1 << g.n) - 1
+    """True iff one traversal from node 0 reaches every node.  A graph that
+    holds hop rows is connected without a search: they are stored only when
+    every source reaches every node."""
+    return g._hop_rows is not None or reached(g, 0) == (1 << g.n) - 1
 
 
 def _hop_row(g: Graph, source: int) -> tuple[int, tuple[int, ...]]:
@@ -377,10 +375,6 @@ def graph_metrics(g: Graph) -> GraphMetrics:
 # ---------------------------------------------------------------------------
 # edge-list text format: first line "n m", then m distinct lines "i j" with
 # i < j, and nothing but blank lines after them
-
-
-def write_edge_list(g: Graph, out: TextIO) -> None:
-    out.write(edge_list_string(g))
 
 
 def edge_list_string(g: Graph) -> str:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .exact import SolveResult
-from .graph import DisconnectedGraphError, Graph, all_pairs, bfs, is_connected
+from .graph import DisconnectedGraphError, Graph, all_pairs, is_connected, reached
 from .space import SampleSpace
 from .stats import Hamiltonian, combine, improves, statistic_values, toggled_value, weigh
 
@@ -43,7 +43,7 @@ class SearchConfig:
 def random_connected_graph(n: int, rng: random.Random, p: float = 0.5) -> Graph:
     """Seeded G(n, p) sample, patched with extra edges until connected."""
     g = Graph.from_edges(n, (pair for pair in all_pairs(n) if rng.random() < p))
-    while (comp := bfs(g, 0)[0]) != (1 << n) - 1:
+    while (comp := reached(g, 0)) != (1 << n) - 1:
         inside = [v for v in range(n) if comp >> v & 1]
         outside = [v for v in range(n) if not comp >> v & 1]
         g = g.with_edge(rng.choice(inside), rng.choice(outside))
@@ -72,21 +72,23 @@ def _feasible_toggles(
 ) -> Iterator[tuple[Graph, tuple[Fraction | int, ...], Fraction]]:
     """Yield (toggled graph, its statistic values, its objective) per feasible toggle.
 
-    A toggle is feasible when it keeps g in the space and in the
-    objective's domain; toggles come in `pairs` order.
+    A toggle is feasible when it keeps g in the objective's domain and in
+    the space; toggles come in `pairs` order.  The statistics are read
+    first, so a removal's connectivity test finds any hop rows the flow
+    distance step carried to the toggled graph, and needs no search.
     """
     if space.density is not None:
         return  # any single toggle changes the edge count
     for i, j in pairs:
         toggled = g.toggled(i, j)
-        if space.connected and g.has_edge(i, j) and not is_connected(toggled):
-            continue
         try:
             cand_values = tuple(
                 toggled_value(spec, g, toggled, current, i, j)
                 for (_, spec), current in zip(h.terms, values)
             )
         except DisconnectedGraphError:
+            continue
+        if space.connected and g.has_edge(i, j) and not is_connected(toggled):
             continue
         yield toggled, cand_values, combine(h, weigh(h, cand_values))
 

@@ -21,10 +21,11 @@ from .graph import (
     DisconnectedGraphError,
     Graph,
     all_pairs,
-    bfs,
+    bfs_layers,
     count_triangles,
     is_connected,
     num_pairs,
+    reached,
 )
 from .space import SampleSpace
 from .stats import Hamiltonian, StatisticKind, StatisticSpec, eval_hamiltonian, exact_decimal
@@ -478,34 +479,27 @@ def _tree_flow(g: Graph, root: int, name: Callable[[int, int], str]) -> dict[str
     """One commodity routed from ``root`` along a BFS tree of g.
 
     Every arc (a, b) gets a value under ``name(a, b)``: the size of b's
-    subtree on tree arcs, zero elsewhere.  Raises if g is disconnected.
+    subtree on tree arcs, zero elsewhere.  A node's parent is its lowest
+    neighbour one layer nearer the root; the layers are walked deepest
+    first, so each subtree is complete before it joins its parent's.
+    Raises if g is disconnected.
     """
-    adj = g.adjacency()
-    parent = [-1] * g.n
-    order = [root]
-    seen = 1 << root
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            m = adj[u] & ~seen
-            while m:
-                low = m & -m
-                v = low.bit_length() - 1
-                seen |= low
-                parent[v] = u
-                order.append(v)
-                nxt.append(v)
-                m ^= low
-        frontier = nxt
-    if seen != (1 << g.n) - 1:
+    layers = bfs_layers(g, root)
+    if sum(layer.bit_count() for layer in layers) != g.n:
         raise DisconnectedGraphError("graph is disconnected; no spanning tree exists")
+    adj = g.adjacency()
     size = [1] * g.n
-    for v in reversed(order[1:]):
-        size[parent[v]] += size[v]
     values = {name(a, b): Fraction(0) for i, j in all_pairs(g.n) for a, b in ((i, j), (j, i))}
-    for v in order[1:]:
-        values[name(parent[v], v)] = Fraction(size[v])
+    for d in range(len(layers) - 1, 0, -1):
+        layer = layers[d]
+        while layer:
+            low = layer & -layer
+            v = low.bit_length() - 1
+            up = adj[v] & layers[d - 1]
+            parent = (up & -up).bit_length() - 1
+            size[parent] += size[v]
+            values[name(parent, v)] = Fraction(size[v])
+            layer ^= low
     return values
 
 
@@ -529,7 +523,7 @@ def zero_capacity_cut(g: Graph, root: int = 0) -> frozenset[int]:
     force zero flow across it while the balance rows demand a positive
     net outflow.
     """
-    mask, _ = bfs(g, root)
+    mask = reached(g, root)
     return frozenset(v for v in range(g.n) if mask >> v & 1)
 
 
@@ -646,13 +640,11 @@ def check_assignment(
         flow_rows = [r.name for r in cs.rows if r.name.startswith("flow_")]
         if flow_rows:
             flow_ok = not any(name in violated_rows for name in flow_rows)
-            if flow_ok and not is_connected(g):
+            if flow_ok != is_connected(g):
                 result.semantic_notes.append(
                     "connectivity flow rows hold but the decoded graph is disconnected"
-                )
-            if not flow_ok and is_connected(g):
-                result.semantic_notes.append(
-                    "decoded graph is connected but the given flow violates its rows"
+                    if flow_ok
+                    else "decoded graph is connected but the given flow violates its rows"
                 )
 
     result.feasible = not result.row_violations and not result.variable_violations

@@ -189,10 +189,6 @@ def dot_string(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def export_dot(g: Graph, path: str | Path) -> None:
-    Path(path).write_text(dot_string(g))
-
-
 def metrics_json(metrics: GraphMetrics | None) -> dict[str, Any] | None:
     if metrics is None:
         return None
@@ -259,6 +255,6 @@ def write_report_files(report: ExperimentReport, out_dir: Path) -> None:
     if report.result.graph is not None:
         g = report.result.graph
         (out_dir / "graph.txt").write_text(edge_list_string(g))
-        export_dot(g, out_dir / "graph.dot")
+        (out_dir / "graph.dot").write_text(dot_string(g))
         assert report.metrics is not None
         (out_dir / "row.txt").write_text(metrics_row(report.metrics) + "\n")

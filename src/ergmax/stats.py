@@ -2,8 +2,8 @@
 
 A :class:`Hamiltonian` is either a weighted sum of statistics (the
 classical exponential-family exponent) or a weighted min/max of them
-(the robust variant).  Weights stay :class:`~fractions.Fraction` all the
-way through so that objective comparisons are exact.
+(the robust variant).  Weights are made :class:`~fractions.Fraction` once,
+when a Hamiltonian is built, so that objective comparisons are exact.
 """
 
 from __future__ import annotations
@@ -165,6 +165,8 @@ class Hamiltonian:
             raise ValueError("sense must be 'maximize' or 'minimize'")
         if not self.terms:
             raise ValueError("a Hamiltonian needs at least one term")
+        # made exact once here, so every weighted value downstream is a Fraction
+        object.__setattr__(self, "terms", tuple((Fraction(t), s) for t, s in self.terms))
 
     @classmethod
     def linear(
@@ -201,13 +203,13 @@ def combine(h: Hamiltonian, weighted: list[Fraction]) -> Fraction:
     """Reduce the weighted term values of ``h``: their sum for the linear
     form; for max_min, their minimum when maximizing, maximum when minimizing."""
     if h.form is HamiltonianForm.LINEAR:
-        return sum(weighted, start=Fraction(0))
+        return sum(weighted)
     return min(weighted) if h.sense == "maximize" else max(weighted)
 
 
 def weigh(h: Hamiltonian, values: Sequence[Fraction | int]) -> list[Fraction]:
     """Each term's weight times its statistic value, in term order."""
-    return [theta * Fraction(v) for (theta, _), v in zip(h.terms, values)]
+    return [theta * v for (theta, _), v in zip(h.terms, values)]
 
 
 def eval_hamiltonian(h: Hamiltonian, g: Graph) -> Fraction:

@@ -19,7 +19,10 @@ from ergmax import (
     pair_of,
     read_edge_list,
 )
-from ergmax.graph import all_pairs, bfs, edge_list_string, num_pairs, total_hop_count
+from ergmax import graph
+from ergmax.graph import (
+    all_pairs, bfs_layers, edge_list_string, num_pairs, reached, total_hop_count,
+)
 from ergmax.stats import random_unit_square_delta, s_physical_distance
 
 from helpers import iter_graphs, triads_maxmin, triangle_count_by_triples, union_find_connected
@@ -122,6 +125,19 @@ def test_connectivity_examples():
 def test_connectivity_matches_union_find(n):
     for g in iter_graphs(n):
         assert is_connected(g) == union_find_connected(g)
+
+
+def test_a_graph_holding_hop_rows_is_connected_without_a_search(monkeypatch):
+    g = Graph.cycle(6)
+    assert total_hop_count(g) == 6 * (1 + 1 + 2 + 2 + 3)
+
+    def no_search(*args):
+        raise AssertionError("is_connected searched a graph that holds hop rows")
+
+    monkeypatch.setattr(graph, "reached", no_search)
+    assert is_connected(g)
+    with pytest.raises(AssertionError):
+        is_connected(Graph.cycle(6))  # a fresh graph holds no rows, so it searches
 
 
 # -- path lengths ------------------------------------------------------------
@@ -275,8 +291,12 @@ def test_relabelling_nodes_preserves_statistics_and_bfs(n, data):
     else:
         with pytest.raises(DisconnectedGraphError):
             total_hop_count(pg)
+
+    def moved_mask(mask):
+        return sum(1 << pi[v] for v in range(n) if mask >> v & 1)
+
     for s in range(n):
-        reached, hop_sum = bfs(g, s)
-        p_reached, p_hop_sum = bfs(pg, pi[s])
-        assert p_reached == sum(1 << pi[v] for v in range(n) if reached >> v & 1)
-        assert p_hop_sum == hop_sum
+        assert reached(pg, pi[s]) == moved_mask(reached(g, s))
+        layers, p_layers = bfs_layers(g, s), bfs_layers(pg, pi[s])
+        assert [layer.bit_count() for layer in p_layers] == [layer.bit_count() for layer in layers]
+        assert p_layers == tuple(moved_mask(layer) for layer in layers)

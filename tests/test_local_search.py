@@ -23,7 +23,7 @@ from ergmax import (
     multi_restart,
     random_unit_square_delta,
 )
-from ergmax.graph import DisconnectedGraphError, all_pairs, bfs, bfs_layers, num_pairs
+from ergmax.graph import DisconnectedGraphError, all_pairs, bfs_layers, num_pairs
 from ergmax.local_search import _feasible_toggles, _scan_order, random_connected_graph
 from ergmax.stats import improves, statistic_values, toggled_value
 
@@ -175,7 +175,8 @@ def test_flow_distance_steps_exactly_along_a_walk_of_toggles(n, space, data):
         # the carried rows are the ones a fresh graph searches for
         fresh = Graph(n, toggled.bits)
         assert toggled._hop_rows == tuple(
-            (bfs(fresh, s)[1], bfs_layers(fresh, s)) for s in range(n))
+            (sum(d * layer.bit_count() for d, layer in enumerate(layers)), layers)
+            for layers in (bfs_layers(fresh, s) for s in range(n)))
         if data.draw(st.booleans(), label="accept"):
             g, values = toggled, cand_values
 

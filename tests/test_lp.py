@@ -2,9 +2,14 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ergmax import Graph, SampleSpace, brute_force, is_connected, s_flow_distance
+from ergmax import (
+    DisconnectedGraphError, Graph, SampleSpace, brute_force, is_connected, s_flow_distance,
+)
 from ergmax import lp
+from ergmax.graph import num_pairs, reached, total_hop_count
 from ergmax.stats import uniform_delta
 
 from helpers import iter_graphs, mc_flow_lp_value, solve_ir_with_milp, triads_maxmin
@@ -142,6 +147,28 @@ def test_flow_feasibility_matches_connectivity_n4():
                 for j in range(4):
                     if j not in cut:
                         assert not g.has_edge(min(i, j), max(i, j))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=2, max_value=9), st.data())
+def test_layer_built_tree_flows_certify_connectivity_and_hop_counts(n, data):
+    g = Graph(n, data.draw(st.integers(min_value=0, max_value=(1 << num_pairs(n)) - 1)))
+    if is_connected(g):
+        mc_flow = lp.multicommodity_flow_assignment(g)
+        for cs, flow in (
+            (lp.build_connectivity_flow(n, 0), lp.connectivity_flow_assignment(g, 0)),
+            (lp.build_multicommodity_flow(n), mc_flow),
+        ):
+            r = lp.check_assignment(cs, lp.edge_assignment(g) | flow)
+            assert r.feasible and not r.semantic_notes
+        assert sum(mc_flow.values()) == total_hop_count(g)
+    else:
+        with pytest.raises(DisconnectedGraphError):
+            lp.connectivity_flow_assignment(g, 0)
+        with pytest.raises(DisconnectedGraphError):
+            lp.multicommodity_flow_assignment(g)
+        mask = reached(g, 0)
+        assert lp.zero_capacity_cut(g, 0) == {v for v in range(n) if mask >> v & 1}
 
 
 def test_disconnected_graph_violates_some_flow_row_for_any_flow():

@@ -172,6 +172,14 @@ def test_hamiltonian_validation():
         StatisticSpec("triangles")
 
 
+def test_hamiltonian_makes_its_weights_exact_once():
+    h = Hamiltonian.linear([(2, NE), (0.5, TRI)])
+    assert [type(theta) for theta, _ in h.terms] == [Fraction, Fraction]
+    assert [theta for theta, _ in h.terms] == [2, Fraction(1, 2)]
+    value = eval_hamiltonian(Hamiltonian.linear([(3, NE), (-1, TRI)]), Graph.path(4))
+    assert type(value) is Fraction and value == 9
+
+
 # -- distance matrices -------------------------------------------------------
 
 
