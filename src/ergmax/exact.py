@@ -254,6 +254,9 @@ def branch_and_bound(
     # decided, the rest are absent from realized and present in optimistic;
     # the 1-branch is pushed last so it pops first
     stack: list[tuple[int, Graph, Graph]] = [(0, Graph(n), Graph.complete(n))]
+    # a 1-branch child shares its parent's optimistic graph, and the
+    # parent is the pop just before it: that graph is connected already
+    connected: Graph | None = None
     while stack:
         if nodes >= node_limit or time.perf_counter() - start > time_limit:
             limit_hit = True
@@ -263,8 +266,10 @@ def branch_and_bound(
         if space.density is not None:
             if realized.edge_count > space.density or optimistic.edge_count < space.density:
                 continue
-        if space.connected and not is_connected(optimistic):
-            continue
+        if space.connected and optimistic is not connected:
+            if not is_connected(optimistic):
+                continue
+            connected = optimistic
         try:
             weighted = _node_bound(h, realized, optimistic)
         except DisconnectedGraphError:

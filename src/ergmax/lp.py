@@ -14,8 +14,8 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from itertools import combinations, islice
-from typing import Any, Callable, Mapping, TextIO
+from itertools import combinations
+from typing import Any, Callable, Iterable, Iterator, Mapping, TextIO
 
 from .graph import (
     DisconnectedGraphError,
@@ -49,6 +49,18 @@ class Row:
     rhs: Fraction
 
 
+class _Memo(dict):
+    """``make(key)`` per key, made on the key's first lookup and kept."""
+
+    def __init__(self, make: Callable[[Any], Any]):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        result = self[key] = self.make(key)
+        return result
+
+
 class ConstraintSystem:
     """Ordered collection of variables, rows and one objective."""
 
@@ -61,6 +73,12 @@ class ConstraintSystem:
         self.meta: dict[str, Any] = {}
         self._var_names: set[str] = set()
         self._row_names: set[str] = set()
+        # a coefficient given as an int (or as a string, from the JSON IR)
+        # converts once, and every row holding it shares that Fraction
+        self._exact: dict[Number, Fraction] = _Memo(Fraction)
+
+    def _fraction(self, c: Number) -> Fraction:
+        return c if type(c) is Fraction else self._exact[c]
 
     def has_variable(self, name: str) -> bool:
         return name in self._var_names
@@ -80,8 +98,8 @@ class ConstraintSystem:
             Variable(
                 name,
                 kind,
-                None if lower is None else Fraction(lower),
-                None if upper is None else Fraction(upper),
+                None if lower is None else self._fraction(lower),
+                None if upper is None else self._fraction(upper),
             )
         )
         self._var_names.add(name)
@@ -100,9 +118,13 @@ class ConstraintSystem:
         unknown = [v for v in coeffs if v not in self._var_names]
         if unknown:
             raise ValueError(f"row {name!r} references undeclared variables {unknown}")
-        self.rows.append(
-            Row(name, {v: Fraction(c) for v, c in coeffs.items()}, relation, Fraction(rhs))
-        )
+        exact = self._exact
+        self.rows.append(Row(
+            name,
+            {v: c if type(c) is Fraction else exact[c] for v, c in coeffs.items()},
+            relation,
+            self._fraction(rhs),
+        ))
         self._row_names.add(name)
 
     def set_objective(self, sense: str, coeffs: Mapping[str, Number]) -> None:
@@ -112,7 +134,7 @@ class ConstraintSystem:
         if unknown:
             raise ValueError(f"objective references undeclared variables {unknown}")
         self.objective_sense = sense
-        self.objective = {v: Fraction(c) for v, c in coeffs.items()}
+        self.objective = {v: self._fraction(c) for v, c in coeffs.items()}
 
     # -- serialization ----------------------------------------------------
 
@@ -145,15 +167,47 @@ class ConstraintSystem:
         }
 
     def to_json(self, f: TextIO) -> None:
-        """Write :meth:`to_json_dict` into the open text file `f`, indented by 2.
+        """Write ``json.dumps(self.to_json_dict(), indent=2)`` into the open text file `f`.
 
-        The encoder's chunks go out in joined batches: the whole string
-        would cost several times the IR's memory, and one write per chunk,
-        as `json.dump` makes, is slower than joining.
+        Variables and rows are rendered and written one at a time, so no
+        string-valued copy of the system is built; names go through json's
+        string encoder, and each coefficient value is rendered once.
         """
-        chunks = json.JSONEncoder(indent=2).iterencode(self.to_json_dict())
-        while batch := "".join(islice(chunks, 65536)):
-            f.write(batch)
+        quoted = json.encoder.encode_basestring_ascii
+        value: dict[Fraction | None, str] = _Memo(lambda c: "null" if c is None else f'"{c}"')
+
+        def coeffs_text(coeffs: dict[str, Fraction], pad: str) -> str:
+            # an object whose members sit at `pad`, closed two spaces left of it
+            members = f",\n{pad}".join([f"{quoted(v)}: {value[c]}" for v, c in coeffs.items()])
+            return f"{{\n{pad}{members}\n{pad[:-2]}}}" if coeffs else "{}"
+
+        def write_array(items: Iterable[str]) -> None:
+            # items are rendered at indent 4; the array closes at indent 2
+            empty = True
+            for item in items:
+                f.write(("[\n    " if empty else ",\n    ") + item)
+                empty = False
+            f.write("[]" if empty else "\n  ]")
+
+        head = json.dumps({"name": self.name, "meta": self.meta}, indent=2)
+        f.write(head[:-2])  # all but the closing "\n}"
+        f.write(
+            f',\n  "objective": {{\n    "sense": {quoted(self.objective_sense)},\n'
+            f'    "coeffs": {coeffs_text(self.objective, " " * 6)}\n  }},\n  "variables": '
+        )
+        write_array(
+            f'{{\n      "name": {quoted(v.name)},\n      "kind": {quoted(v.kind)},\n'
+            f'      "lower": {value[v.lower]},\n      "upper": {value[v.upper]}\n    }}'
+            for v in self.variables
+        )
+        f.write(',\n  "rows": ')
+        write_array(
+            f'{{\n      "name": {quoted(r.name)},\n'
+            f'      "coeffs": {coeffs_text(r.coeffs, " " * 8)},\n'
+            f'      "relation": {quoted(r.relation)},\n      "rhs": {value[r.rhs]}\n    }}'
+            for r in self.rows
+        )
+        f.write("\n}")
 
     @classmethod
     def from_json_dict(cls, data: dict[str, Any]) -> "ConstraintSystem":
@@ -164,21 +218,11 @@ class ConstraintSystem:
             cs = cls(data.get("name", "model"))
             cs.meta = dict(data.get("meta", {}))
             for v in data["variables"]:
-                cs.add_variable(
-                    v["name"],
-                    v["kind"],
-                    None if v["lower"] is None else Fraction(v["lower"]),
-                    None if v["upper"] is None else Fraction(v["upper"]),
-                )
+                cs.add_variable(v["name"], v["kind"], v["lower"], v["upper"])
             for r in data["rows"]:
-                cs.add_row(
-                    r["name"],
-                    {v: Fraction(c) for v, c in r["coeffs"].items()},
-                    r["relation"],
-                    Fraction(r["rhs"]),
-                )
+                cs.add_row(r["name"], r["coeffs"], r["relation"], r["rhs"])
             obj = data["objective"]
-            cs.set_objective(obj["sense"], {v: Fraction(c) for v, c in obj["coeffs"].items()})
+            cs.set_objective(obj["sense"], obj["coeffs"])
         except KeyError as exc:
             raise ValueError(f"malformed constraint IR: missing key {exc}") from exc
         except (TypeError, AttributeError, ZeroDivisionError) as exc:
@@ -270,12 +314,12 @@ def _add_commodity(
         cs.add_variable(arc(i, j), "continuous", lower=0)
         cs.add_variable(arc(j, i), "continuous", lower=0)
     for k in range(n):
-        coeffs: dict[str, Fraction] = {}
+        coeffs: dict[str, int] = {}
         for j in range(n):
             if j == k:
                 continue
-            coeffs[arc(k, j)] = Fraction(1)
-            coeffs[arc(j, k)] = Fraction(-1)
+            coeffs[arc(k, j)] = 1
+            coeffs[arc(j, k)] = -1
         cs.add_row(f"{balance}_{k}", coeffs, "=", n - 1 if k == source else -1)
 
 
@@ -316,8 +360,8 @@ def build_multicommodity_flow(n: int, cs: ConstraintSystem | None = None) -> Con
     for h in range(n):
         _add_commodity(cs, n, h, partial(mcflow_name, h), f"mcflow_balance_{h}")
     for i, j in all_pairs(n):
-        coeffs = {mcflow_name(h, a, b): Fraction(1) for h in range(n) for a, b in ((i, j), (j, i))}
-        coeffs[x_name(i, j)] = Fraction(-n * n)
+        coeffs = {mcflow_name(h, a, b): 1 for h in range(n) for a, b in ((i, j), (j, i))}
+        coeffs[x_name(i, j)] = -n * n
         cs.add_row(f"mcflow_cap_{i}_{j}", coeffs, "<=", 0)
     return cs
 
@@ -412,49 +456,50 @@ def build_minmax_distance(
 # CPLEX LP text export
 
 
-def _fmt_terms(coeffs: Mapping[str, Fraction]) -> str:
-    parts = []
-    for name, c in coeffs.items():
-        sign = "-" if c < 0 else "+"
-        parts.append(f"{sign} {exact_decimal(abs(c))} {name}")
-    return " ".join(parts)
+def _lp_lines(cs: ConstraintSystem) -> Iterator[str]:
+    """The CPLEX LP text of `cs`, one line at a time, each ending in a newline."""
+    decimal: dict[Fraction, str] = _Memo(exact_decimal)
+    # the text a term puts before its variable's name, e.g. "- 0.5 "
+    term: dict[Fraction, str] = _Memo(lambda c: f"{'-' if c < 0 else '+'} {decimal[abs(c)]} ")
+
+    def terms(coeffs: dict[str, Fraction]) -> str:
+        return " ".join([term[c] + name for name, c in coeffs.items()])
+
+    yield f"\\ {cs.name}\n"
+    yield "Maximize\n" if cs.objective_sense == "maximize" else "Minimize\n"
+    yield f" obj: {terms(cs.objective)}".rstrip() + "\n"
+    yield "Subject To\n"
+    for row in cs.rows:
+        yield f" {row.name}: {terms(row.coeffs)} {row.relation} {decimal[row.rhs]}\n"
+    bounded = [v for v in cs.variables if v.kind != "binary"]
+    if bounded:
+        yield "Bounds\n"
+    for v in bounded:
+        if v.lower is None and v.upper is None:
+            yield f" {v.name} free\n"
+        elif v.upper is None:
+            yield f" {decimal[v.lower]} <= {v.name}\n"
+        elif v.lower is None:
+            yield f" -infinity <= {v.name} <= {decimal[v.upper]}\n"
+        else:
+            yield f" {decimal[v.lower]} <= {v.name} <= {decimal[v.upper]}\n"
+    binaries = [v.name for v in cs.variables if v.kind == "binary"]
+    if binaries:
+        yield "Binaries\n"
+    for name in binaries:
+        yield f" {name}\n"
+    yield "End\n"
 
 
 def lp_string(cs: ConstraintSystem) -> str:
     """Render the system in CPLEX LP text format with deterministic ordering."""
-    lines = [f"\\ {cs.name}"]
-    lines.append("Maximize" if cs.objective_sense == "maximize" else "Minimize")
-    lines.append(f" obj: {_fmt_terms(cs.objective)}".rstrip())
-    lines.append("Subject To")
-    for row in cs.rows:
-        rel = row.relation
-        lines.append(f" {row.name}: {_fmt_terms(row.coeffs)} {rel} {exact_decimal(row.rhs)}")
-    bounds = []
-    for v in cs.variables:
-        if v.kind == "binary":
-            continue
-        if v.lower is None and v.upper is None:
-            bounds.append(f" {v.name} free")
-        elif v.upper is None:
-            bounds.append(f" {exact_decimal(v.lower or Fraction(0))} <= {v.name}")
-        elif v.lower is None:
-            bounds.append(f" -infinity <= {v.name} <= {exact_decimal(v.upper)}")
-        else:
-            bounds.append(f" {exact_decimal(v.lower)} <= {v.name} <= {exact_decimal(v.upper)}")
-    if bounds:
-        lines.append("Bounds")
-        lines.extend(bounds)
-    binaries = [v.name for v in cs.variables if v.kind == "binary"]
-    if binaries:
-        lines.append("Binaries")
-        lines.extend(f" {name}" for name in binaries)
-    lines.append("End")
-    return "\n".join(lines) + "\n"
+    return "".join(_lp_lines(cs))
 
 
 def export_lp(cs: ConstraintSystem, path) -> None:
+    """Write :func:`lp_string` of `cs` to `path`, line by line."""
     with open(path, "w") as f:
-        f.write(lp_string(cs))
+        f.writelines(_lp_lines(cs))
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from ergmax import (
     star_with_chords,
     structural_lower_bounds,
 )
+from ergmax import exact
 from ergmax.exact import _breaks_lex_order, _node_bound, available_chord_slots
 from ergmax.graph import all_pairs, edge_index, num_pairs
 from ergmax.stats import combine, improves
@@ -189,6 +190,22 @@ def test_bnb_warm_start_never_worsens_on_the_n6_grid(alpha):
     warm = branch_and_bound(6, CONNECTED, h, incumbent=star_with_chords(6, chords))
     assert warm.objective == cold.objective
     assert warm.nodes_explored <= cold.nodes_explored
+
+
+@pytest.mark.parametrize("alpha, nodes, searches", [
+    (Fraction(3, 10), 200, 142), (Fraction(1, 2), 214, 147), (Fraction(7, 10), 112, 80)])
+def test_bnb_searches_each_optimistic_graph_for_connectivity_once(
+        monkeypatch, alpha, nodes, searches):
+    # the n = 6 connected triads jobs, warm-started as run_experiment does: a
+    # 1-branch child shares its parent's optimistic graph, already found
+    # connected, so no graph is searched twice and there are fewer searches
+    # than nodes; skipping a search prunes nothing, so the node counts stay
+    calls = []
+    monkeypatch.setattr(exact, "is_connected", lambda g: calls.append(g) or is_connected(g))
+    start = star_with_chords(6, structural_lower_bounds(6, alpha).min_triangles)
+    res = branch_and_bound(6, CONNECTED, triads_maxmin(alpha), incumbent=start)
+    assert (res.nodes_explored, len(calls)) == (nodes, searches)
+    assert len({id(g) for g in calls}) == searches
 
 
 def spaces_for(n):

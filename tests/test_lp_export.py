@@ -7,6 +7,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ergmax import ConstraintSystem, SampleSpace
 from ergmax import lp
@@ -161,22 +163,91 @@ GOLDEN_DIGESTS = {
         "f5325b467ceb86542b4946398facf6f7fb27fe03fe00865d91bcc91975058d19",
         "4a65668602950232e006aaa2da059e3f05aea6ab67c725be25cf7ae4478bd48b",
     ),
+    # 960 rows over a handful of distinct values, so each rendered text is reused many times
+    "maxmin_12_3/10_connected": (
+        lambda: lp.build_maxmin(12, Fraction(3, 10)),
+        "ad64207054414c42ebd68e5dfc80817cbec636c258caf59e552efbbff4377fc8",
+        "17cccbce0777fb5fe3bebb1758d35cad013778dce6403dff4df46cf0f12cc221",
+    ),
 }
 
 
 @pytest.mark.parametrize("model", GOLDEN_DIGESTS)
-def test_export_bytes_match_the_golden_digests(model):
+def test_export_bytes_match_the_golden_digests(model, tmp_path):
     build, lp_digest, ir_digest = GOLDEN_DIGESTS[model]
     cs = build()
     assert hashlib.sha256(lp.lp_string(cs).encode()).hexdigest() == lp_digest
+    lp.export_lp(cs, tmp_path / "model.lp")
+    assert (tmp_path / "model.lp").read_bytes() == lp.lp_string(cs).encode()
     ir = io.StringIO()
     cs.to_json(ir)
     assert hashlib.sha256(ir.getvalue().encode()).hexdigest() == ir_digest
 
 
-def test_streamed_ir_spans_several_batches_and_equals_the_one_string_rendering():
-    # n = 14 makes over 65 536 encoder chunks, so to_json writes at least two batches
+def test_streamed_ir_equals_the_one_string_rendering_at_n14():
+    # to_json renders row by row; the reference is json's own indent-2 text
     cs = lp.build_maxmin(14, Fraction(1, 2))
+    ir = io.StringIO()
+    cs.to_json(ir)
+    assert ir.getvalue() == json.dumps(cs.to_json_dict(), indent=2)
+
+
+def test_coefficients_are_stored_as_fractions_and_each_int_converts_once():
+    cs = ConstraintSystem("mixed")
+    third = Fraction(1, 3)
+    cs.add_variable("u", "continuous", lower=0, upper=third)
+    cs.add_variable("v", "binary")
+    cs.add_row("a", {"u": 1, "v": third}, "<=", 2)
+    cs.add_row("b", {"u": 2, "v": 1}, ">=", Fraction(-1, 2))
+    cs.set_objective("maximize", {"u": 1, "v": third})
+    stored = [c for r in cs.rows for c in (*r.coeffs.values(), r.rhs)]
+    stored += [*cs.objective.values(), cs.variables[0].lower, cs.variables[0].upper]
+    assert all(type(c) is Fraction for c in stored)
+    # a Fraction is kept as given; every int 1 is the one shared Fraction(1)
+    assert cs.rows[0].coeffs["v"] is third and cs.objective["v"] is third
+    assert cs.rows[0].coeffs["u"] is cs.rows[1].coeffs["v"] is cs.objective["u"]
+    assert cs.rows[0].rhs is cs.rows[1].coeffs["u"]
+    clone = ConstraintSystem.from_json_dict(cs.to_json_dict())
+    assert clone.to_json_dict() == cs.to_json_dict()
+    assert [r.coeffs for r in clone.rows] == [r.coeffs for r in cs.rows]
+    assert all(type(c) is Fraction for r in clone.rows for c in (*r.coeffs.values(), r.rhs))
+    for build, _, _ in GOLDEN_DIGESTS.values():
+        cs = build()
+        assert all(type(c) is Fraction for r in cs.rows for c in (*r.coeffs.values(), r.rhs))
+        assert all(type(c) is Fraction for c in cs.objective.values())
+
+
+NUMBERS = st.integers(-5, 5) | st.builds(
+    Fraction, st.integers(-7, 7), st.sampled_from([1, 2, 3, 7, 10]))
+META = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def constraint_systems(draw) -> ConstraintSystem:
+    """Small systems with arbitrary names, bounds of every shape, 1/3-style
+    coefficients and nested meta."""
+    cs = ConstraintSystem(draw(st.text(max_size=5)))
+    cs.meta = draw(st.dictionaries(st.text(max_size=4), META, max_size=3))
+    names = draw(st.lists(st.text(min_size=1, max_size=4), unique=True, max_size=5))
+    for name in names:
+        cs.add_variable(name, draw(st.sampled_from(["binary", "continuous"])),
+                        draw(st.none() | NUMBERS), draw(st.none() | NUMBERS))
+    coeffs = st.dictionaries(st.sampled_from(names), NUMBERS, max_size=4) if names else st.just({})
+    for k in range(draw(st.integers(0, 4))):
+        cs.add_row(f"r{k}", draw(coeffs), draw(st.sampled_from(["<=", "=", ">="])), draw(NUMBERS))
+    cs.set_objective(draw(st.sampled_from(["maximize", "minimize"])), draw(coeffs))
+    return cs
+
+
+@settings(max_examples=200, deadline=None)
+@given(constraint_systems())
+@example(ConstraintSystem())
+def test_to_json_equals_the_reference_rendering(cs):
     ir = io.StringIO()
     cs.to_json(ir)
     assert ir.getvalue() == json.dumps(cs.to_json_dict(), indent=2)
