@@ -30,14 +30,14 @@ for corner in itertools.product((0, 1), repeat=3):
     print(f"  x = {corner} -> feasible w: {feasible_w}")
 
 # --- connectivity as a flow ---------------------------------------------------
-# n-1 units leave the root; capacities n*x zero out absent pairs, so a
+# n-1 units leave the root, node 0; capacities n*x zero out absent pairs, so a
 # feasible flow exists exactly when the graph is connected.
 path = Graph.path(3)
-flow = lp.connectivity_flow_assignment(path, root=0)
+flow = lp.connectivity_flow_assignment(path)
 print("\nflow certifying the 3-path:", {k: str(v) for k, v in flow.items() if v})
 
 split = Graph.from_edges(4, [(0, 1), (2, 3)])
-cut = lp.zero_capacity_cut(split, root=0)
+cut = lp.zero_capacity_cut(split)
 print("disconnected witness: nodes reachable from the root =", sorted(cut))
 
 # --- a complete model and its export -----------------------------------------

@@ -8,6 +8,7 @@ at n = 7 (2^21 graphs).
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,11 +19,11 @@ from .stats import (
     Hamiltonian,
     StatisticKind,
     StatisticSpec,
-    combine,
+    eval_hamiltonian,
     evaluate_statistic,
     improves,
+    score,
     statistic_values,
-    weigh,
 )
 
 BRUTE_FORCE_MAX_N = 7
@@ -102,17 +103,13 @@ def star_with_chords(n: int, chords: int) -> Graph:
 
 
 def brute_force(
-    n: int,
-    space: SampleSpace,
-    h: Hamiltonian,
-    floor: Fraction | None = None,
+    n: int, space: SampleSpace, h: Hamiltonian
 ) -> tuple[SolveResult, tuple[Graph, ...]]:
     """Enumerate every graph in the space; return the optimum and all argmaxes.
 
-    With a `floor`, only graphs whose weighted statistic sum (h's own
-    terms) reaches it compete.  Hard-capped at n = 7.  The argmax tuple
-    is ordered by increasing edge bitset, and the result graph is its
-    first element.
+    With a floor on `h`, only graphs whose weighted statistic sum reaches
+    it compete.  Hard-capped at n = 7.  The argmax tuple is ordered by
+    increasing edge bitset, and the result graph is its first element.
     """
     if n > BRUTE_FORCE_MAX_N:
         raise ValueError(f"brute force capped at n = {BRUTE_FORCE_MAX_N}")
@@ -126,16 +123,15 @@ def brute_force(
         if not space.admits(g):
             continue
         try:
-            weighted = weigh(h, statistic_values(h, g))
+            value = eval_hamiltonian(h, g)
         except DisconnectedGraphError:
             # flow distance is undefined here; the graph is outside the
             # objective's domain, hence infeasible
             evaluated += 1
             continue
-        if floor is not None and sum(weighted) < floor:
+        if value is None:
             continue
         evaluated += 1
-        value = combine(h, weighted)
         if best is None or improves(value, best, h.sense):
             best = value
             argmax = [g]
@@ -160,23 +156,26 @@ def brute_force(
 # branch and bound
 
 
-def _node_bound(h: Hamiltonian, realized: Graph, optimistic: Graph) -> list[Fraction]:
-    """Weighted per-term extremes over every completion of a partial assignment.
+def _node_bound(h: Hamiltonian, realized: Graph, optimistic: Graph) -> Fraction | None:
+    """A bound on the objective over every completion of a partial assignment.
 
     `realized` has the decided-present edges, `optimistic` every undecided
     pair too; each statistic is monotone in the edge set, so takes its
-    extreme at one of the two.  ``combine(h, ...)`` of them bounds the
-    objective; when h maximizes, their sum bounds the weighted statistic
-    sum.  At a leaf they are exact.  Raises DisconnectedGraphError when no
-    completion has a finite flow distance.
+    extreme at one of the two.  Scored, the extremes bound the objective;
+    under a floor (h then maximizes) their weighted sum bounds each
+    completion's.  At a leaf the bound is exact.  None means no completion
+    scores: none reaches the floor, or none has a finite flow distance.
     """
     maximize = h.sense == "maximize"
-    return weigh(h, [
-        evaluate_statistic(
-            spec, optimistic if spec.kind.increasing == ((theta >= 0) == maximize) else realized
-        )
-        for theta, spec in h.terms
-    ])
+    try:
+        return score(h, [
+            evaluate_statistic(
+                spec, optimistic if spec.kind.increasing == ((theta >= 0) == maximize) else realized
+            )
+            for theta, spec in h.terms
+        ])
+    except DisconnectedGraphError:
+        return None
 
 
 def _breaks_lex_order(rows: tuple[int, ...], x: int, columns: int) -> bool:
@@ -205,17 +204,15 @@ def branch_and_bound(
     incumbent: Graph | None = None,
     node_limit: int = 10_000_000,
     time_limit: float = 300.0,
-    floor: Fraction | None = None,
 ) -> SolveResult:
     """Depth-first search over edge variables in lexicographic order, 1-branch first.
 
     A node is pruned when its admissible bound cannot beat the incumbent,
     when the forced-absent pairs already disconnect the optimistic graph
-    (undecided treated as present), or when a fixed edge count has become
-    unreachable.  A `floor` adds the second-stage requirement that the
-    weighted sum of h's own terms stay at or above it; h must then
-    maximize.  Exhausting node or time limits downgrades the status to
-    'incumbent'; it never mislabels a best-so-far as optimal.
+    (undecided treated as present), when a fixed edge count has become
+    unreachable, or when no completion reaches h's floor.  Exhausting
+    node or time limits downgrades the status to 'incumbent'; it never
+    mislabels a best-so-far as optimal.
 
     When every term is label-invariant, the 1-branch is not taken when it
     lifts a row of the adjacency matrix above an earlier one, so only
@@ -224,8 +221,6 @@ def branch_and_bound(
     """
     space.validate_for(n)
     maximize = h.sense == "maximize"
-    if floor is not None and not maximize:
-        raise ValueError("a floor needs a maximizing objective")
     if any(s.kind is StatisticKind.FLOW_DISTANCE and (t >= 0) == maximize for t, s in h.terms):
         # its maximum would be taken at `realized`, which may be disconnected
         # while some completion is connected: the node would be pruned wrongly
@@ -241,11 +236,10 @@ def branch_and_bound(
     if incumbent is not None:
         if incumbent.n != n or not space.admits(incumbent):
             raise ValueError("warm-start incumbent is infeasible for the space")
-        weighted = weigh(h, statistic_values(h, incumbent))
-        if floor is not None and sum(weighted) < floor:
+        best_val = eval_hamiltonian(h, incumbent)
+        if best_val is None:
             raise ValueError("warm-start incumbent violates the floor row")
         best_graph = incumbent
-        best_val = combine(h, weighted)
 
     bound_at_root: Fraction | None = None
     nodes = 0
@@ -270,13 +264,9 @@ def branch_and_bound(
             if not is_connected(optimistic):
                 continue
             connected = optimistic
-        try:
-            weighted = _node_bound(h, realized, optimistic)
-        except DisconnectedGraphError:
+        bound = _node_bound(h, realized, optimistic)
+        if bound is None:
             continue
-        if floor is not None and sum(weighted) < floor:
-            continue
-        bound = combine(h, weighted)
         if depth == pairs:
             # a leaf: realized equals optimistic, the density and
             # connectivity checks above were exact, and its bound is its objective
@@ -356,10 +346,10 @@ def solve_two_stage(
     if method not in ("brute", "bnb"):
         raise ValueError("method must be 'brute' or 'bnb'")
 
-    def solve(h: Hamiltonian, floor: Fraction | None = None, **options) -> SolveResult:
+    def solve(h: Hamiltonian, **options) -> SolveResult:
         if method == "brute":
-            return brute_force(n, space, h, floor=floor)[0]
-        return branch_and_bound(n, space, h, floor=floor, **(bnb_options | options))
+            return brute_force(n, space, h)[0]
+        return branch_and_bound(n, space, h, **(bnb_options | options))
 
     maxmin_h = Hamiltonian.max_min(terms)
     stage1 = solve(maxmin_h if p_star_objective == "maxmin" else Hamiltonian.linear(terms))
@@ -367,10 +357,10 @@ def solve_two_stage(
         return TwoStageResult(None, p_star_objective, gamma, stage1, None)
 
     p_star = stage1.objective
-    floor = gamma * p_star
-    meets_floor = sum(weigh(maxmin_h, stage1.statistic_values)) >= floor
+    floored_h = dataclasses.replace(maxmin_h, floor=gamma * p_star)
+    meets_floor = score(floored_h, stage1.statistic_values) is not None
     # stage 1's start may violate the floor, so stage 2 never inherits it
-    stage2 = solve(maxmin_h, floor, incumbent=stage1.graph if meets_floor else None)
+    stage2 = solve(floored_h, incumbent=stage1.graph if meets_floor else None)
     if stage2.status == "optimal" and stage1.status != "optimal":
         # the floor rests on an unproven p*, so stage 2's optimum is unproven too
         stage2.status = "incumbent"

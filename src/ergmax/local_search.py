@@ -20,7 +20,7 @@ from typing import Iterable, Iterator
 from .exact import SolveResult
 from .graph import DisconnectedGraphError, Graph, all_pairs, is_connected, reached
 from .space import SampleSpace
-from .stats import Hamiltonian, combine, improves, statistic_values, toggled_value, weigh
+from .stats import Hamiltonian, improves, score, statistic_values, toggled_value
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,7 @@ def _feasible_toggles(
             continue
         if space.connected and g.has_edge(i, j) and not is_connected(toggled):
             continue
-        yield toggled, cand_values, combine(h, weigh(h, cand_values))
+        yield toggled, cand_values, score(h, cand_values)
 
 
 def first_improve(
@@ -105,6 +105,8 @@ def first_improve(
     under a fixed edge count) are rejected, not repaired.  The returned
     status is always 'incumbent'.
     """
+    if h.floor is not None:
+        raise ValueError("local search takes no floor on the objective")
     if not space.admits(start):
         raise ValueError("start graph is infeasible for the sample space")
     t0 = time.perf_counter()
@@ -113,7 +115,7 @@ def first_improve(
 
     g = start
     values = statistic_values(h, g)
-    objective = combine(h, weigh(h, values))
+    objective = score(h, values)
     moves = 0
     evaluations = 0
     improved = True
@@ -140,7 +142,7 @@ def first_improve(
 def has_improving_toggle(g: Graph, h: Hamiltonian, space: SampleSpace) -> bool:
     """Exhaustive post-hoc scan used to verify 1-toggle local optimality."""
     values = statistic_values(h, g)
-    objective = combine(h, weigh(h, values))
+    objective = score(h, values)
     return any(
         improves(cand_obj, objective, h.sense)
         for _, _, cand_obj in _feasible_toggles(g, h, space, values, all_pairs(g.n))

@@ -211,9 +211,9 @@ class ConstraintSystem:
 
     @classmethod
     def from_json_dict(cls, data: dict[str, Any]) -> "ConstraintSystem":
-        """Inverse of :meth:`to_json_dict`; a missing key, a wrong type, or a
-        ``meta.n`` that does not count the declared ``x_`` edge variables
-        raises ValueError."""
+        """Inverse of :meth:`to_json_dict`; a missing key, a wrong type, a
+        variable or row name that is not a string, or a ``meta.n`` that does
+        not count the declared ``x_`` edge variables raises ValueError."""
         try:
             cs = cls(data.get("name", "model"))
             cs.meta = dict(data.get("meta", {}))
@@ -223,6 +223,9 @@ class ConstraintSystem:
                 cs.add_row(r["name"], r["coeffs"], r["relation"], r["rhs"])
             obj = data["objective"]
             cs.set_objective(obj["sense"], obj["coeffs"])
+            for x in cs.variables + cs.rows:
+                if type(x.name) is not str:
+                    raise TypeError(f"name {x.name!r} is not a string")
         except KeyError as exc:
             raise ValueError(f"malformed constraint IR: missing key {exc}") from exc
         except (TypeError, AttributeError, ZeroDivisionError) as exc:
@@ -323,20 +326,16 @@ def _add_commodity(
         cs.add_row(f"{balance}_{k}", coeffs, "=", n - 1 if k == source else -1)
 
 
-def build_connectivity_flow(
-    n: int, root: int = 0, cs: ConstraintSystem | None = None
-) -> ConstraintSystem:
+def build_connectivity_flow(n: int, cs: ConstraintSystem | None = None) -> ConstraintSystem:
     """Single-commodity flow whose feasibility is equivalent to connectivity.
 
-    n-1 units leave the root and one unit terminates at every other node;
-    each pair's two directed flows share the capacity n * x_ij.
+    n-1 units leave the root, node 0, and one unit terminates at every
+    other node; each pair's two directed flows share the capacity n * x_ij.
     """
-    if not (0 <= root < n):
-        raise ValueError("root out of range")
     cs = cs or ConstraintSystem("connectivity_flow")
     ensure_edge_variables(cs, n)
-    cs.meta["flow_root"] = root
-    _add_commodity(cs, n, root, flow_name, "flow_balance")
+    cs.meta["flow_root"] = 0
+    _add_commodity(cs, n, 0, flow_name, "flow_balance")
     for i, j in all_pairs(n):
         cs.add_row(
             f"flow_cap_{i}_{j}",
@@ -370,7 +369,7 @@ def _add_space_rows(cs: ConstraintSystem, n: int, space: SampleSpace) -> None:
     if space.density is not None:
         build_fixed_density(n, space.density, cs)
     if space.connected:
-        build_connectivity_flow(n, 0, cs)
+        build_connectivity_flow(n, cs)
     cs.meta["space"] = space.label()
 
 
@@ -548,9 +547,9 @@ def _tree_flow(g: Graph, root: int, name: Callable[[int, int], str]) -> dict[str
     return values
 
 
-def connectivity_flow_assignment(g: Graph, root: int = 0) -> dict[str, Fraction]:
-    """Feasible flow certifying connectivity: route along a BFS tree."""
-    return _tree_flow(g, root, flow_name)
+def connectivity_flow_assignment(g: Graph) -> dict[str, Fraction]:
+    """Feasible flow certifying connectivity: route along a BFS tree from node 0."""
+    return _tree_flow(g, 0, flow_name)
 
 
 def multicommodity_flow_assignment(g: Graph) -> dict[str, Fraction]:
@@ -561,14 +560,14 @@ def multicommodity_flow_assignment(g: Graph) -> dict[str, Fraction]:
     return values
 
 
-def zero_capacity_cut(g: Graph, root: int = 0) -> frozenset[int]:
-    """Nodes reachable from the root; a proper subset certifies flow infeasibility.
+def zero_capacity_cut(g: Graph) -> frozenset[int]:
+    """Nodes reachable from the root, node 0; a proper subset certifies infeasibility.
 
     Every pair crossing the cut has no edge, so the shared capacity rows
     force zero flow across it while the balance rows demand a positive
     net outflow.
     """
-    mask = reached(g, root)
+    mask = reached(g, 0)
     return frozenset(v for v in range(g.n) if mask >> v & 1)
 
 
@@ -581,7 +580,7 @@ def maxmin_assignment(
     values = edge_assignment(g)
     values.update(triangle_indicator_assignment(g))
     if space.connected:
-        values.update(connectivity_flow_assignment(g, 0))
+        values.update(connectivity_flow_assignment(g))
     h = Hamiltonian.max_min_pair(
         alpha, StatisticSpec(StatisticKind.NON_EDGES), StatisticSpec(StatisticKind.TRIANGLES)
     )

@@ -153,12 +153,14 @@ class Hamiltonian:
     ``linear`` form evaluates to the weighted sum of statistics.  The
     ``max_min`` form evaluates to the weighted minimum when maximizing
     (and to the weighted maximum when minimizing, i.e. the min-max
-    mirror obtained by switching negative weights to positive).
+    mirror obtained by switching negative weights to positive).  A graph
+    whose weighted sum of statistics is below ``floor`` has no value.
     """
 
     form: HamiltonianForm
     terms: tuple[tuple[Fraction, StatisticSpec], ...]
     sense: str = "maximize"
+    floor: Fraction | None = None
 
     def __post_init__(self) -> None:
         if self.sense not in ("maximize", "minimize"):
@@ -167,6 +169,10 @@ class Hamiltonian:
             raise ValueError("a Hamiltonian needs at least one term")
         # made exact once here, so every weighted value downstream is a Fraction
         object.__setattr__(self, "terms", tuple((Fraction(t), s) for t, s in self.terms))
+        if self.floor is not None:
+            if self.sense != "maximize":
+                raise ValueError("a floor needs a maximizing objective")
+            object.__setattr__(self, "floor", Fraction(self.floor))
 
     @classmethod
     def linear(
@@ -199,22 +205,22 @@ class Hamiltonian:
         return cls(HamiltonianForm.MAX_MIN, ((alpha, first), (1 - alpha, second)), sense)
 
 
-def combine(h: Hamiltonian, weighted: list[Fraction]) -> Fraction:
-    """Reduce the weighted term values of ``h``: their sum for the linear
-    form; for max_min, their minimum when maximizing, maximum when minimizing."""
+def score(h: Hamiltonian, values: Sequence[Fraction | int]) -> Fraction | None:
+    """The objective of ``h`` at its terms' statistic values: None when
+    their weighted sum is below ``h.floor``, else that sum for the linear
+    form; for max_min, the least weighted value when maximizing, the largest
+    when minimizing."""
+    weighted = [theta * v for (theta, _), v in zip(h.terms, values)]
+    if h.floor is not None and sum(weighted) < h.floor:
+        return None
     if h.form is HamiltonianForm.LINEAR:
         return sum(weighted)
     return min(weighted) if h.sense == "maximize" else max(weighted)
 
 
-def weigh(h: Hamiltonian, values: Sequence[Fraction | int]) -> list[Fraction]:
-    """Each term's weight times its statistic value, in term order."""
-    return [theta * v for (theta, _), v in zip(h.terms, values)]
-
-
-def eval_hamiltonian(h: Hamiltonian, g: Graph) -> Fraction:
-    """Exact objective value of ``h`` at ``g``."""
-    return combine(h, weigh(h, statistic_values(h, g)))
+def eval_hamiltonian(h: Hamiltonian, g: Graph) -> Fraction | None:
+    """Exact objective value of ``h`` at ``g``; None when ``g`` misses the floor."""
+    return score(h, statistic_values(h, g))
 
 
 def statistic_values(h: Hamiltonian, g: Graph) -> tuple[Fraction | int, ...]:

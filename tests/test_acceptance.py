@@ -67,15 +67,15 @@ def test_criterion_2_connectivity_flow_equivalence():
     ok = True
     checked = 0
     for n in (4, 5):
-        cs = lp.build_connectivity_flow(n, 0)
+        cs = lp.build_connectivity_flow(n)
         for g in iter_graphs(n):
             checked += 1
             if is_connected(g):
-                a = lp.edge_assignment(g) | lp.connectivity_flow_assignment(g, 0)
+                a = lp.edge_assignment(g) | lp.connectivity_flow_assignment(g)
                 r = lp.check_assignment(cs, a)
                 ok &= not r.row_violations and not r.variable_violations
             else:
-                cut = lp.zero_capacity_cut(g, 0)
+                cut = lp.zero_capacity_cut(g)
                 ok &= 0 < len(cut) < n
                 for i in cut:
                     for j in range(n):

@@ -7,7 +7,8 @@ package outside its own definition.  Every other function, method and
 property of the package must be referenced somewhere in the repository's
 Python code (package, tests, demos, benchmark) or be exported in
 ``ergmax.__all__``.  Every probe the benchmark's tracer installs must
-name a function it can find.
+name a function it can find, and every name the benchmark imports from
+the package must exist.
 """
 
 from __future__ import annotations
@@ -122,3 +123,28 @@ def test_every_benchmark_probe_resolves():
         if not callable(target):
             missing.append(f"{name}: {module_name}.{cls_name + '.' if cls_name else ''}{attr}")
     assert not missing, f"benchmark probes whose target is gone: {missing}"
+
+
+def test_every_benchmark_import_resolves():
+    # this suite does not run bench/test_bench.py, so the names it and the
+    # runner import, at module or function level, are checked here
+    missing = []
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.ImportFrom):
+                wanted = [(node.module or "", alias.name) for alias in node.names]
+            elif isinstance(node, ast.Import):
+                wanted = [(alias.name, None) for alias in node.names]
+            else:
+                continue
+            for module_name, name in wanted:
+                if module_name.split(".")[0] != "ergmax":
+                    continue
+                # a name is bound in its module, or is one of its submodules
+                try:
+                    home = importlib.import_module(module_name)
+                    if name is not None and not hasattr(home, name):
+                        importlib.import_module(f"{module_name}.{name}")
+                except ImportError:
+                    missing.append(f"{path.name}:{node.lineno} {module_name} {name or ''}")
+    assert not missing, f"names the benchmark imports that the package lacks: {missing}"

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from collections import Counter
@@ -110,6 +111,9 @@ def test_infeasible_start_is_rejected():
     h = triads_maxmin(Fraction(1, 2))
     with pytest.raises(ValueError):
         first_improve(Graph(5), h, CONNECTED, SearchConfig(seed=0))
+    # a floored objective would leave candidates without a value to compare
+    with pytest.raises(ValueError, match="no floor"):
+        first_improve(Graph.star(5), dataclasses.replace(h, floor=6), CONNECTED, SearchConfig())
 
 
 def test_fixed_density_space_admits_no_single_toggle():

@@ -118,30 +118,30 @@ def test_fixed_density_extremes():
 
 def test_star_flow_routes_one_unit_per_spoke():
     g = Graph.star(5, center=0)
-    values = lp.connectivity_flow_assignment(g, root=0)
+    values = lp.connectivity_flow_assignment(g)
     for v in range(1, 5):
         assert values[lp.flow_name(0, v)] == 1
-    cs = lp.build_connectivity_flow(5, 0)
+    cs = lp.build_connectivity_flow(5)
     assert feasible(cs, lp.edge_assignment(g) | values)
 
 
 def test_path_flow_example():
     g = Graph.path(3)
-    values = lp.connectivity_flow_assignment(g, root=0)
+    values = lp.connectivity_flow_assignment(g)
     assert values["f_0_1"] == 2
     assert values["f_1_2"] == 1
 
 
 def test_flow_feasibility_matches_connectivity_n4():
-    cs = lp.build_connectivity_flow(4, 0)
+    cs = lp.build_connectivity_flow(4)
     for g in iter_graphs(4):
         if is_connected(g):
-            a = lp.edge_assignment(g) | lp.connectivity_flow_assignment(g, 0)
+            a = lp.edge_assignment(g) | lp.connectivity_flow_assignment(g)
             assert feasible(cs, a)
         else:
             with pytest.raises(Exception):
-                lp.connectivity_flow_assignment(g, 0)
-            cut = lp.zero_capacity_cut(g, 0)
+                lp.connectivity_flow_assignment(g)
+            cut = lp.zero_capacity_cut(g)
             assert 0 < len(cut) < 4
             for i in cut:
                 for j in range(4):
@@ -156,7 +156,7 @@ def test_layer_built_tree_flows_certify_connectivity_and_hop_counts(n, data):
     if is_connected(g):
         mc_flow = lp.multicommodity_flow_assignment(g)
         for cs, flow in (
-            (lp.build_connectivity_flow(n, 0), lp.connectivity_flow_assignment(g, 0)),
+            (lp.build_connectivity_flow(n), lp.connectivity_flow_assignment(g)),
             (lp.build_multicommodity_flow(n), mc_flow),
         ):
             r = lp.check_assignment(cs, lp.edge_assignment(g) | flow)
@@ -164,23 +164,23 @@ def test_layer_built_tree_flows_certify_connectivity_and_hop_counts(n, data):
         assert sum(mc_flow.values()) == total_hop_count(g)
     else:
         with pytest.raises(DisconnectedGraphError):
-            lp.connectivity_flow_assignment(g, 0)
+            lp.connectivity_flow_assignment(g)
         with pytest.raises(DisconnectedGraphError):
             lp.multicommodity_flow_assignment(g)
         mask = reached(g, 0)
-        assert lp.zero_capacity_cut(g, 0) == {v for v in range(n) if mask >> v & 1}
+        assert lp.zero_capacity_cut(g) == {v for v in range(n) if mask >> v & 1}
 
 
 def test_disconnected_graph_violates_some_flow_row_for_any_flow():
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
-    cs = lp.build_connectivity_flow(4, 0)
+    cs = lp.build_connectivity_flow(4)
     # route as if the graph were a path 0-1-2-3: capacities cut it off
     fake = Graph.path(4)
-    a = lp.edge_assignment(g) | lp.connectivity_flow_assignment(fake, 0)
+    a = lp.edge_assignment(g) | lp.connectivity_flow_assignment(fake)
     r = lp.check_assignment(cs, a)
     assert r.row_violations
     # zero flow instead: balances fail
-    zero = {name: 0 for name in lp.connectivity_flow_assignment(fake, 0)}
+    zero = {name: 0 for name in lp.connectivity_flow_assignment(fake)}
     r = lp.check_assignment(cs, lp.edge_assignment(g) | zero)
     assert any(v.row.startswith("flow_balance") for v in r.row_violations)
 

@@ -287,6 +287,32 @@ def test_cli_check_refuses_a_malformed_ir(capsys, tmp_path, ir):
     assert "error: malformed constraint IR: missing key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, entry",
+    [
+        ("variables", {"name": 5, "kind": "binary", "lower": None, "upper": None}),
+        ("rows", {"name": 7, "coeffs": {}, "relation": "=", "rhs": "0"}),
+    ],
+)
+def test_cli_check_refuses_a_name_that_is_not_a_string(capsys, monkeypatch, tmp_path, key, entry):
+    from ergmax.lp import maxmin_assignment
+
+    monkeypatch.chdir(tmp_path)
+    assert main(["export-lp", "--n", "3", "--out", "m.lp", "--ir-json", "m.json"]) == 0
+    ir = json.loads((tmp_path / "m.json").read_text())
+    ir[key].append(entry)
+    (tmp_path / "m.json").write_text(json.dumps(ir))
+    witness = maxmin_assignment(3, Fraction(1, 2), Graph.complete(3))
+    (tmp_path / "a.json").write_text(json.dumps({k: str(v) for k, v in witness.items()}))
+    capsys.readouterr()
+    assert main(["check", "--ir-json", "m.json", "--assignment", "a.json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [line for line in captured.err.splitlines() if "error:" in line] == [
+        f"error: malformed constraint IR: name {entry['name']!r} is not a string"
+    ]
+
+
 @pytest.mark.parametrize("value", [None, [0]])
 def test_cli_check_refuses_a_non_numeric_value(capsys, tmp_path, value):
     ir_path = tmp_path / "model.json"

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 from fractions import Fraction
 
@@ -178,6 +179,38 @@ def test_hamiltonian_makes_its_weights_exact_once():
     assert [theta for theta, _ in h.terms] == [2, Fraction(1, 2)]
     value = eval_hamiltonian(Hamiltonian.linear([(3, NE), (-1, TRI)]), Graph.path(4))
     assert type(value) is Fraction and value == 9
+    floored = dataclasses.replace(h, floor=0.25)
+    assert type(floored.floor) is Fraction and floored.floor == Fraction(1, 4)
+
+
+def test_hamiltonian_refuses_a_floor_when_minimizing():
+    h = triads_maxmin(Fraction(1, 2), sense="minimize")
+    with pytest.raises(ValueError, match="a floor needs a maximizing objective"):
+        dataclasses.replace(h, floor=Fraction(1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_a_floor_withholds_exactly_the_values_whose_weighted_sum_misses_it(data):
+    n = data.draw(st.integers(3, 6), label="n")
+    g = Graph(n, data.draw(st.integers(0, (1 << num_pairs(n)) - 1), label="bits"))
+    statistic = st.sampled_from(
+        [NE, TRI, StatisticSpec(StatisticKind.PHYSICAL_DISTANCE, random_unit_square_delta(n, n))])
+    weight = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+    terms = data.draw(st.lists(st.tuples(weight, statistic), min_size=1, max_size=3), label="terms")
+    h = Hamiltonian(data.draw(st.sampled_from(HamiltonianForm), label="form"), tuple(terms))
+    weighted_sum = sum(theta * evaluate_statistic(spec, g) for theta, spec in terms)
+    # floors at and either side of the weighted sum, and anywhere else
+    floor = data.draw(
+        st.sampled_from([weighted_sum - Fraction(1, 7), weighted_sum, weighted_sum + Fraction(1, 7)])
+        | st.builds(Fraction, st.integers(-40, 40), st.integers(1, 4)),
+        label="floor",
+    )
+    value = eval_hamiltonian(dataclasses.replace(h, floor=floor), g)
+    if weighted_sum < floor:
+        assert value is None
+    else:
+        assert value is not None and value == eval_hamiltonian(h, g)
 
 
 # -- distance matrices -------------------------------------------------------
