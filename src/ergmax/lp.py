@@ -33,7 +33,7 @@ from .stats import Hamiltonian, StatisticKind, StatisticSpec, eval_hamiltonian, 
 Number = Fraction | int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Variable:
     name: str
     kind: str  # 'binary' | 'continuous'
@@ -41,7 +41,7 @@ class Variable:
     upper: Fraction | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Row:
     name: str
     coeffs: dict[str, Fraction]
@@ -59,6 +59,22 @@ class _Memo(dict):
     def __missing__(self, key):
         result = self[key] = self.make(key)
         return result
+
+
+def _by_identity(render: Callable[[Any], str]) -> Callable[[Any], str]:
+    """``render(c)`` once per object `c`, looked up by ``id(c)``, which costs
+    less than hashing a Fraction; each entry holds its object, so no id is
+    reused while the memo lives."""
+    memo: dict[int, tuple[Any, str]] = {}
+
+    def text(c: Any) -> str:
+        try:
+            return memo[id(c)][1]
+        except KeyError:
+            entry = memo[id(c)] = (c, render(c))
+            return entry[1]
+
+    return text
 
 
 class ConstraintSystem:
@@ -115,8 +131,8 @@ class ConstraintSystem:
             raise ValueError(f"row {name!r} declared twice")
         if relation not in ("<=", "=", ">="):
             raise ValueError(f"unknown relation {relation!r}")
-        unknown = [v for v in coeffs if v not in self._var_names]
-        if unknown:
+        if not self._var_names.issuperset(coeffs):
+            unknown = [v for v in coeffs if v not in self._var_names]
             raise ValueError(f"row {name!r} references undeclared variables {unknown}")
         exact = self._exact
         self.rows.append(Row(
@@ -130,8 +146,8 @@ class ConstraintSystem:
     def set_objective(self, sense: str, coeffs: Mapping[str, Number]) -> None:
         if sense not in ("maximize", "minimize"):
             raise ValueError(f"unknown sense {sense!r}")
-        unknown = [v for v in coeffs if v not in self._var_names]
-        if unknown:
+        if not self._var_names.issuperset(coeffs):
+            unknown = [v for v in coeffs if v not in self._var_names]
             raise ValueError(f"objective references undeclared variables {unknown}")
         self.objective_sense = sense
         self.objective = {v: self._fraction(c) for v, c in coeffs.items()}
@@ -171,14 +187,14 @@ class ConstraintSystem:
 
         Variables and rows are rendered and written one at a time, so no
         string-valued copy of the system is built; names go through json's
-        string encoder, and each coefficient value is rendered once.
+        string encoder, and each stored coefficient is rendered once.
         """
         quoted = json.encoder.encode_basestring_ascii
-        value: dict[Fraction | None, str] = _Memo(lambda c: "null" if c is None else f'"{c}"')
+        value = _by_identity(lambda c: "null" if c is None else f'"{c}"')
 
         def coeffs_text(coeffs: dict[str, Fraction], pad: str) -> str:
             # an object whose members sit at `pad`, closed two spaces left of it
-            members = f",\n{pad}".join([f"{quoted(v)}: {value[c]}" for v, c in coeffs.items()])
+            members = f",\n{pad}".join([f"{quoted(v)}: {value(c)}" for v, c in coeffs.items()])
             return f"{{\n{pad}{members}\n{pad[:-2]}}}" if coeffs else "{}"
 
         def write_array(items: Iterable[str]) -> None:
@@ -197,14 +213,14 @@ class ConstraintSystem:
         )
         write_array(
             f'{{\n      "name": {quoted(v.name)},\n      "kind": {quoted(v.kind)},\n'
-            f'      "lower": {value[v.lower]},\n      "upper": {value[v.upper]}\n    }}'
+            f'      "lower": {value(v.lower)},\n      "upper": {value(v.upper)}\n    }}'
             for v in self.variables
         )
         f.write(',\n  "rows": ')
         write_array(
             f'{{\n      "name": {quoted(r.name)},\n'
             f'      "coeffs": {coeffs_text(r.coeffs, " " * 8)},\n'
-            f'      "relation": {quoted(r.relation)},\n      "rhs": {value[r.rhs]}\n    }}'
+            f'      "relation": {quoted(r.relation)},\n      "rhs": {value(r.rhs)}\n    }}'
             for r in self.rows
         )
         f.write("\n}")
@@ -457,19 +473,19 @@ def build_minmax_distance(
 
 def _lp_lines(cs: ConstraintSystem) -> Iterator[str]:
     """The CPLEX LP text of `cs`, one line at a time, each ending in a newline."""
-    decimal: dict[Fraction, str] = _Memo(exact_decimal)
+    decimal = _by_identity(exact_decimal)
     # the text a term puts before its variable's name, e.g. "- 0.5 "
-    term: dict[Fraction, str] = _Memo(lambda c: f"{'-' if c < 0 else '+'} {decimal[abs(c)]} ")
+    term = _by_identity(lambda c: f"{'-' if c < 0 else '+'} {exact_decimal(abs(c))} ")
 
     def terms(coeffs: dict[str, Fraction]) -> str:
-        return " ".join([term[c] + name for name, c in coeffs.items()])
+        return " ".join([term(c) + name for name, c in coeffs.items()])
 
     yield f"\\ {cs.name}\n"
     yield "Maximize\n" if cs.objective_sense == "maximize" else "Minimize\n"
     yield f" obj: {terms(cs.objective)}".rstrip() + "\n"
     yield "Subject To\n"
     for row in cs.rows:
-        yield f" {row.name}: {terms(row.coeffs)} {row.relation} {decimal[row.rhs]}\n"
+        yield f" {row.name}: {terms(row.coeffs)} {row.relation} {decimal(row.rhs)}\n"
     bounded = [v for v in cs.variables if v.kind != "binary"]
     if bounded:
         yield "Bounds\n"
@@ -477,11 +493,11 @@ def _lp_lines(cs: ConstraintSystem) -> Iterator[str]:
         if v.lower is None and v.upper is None:
             yield f" {v.name} free\n"
         elif v.upper is None:
-            yield f" {decimal[v.lower]} <= {v.name}\n"
+            yield f" {decimal(v.lower)} <= {v.name}\n"
         elif v.lower is None:
-            yield f" -infinity <= {v.name} <= {decimal[v.upper]}\n"
+            yield f" -infinity <= {v.name} <= {decimal(v.upper)}\n"
         else:
-            yield f" {decimal[v.lower]} <= {v.name} <= {decimal[v.upper]}\n"
+            yield f" {decimal(v.lower)} <= {v.name} <= {decimal(v.upper)}\n"
     binaries = [v.name for v in cs.variables if v.kind == "binary"]
     if binaries:
         yield "Binaries\n"
@@ -628,6 +644,8 @@ def check_assignment(
         else:
             raw = assignment[v.name]
             try:
+                if isinstance(raw, bool):  # Fraction(True) would read as 1
+                    raise TypeError
                 values[v.name] = Fraction(str(raw)) if isinstance(raw, float) else Fraction(raw)
             except (TypeError, ValueError, ZeroDivisionError) as exc:
                 raise ValueError(f"assignment value of {v.name} is not a number: {raw!r}") from exc

@@ -283,6 +283,20 @@ def test_minmax_distance_model_builds_and_checks():
 # -- checker details ---------------------------------------------------------
 
 
+def test_undeclared_variables_are_refused_in_order_and_leave_the_system_as_it_was():
+    cs = lp.build_fixed_density(3, 1)
+    rows = list(cs.rows)
+    with pytest.raises(ValueError, match=r"row 'r' references undeclared variables \['z', 'y'\]"):
+        cs.add_row("r", {"z": 1, "x_0_1": 1, "y": 2}, "<=", 1)
+    assert cs.rows == rows
+    with pytest.raises(ValueError, match=r"objective references undeclared variables \['y', 'z'\]"):
+        cs.set_objective("maximize", {"y": 1, "x_0_1": 1, "z": 1})
+    assert cs.objective == {} and cs.objective_sense == "minimize"
+    # the refused row's name was not taken
+    cs.add_row("r", {"x_0_1": 1}, "<=", 1)
+    assert [r.name for r in cs.rows] == [r.name for r in rows] + ["r"]
+
+
 def test_check_assignment_requires_full_coverage():
     cs = lp.build_fixed_density(3, 1)
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Export-format tests: determinism, golden shapes, and an independent parse-back."""
 
+import gc
 import hashlib
 import io
 import json
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from ergmax import ConstraintSystem, SampleSpace
 from ergmax import lp
-from ergmax.stats import random_unit_square_delta
+from ergmax.stats import exact_decimal, random_unit_square_delta
 
 TERM_RE = re.compile(r"([+-])\s*([0-9.]+(?:e-?\d+)?)\s+(\w+)")
 
@@ -251,3 +252,90 @@ def test_to_json_equals_the_reference_rendering(cs):
     ir = io.StringIO()
     cs.to_json(ir)
     assert ir.getvalue() == json.dumps(cs.to_json_dict(), indent=2)
+
+
+def reference_lp_string(cs: ConstraintSystem) -> str:
+    """The CPLEX LP text of `cs`, with every number formatted where it is written."""
+
+    def terms(coeffs):
+        return " ".join(f"{'-' if c < 0 else '+'} {exact_decimal(abs(c))} {name}"
+                        for name, c in coeffs.items())
+
+    lines = [f"\\ {cs.name}", "Maximize" if cs.objective_sense == "maximize" else "Minimize",
+             f" obj: {terms(cs.objective)}".rstrip(), "Subject To"]
+    lines += [f" {r.name}: {terms(r.coeffs)} {r.relation} {exact_decimal(r.rhs)}"
+              for r in cs.rows]
+    bounded = [v for v in cs.variables if v.kind != "binary"]
+    lines += ["Bounds"] if bounded else []
+    for v in bounded:
+        if v.lower is None and v.upper is None:
+            lines.append(f" {v.name} free")
+        elif v.upper is None:
+            lines.append(f" {exact_decimal(v.lower)} <= {v.name}")
+        else:
+            lower = "-infinity" if v.lower is None else exact_decimal(v.lower)
+            lines.append(f" {lower} <= {v.name} <= {exact_decimal(v.upper)}")
+    binaries = [v.name for v in cs.variables if v.kind == "binary"]
+    lines += ["Binaries"] if binaries else []
+    lines += [f" {name}" for name in binaries]
+    return "\n".join(lines + ["End", ""])
+
+
+def equal_values_in_distinct_objects() -> ConstraintSystem:
+    # every Fraction(1, 2), Fraction(-1, 3) and Fraction(1) below is its own object
+    cs = ConstraintSystem("twins")
+    cs.add_variable("u", "continuous", Fraction(1, 2), Fraction(1, 2))
+    cs.add_variable("v", "continuous", None, Fraction(-1, 3))
+    cs.add_variable("b", "binary")
+    cs.add_row("r0", {"u": Fraction(1, 2), "v": Fraction(-1, 3), "b": 1}, "<=", Fraction(1, 2))
+    cs.add_row("r1", {"u": Fraction(-1, 3), "v": Fraction(1), "b": Fraction(1, 2)}, "=", 1)
+    cs.set_objective("maximize", {"u": Fraction(1), "b": Fraction(-1, 3)})
+    return cs
+
+
+@settings(max_examples=200, deadline=None)
+@given(constraint_systems())
+@example(ConstraintSystem())
+@example(equal_values_in_distinct_objects())
+def test_lp_string_equals_the_reference_rendering(cs):
+    assert lp.lp_string(cs) == reference_lp_string(cs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_a_rendering_after_dropped_systems_and_temporaries_equals_the_reference(data):
+    # objects freed between renderings leave their ids free for the next system's values
+    first = data.draw(constraint_systems())
+    lp.lp_string(first)
+    first.to_json(io.StringIO())
+    del first
+    temporaries = [Fraction(k, 7) for k in range(-20, 20)]
+    del temporaries
+    gc.collect()
+    cs = data.draw(constraint_systems())
+    assert lp.lp_string(cs) == reference_lp_string(cs)
+    ir = io.StringIO()
+    cs.to_json(ir)
+    assert ir.getvalue() == json.dumps(cs.to_json_dict(), indent=2)
+
+
+def test_the_exports_hash_a_fraction_per_distinct_value_not_per_term(monkeypatch):
+    cs = lp.build_maxmin(12, Fraction(3, 10))
+    stored = [c for r in cs.rows for c in (*r.coeffs.values(), r.rhs)]
+    stored += [*cs.objective.values()]
+    stored += [b for v in cs.variables for b in (v.lower, v.upper) if b is not None]
+    distinct = len(set(stored))
+    hashes = 0
+    fraction_hash = Fraction.__hash__
+
+    def counted(self):
+        nonlocal hashes
+        hashes += 1
+        return fraction_hash(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counted)
+    lp.lp_string(cs)
+    cs.to_json(io.StringIO())
+    monkeypatch.undo()
+    assert len(cs.rows) == 960 and len(stored) > 100 * distinct
+    assert hashes <= distinct

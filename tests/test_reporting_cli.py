@@ -313,7 +313,7 @@ def test_cli_check_refuses_a_name_that_is_not_a_string(capsys, monkeypatch, tmp_
     ]
 
 
-@pytest.mark.parametrize("value", [None, [0]])
+@pytest.mark.parametrize("value", [None, [0], True, False])
 def test_cli_check_refuses_a_non_numeric_value(capsys, tmp_path, value):
     ir_path = tmp_path / "model.json"
     assert main(["export-lp", "--n", "3", "--out", str(tmp_path / "m.lp"),
