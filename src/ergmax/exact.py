@@ -1,9 +1,12 @@
 """Exact maximization over graph spaces: brute force and branch-and-bound.
 
-Both solvers compare objectives with exact rational arithmetic, so
-pruning decisions and reported optima carry no floating-point
-ambiguity.  Brute force is the oracle for everything else and is capped
-at n = 7 (2^21 graphs).
+Both solvers score and compare on the objective's integer grid, scaled
+once per Hamiltonian (see :class:`~ergmax.stats.Hamiltonian`): every
+value, bound, floor test and incumbent is an exact Python int, and the
+reported objective and root bound are divided back to Fractions once, when
+the result is built.  So pruning decisions and reported optima carry no
+floating-point ambiguity.  Brute force is the oracle for everything else
+and is capped at n = 7 (2^21 graphs).
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import dataclasses
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .graph import DisconnectedGraphError, Graph, all_pairs, is_connected, num_pairs
 from .space import SampleSpace
@@ -19,11 +23,11 @@ from .stats import (
     Hamiltonian,
     StatisticKind,
     StatisticSpec,
-    eval_hamiltonian,
-    evaluate_statistic,
+    grid_values,
     improves,
     score,
     statistic_values,
+    unscaled,
 )
 
 BRUTE_FORCE_MAX_N = 7
@@ -115,7 +119,7 @@ def brute_force(
         raise ValueError(f"brute force capped at n = {BRUTE_FORCE_MAX_N}")
     space.validate_for(n)
     start = time.perf_counter()
-    best: Fraction | None = None
+    best: int | None = None
     argmax: list[Graph] = []
     evaluated = 0
     for bits in range(1 << num_pairs(n)):
@@ -123,7 +127,7 @@ def brute_force(
         if not space.admits(g):
             continue
         try:
-            value = eval_hamiltonian(h, g)
+            value = score(h, grid_values(h, g))
         except DisconnectedGraphError:
             # flow distance is undefined here; the graph is outside the
             # objective's domain, hence infeasible
@@ -146,7 +150,7 @@ def brute_force(
     top = argmax[0]
     return (
         SolveResult(
-            top, best, statistic_values(h, top), "optimal", evaluated, elapsed
+            top, unscaled(h, best), statistic_values(h, top), "optimal", evaluated, elapsed
         ),
         tuple(argmax),
     )
@@ -156,26 +160,31 @@ def brute_force(
 # branch and bound
 
 
-def _node_bound(h: Hamiltonian, realized: Graph, optimistic: Graph) -> Fraction | None:
-    """A bound on the objective over every completion of a partial assignment.
+def _node_bound(h: Hamiltonian) -> Callable[[Graph, Graph], int | None]:
+    """bnb's bound for `h`: a function of a partial assignment that bounds,
+    on h's grid, the objective over every completion of it.
 
     `realized` has the decided-present edges, `optimistic` every undecided
     pair too; each statistic is monotone in the edge set, so takes its
-    extreme at one of the two.  Scored, the extremes bound the objective;
-    under a floor (h then maximizes) their weighted sum bounds each
-    completion's.  At a leaf the bound is exact.  None means no completion
-    scores: none reaches the floor, or none has a finite flow distance.
+    extreme at one of the two, chosen here once per term.  Scored, the
+    extremes bound the objective; under a floor (h then maximizes) their
+    weighted sum bounds each completion's.  At a leaf the bound is exact.
+    None means no completion scores: none reaches the floor, or none has a
+    finite flow distance.
     """
     maximize = h.sense == "maximize"
-    try:
-        return score(h, [
-            evaluate_statistic(
-                spec, optimistic if spec.kind.increasing == ((theta >= 0) == maximize) else realized
-            )
-            for theta, spec in h.terms
-        ])
-    except DisconnectedGraphError:
-        return None
+    extremes = tuple(
+        (read, spec.kind.increasing == ((theta >= 0) == maximize))
+        for read, (theta, spec) in zip(h.readers, h.terms)
+    )
+
+    def bound(realized: Graph, optimistic: Graph) -> int | None:
+        try:
+            return score(h, [read(optimistic if up else realized) for read, up in extremes])
+        except DisconnectedGraphError:
+            return None
+
+    return bound
 
 
 def _breaks_lex_order(rows: tuple[int, ...], x: int, columns: int) -> bool:
@@ -231,17 +240,19 @@ def branch_and_bound(
     symmetric = all(spec.kind.label_invariant for _, spec in h.terms)
     start = time.perf_counter()
 
+    node_bound = _node_bound(h)
+    # values, bounds and the incumbent are ints on h's grid
     best_graph: Graph | None = None
-    best_val: Fraction | None = None
+    best_val: int | None = None
     if incumbent is not None:
         if incumbent.n != n or not space.admits(incumbent):
             raise ValueError("warm-start incumbent is infeasible for the space")
-        best_val = eval_hamiltonian(h, incumbent)
+        best_val = score(h, grid_values(h, incumbent))
         if best_val is None:
             raise ValueError("warm-start incumbent violates the floor row")
         best_graph = incumbent
 
-    bound_at_root: Fraction | None = None
+    bound_at_root: int | None = None
     nodes = 0
     limit_hit = False
     # stack of (depth, realized, optimistic): pairs of rank below depth are
@@ -264,7 +275,7 @@ def branch_and_bound(
             if not is_connected(optimistic):
                 continue
             connected = optimistic
-        bound = _node_bound(h, realized, optimistic)
+        bound = node_bound(realized, optimistic)
         if bound is None:
             continue
         if depth == pairs:
@@ -290,18 +301,19 @@ def branch_and_bound(
         stack.append((depth + 1, child, optimistic))
 
     elapsed = time.perf_counter() - start
+    root = unscaled(h, bound_at_root)
     if best_graph is None:
         status = "incumbent" if limit_hit else "infeasible"
-        return SolveResult(None, None, (), status, nodes, elapsed, bound_at_root)
+        return SolveResult(None, None, (), status, nodes, elapsed, root)
     status = "incumbent" if limit_hit else "optimal"
     return SolveResult(
         best_graph,
-        best_val,
+        unscaled(h, best_val),
         statistic_values(h, best_graph),
         status,
         nodes,
         elapsed,
-        bound_at_root,
+        root,
     )
 
 
@@ -358,7 +370,7 @@ def solve_two_stage(
 
     p_star = stage1.objective
     floored_h = dataclasses.replace(maxmin_h, floor=gamma * p_star)
-    meets_floor = score(floored_h, stage1.statistic_values) is not None
+    meets_floor = score(floored_h, grid_values(floored_h, stage1.graph)) is not None
     # stage 1's start may violate the floor, so stage 2 never inherits it
     stage2 = solve(floored_h, incumbent=stage1.graph if meets_floor else None)
     if stage2.status == "optimal" and stage1.status != "optimal":

@@ -14,13 +14,12 @@ import dataclasses
 import random
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .exact import SolveResult
 from .graph import DisconnectedGraphError, Graph, all_pairs, is_connected, reached
 from .space import SampleSpace
-from .stats import Hamiltonian, improves, score, statistic_values, toggled_value
+from .stats import Hamiltonian, grid_values, improves, raw_values, score, unscaled
 
 
 @dataclass(frozen=True)
@@ -67,28 +66,31 @@ def _feasible_toggles(
     g: Graph,
     h: Hamiltonian,
     space: SampleSpace,
-    values: tuple[Fraction | int, ...],
+    values: tuple[int, ...],
     pairs: Iterable[tuple[int, int]],
-) -> Iterator[tuple[Graph, tuple[Fraction | int, ...], Fraction]]:
-    """Yield (toggled graph, its statistic values, its objective) per feasible toggle.
+) -> Iterator[tuple[Graph, tuple[int, ...], int | None]]:
+    """Yield (toggled graph, its statistic values, its objective) per feasible
+    toggle, all on h's grid: `values` are g's.
 
     A toggle is feasible when it keeps g in the objective's domain and in
     the space; toggles come in `pairs` order.  The statistics are read
     first, so a removal's connectivity test finds any hop rows the flow
-    distance step carried to the toggled graph, and needs no search.
+    distance step carried to the toggled graph, and needs no search.  A
+    removal whose endpoints share a neighbour keeps them joined through it,
+    so it keeps a connected g connected without a search either.
     """
     if space.density is not None:
         return  # any single toggle changes the edge count
+    steps = tuple(zip(h.steppers, values))
+    adj = g.adjacency() if space.connected else ()
     for i, j in pairs:
         toggled = g.toggled(i, j)
         try:
-            cand_values = tuple(
-                toggled_value(spec, g, toggled, current, i, j)
-                for (_, spec), current in zip(h.terms, values)
-            )
+            cand_values = tuple(step(g, toggled, current, i, j) for step, current in steps)
         except DisconnectedGraphError:
             continue
-        if space.connected and g.has_edge(i, j) and not is_connected(toggled):
+        if (space.connected and g.has_edge(i, j) and not (adj[i] & adj[j])
+                and not is_connected(toggled)):
             continue
         yield toggled, cand_values, score(h, cand_values)
 
@@ -114,7 +116,8 @@ def first_improve(
     pairs = list(all_pairs(start.n))
 
     g = start
-    values = statistic_values(h, g)
+    # values and objectives are ints on h's grid, divided back once at the end
+    values = grid_values(h, g)
     objective = score(h, values)
     moves = 0
     evaluations = 0
@@ -131,8 +134,8 @@ def first_improve(
                 break
     return SolveResult(
         graph=g,
-        objective=objective,
-        statistic_values=values,
+        objective=unscaled(h, objective),
+        statistic_values=raw_values(h, values),
         status="incumbent",
         nodes_explored=evaluations,
         wall_time=time.perf_counter() - t0,
@@ -141,7 +144,7 @@ def first_improve(
 
 def has_improving_toggle(g: Graph, h: Hamiltonian, space: SampleSpace) -> bool:
     """Exhaustive post-hoc scan used to verify 1-toggle local optimality."""
-    values = statistic_values(h, g)
+    values = grid_values(h, g)
     objective = score(h, values)
     return any(
         improves(cand_obj, objective, h.sense)

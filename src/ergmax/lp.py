@@ -227,18 +227,22 @@ class ConstraintSystem:
 
     @classmethod
     def from_json_dict(cls, data: dict[str, Any]) -> "ConstraintSystem":
-        """Inverse of :meth:`to_json_dict`; a missing key, a wrong type, a
-        variable or row name that is not a string, or a ``meta.n`` that does
-        not count the declared ``x_`` edge variables raises ValueError."""
+        """Inverse of :meth:`to_json_dict`; a missing key, a wrong type (a
+        JSON boolean where a number belongs among them), a variable or row
+        name that is not a string, or a ``meta.n`` that does not count the
+        declared ``x_`` edge variables raises ValueError."""
         try:
             cs = cls(data.get("name", "model"))
             cs.meta = dict(data.get("meta", {}))
             for v in data["variables"]:
                 cs.add_variable(v["name"], v["kind"], v["lower"], v["upper"])
+                _refuse_booleans(v["lower"], v["upper"])
             for r in data["rows"]:
                 cs.add_row(r["name"], r["coeffs"], r["relation"], r["rhs"])
+                _refuse_booleans(r["rhs"], *r["coeffs"].values())
             obj = data["objective"]
             cs.set_objective(obj["sense"], obj["coeffs"])
+            _refuse_booleans(*obj["coeffs"].values())
             for x in cs.variables + cs.rows:
                 if type(x.name) is not str:
                     raise TypeError(f"name {x.name!r} is not a string")
@@ -253,6 +257,14 @@ class ConstraintSystem:
             raise ValueError(
                 f"malformed constraint IR: meta.n = {n!r} does not fit {edge_vars} edge variables")
         return cs
+
+
+def _refuse_booleans(*values: Any) -> None:
+    """Raise TypeError on a bool: JSON's true and false load as bools, which
+    Fraction would take for 1 and 0."""
+    for value in values:
+        if type(value) is bool:
+            raise TypeError(f"boolean {value!r} where a number belongs")
 
 
 # ---------------------------------------------------------------------------

@@ -3,17 +3,19 @@
 A :class:`Hamiltonian` is either a weighted sum of statistics (the
 classical exponential-family exponent) or a weighted min/max of them
 (the robust variant).  Weights are made :class:`~fractions.Fraction` once,
-when a Hamiltonian is built, so that objective comparisons are exact.
+when a Hamiltonian is built, which also scales the objective once onto an
+integer grid, so that :func:`score` compares exact ints and the solvers
+divide back once, when they report a value.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence, TextIO
+from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
@@ -66,6 +68,12 @@ class StatisticSpec:
 
     kind: StatisticKind
     delta: DeltaMatrix | None = None
+    # the statistic's value grid: every value times `grid` is an int.  It is
+    # the least common denominator of the distances for physical distance,
+    # whose `grid_delta` holds the distances times `grid`, and 1 otherwise
+    grid: int = field(default=1, init=False, repr=False, compare=False)
+    grid_delta: tuple[tuple[int, ...], ...] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.kind, StatisticKind):
@@ -74,6 +82,13 @@ class StatisticSpec:
             if self.delta is None:
                 raise ValueError("physical_distance needs a distance matrix")
             validate_delta(self.delta)
+            try:
+                grid = math.lcm(*(d.denominator for row in self.delta for d in row))
+            except AttributeError as exc:
+                raise ValueError("distances must be exact rationals") from exc
+            object.__setattr__(self, "grid", grid)
+            object.__setattr__(self, "grid_delta", tuple(
+                tuple(d.numerator * (grid // d.denominator) for d in row) for row in self.delta))
         elif self.delta is not None:
             raise ValueError(f"{self.kind.value} takes no distance matrix")
 
@@ -83,11 +98,11 @@ def s_non_edges(g: Graph) -> int:
     return num_pairs(g.n) - g.edge_count
 
 
-def s_physical_distance(g: Graph, delta: DeltaMatrix) -> Fraction:
-    """Total distance over present edges."""
+def s_physical_distance(g: Graph, delta: DeltaMatrix) -> Fraction | int:
+    """Total distance over present edges, in the type of delta's entries (0 with none)."""
     if len(delta) != g.n:
         raise ValueError(f"distance matrix is {len(delta)}x{len(delta)}, graph has n={g.n}")
-    return sum((delta[i][j] for i, j in g.edges()), start=Fraction(0))
+    return sum(delta[i][j] for i, j in g.edges())
 
 
 def s_flow_distance(g: Graph) -> int:
@@ -105,40 +120,53 @@ def s_flow_distance(g: Graph) -> int:
         raise DisconnectedGraphError("no feasible circulation on a disconnected graph") from exc
 
 
-def evaluate_statistic(spec: StatisticSpec, g: Graph) -> Fraction | int:
+def grid_reader(spec: StatisticSpec) -> Callable[[Graph], int]:
+    """The statistic of `spec` as a function of a graph, on the spec's grid
+    (the value times ``spec.grid``), resolved once per statistic."""
     if spec.kind is StatisticKind.NON_EDGES:
-        return s_non_edges(g)
+        return s_non_edges
     if spec.kind is StatisticKind.TRIANGLES:
-        return count_triangles(g)
-    if spec.kind is StatisticKind.PHYSICAL_DISTANCE:
-        assert spec.delta is not None
-        return s_physical_distance(g, spec.delta)
-    return s_flow_distance(g)  # flow distance
+        return count_triangles
+    if spec.kind is StatisticKind.FLOW_DISTANCE:
+        return s_flow_distance
+    rows = spec.grid_delta
+    return lambda g: s_physical_distance(g, rows)
 
 
-def toggled_value(
-    spec: StatisticSpec,
-    g: Graph,
-    toggled: Graph,
-    current: Fraction | int,
-    i: int,
-    j: int,
-) -> Fraction | int:
-    """The statistic at `toggled` (g with pair (i, j) toggled) from its value
-    `current` at g.  Only physical distance steps from `current`; every
+def grid_stepper(spec: StatisticSpec) -> Callable[[Graph, Graph, int, int, int], int]:
+    """The toggle step of `spec`'s statistic on its grid: a function of
+    (g, toggled, current, i, j) giving its value at `toggled` (g with pair
+    (i, j) toggled) from its value `current` at g.
+
+    Only physical distance steps from `current`, by an int add; every
     other statistic is read off `toggled`: in O(1) for non-edges, and for
     triangles once g's count is known, since `toggled` carries it.  Flow
     distance sums the per-source hop rows that `toggled` takes from g's,
     re-searched only from the sources the toggle can change; it raises
     DisconnectedGraphError when `toggled` is disconnected."""
+    if spec.kind is StatisticKind.PHYSICAL_DISTANCE:
+        rows = spec.grid_delta
+        # the pair's distance joins the sum when it is added and leaves it when removed
+        return lambda g, toggled, current, i, j: (
+            current + rows[i][j] if toggled.bits > g.bits else current - rows[i][j])
     if spec.kind is StatisticKind.FLOW_DISTANCE:
-        carry_hop_rows(g, toggled, i, j)
-    if spec.kind is not StatisticKind.PHYSICAL_DISTANCE:
-        return evaluate_statistic(spec, toggled)
-    # the pair's distance joins the sum when it is added and leaves it when removed
-    assert spec.delta is not None
-    step = spec.delta[i][j]
-    return current + step if toggled.bits > g.bits else current - step
+        def hops(g: Graph, toggled: Graph, current: int, i: int, j: int) -> int:
+            carry_hop_rows(g, toggled, i, j)
+            return s_flow_distance(toggled)
+
+        return hops
+    read = grid_reader(spec)
+    return lambda g, toggled, current, i, j: read(toggled)
+
+
+def raw_value(spec: StatisticSpec, value: int) -> Fraction | int:
+    """A value on `spec`'s grid divided back: a Fraction for physical distance."""
+    return value if spec.delta is None else Fraction(value, spec.grid)
+
+
+def evaluate_statistic(spec: StatisticSpec, g: Graph) -> Fraction | int:
+    """The statistic of `spec` at `g`, unscaled."""
+    return raw_value(spec, grid_reader(spec)(g))
 
 
 class HamiltonianForm(str, Enum):
@@ -155,24 +183,51 @@ class Hamiltonian:
     (and to the weighted maximum when minimizing, i.e. the min-max
     mirror obtained by switching negative weights to positive).  A graph
     whose weighted sum of statistics is below ``floor`` has no value.
+
+    The objective is also held on an integer grid, built once here.  With
+    D_k term k's value grid (``spec.grid``), ``scale`` is the least common
+    multiple L of the weight denominators times D_k, term k's weight on the
+    grid is the int θ_k·L/D_k (``grid_weights``), and the floor is the int
+    ceil(floor·L) (``grid_floor``).  :func:`score` of the terms' values on
+    their grids (``readers``, ``steppers``) is then L times the objective.
     """
 
     form: HamiltonianForm
     terms: tuple[tuple[Fraction, StatisticSpec], ...]
     sense: str = "maximize"
     floor: Fraction | None = None
+    scale: int = field(default=1, init=False, repr=False, compare=False)
+    grid_weights: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
+    grid_floor: int | None = field(default=None, init=False, repr=False, compare=False)
+    readers: tuple[Callable, ...] = field(default=(), init=False, repr=False, compare=False)
+    steppers: tuple[Callable, ...] = field(default=(), init=False, repr=False, compare=False)
+    # combines the weighted terms: sum, min or max
+    reduce: Callable[[list[int]], int] = field(default=sum, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.sense not in ("maximize", "minimize"):
             raise ValueError("sense must be 'maximize' or 'minimize'")
         if not self.terms:
             raise ValueError("a Hamiltonian needs at least one term")
-        # made exact once here, so every weighted value downstream is a Fraction
-        object.__setattr__(self, "terms", tuple((Fraction(t), s) for t, s in self.terms))
+        terms = tuple((Fraction(t), s) for t, s in self.terms)
+        scale = math.lcm(*(t.denominator * s.grid for t, s in terms))
+        derived = {
+            "terms": terms,
+            "scale": scale,
+            "grid_weights": tuple(t.numerator * (scale // (t.denominator * s.grid)) for t, s in terms),
+            "readers": tuple(grid_reader(s) for _, s in terms),
+            "steppers": tuple(grid_stepper(s) for _, s in terms),
+            "reduce": sum if self.form is HamiltonianForm.LINEAR
+            else min if self.sense == "maximize" else max,
+        }
         if self.floor is not None:
             if self.sense != "maximize":
                 raise ValueError("a floor needs a maximizing objective")
-            object.__setattr__(self, "floor", Fraction(self.floor))
+            floor = Fraction(self.floor)
+            # a grid sum is an int, so it misses floor·L exactly when it is below the ceiling
+            derived |= {"floor": floor, "grid_floor": -(-floor.numerator * scale // floor.denominator)}
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     @classmethod
     def linear(
@@ -205,30 +260,43 @@ class Hamiltonian:
         return cls(HamiltonianForm.MAX_MIN, ((alpha, first), (1 - alpha, second)), sense)
 
 
-def score(h: Hamiltonian, values: Sequence[Fraction | int]) -> Fraction | None:
-    """The objective of ``h`` at its terms' statistic values: None when
-    their weighted sum is below ``h.floor``, else that sum for the linear
-    form; for max_min, the least weighted value when maximizing, the largest
-    when minimizing."""
-    weighted = [theta * v for (theta, _), v in zip(h.terms, values)]
-    if h.floor is not None and sum(weighted) < h.floor:
+def score(h: Hamiltonian, values: Sequence[int]) -> int | None:
+    """The objective of ``h`` times ``h.scale`` at its terms' values on their
+    grids: None when their weighted sum is below ``h.floor``, else that sum
+    for the linear form; for max_min, the least weighted value when
+    maximizing, the largest when minimizing.  Ints in, an int out."""
+    weighted = [w * v for w, v in zip(h.grid_weights, values)]
+    if h.grid_floor is not None and sum(weighted) < h.grid_floor:
         return None
-    if h.form is HamiltonianForm.LINEAR:
-        return sum(weighted)
-    return min(weighted) if h.sense == "maximize" else max(weighted)
+    return h.reduce(weighted)
+
+
+def grid_values(h: Hamiltonian, g: Graph) -> tuple[int, ...]:
+    """The terms' statistic values at ``g`` on their grids, in term order."""
+    return tuple(read(g) for read in h.readers)
+
+
+def unscaled(h: Hamiltonian, value: int | None) -> Fraction | None:
+    """A :func:`score` divided back by ``h.scale``: the exact objective."""
+    return None if value is None else Fraction(value, h.scale)
+
+
+def raw_values(h: Hamiltonian, values: Sequence[int]) -> tuple[Fraction | int, ...]:
+    """The terms' values on their grids divided back: the raw statistics."""
+    return tuple(raw_value(spec, v) for (_, spec), v in zip(h.terms, values))
 
 
 def eval_hamiltonian(h: Hamiltonian, g: Graph) -> Fraction | None:
     """Exact objective value of ``h`` at ``g``; None when ``g`` misses the floor."""
-    return score(h, statistic_values(h, g))
+    return unscaled(h, score(h, grid_values(h, g)))
 
 
 def statistic_values(h: Hamiltonian, g: Graph) -> tuple[Fraction | int, ...]:
     """Raw (unweighted) statistic values per term, in term order."""
-    return tuple(evaluate_statistic(spec, g) for _, spec in h.terms)
+    return raw_values(h, grid_values(h, g))
 
 
-def improves(candidate: Fraction, incumbent: Fraction, sense: str) -> bool:
+def improves(candidate: int | Fraction, incumbent: int | Fraction, sense: str) -> bool:
     """Strict improvement test under the given optimization sense."""
     return candidate > incumbent if sense == "maximize" else candidate < incumbent
 

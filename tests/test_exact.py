@@ -26,7 +26,7 @@ from ergmax import (
 from ergmax import exact
 from ergmax.exact import _breaks_lex_order, _node_bound, available_chord_slots
 from ergmax.graph import all_pairs, edge_index, num_pairs
-from ergmax.stats import evaluate_statistic, improves
+from ergmax.stats import evaluate_statistic, improves, unscaled
 
 from helpers import iter_graphs, triads_maxmin
 
@@ -304,7 +304,7 @@ def test_node_bound_is_admissible_on_partial_assignments():
                 realized = Graph(n, included)
                 optimistic = Graph(n, included | (full >> depth << depth))
                 # None: then no completion may score
-                bound = _node_bound(h, realized, optimistic)
+                bound = unscaled(h, _node_bound(h)(realized, optimistic))
                 for completion_bits in range(1 << (pairs - depth)):
                     g = Graph(n, included | (completion_bits << depth))
                     try:

@@ -148,3 +148,44 @@ def test_every_benchmark_import_resolves():
                 except ImportError:
                     missing.append(f"{path.name}:{node.lineno} {module_name} {name or ''}")
     assert not missing, f"names the benchmark imports that the package lacks: {missing}"
+
+
+@pytest.mark.parametrize("solve", ["bnb-6", "first-improve-triads-20", "first-improve-distance-20"])
+def test_the_searches_build_no_fraction_per_node_or_toggle(monkeypatch, solve):
+    # every search scores on its Hamiltonian's integer grid and divides back
+    # once, so the Fractions it builds do not grow with its nodes or toggles
+    import random
+    from fractions import Fraction
+
+    from ergmax.exact import branch_and_bound, star_with_chords, structural_lower_bounds
+    from ergmax.local_search import SearchConfig, first_improve, random_connected_graph
+    from ergmax.reporting import ExperimentSpec, hamiltonian_for
+
+    space = ergmax.SampleSpace.connected_graphs()
+    alpha = Fraction(1, 2)
+    if solve == "bnb-6":
+        h = hamiltonian_for(ExperimentSpec(n=6, alpha=alpha))
+        start = star_with_chords(6, structural_lower_bounds(6, alpha).min_triangles)
+
+        def run():
+            return branch_and_bound(6, space, h, incumbent=start).nodes_explored
+    else:
+        model = "triads_vs_nonedges" if solve == "first-improve-triads-20" else "distance_vs_flow"
+        h = hamiltonian_for(ExperimentSpec(n=20, model=model, alpha=alpha, seed=1))
+        start = random_connected_graph(20, random.Random(5))
+
+        def run():
+            return first_improve(start, h, space, SearchConfig(seed=3)).nodes_explored
+
+    built = 0
+    fraction_new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        nonlocal built
+        built += 1
+        return fraction_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    work = run()
+    monkeypatch.undo()
+    assert work > 100 and built <= 4

@@ -26,7 +26,7 @@ from ergmax import (
 )
 from ergmax.graph import DisconnectedGraphError, all_pairs, bfs_layers, num_pairs
 from ergmax.local_search import _feasible_toggles, _scan_order, random_connected_graph
-from ergmax.stats import improves, statistic_values, toggled_value
+from ergmax.stats import grid_stepper, grid_values, improves
 
 from helpers import ordered_hop_sum, triads_maxmin
 
@@ -166,12 +166,12 @@ FLOW = StatisticSpec(StatisticKind.FLOW_DISTANCE)
 def test_flow_distance_steps_exactly_along_a_walk_of_toggles(n, space, data):
     h = Hamiltonian.linear([(Fraction(1), FLOW)], sense="minimize")
     g = random_connected_graph(n, random.Random(data.draw(st.integers(0, 2**32), label="seed")))
-    values = statistic_values(h, g)
+    values = grid_values(h, g)
     for i, j in data.draw(st.lists(st.sampled_from(all_pairs(n)), max_size=25), label="toggles"):
         toggled = g.toggled(i, j)
         if not is_connected(toggled):
             with pytest.raises(DisconnectedGraphError):
-                toggled_value(FLOW, g, toggled, values[0], i, j)
+                grid_stepper(FLOW)(g, toggled, values[0], i, j)
             assert not list(_feasible_toggles(g, h, space, values, [(i, j)]))
             continue
         [(toggled, cand_values, _)] = _feasible_toggles(g, h, space, values, [(i, j)])

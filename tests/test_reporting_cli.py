@@ -313,6 +313,35 @@ def test_cli_check_refuses_a_name_that_is_not_a_string(capsys, monkeypatch, tmp_
     ]
 
 
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize("place", ["rhs", "coefficient", "bound"])
+def test_cli_check_refuses_a_boolean_in_the_ir(capsys, monkeypatch, tmp_path, place, value):
+    from ergmax.lp import maxmin_assignment
+
+    monkeypatch.chdir(tmp_path)
+    assert main(["export-lp", "--n", "3", "--out", "m.lp", "--ir-json", "m.json"]) == 0
+    witness = maxmin_assignment(3, Fraction(1, 2), Graph.complete(3))
+    (tmp_path / "a.json").write_text(json.dumps({k: str(v) for k, v in witness.items()}))
+    argv = ["check", "--ir-json", "m.json", "--assignment", "a.json"]
+    assert main(argv) == 0
+    ir = json.loads((tmp_path / "m.json").read_text())
+    row = ir["rows"][0]
+    if place == "rhs":
+        row["rhs"] = value
+    elif place == "coefficient":
+        row["coeffs"][next(iter(row["coeffs"]))] = value
+    else:
+        ir["variables"][0]["upper"] = value
+    (tmp_path / "m.json").write_text(json.dumps(ir))
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [line for line in captured.err.splitlines() if "error:" in line] == [
+        f"error: malformed constraint IR: boolean {value!r} where a number belongs"
+    ]
+
+
 @pytest.mark.parametrize("value", [None, [0], True, False])
 def test_cli_check_refuses_a_non_numeric_value(capsys, tmp_path, value):
     ir_path = tmp_path / "model.json"

@@ -24,8 +24,9 @@ from ergmax.graph import num_pairs
 from ergmax.stats import (
     HamiltonianForm,
     evaluate_statistic,
+    grid_reader,
+    grid_stepper,
     read_delta,
-    toggled_value,
     uniform_delta,
     validate_delta,
     write_delta,
@@ -144,16 +145,20 @@ def test_toggled_value_is_exact_and_moves_in_the_monotone_direction(data):
     kind = data.draw(st.sampled_from(StatisticKind), label="kind")
     delta = random_unit_square_delta(n, n) if kind is StatisticKind.PHYSICAL_DISTANCE else None
     spec = StatisticSpec(kind, delta)
+    read, step = grid_reader(spec), grid_stepper(spec)
     toggled = g.toggled(i, j)
     if kind is StatisticKind.FLOW_DISTANCE:
         assume(is_connected(g))  # local search only updates from a value at g
         if not is_connected(toggled):
             with pytest.raises(DisconnectedGraphError):
-                toggled_value(spec, g, toggled, s_flow_distance(g), i, j)
+                step(g, toggled, s_flow_distance(g), i, j)
             return
-    current = evaluate_statistic(spec, g)
-    value = toggled_value(spec, g, toggled, current, i, j)
-    assert value == evaluate_statistic(spec, toggled)
+    current = read(g)
+    value = step(g, toggled, current, i, j)
+    assert type(value) is int and value == read(toggled)
+    if delta is not None:
+        # the grid value is the distance sum times the grid, exactly
+        assert Fraction(value, spec.grid) == s_physical_distance(toggled, delta)
     added = toggled.edge_count > g.edge_count
     assert value >= current if added == kind.increasing else value <= current
 
@@ -171,6 +176,8 @@ def test_hamiltonian_validation():
         StatisticSpec(StatisticKind.TRIANGLES, uniform_delta(3))
     with pytest.raises(ValueError, match="unknown statistic kind"):
         StatisticSpec("triangles")
+    with pytest.raises(ValueError, match="distances must be exact rationals"):
+        StatisticSpec(StatisticKind.PHYSICAL_DISTANCE, ((0, 0.5), (0.5, 0)))
 
 
 def test_hamiltonian_makes_its_weights_exact_once():
