@@ -13,7 +13,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .exact import branch_and_bound, brute_force, star_with_chords, structural_lower_bounds
+from .exact import branch_and_bound, brute_force, structural_lower_bounds
+from .frontier import witness
 from .graph import graph_metrics, read_edge_list
 from .lp import (
     ConstraintSystem,
@@ -32,6 +33,7 @@ from .reporting import (
     run_experiment,
 )
 from .space import SampleSpace
+from .stats import eval_hamiltonian
 
 STATUS_EXIT = {"optimal": 0, "incumbent": 2, "infeasible": 3}
 
@@ -125,13 +127,19 @@ def make_spec(args: argparse.Namespace, solver: str) -> ExperimentSpec:
 
 def cmd_bound(args: argparse.Namespace) -> int:
     bound = structural_lower_bounds(args.n, args.alpha)
-    witness = star_with_chords(args.n, bound.min_triangles)
+    h = hamiltonian_for(ExperimentSpec(n=args.n, alpha=args.alpha))
+    # the frontier interval: the connected optimum lies between the values of
+    # the connected witness and of the all-space optimum
+    inner = witness(args.n, args.alpha, connected=True)
+    outer = witness(args.n, args.alpha, connected=False)
     print(json.dumps({
         "n": args.n,
         "alpha": fraction_json(args.alpha),
         "min_triangles": bound.min_triangles,
         "min_edges": bound.min_edges,
-        "witness_edges": witness.edge_count,
+        "witness_edges": inner.edge_count,
+        "witness_objective": fraction_json(eval_hamiltonian(h, inner)),
+        "upper_bound": fraction_json(eval_hamiltonian(h, outer)),
     }, indent=2))
     return 0
 
@@ -217,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("bound", help="structural lower bounds and their witness construction")
+    p = sub.add_parser("bound", help="structural lower bounds and the frontier interval")
     p.add_argument("--n", type=node_count, required=True)
     p.add_argument("--alpha", type=parse_fraction, required=True)
     p.set_defaults(func=cmd_bound)

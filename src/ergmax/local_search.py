@@ -89,7 +89,7 @@ def _feasible_toggles(
             cand_values = tuple(step(g, toggled, current, i, j) for step, current in steps)
         except DisconnectedGraphError:
             continue
-        if (space.connected and g.has_edge(i, j) and not (adj[i] & adj[j])
+        if (space.connected and toggled.bits < g.bits and not (adj[i] & adj[j])
                 and not is_connected(toggled)):
             continue
         yield toggled, cand_values, score(h, cand_values)
@@ -161,7 +161,9 @@ def multi_restart(
     """Best of `cfg.restarts` seeded first-improve runs.
 
     Deterministic given the seed; ties between restarts break toward the
-    lexicographically smallest edge bitset.
+    lexicographically smallest edge bitset.  A fixed start that the first
+    restart leaves unchanged is returned after that restart alone, since
+    every later one would leave it unchanged too.
     """
     t0 = time.perf_counter()
     master = random.Random(cfg.seed)
@@ -183,6 +185,10 @@ def multi_restart(
             )
         ):
             best = result
+        if result.graph == cfg.start:
+            # every move strictly improves, so a climb that ends at its fixed
+            # start has scanned it in full and found it 1-toggle optimal
+            break
     assert best is not None
     best.nodes_explored = total_evals
     best.wall_time = time.perf_counter() - t0

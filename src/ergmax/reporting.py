@@ -9,14 +9,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any
 
-from .exact import (
-    SolveResult,
-    branch_and_bound,
-    brute_force,
-    solve_two_stage,
-    star_with_chords,
-    structural_lower_bounds,
-)
+from .exact import SolveResult, branch_and_bound, brute_force, solve_two_stage
+from .frontier import witness
 from .graph import Graph, GraphMetrics, edge_list_string, graph_metrics
 from .local_search import SearchConfig, multi_restart
 from .space import SampleSpace
@@ -107,10 +101,9 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path | None = None) -> E
     h = hamiltonian_for(spec, delta)
     p_star = None
     p_star_objective = None
-    # a connected graph of free edge count: bnb's incumbent, local search's start
+    # bnb's incumbent when the edge count is free, and local search's start
     if spec.model == "triads_vs_nonedges":
-        chords = structural_lower_bounds(spec.n, spec.alpha).min_triangles
-        start = star_with_chords(spec.n, chords)
+        start = witness(spec.n, spec.alpha, spec.space.connected)
     else:
         start = Graph.star(spec.n)
     bnb_options = {

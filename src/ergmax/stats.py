@@ -164,11 +164,6 @@ def raw_value(spec: StatisticSpec, value: int) -> Fraction | int:
     return value if spec.delta is None else Fraction(value, spec.grid)
 
 
-def evaluate_statistic(spec: StatisticSpec, g: Graph) -> Fraction | int:
-    """The statistic of `spec` at `g`, unscaled."""
-    return raw_value(spec, grid_reader(spec)(g))
-
-
 class HamiltonianForm(str, Enum):
     LINEAR = "linear"
     MAX_MIN = "max_min"

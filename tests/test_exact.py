@@ -26,7 +26,7 @@ from ergmax import (
 from ergmax import exact
 from ergmax.exact import _breaks_lex_order, _node_bound, available_chord_slots
 from ergmax.graph import all_pairs, edge_index, num_pairs
-from ergmax.stats import evaluate_statistic, improves, unscaled
+from ergmax.stats import improves, statistic_values, unscaled
 
 from helpers import iter_graphs, triads_maxmin
 
@@ -507,7 +507,7 @@ def test_two_stage_equals_brute_force_with_the_floor_row(n, data):
     floor = gamma * stage1.objective
     floored = []  # (weighted minimum, graph) for each graph in the space reaching the floor
     for g in iter_graphs(n):
-        weighted = [theta * evaluate_statistic(spec, g) for theta, spec in terms]
+        weighted = [theta * v for (theta, _), v in zip(h.terms, statistic_values(h, g))]
         if space.admits(g) and sum(weighted) >= floor:
             floored.append((min(weighted), g))
     if not floored:

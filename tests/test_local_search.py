@@ -24,6 +24,7 @@ from ergmax import (
     multi_restart,
     random_unit_square_delta,
 )
+from ergmax.frontier import witness
 from ergmax.graph import DisconnectedGraphError, all_pairs, bfs_layers, num_pairs
 from ergmax.local_search import _feasible_toggles, _scan_order, random_connected_graph
 from ergmax.stats import grid_stepper, grid_values, improves
@@ -96,6 +97,16 @@ def test_single_restart_equals_first_improve_with_derived_seed():
     )
     assert combined.graph == direct.graph
     assert combined.objective == direct.objective
+
+
+def test_restarts_from_a_one_toggle_optimal_start_stop_after_the_first():
+    h = triads_maxmin(Fraction(1, 2))
+    start = witness(8, Fraction(1, 2), connected=True)
+    assert not has_improving_toggle(start, h, CONNECTED)
+    once = multi_restart(8, h, CONNECTED, SearchConfig(seed=4, restarts=1, start=start))
+    many = multi_restart(8, h, CONNECTED, SearchConfig(seed=4, restarts=10, start=start))
+    assert many.graph == once.graph == start
+    assert (many.objective, many.nodes_explored) == (once.objective, once.nodes_explored)
 
 
 def test_heuristic_value_is_a_valid_bnb_lower_bound():

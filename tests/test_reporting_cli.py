@@ -11,9 +11,9 @@ from ergmax import (
     graph_metrics,
     solve_two_stage,
     star_with_chords,
-    structural_lower_bounds,
 )
 from ergmax.cli import main
+from ergmax.frontier import witness
 from ergmax.stats import uniform_delta, write_delta
 from ergmax.reporting import (
     ExperimentSpec,
@@ -116,7 +116,7 @@ def test_run_experiment_two_stage_records_p_star():
 def test_run_experiment_two_stage_telemetry_covers_both_stages():
     spec = ExperimentSpec(n=6, alpha=Fraction(1, 2), gamma=Fraction(9, 10), node_limit=40)
     report = run_experiment(spec)
-    start = star_with_chords(6, structural_lower_bounds(6, spec.alpha).min_triangles)
+    start = witness(6, spec.alpha, connected=True)
     two = solve_two_stage(6, spec.space, list(report.hamiltonian.terms), spec.gamma,
                           method="bnb", incumbent=start, node_limit=40)
     assert two.stage1.nodes_explored > 0 and two.stage2.nodes_explored > 0
@@ -144,6 +144,9 @@ def test_cli_bound(capsys):
     assert code == 0
     assert out["min_triangles"] == 59
     assert out["min_edges"] == 118
+    assert out["witness_edges"] == 407
+    assert out["witness_objective"]["fraction"] == "9541/10"
+    assert out["upper_bound"]["fraction"] == "975/1"
 
 
 def test_cli_solve_exit_codes_and_json(capsys, tmp_path):

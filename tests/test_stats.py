@@ -23,10 +23,10 @@ from ergmax import (
 from ergmax.graph import num_pairs
 from ergmax.stats import (
     HamiltonianForm,
-    evaluate_statistic,
     grid_reader,
     grid_stepper,
     read_delta,
+    statistic_values,
     uniform_delta,
     validate_delta,
     write_delta,
@@ -206,7 +206,7 @@ def test_a_floor_withholds_exactly_the_values_whose_weighted_sum_misses_it(data)
     weight = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
     terms = data.draw(st.lists(st.tuples(weight, statistic), min_size=1, max_size=3), label="terms")
     h = Hamiltonian(data.draw(st.sampled_from(HamiltonianForm), label="form"), tuple(terms))
-    weighted_sum = sum(theta * evaluate_statistic(spec, g) for theta, spec in terms)
+    weighted_sum = sum(theta * v for (theta, _), v in zip(h.terms, statistic_values(h, g)))
     # floors at and either side of the weighted sum, and anywhere else
     floor = data.draw(
         st.sampled_from([weighted_sum - Fraction(1, 7), weighted_sum, weighted_sum + Fraction(1, 7)])
