@@ -24,6 +24,7 @@ from .lp import (
     export_lp,
 )
 from .reporting import (
+    MODELS,
     ExperimentSpec,
     fraction_json,
     hamiltonian_for,
@@ -96,8 +97,7 @@ def add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--space", choices=("connected", "all"), default="connected")
     p.add_argument("--density", type=int, default=None,
                    help="also fix the edge count to this value")
-    p.add_argument("--model", choices=("triads_vs_nonedges", "distance_vs_flow"),
-                   default="triads_vs_nonedges")
+    p.add_argument("--model", choices=MODELS, default=ExperimentSpec.model)
     p.add_argument("--delta-file", default=None,
                    help="distance-matrix file for the distance model "
                         "(default: seeded unit-square generator)")

@@ -2,11 +2,12 @@
 
 Both solvers score and compare on the objective's integer grid, scaled
 once per Hamiltonian (see :class:`~ergmax.stats.Hamiltonian`): every
-value, bound, floor test and incumbent is an exact Python int, and the
-reported objective and root bound are divided back to Fractions once, when
-the result is built.  So pruning decisions and reported optima carry no
-floating-point ambiguity.  Brute force is the oracle for everything else
-and is capped at n = 7 (2^21 graphs).
+value, bound, floor test and incumbent is an exact Python int where
+higher is better in either sense, so no comparison reads the sense.
+The reported objective and root bound are divided back to Fractions in
+one place, :meth:`SolveResult.of`.  So pruning decisions and reported
+optima carry no floating-point ambiguity.  Brute force is the oracle for
+everything else and is capped at n = 7 (2^21 graphs).
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .stats import (
     StatisticKind,
     StatisticSpec,
     grid_values,
-    improves,
     score,
     statistic_values,
     unscaled,
@@ -44,6 +44,16 @@ class SolveResult:
     nodes_explored: int
     wall_time: float
     bound_at_root: Fraction | None = None
+
+    @classmethod
+    def of(cls, h: Hamiltonian, graph: Graph | None, score: int | None, status: str,
+           nodes: int, start: float, root: int | None = None) -> "SolveResult":
+        """A solver's outcome on h's grid divided back, the one place that does
+        it: `score` and the root bound `root` to exact objectives, and `graph`
+        read for its raw statistics; timed from the perf_counter `start`."""
+        values = () if graph is None else statistic_values(h, graph)
+        return cls(graph, unscaled(h, score), values, status, nodes,
+                   time.perf_counter() - start, unscaled(h, root))
 
 
 @dataclass(frozen=True)
@@ -136,24 +146,14 @@ def brute_force(
         if value is None:
             continue
         evaluated += 1
-        if best is None or improves(value, best, h.sense):
+        if best is None or value > best:
             best = value
             argmax = [g]
         elif value == best:
             argmax.append(g)
-    elapsed = time.perf_counter() - start
-    if best is None:
-        return (
-            SolveResult(None, None, (), "infeasible", evaluated, elapsed),
-            (),
-        )
-    top = argmax[0]
-    return (
-        SolveResult(
-            top, unscaled(h, best), statistic_values(h, top), "optimal", evaluated, elapsed
-        ),
-        tuple(argmax),
-    )
+    top = argmax[0] if argmax else None
+    status = "infeasible" if top is None else "optimal"
+    return SolveResult.of(h, top, best, status, evaluated, start), tuple(argmax)
 
 
 # ---------------------------------------------------------------------------
@@ -166,16 +166,16 @@ def _node_bound(h: Hamiltonian) -> Callable[[Graph, Graph], int | None]:
 
     `realized` has the decided-present edges, `optimistic` every undecided
     pair too; each statistic is monotone in the edge set, so takes its
-    extreme at one of the two, chosen here once per term.  Scored, the
-    extremes bound the objective; under a floor (h then maximizes) their
-    weighted sum bounds each completion's.  At a leaf the bound is exact.
-    None means no completion scores: none reaches the floor, or none has a
-    finite flow distance.
+    extreme at one of the two, chosen here once per term by the sign of
+    its grid weight (a weight-0 term at `optimistic`, where a flow distance
+    is finite if any completion's is).  Scored, the extremes bound the
+    score, and under a floor their weighted sum bounds each completion's.
+    At a leaf the bound is exact.  None means no completion scores: none
+    reaches the floor, or none has a finite flow distance.
     """
-    maximize = h.sense == "maximize"
     extremes = tuple(
-        (read, spec.kind.increasing == ((theta >= 0) == maximize))
-        for read, (theta, spec) in zip(h.readers, h.terms)
+        (read, spec.kind.increasing == (w > 0))
+        for read, w, (_, spec) in zip(h.readers, h.grid_weights, h.terms)
     )
 
     def bound(realized: Graph, optimistic: Graph) -> int | None:
@@ -229,10 +229,10 @@ def branch_and_bound(
     and the graph returned may be a relabelling of another optimum.
     """
     space.validate_for(n)
-    maximize = h.sense == "maximize"
-    if any(s.kind is StatisticKind.FLOW_DISTANCE and (t >= 0) == maximize for t, s in h.terms):
-        # its maximum would be taken at `realized`, which may be disconnected
-        # while some completion is connected: the node would be pruned wrongly
+    if any(s.kind is StatisticKind.FLOW_DISTANCE and w > 0
+           for w, (_, s) in zip(h.grid_weights, h.terms)):
+        # a flow term that scores more as it grows is bounded at `realized`, which
+        # may be disconnected while some completion is connected: a wrong prune
         raise ValueError(
             "flow distance admits no finite optimistic maximum over partial assignments")
     pairs = num_pairs(n)
@@ -242,15 +242,13 @@ def branch_and_bound(
 
     node_bound = _node_bound(h)
     # values, bounds and the incumbent are ints on h's grid
-    best_graph: Graph | None = None
-    best_val: int | None = None
+    best_graph, best_val = incumbent, None
     if incumbent is not None:
         if incumbent.n != n or not space.admits(incumbent):
             raise ValueError("warm-start incumbent is infeasible for the space")
         best_val = score(h, grid_values(h, incumbent))
         if best_val is None:
             raise ValueError("warm-start incumbent violates the floor row")
-        best_graph = incumbent
 
     bound_at_root: int | None = None
     nodes = 0
@@ -278,16 +276,14 @@ def branch_and_bound(
         bound = node_bound(realized, optimistic)
         if bound is None:
             continue
-        if depth == pairs:
-            # a leaf: realized equals optimistic, the density and
-            # connectivity checks above were exact, and its bound is its objective
-            if best_val is None or improves(bound, best_val, h.sense):
-                best_val = bound
-                best_graph = realized
-            continue
         if bound_at_root is None:
             bound_at_root = bound
-        if best_val is not None and not improves(bound, best_val, h.sense):
+        if best_val is not None and bound <= best_val:
+            continue
+        if depth == pairs:
+            # a leaf: realized equals optimistic, the density and connectivity
+            # checks above were exact, and its bound is its score, the best yet
+            best_val, best_graph = bound, realized
             continue
         i, j = pair_list[depth]
         stack.append((depth + 1, realized, optimistic.toggled(i, j)))
@@ -300,21 +296,8 @@ def branch_and_bound(
             continue
         stack.append((depth + 1, child, optimistic))
 
-    elapsed = time.perf_counter() - start
-    root = unscaled(h, bound_at_root)
-    if best_graph is None:
-        status = "incumbent" if limit_hit else "infeasible"
-        return SolveResult(None, None, (), status, nodes, elapsed, root)
-    status = "incumbent" if limit_hit else "optimal"
-    return SolveResult(
-        best_graph,
-        unscaled(h, best_val),
-        statistic_values(h, best_graph),
-        status,
-        nodes,
-        elapsed,
-        root,
-    )
+    status = "incumbent" if limit_hit else "infeasible" if best_graph is None else "optimal"
+    return SolveResult.of(h, best_graph, best_val, status, nodes, start, bound_at_root)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,9 @@ stops at a state where no single toggle helps.  The order is drawn
 lazily, one pair per scanned position (forward Fisher-Yates), so a pass
 that stops early pays only for the pairs it scanned.  A fixed scan order
 would make restarts redundant, so the order is reseeded per restart.
+Toggles are scored as ints on the objective's grid, where higher is
+better in either sense (see :class:`~ergmax.stats.Hamiltonian`), and a
+climb's result is divided back once, by :meth:`SolveResult.of`.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Iterable, Iterator
 from .exact import SolveResult
 from .graph import DisconnectedGraphError, Graph, all_pairs, is_connected, reached
 from .space import SampleSpace
-from .stats import Hamiltonian, grid_values, improves, raw_values, score, unscaled
+from .stats import Hamiltonian, grid_values, score
 
 
 @dataclass(frozen=True)
@@ -77,7 +80,9 @@ def _feasible_toggles(
     first, so a removal's connectivity test finds any hop rows the flow
     distance step carried to the toggled graph, and needs no search.  A
     removal whose endpoints share a neighbour keeps them joined through it,
-    so it keeps a connected g connected without a search either.
+    so it keeps a connected g connected without a search either; one that
+    leaves an endpoint with no neighbour disconnects g, and is skipped
+    before anything is read.
     """
     if space.density is not None:
         return  # any single toggle changes the edge count
@@ -85,12 +90,14 @@ def _feasible_toggles(
     adj = g.adjacency() if space.connected else ()
     for i, j in pairs:
         toggled = g.toggled(i, j)
+        may_cut = space.connected and toggled.bits < g.bits
+        if may_cut and (adj[i] == 1 << j or adj[j] == 1 << i):
+            continue
         try:
             cand_values = tuple(step(g, toggled, current, i, j) for step, current in steps)
         except DisconnectedGraphError:
             continue
-        if (space.connected and toggled.bits < g.bits and not (adj[i] & adj[j])
-                and not is_connected(toggled)):
+        if may_cut and not (adj[i] & adj[j]) and not is_connected(toggled):
             continue
         yield toggled, cand_values, score(h, cand_values)
 
@@ -121,25 +128,17 @@ def first_improve(
     objective = score(h, values)
     moves = 0
     evaluations = 0
-    improved = True
-    while improved and moves < cfg.max_iterations:
-        improved = False
+    while moves < cfg.max_iterations:
         scan = _scan_order(pairs, rng)
         for toggled, cand_values, cand_obj in _feasible_toggles(g, h, space, values, scan):
             evaluations += 1
-            if improves(cand_obj, objective, h.sense):
+            if cand_obj > objective:
                 g, values, objective = toggled, cand_values, cand_obj
                 moves += 1
-                improved = True
                 break
-    return SolveResult(
-        graph=g,
-        objective=unscaled(h, objective),
-        statistic_values=raw_values(h, values),
-        status="incumbent",
-        nodes_explored=evaluations,
-        wall_time=time.perf_counter() - t0,
-    )
+        else:
+            break  # a full scan found no improving toggle
+    return SolveResult.of(h, g, objective, "incumbent", evaluations, t0)
 
 
 def has_improving_toggle(g: Graph, h: Hamiltonian, space: SampleSpace) -> bool:
@@ -147,7 +146,7 @@ def has_improving_toggle(g: Graph, h: Hamiltonian, space: SampleSpace) -> bool:
     values = grid_values(h, g)
     objective = score(h, values)
     return any(
-        improves(cand_obj, objective, h.sense)
+        cand_obj > objective
         for _, _, cand_obj in _feasible_toggles(g, h, space, values, all_pairs(g.n))
     )
 
@@ -167,29 +166,19 @@ def multi_restart(
     """
     t0 = time.perf_counter()
     master = random.Random(cfg.seed)
-    best: SolveResult | None = None
-    total_evals = 0
+    results: list[SolveResult] = []
     for _ in range(cfg.restarts):
         sub_seed = master.randrange(2**63)
         sub_rng = random.Random(sub_seed)
         start = cfg.start if isinstance(cfg.start, Graph) else random_connected_graph(n, sub_rng)
         sub_cfg = dataclasses.replace(cfg, seed=sub_seed, restarts=1)
-        result = first_improve(start, h, space, sub_cfg)
-        total_evals += result.nodes_explored
-        if (
-            best is None
-            or improves(result.objective, best.objective, h.sense)
-            or (
-                result.objective == best.objective
-                and result.graph.bits < best.graph.bits
-            )
-        ):
-            best = result
-        if result.graph == cfg.start:
+        results.append(first_improve(start, h, space, sub_cfg))
+        if results[-1].graph == cfg.start:
             # every move strictly improves, so a climb that ends at its fixed
             # start has scanned it in full and found it 1-toggle optimal
             break
-    assert best is not None
-    best.nodes_explored = total_evals
+    # the highest score on h's grid, then the smallest bitset; max keeps the first
+    best = max(results, key=lambda r: (r.objective * h.scale, -r.graph.bits))
+    best.nodes_explored = sum(r.nodes_explored for r in results)
     best.wall_time = time.perf_counter() - t0
     return best

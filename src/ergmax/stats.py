@@ -4,8 +4,10 @@ A :class:`Hamiltonian` is either a weighted sum of statistics (the
 classical exponential-family exponent) or a weighted min/max of them
 (the robust variant).  Weights are made :class:`~fractions.Fraction` once,
 when a Hamiltonian is built, which also scales the objective once onto an
-integer grid, so that :func:`score` compares exact ints and the solvers
-divide back once, when they report a value.
+integer grid.  The sense is folded into that scale, negative when
+minimizing, so a :func:`score` is an exact int where higher is always
+better, and the solvers divide back once, when they report a value.
+This module is the only one that reads a Hamiltonian's ``sense``.
 """
 
 from __future__ import annotations
@@ -159,11 +161,6 @@ def grid_stepper(spec: StatisticSpec) -> Callable[[Graph, Graph, int, int, int],
     return lambda g, toggled, current, i, j: read(toggled)
 
 
-def raw_value(spec: StatisticSpec, value: int) -> Fraction | int:
-    """A value on `spec`'s grid divided back: a Fraction for physical distance."""
-    return value if spec.delta is None else Fraction(value, spec.grid)
-
-
 class HamiltonianForm(str, Enum):
     LINEAR = "linear"
     MAX_MIN = "max_min"
@@ -181,10 +178,13 @@ class Hamiltonian:
 
     The objective is also held on an integer grid, built once here.  With
     D_k term k's value grid (``spec.grid``), ``scale`` is the least common
-    multiple L of the weight denominators times D_k, term k's weight on the
-    grid is the int θ_k·L/D_k (``grid_weights``), and the floor is the int
-    ceil(floor·L) (``grid_floor``).  :func:`score` of the terms' values on
-    their grids (``readers``, ``steppers``) is then L times the objective.
+    multiple L of the weight denominators times D_k, negated when
+    minimizing; term k's weight on the grid is the int θ_k·scale/D_k
+    (``grid_weights``), and the floor is the int ceil(floor·L)
+    (``grid_floor``).  :func:`score` of the terms' values on their grids
+    (``readers``, ``steppers``) is then ``scale`` times the objective: an
+    int that is higher for a better graph in either sense, and a weighted
+    maximum becomes the least negated term, so ``reduce`` is sum or min.
     """
 
     form: HamiltonianForm
@@ -196,7 +196,7 @@ class Hamiltonian:
     grid_floor: int | None = field(default=None, init=False, repr=False, compare=False)
     readers: tuple[Callable, ...] = field(default=(), init=False, repr=False, compare=False)
     steppers: tuple[Callable, ...] = field(default=(), init=False, repr=False, compare=False)
-    # combines the weighted terms: sum, min or max
+    # combines the weighted terms: sum or min
     reduce: Callable[[list[int]], int] = field(default=sum, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -206,14 +206,15 @@ class Hamiltonian:
             raise ValueError("a Hamiltonian needs at least one term")
         terms = tuple((Fraction(t), s) for t, s in self.terms)
         scale = math.lcm(*(t.denominator * s.grid for t, s in terms))
+        if self.sense == "minimize":
+            scale = -scale
         derived = {
             "terms": terms,
             "scale": scale,
             "grid_weights": tuple(t.numerator * (scale // (t.denominator * s.grid)) for t, s in terms),
             "readers": tuple(grid_reader(s) for _, s in terms),
             "steppers": tuple(grid_stepper(s) for _, s in terms),
-            "reduce": sum if self.form is HamiltonianForm.LINEAR
-            else min if self.sense == "maximize" else max,
+            "reduce": sum if self.form is HamiltonianForm.LINEAR else min,
         }
         if self.floor is not None:
             if self.sense != "maximize":
@@ -257,9 +258,9 @@ class Hamiltonian:
 
 def score(h: Hamiltonian, values: Sequence[int]) -> int | None:
     """The objective of ``h`` times ``h.scale`` at its terms' values on their
-    grids: None when their weighted sum is below ``h.floor``, else that sum
-    for the linear form; for max_min, the least weighted value when
-    maximizing, the largest when minimizing.  Ints in, an int out."""
+    grids, higher for a better graph in either sense: None when their
+    weighted sum is below ``h.floor``, else that sum for the linear form and
+    the least weighted value for max_min.  Ints in, an int out."""
     weighted = [w * v for w, v in zip(h.grid_weights, values)]
     if h.grid_floor is not None and sum(weighted) < h.grid_floor:
         return None
@@ -276,24 +277,16 @@ def unscaled(h: Hamiltonian, value: int | None) -> Fraction | None:
     return None if value is None else Fraction(value, h.scale)
 
 
-def raw_values(h: Hamiltonian, values: Sequence[int]) -> tuple[Fraction | int, ...]:
-    """The terms' values on their grids divided back: the raw statistics."""
-    return tuple(raw_value(spec, v) for (_, spec), v in zip(h.terms, values))
-
-
 def eval_hamiltonian(h: Hamiltonian, g: Graph) -> Fraction | None:
     """Exact objective value of ``h`` at ``g``; None when ``g`` misses the floor."""
     return unscaled(h, score(h, grid_values(h, g)))
 
 
 def statistic_values(h: Hamiltonian, g: Graph) -> tuple[Fraction | int, ...]:
-    """Raw (unweighted) statistic values per term, in term order."""
-    return raw_values(h, grid_values(h, g))
-
-
-def improves(candidate: int | Fraction, incumbent: int | Fraction, sense: str) -> bool:
-    """Strict improvement test under the given optimization sense."""
-    return candidate > incumbent if sense == "maximize" else candidate < incumbent
+    """Raw (unweighted) statistic values per term, in term order: physical
+    distance divided back from its grid to a Fraction."""
+    return tuple(v if spec.delta is None else Fraction(v, spec.grid)
+                 for (_, spec), v in zip(h.terms, grid_values(h, g)))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from ergmax import (
 from ergmax import exact
 from ergmax.exact import _breaks_lex_order, _node_bound, available_chord_slots
 from ergmax.graph import all_pairs, edge_index, num_pairs
-from ergmax.stats import improves, statistic_values, unscaled
+from ergmax.stats import HamiltonianForm, statistic_values
 
 from helpers import iter_graphs, triads_maxmin
 
@@ -224,8 +224,17 @@ def spaces_for(n):
 def test_bnb_matches_brute_force_on_the_distance_model(n, seed):
     phys = StatisticSpec(StatisticKind.PHYSICAL_DISTANCE, random_unit_square_delta(n, seed))
     flow = StatisticSpec(StatisticKind.FLOW_DISTANCE)
-    for alpha in (Fraction(1, 2), Fraction(9, 10)):
-        h = Hamiltonian.max_min_pair(alpha, phys, flow, sense="minimize")
+    triangles = StatisticSpec(StatisticKind.TRIANGLES)
+    cells = [Hamiltonian.max_min_pair(alpha, phys, flow, sense="minimize")
+             for alpha in (Fraction(1, 2), Fraction(9, 10))]
+    # a maximized objective with a weight-0 flow term: the term weighs 0
+    # but keeps the domain to connected graphs, in either form
+    cells += [
+        Hamiltonian(form, ((Fraction(0), flow), (Fraction(-1), phys), *extra))
+        for form in HamiltonianForm
+        for extra in ((), ((Fraction(1, 2), triangles),))
+    ]
+    for h in cells:
         for space in spaces_for(n):
             ref, argmax = brute_force(n, space, h)
             res = branch_and_bound(n, space, h)
@@ -304,7 +313,7 @@ def test_node_bound_is_admissible_on_partial_assignments():
                 realized = Graph(n, included)
                 optimistic = Graph(n, included | (full >> depth << depth))
                 # None: then no completion may score
-                bound = unscaled(h, _node_bound(h)(realized, optimistic))
+                bound = _node_bound(h)(realized, optimistic)
                 for completion_bits in range(1 << (pairs - depth)):
                     g = Graph(n, included | (completion_bits << depth))
                     try:
@@ -312,7 +321,8 @@ def test_node_bound_is_admissible_on_partial_assignments():
                     except DisconnectedGraphError:
                         continue  # outside the flow objective's domain
                     if value is not None:
-                        assert bound is not None and not improves(value, bound, h.sense)
+                        # both on h's grid, where higher is better in either sense
+                        assert bound is not None and value * h.scale <= bound
 
 
 @pytest.mark.parametrize("sense, weight", [("maximize", 1), ("minimize", -1)])

@@ -8,7 +8,8 @@ property of the package must be referenced somewhere in the repository's
 Python code (package, tests, demos, benchmark) or be exported in
 ``ergmax.__all__``.  Every probe the benchmark's tracer installs must
 name a function it can find, and every name the benchmark imports from
-the package must exist.
+the package must exist.  Only ``stats.py`` reads a Hamiltonian's
+``sense``: everywhere else it is folded into the sign of ``scale``.
 """
 
 from __future__ import annotations
@@ -62,6 +63,17 @@ def test_every_module_level_import_is_used(path):
             used |= used_names(stmt)
     unused = sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def test_only_stats_reads_the_sense():
+    readers = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "stats.py"
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.Attribute) and node.attr == "sense"
+    ]
+    assert not readers, f"modules that read .sense instead of the sign of scale: {readers}"
 
 
 def test_every_private_function_is_referenced():

@@ -35,6 +35,7 @@ from helpers import (
 )
 
 WEIGHTS = (Fraction(2, 7), Fraction(5, 11), Fraction(1, 3))
+SIGNED_WEIGHTS = (Fraction(0), Fraction(2, 7), Fraction(-5, 11), Fraction(1, 3), Fraction(-1))
 ENTRIES = ("1/3", "0.25", "1", "2", "3")
 SPACES = (SampleSpace.connected_graphs(), SampleSpace.all_graphs())
 
@@ -169,12 +170,12 @@ def mixed_grid_delta(draw, n):
 
 
 @st.composite
-def problems(draw):
+def problems(draw, weights=WEIGHTS):
     n = draw(st.integers(3, 5), label="n")
     delta = draw(mixed_grid_delta(n), label="delta")
     kinds = draw(st.lists(st.sampled_from(StatisticKind), min_size=1, max_size=3), label="kinds")
     terms = [
-        (draw(st.sampled_from(WEIGHTS)),
+        (draw(st.sampled_from(weights)),
          StatisticSpec(kind, delta if kind is StatisticKind.PHYSICAL_DISTANCE else None))
         for kind in kinds
     ]
@@ -261,3 +262,42 @@ def test_a_floor_off_the_grid_admits_exactly_the_graphs_that_reach_it(method):
     expected = max(reference_value(h, h.terms, g) for g in sums if sums[g] >= floor)
     assert (two.stage2.status, two.stage2.objective) == ("optimal", expected)
     assert sums[two.stage2.graph] >= floor
+
+
+def mirrored(h):
+    """h with every weight negated and the sense flipped: the same objective, negated."""
+    sense = "minimize" if h.sense == "maximize" else "maximize"
+    return Hamiltonian(h.form, tuple((-t, s) for t, s in h.terms), sense)
+
+
+def negated(value):
+    return None if value is None else -value
+
+
+@settings(max_examples=150, deadline=None)
+@given(problems(SIGNED_WEIGHTS), st.integers(0, 2**16))
+def test_a_mirrored_objective_is_solved_alike_with_its_value_negated(problem, seed):
+    # zero weights and flow terms are drawn, so every solver must treat a
+    # term's direction alike whether it comes from its weight or the sense
+    n, space, h = problem
+    h = dataclasses.replace(h, floor=None)
+    start = random_connected_graph(n, random.Random(seed))
+    solvers = {
+        "brute": lambda h: brute_force(n, space, h)[0],
+        "bnb": lambda h: branch_and_bound(n, space, h),
+        "first_improve": lambda h: first_improve(start, h, space, SearchConfig(seed=seed)),
+    }
+    for name, solve in solvers.items():
+        outcomes = []
+        for variant in (h, mirrored(h)):
+            try:
+                result = solve(variant)
+            except ValueError as exc:
+                outcomes.append(str(exc))
+                continue
+            outcomes.append((result.status, result.graph, result.nodes_explored,
+                             result.statistic_values, result.objective, result.bound_at_root))
+        if isinstance(outcomes[0], tuple) and isinstance(outcomes[1], tuple):
+            *same, objective, root = outcomes[1]
+            outcomes[1] = (*same, negated(objective), negated(root))
+        assert outcomes[0] == outcomes[1], name

@@ -27,7 +27,7 @@ from ergmax import (
 from ergmax.frontier import witness
 from ergmax.graph import DisconnectedGraphError, all_pairs, bfs_layers, num_pairs
 from ergmax.local_search import _feasible_toggles, _scan_order, random_connected_graph
-from ergmax.stats import grid_stepper, grid_values, improves
+from ergmax.stats import grid_stepper, grid_values
 
 from helpers import ordered_hop_sum, triads_maxmin
 
@@ -107,6 +107,25 @@ def test_restarts_from_a_one_toggle_optimal_start_stop_after_the_first():
     many = multi_restart(8, h, CONNECTED, SearchConfig(seed=4, restarts=10, start=start))
     assert many.graph == once.graph == start
     assert (many.objective, many.nodes_explored) == (once.objective, once.nodes_explored)
+
+
+@pytest.mark.parametrize("alpha", [Fraction(7, 10), Fraction(1, 2), Fraction(3, 10)])
+def test_pendant_edge_removals_are_refused_without_a_connectivity_search(monkeypatch, alpha):
+    # the connected witness is a clique core with pendants on node 0: each
+    # removal either keeps its endpoints' common neighbour or strands a pendant
+    from ergmax import local_search
+
+    searched = []
+    search = local_search.is_connected
+
+    def counted(g):
+        searched.append(g)
+        return search(g)
+
+    monkeypatch.setattr(local_search, "is_connected", counted)
+    g = witness(60, alpha, connected=True)
+    assert not has_improving_toggle(g, triads_maxmin(alpha), CONNECTED)
+    assert not searched
 
 
 def test_heuristic_value_is_a_valid_bnb_lower_bound():
@@ -216,7 +235,7 @@ def reference_has_improving_toggle(g, h, space):
             value = eval_hamiltonian(h, t)
         except DisconnectedGraphError:
             continue
-        if improves(value, base, h.sense):
+        if value > base if h.sense == "maximize" else value < base:
             return True
     return False
 
