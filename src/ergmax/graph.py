@@ -167,6 +167,28 @@ class Graph:
         return f"Graph(n={self.n}, edges={sorted(self.edges())})"
 
 
+class Toggle:
+    """A candidate move: graph `parent` with pair (i, j) flipped, `added` when
+    the flip adds the pair.  A move is scored from its parent (see
+    :func:`ergmax.stats.grid_stepper`); the flipped :class:`Graph` is built
+    by :meth:`Graph.toggled` only when ``graph`` is first read."""
+
+    __slots__ = ("parent", "i", "j", "added", "_graph")
+
+    def __init__(self, parent: Graph, i: int, j: int, added: bool):
+        self.parent = parent
+        self.i = i
+        self.j = j
+        self.added = added
+        self._graph: Graph | None = None
+
+    @property
+    def graph(self) -> Graph:
+        if self._graph is None:
+            self._graph = self.parent.toggled(self.i, self.j)
+        return self._graph
+
+
 # ---------------------------------------------------------------------------
 # structural counts
 
@@ -282,9 +304,10 @@ def _sole_parent_sources(
     return out
 
 
-def carry_hop_rows(g: Graph, toggled: Graph, i: int, j: int) -> None:
-    """Give `toggled` (g with pair (i, j) flipped) g's hop rows, searched again
-    only from the sources whose distances the flip changes.
+def carry_hop_rows(move: Toggle, adj: tuple[int, ...]) -> None:
+    """Give ``move.graph`` the hop rows of its parent g, whose adjacency rows
+    are `adj`, searched again only from the sources whose distances the flip
+    of pair (i, j) changes.
 
     Adding (i, j) shortens paths exactly from the sources two or more hops
     nearer to one endpoint than to the other.  Removing it lengthens them
@@ -292,13 +315,14 @@ def carry_hop_rows(g: Graph, toggled: Graph, i: int, j: int) -> None:
     to the layer of the near one; a removal that disconnects the graph is
     one of those and raises DisconnectedGraphError.
     """
-    rows = _hop_rows(g)
-    if toggled.bits > g.bits:
+    i, j = move.i, move.j
+    rows = _hop_rows(move.parent)
+    if move.added:
         near_i, near_j = rows[i][1], rows[j][1]
         affected = _two_hops_nearer(near_i, near_j) | _two_hops_nearer(near_j, near_i)
     else:
-        adj = g.adjacency()
         affected = _sole_parent_sources(rows, adj, i, j) | _sole_parent_sources(rows, adj, j, i)
+    toggled = move.graph
     carried = list(rows)
     while affected:
         low = affected & -affected

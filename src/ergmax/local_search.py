@@ -8,7 +8,12 @@ that stops early pays only for the pairs it scanned.  A fixed scan order
 would make restarts redundant, so the order is reseeded per restart.
 Toggles are scored as ints on the objective's grid, where higher is
 better in either sense (see :class:`~ergmax.stats.Hamiltonian`), and a
-climb's result is divided back once, by :meth:`SolveResult.of`.
+climb's result is divided back once, by :meth:`SolveResult.of`.  Each
+candidate is a :class:`~ergmax.graph.Toggle` scored from its parent graph
+(see :func:`~ergmax.stats.grid_stepper`): a Graph is built for the move
+taken, and for a candidate only when its flow distance or a connectivity
+test reads one, so an accepted flow move keeps the hop rows carried while
+it was scored.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .exact import SolveResult
-from .graph import DisconnectedGraphError, Graph, all_pairs, is_connected, reached
+from .graph import DisconnectedGraphError, Graph, Toggle, all_pairs, is_connected, reached
 from .space import SampleSpace
 from .stats import Hamiltonian, grid_values, score
 
@@ -71,35 +76,38 @@ def _feasible_toggles(
     space: SampleSpace,
     values: tuple[int, ...],
     pairs: Iterable[tuple[int, int]],
-) -> Iterator[tuple[Graph, tuple[int, ...], int | None]]:
-    """Yield (toggled graph, its statistic values, its objective) per feasible
-    toggle, all on h's grid: `values` are g's.
+) -> Iterator[tuple[Toggle, tuple[int, ...], int | None]]:
+    """Yield (move, its statistic values, its objective) per feasible toggle
+    of g, all on h's grid: `values` are g's.
 
     A toggle is feasible when it keeps g in the objective's domain and in
-    the space; toggles come in `pairs` order.  The statistics are read
-    first, so a removal's connectivity test finds any hop rows the flow
-    distance step carried to the toggled graph, and needs no search.  A
-    removal whose endpoints share a neighbour keeps them joined through it,
-    so it keeps a connected g connected without a search either; one that
-    leaves an endpoint with no neighbour disconnects g, and is skipped
-    before anything is read.
+    the space; toggles come in `pairs` order.  Each is scored from g, its
+    values stepped from `values` with g's adjacency rows, read once here;
+    only the flow distance step builds the toggled graph, ``move.graph``.
+    The statistics are stepped before a removal's connectivity test, which
+    then finds the hop rows that step carried to ``move.graph`` and needs no
+    search.  A removal whose endpoints share a neighbour keeps them joined
+    through it, so it keeps a connected g connected without a search
+    either; one that leaves an endpoint with no neighbour disconnects g,
+    and is skipped before anything is stepped.
     """
     if space.density is not None:
         return  # any single toggle changes the edge count
     steps = tuple(zip(h.steppers, values))
-    adj = g.adjacency() if space.connected else ()
+    adj = g.adjacency()
     for i, j in pairs:
-        toggled = g.toggled(i, j)
-        may_cut = space.connected and toggled.bits < g.bits
+        added = not adj[i] >> j & 1
+        may_cut = space.connected and not added
         if may_cut and (adj[i] == 1 << j or adj[j] == 1 << i):
             continue
+        move = Toggle(g, i, j, added)
         try:
-            cand_values = tuple(step(g, toggled, current, i, j) for step, current in steps)
+            cand_values = tuple(step(move, adj, current) for step, current in steps)
         except DisconnectedGraphError:
             continue
-        if may_cut and not (adj[i] & adj[j]) and not is_connected(toggled):
+        if may_cut and not (adj[i] & adj[j]) and not is_connected(move.graph):
             continue
-        yield toggled, cand_values, score(h, cand_values)
+        yield move, cand_values, score(h, cand_values)
 
 
 def first_improve(
@@ -130,10 +138,10 @@ def first_improve(
     evaluations = 0
     while moves < cfg.max_iterations:
         scan = _scan_order(pairs, rng)
-        for toggled, cand_values, cand_obj in _feasible_toggles(g, h, space, values, scan):
+        for move, cand_values, cand_obj in _feasible_toggles(g, h, space, values, scan):
             evaluations += 1
             if cand_obj > objective:
-                g, values, objective = toggled, cand_values, cand_obj
+                g, values, objective = move.graph, cand_values, cand_obj
                 moves += 1
                 break
         else:

@@ -24,6 +24,7 @@ import numpy as np
 from .graph import (
     DisconnectedGraphError,
     Graph,
+    Toggle,
     carry_hop_rows,
     count_triangles,
     num_pairs,
@@ -135,30 +136,35 @@ def grid_reader(spec: StatisticSpec) -> Callable[[Graph], int]:
     return lambda g: s_physical_distance(g, rows)
 
 
-def grid_stepper(spec: StatisticSpec) -> Callable[[Graph, Graph, int, int, int], int]:
+def grid_stepper(spec: StatisticSpec) -> Callable[[Toggle, tuple[int, ...], int], int]:
     """The toggle step of `spec`'s statistic on its grid: a function of
-    (g, toggled, current, i, j) giving its value at `toggled` (g with pair
-    (i, j) toggled) from its value `current` at g.
+    (move, adj, current) giving its value at `move`, a :class:`Toggle` of
+    some graph g, from its value `current` at g and g's adjacency rows `adj`.
 
-    Only physical distance steps from `current`, by an int add; every
-    other statistic is read off `toggled`: in O(1) for non-edges, and for
-    triangles once g's count is known, since `toggled` carries it.  Flow
-    distance sums the per-source hop rows that `toggled` takes from g's,
-    re-searched only from the sources the toggle can change; it raises
-    DisconnectedGraphError when `toggled` is disconnected."""
-    if spec.kind is StatisticKind.PHYSICAL_DISTANCE:
-        rows = spec.grid_delta
-        # the pair's distance joins the sum when it is added and leaves it when removed
-        return lambda g, toggled, current, i, j: (
-            current + rows[i][j] if toggled.bits > g.bits else current - rows[i][j])
+    Non-edges, triangles and physical distance step by a closed form and
+    build no graph: the pair leaves or joins the non-edges, closes or opens
+    one triangle per common neighbour of its endpoints, and adds or drops
+    its distance.  Flow distance builds ``move.graph`` and sums the
+    per-source hop rows it takes from g's, re-searched only from the
+    sources the toggle can change; it raises DisconnectedGraphError when
+    the toggled graph is disconnected."""
+    if spec.kind is StatisticKind.NON_EDGES:
+        return lambda move, adj, current: current - 1 if move.added else current + 1
+    if spec.kind is StatisticKind.TRIANGLES:
+        def triangles(move: Toggle, adj: tuple[int, ...], current: int) -> int:
+            closed = (adj[move.i] & adj[move.j]).bit_count()
+            return current + closed if move.added else current - closed
+
+        return triangles
     if spec.kind is StatisticKind.FLOW_DISTANCE:
-        def hops(g: Graph, toggled: Graph, current: int, i: int, j: int) -> int:
-            carry_hop_rows(g, toggled, i, j)
-            return s_flow_distance(toggled)
+        def hops(move: Toggle, adj: tuple[int, ...], current: int) -> int:
+            carry_hop_rows(move, adj)
+            return s_flow_distance(move.graph)
 
         return hops
-    read = grid_reader(spec)
-    return lambda g, toggled, current, i, j: read(toggled)
+    rows = spec.grid_delta
+    return lambda move, adj, current: (
+        current + rows[move.i][move.j] if move.added else current - rows[move.i][move.j])
 
 
 class HamiltonianForm(str, Enum):

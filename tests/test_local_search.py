@@ -25,11 +25,11 @@ from ergmax import (
     random_unit_square_delta,
 )
 from ergmax.frontier import witness
-from ergmax.graph import DisconnectedGraphError, all_pairs, bfs_layers, num_pairs
+from ergmax.graph import DisconnectedGraphError, Toggle, all_pairs, bfs_layers, num_pairs
 from ergmax.local_search import _feasible_toggles, _scan_order, random_connected_graph
 from ergmax.stats import grid_stepper, grid_values
 
-from helpers import ordered_hop_sum, triads_maxmin
+from helpers import ordered_hop_sum, triangle_count_by_triples, triads_maxmin
 
 CONNECTED = SampleSpace.connected_graphs()
 
@@ -174,6 +174,11 @@ def test_random_connected_graph_is_connected_and_seeded():
     (Fraction(3, 10), Fraction(86204331, 500000), 0x34FD57BBE13F0DB12DD9FFF, 328),
 ])
 def test_seeded_distance_model_answers_are_pinned(alpha, objective, bits, evaluations):
+    res = pinned_distance_climb(alpha)
+    assert (res.objective, res.graph.bits, res.nodes_explored) == (objective, bits, evaluations)
+
+
+def pinned_distance_climb(alpha):
     # demo 06's x20 layout at n = 14, seed 3, two restarts from the star
     n = 14
     delta = tuple(tuple(20 * v for v in row) for row in random_unit_square_delta(n, seed=2))
@@ -183,8 +188,72 @@ def test_seeded_distance_model_answers_are_pinned(alpha, objective, bits, evalua
         StatisticSpec(StatisticKind.FLOW_DISTANCE),
         sense="minimize",
     )
-    res = multi_restart(n, h, CONNECTED, SearchConfig(seed=3, restarts=2, start=Graph.star(n)))
+    return multi_restart(n, h, CONNECTED, SearchConfig(seed=3, restarts=2, start=Graph.star(n)))
+
+
+# Counted before candidates were scored from their parent graph: an accepted
+# flow move keeps the hop rows carried while it was scored, so no BFS runs twice.
+@pytest.mark.parametrize("alpha, searches", [
+    (Fraction(7, 10), 608), (Fraction(1, 2), 642), (Fraction(3, 10), 730)])
+def test_the_pinned_distance_climb_runs_no_more_searches(monkeypatch, alpha, searches):
+    from ergmax import graph
+
+    calls = []
+    search = graph.bfs_layers
+
+    def counted(g, source):
+        calls.append(source)
+        return search(g, source)
+
+    monkeypatch.setattr(graph, "bfs_layers", counted)
+    pinned_distance_climb(alpha)
+    assert len(calls) == searches
+
+
+# Recorded before candidates were scored from their parent graph.  Climbs from
+# random starts take moves, which the witness start of the n = 60 benchmark never does.
+@pytest.mark.parametrize("alpha, objective, bits, evaluations", [
+    (Fraction(7, 10), Fraction(591, 10), 0x345CF8CE3AAF63FB38ADF63F6D7B451003B7E719D91585D8, 487),
+    (Fraction(1, 2), Fraction(105, 2), 0x225ADFD48C303096063E5796522F6C2220F6D54F50603243, 484),
+    (Fraction(3, 10), Fraction(182, 5), 0x205ADFD080203096063C5754522364222066D44650601242, 694),
+])
+def test_seeded_triads_climbs_at_n20_are_pinned(alpha, objective, bits, evaluations):
+    res = multi_restart(20, triads_maxmin(alpha), CONNECTED, SearchConfig(seed=1, restarts=2))
     assert (res.objective, res.graph.bits, res.nodes_explored) == (objective, bits, evaluations)
+
+
+@pytest.mark.parametrize("alpha, objective, edges, triangles, evaluations", [
+    (Fraction(7, 10), Fraction(7251, 10), 734, 2417, 4266),
+    (Fraction(1, 2), Fraction(596), 578, 1192, 5156),
+    (Fraction(3, 10), Fraction(399), 440, 570, 7031),
+])
+def test_seeded_triads_climbs_at_n60_are_pinned(alpha, objective, edges, triangles, evaluations):
+    res = multi_restart(60, triads_maxmin(alpha), CONNECTED, SearchConfig(seed=1, restarts=2))
+    assert (res.objective, res.graph.edge_count, triangle_count_by_triples(res.graph),
+            res.nodes_explored) == (objective, edges, triangles, evaluations)
+
+
+@pytest.mark.parametrize("alpha", [Fraction(7, 10), Fraction(1, 2), Fraction(3, 10)])
+def test_a_triads_climb_builds_a_graph_only_for_each_move_it_takes(monkeypatch, alpha):
+    # in the all space no removal needs a connectivity search on a built graph
+    h = triads_maxmin(alpha)
+    start = random_connected_graph(20, random.Random(1))
+    built = []
+    toggled = Graph.toggled
+
+    def counted(g, i, j):
+        built.append(toggled(g, i, j))
+        return built[-1]
+
+    monkeypatch.setattr(Graph, "toggled", counted)
+    res = first_improve(start, h, SampleSpace.all_graphs(), SearchConfig(seed=1))
+    # each graph built is the move taken from the one before it: it scores higher
+    walk = [start, *built]
+    assert walk[-1] == res.graph
+    for before, after in zip(walk, walk[1:]):
+        assert (before.bits ^ after.bits).bit_count() == 1
+        assert eval_hamiltonian(h, after) > eval_hamiltonian(h, before)
+    assert res.nodes_explored > 10 * len(built) > 0
 
 
 FLOW = StatisticSpec(StatisticKind.FLOW_DISTANCE)
@@ -198,13 +267,13 @@ def test_flow_distance_steps_exactly_along_a_walk_of_toggles(n, space, data):
     g = random_connected_graph(n, random.Random(data.draw(st.integers(0, 2**32), label="seed")))
     values = grid_values(h, g)
     for i, j in data.draw(st.lists(st.sampled_from(all_pairs(n)), max_size=25), label="toggles"):
-        toggled = g.toggled(i, j)
-        if not is_connected(toggled):
+        if not is_connected(g.toggled(i, j)):
             with pytest.raises(DisconnectedGraphError):
-                grid_stepper(FLOW)(g, toggled, values[0], i, j)
+                grid_stepper(FLOW)(Toggle(g, i, j, not g.has_edge(i, j)), g.adjacency(), values[0])
             assert not list(_feasible_toggles(g, h, space, values, [(i, j)]))
             continue
-        [(toggled, cand_values, _)] = _feasible_toggles(g, h, space, values, [(i, j)])
+        [(move, cand_values, _)] = _feasible_toggles(g, h, space, values, [(i, j)])
+        toggled = move.graph
         assert cand_values == (ordered_hop_sum(toggled),)
         # the carried rows are the ones a fresh graph searches for
         fresh = Graph(n, toggled.bits)
