@@ -14,7 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .exact import branch_and_bound, brute_force, structural_lower_bounds
-from .frontier import witness
+from .frontier import distance_interval, witness
 from .graph import graph_metrics, read_edge_list
 from .lp import (
     ConstraintSystem,
@@ -34,7 +34,7 @@ from .reporting import (
     run_experiment,
 )
 from .space import SampleSpace
-from .stats import eval_hamiltonian
+from .stats import eval_hamiltonian, validate_delta
 
 STATUS_EXIT = {"optimal": 0, "incumbent": 2, "infeasible": 3}
 
@@ -97,6 +97,11 @@ def add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--space", choices=("connected", "all"), default="connected")
     p.add_argument("--density", type=int, default=None,
                    help="also fix the edge count to this value")
+    add_instance_flags(p)
+
+
+def add_instance_flags(p: argparse.ArgumentParser) -> None:
+    """The model, and where the distance model's distances come from."""
     p.add_argument("--model", choices=MODELS, default=ExperimentSpec.model)
     p.add_argument("--delta-file", default=None,
                    help="distance-matrix file for the distance model "
@@ -126,8 +131,20 @@ def make_spec(args: argparse.Namespace, solver: str) -> ExperimentSpec:
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
+    spec = make_spec(args, "bnb")
+    h = hamiltonian_for(spec)
+    if spec.model == "distance_vs_flow":
+        # the interval: no graph scores below the bound, and the witness scores its value
+        lower, value, inner = distance_interval(h)
+        print(json.dumps({
+            "n": args.n,
+            "alpha": fraction_json(args.alpha),
+            "lower_bound": fraction_json(lower),
+            "witness_edges": inner.edge_count,
+            "witness_objective": fraction_json(value),
+        }, indent=2))
+        return 0
     bound = structural_lower_bounds(args.n, args.alpha)
-    h = hamiltonian_for(ExperimentSpec(n=args.n, alpha=args.alpha))
     # the frontier interval: the connected optimum lies between the values of
     # the connected witness and of the all-space optimum
     inner = witness(args.n, args.alpha, connected=True)
@@ -158,7 +175,9 @@ def cmd_export_lp(args: argparse.Namespace) -> int:
     if args.model == "triads_vs_nonedges":
         cs = build_maxmin(args.n, args.alpha, spec.space)
     else:
-        cs = build_minmax_distance(args.n, args.alpha, resolve_delta(spec), spec.space)
+        delta = resolve_delta(spec)
+        validate_delta(delta)
+        cs = build_minmax_distance(args.n, args.alpha, delta, spec.space)
     export_lp(cs, args.out)
     if args.ir_json:
         with open(args.ir_json, "w") as f:
@@ -225,10 +244,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("bound", help="structural lower bounds and the frontier interval")
+    p = sub.add_parser("bound", help="the interval holding the optimum: the frontier's for "
+                                     "the triads model, with structural lower bounds, or the "
+                                     "distance model's lower bound and witness")
     p.add_argument("--n", type=node_count, required=True)
     p.add_argument("--alpha", type=parse_fraction, required=True)
-    p.set_defaults(func=cmd_bound)
+    add_instance_flags(p)
+    p.set_defaults(func=cmd_bound, space="connected", density=None)
 
     p = sub.add_parser("solve", help="exact solve by brute force or branch-and-bound")
     add_model_flags(p)

@@ -1,18 +1,27 @@
-"""The triads model's frontier: the most triangles a graph with e edges holds.
+"""Closed-form starts and intervals for the two max-min models.
 
-The non-edges/triangles max-min objective depends on a graph only through
-its edge count m and triangle count t.  By Kruskal–Katona (Kruskal 1963;
-Katona 1968) no graph with e edges has more triangles than the colex graph,
-a clique K_s plus one node joined to r of its nodes (e = C(s,2) + r,
-0 <= r < s), which has KK(e) = C(s,3) + C(r,2).  So sweeping e over colex
-graphs padded with isolated nodes finds the exact optimum over all graphs.
+The triads model's frontier: the non-edges/triangles max-min objective
+depends on a graph only through its edge count m and triangle count t.  By
+Kruskal–Katona (Kruskal 1963; Katona 1968) no graph with e edges has more
+triangles than the colex graph, a clique K_s plus one node joined to r of
+its nodes (e = C(s,2) + r, 0 <= r < s), which has KK(e) = C(s,3) + C(r,2).
+So sweeping e over colex graphs padded with isolated nodes finds the exact
+optimum over all graphs.
+
+The distance model's interval (:func:`distance_interval`): a lower bound
+and a star-plus-cheapest-pairs witness, both read off the sorted pair
+distances with no search.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
+from itertools import accumulate
+from operator import le
 
-from .graph import Graph, num_pairs
+from .graph import Graph, all_pairs, num_pairs
+from .stats import Hamiltonian, HamiltonianForm, StatisticKind, unscaled
 
 
 def witness(n: int, alpha: Fraction, connected: bool) -> Graph:
@@ -51,3 +60,61 @@ def witness(n: int, alpha: Fraction, connected: bool) -> Graph:
         *((k, best_s) for k in range(best_r)),
         *((0, u) for u in range(core, n) if connected),
     ])
+
+
+def distance_interval(h: Hamiltonian) -> tuple[Fraction, Fraction, Graph]:
+    """(lower bound, witness value, witness) for the distance model `h`: the
+    max-min of physical distance, then flow distance, minimized, as
+    :func:`ergmax.reporting.hamiltonian_for` builds it.  No graph on n nodes
+    scores below the bound; the witness holds a spanning star, so it lies in
+    the connected space and the all-graphs space.
+
+    Write P for the number of pairs and S_m for the sum of the m smallest
+    distances.  *The bound.*  A graph with finite flow distance is
+    connected, so has m >= n - 1 edges.  Adjacent pairs are one hop apart
+    and all other pairs at least two, so its ordered hop total is at least
+    2(m + 2(P - m)) = 2(2P - m); distances are nonnegative, so its physical
+    distance is at least S_m.  So it scores at least the least over
+    m >= n - 1 of max(alpha·S_m, (1 - alpha)·2(2P - m)).
+    *The witness.*  A graph holding the star at a centre c has diameter at
+    most two, so its ordered hop total is exactly 2(2P - m).  For each c
+    the sweep adds to the star the k cheapest pairs that avoid c, in
+    (distance, i, j) order, so its physical distance is a prefix sum.
+
+    Both sweeps run over the pairs sorted once, in ints on h's grid.  As k
+    grows the physical term rises and the flow term falls, so the value
+    falls until the physical term binds and never falls after it: the best
+    k is the first at which it binds, found by bisection, or the one
+    before.  Ties go to the lowest centre, then the fewest pairs.
+    """
+    kinds = [spec.kind for _, spec in h.terms]
+    if (h.form is not HamiltonianForm.MAX_MIN or h.floor is not None or max(h.grid_weights) > 0
+            or kinds != [StatisticKind.PHYSICAL_DISTANCE, StatisticKind.FLOW_DISTANCE]):
+        raise ValueError("the distance interval needs the minimized max-min of "
+                         "physical distance, then flow distance")
+    (wp, wf), rows = h.grid_weights, h.terms[0][1].grid_delta
+    n = len(rows)
+    pairs = num_pairs(n)
+    ranked = sorted((rows[i][j], i, j) for i, j in all_pairs(n))
+
+    def best(m: int, costs: list[int]) -> tuple[int, int]:
+        """(score, -k) at the best k, the fewest on ties, for m edges of
+        total distance costs[0] plus k more pairs, of the next k costs."""
+        sums = list(accumulate(costs))
+
+        def terms(k: int) -> tuple[int, int]:
+            return wp * sums[k], wf * 2 * (2 * pairs - m - k)
+
+        binds = bisect_left(range(len(sums)), True, key=lambda k: le(*terms(k)))
+        return max((min(terms(k)), -k) for k in (binds - 1, binds) if 0 <= k < len(sums))
+
+    costs = [d for d, _, _ in ranked]
+    lower, _ = best(n - 1, [sum(costs[:n - 1])] + costs[n - 1:])
+    # negated, so that among equal scores max keeps the lowest centre
+    (value, fewest), lowest = max(
+        (best(n - 1, [sum(rows[c])] + [d for d, i, j in ranked if c != i and c != j]), -c)
+        for c in range(n))
+    c, k = -lowest, -fewest
+    star = [(c, v) for v in range(n) if v != c]
+    chords = [(i, j) for _, i, j in ranked if c != i and c != j][:k]
+    return unscaled(h, lower), unscaled(h, value), Graph.from_edges(n, star + chords)

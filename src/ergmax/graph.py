@@ -304,10 +304,11 @@ def _sole_parent_sources(
     return out
 
 
-def carry_hop_rows(move: Toggle, adj: tuple[int, ...]) -> None:
+def carry_hop_rows(move: Toggle, adj: tuple[int, ...]) -> int:
     """Give ``move.graph`` the hop rows of its parent g, whose adjacency rows
     are `adj`, searched again only from the sources whose distances the flip
-    of pair (i, j) changes.
+    of pair (i, j) changes; return the change in the ordered hop total, the
+    sum of those sources' changes.
 
     Adding (i, j) shortens paths exactly from the sources two or more hops
     nearer to one endpoint than to the other.  Removing it lengthens them
@@ -324,12 +325,15 @@ def carry_hop_rows(move: Toggle, adj: tuple[int, ...]) -> None:
         affected = _sole_parent_sources(rows, adj, i, j) | _sole_parent_sources(rows, adj, j, i)
     toggled = move.graph
     carried = list(rows)
+    change = 0
     while affected:
         low = affected & -affected
         s = low.bit_length() - 1
         carried[s] = _hop_row(toggled, s)
+        change += carried[s][0] - rows[s][0]
         affected ^= low
     toggled._hop_rows = tuple(carried)
+    return change
 
 
 def average_path_length(g: Graph) -> Fraction:

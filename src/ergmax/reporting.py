@@ -10,7 +10,7 @@ from pathlib import Path
 from typing import Any
 
 from .exact import SolveResult, branch_and_bound, brute_force, solve_two_stage
-from .frontier import witness
+from .frontier import distance_interval, witness
 from .graph import Graph, GraphMetrics, edge_list_string, graph_metrics
 from .local_search import SearchConfig, multi_restart
 from .space import SampleSpace
@@ -19,8 +19,8 @@ from .stats import (
     Hamiltonian,
     StatisticKind,
     StatisticSpec,
+    parse_delta,
     random_unit_square_delta,
-    read_delta,
 )
 
 MODELS = ("triads_vs_nonedges", "distance_vs_flow")
@@ -54,12 +54,14 @@ class ExperimentSpec:
 
 
 def resolve_delta(spec: ExperimentSpec) -> DeltaMatrix | None:
+    """The distance model's matrix, drawn from the seed or parsed from
+    ``spec.delta_source``; the StatisticSpec built from it validates it."""
     if spec.model != "distance_vs_flow":
         return None
     if spec.delta_source is None:
         return random_unit_square_delta(spec.n, spec.seed)
     with open(spec.delta_source) as f:
-        delta = read_delta(f)
+        delta = parse_delta(f)
     if len(delta) != spec.n:
         raise ValueError(f"distance matrix is {len(delta)}x{len(delta)}, graph has n={spec.n}")
     return delta
@@ -97,15 +99,14 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path | None = None) -> E
     """Solve per the spec; optionally write JSON, table row, DOT, and edge list."""
     if spec.solver == "local_search" and spec.space.density is not None:
         raise ValueError("local search cannot keep a fixed edge count; use solve for --density")
-    delta = resolve_delta(spec)
-    h = hamiltonian_for(spec, delta)
+    h = hamiltonian_for(spec)
     p_star = None
     p_star_objective = None
     # bnb's incumbent when the edge count is free, and local search's start
     if spec.model == "triads_vs_nonedges":
         start = witness(spec.n, spec.alpha, spec.space.connected)
     else:
-        start = Graph.star(spec.n)
+        _, _, start = distance_interval(h)
     bnb_options = {
         "incumbent": start if spec.space.density is None else None,
         "node_limit": spec.node_limit,

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Sequence, TextIO
 
 import numpy as np
@@ -84,14 +85,16 @@ class StatisticSpec:
         if self.kind is StatisticKind.PHYSICAL_DISTANCE:
             if self.delta is None:
                 raise ValueError("physical_distance needs a distance matrix")
-            validate_delta(self.delta)
             try:
                 grid = math.lcm(*(d.denominator for row in self.delta for d in row))
             except AttributeError as exc:
                 raise ValueError("distances must be exact rationals") from exc
+            rows = tuple(tuple(d.numerator * (grid // d.denominator) for d in row)
+                         for row in self.delta)
+            # the grid is positive, so the int rows pass exactly when the distances do
+            validate_delta(rows)
             object.__setattr__(self, "grid", grid)
-            object.__setattr__(self, "grid_delta", tuple(
-                tuple(d.numerator * (grid // d.denominator) for d in row) for row in self.delta))
+            object.__setattr__(self, "grid_delta", rows)
         elif self.delta is not None:
             raise ValueError(f"{self.kind.value} takes no distance matrix")
 
@@ -144,10 +147,10 @@ def grid_stepper(spec: StatisticSpec) -> Callable[[Toggle, tuple[int, ...], int]
     Non-edges, triangles and physical distance step by a closed form and
     build no graph: the pair leaves or joins the non-edges, closes or opens
     one triangle per common neighbour of its endpoints, and adds or drops
-    its distance.  Flow distance builds ``move.graph`` and sums the
-    per-source hop rows it takes from g's, re-searched only from the
-    sources the toggle can change; it raises DisconnectedGraphError when
-    the toggled graph is disconnected."""
+    its distance.  Flow distance builds ``move.graph``, gives it g's
+    per-source hop rows, re-searched only from the sources the toggle can
+    change, and steps `current` by those rows' change; it raises
+    DisconnectedGraphError when the toggled graph is disconnected."""
     if spec.kind is StatisticKind.NON_EDGES:
         return lambda move, adj, current: current - 1 if move.added else current + 1
     if spec.kind is StatisticKind.TRIANGLES:
@@ -157,11 +160,7 @@ def grid_stepper(spec: StatisticSpec) -> Callable[[Toggle, tuple[int, ...], int]
 
         return triangles
     if spec.kind is StatisticKind.FLOW_DISTANCE:
-        def hops(move: Toggle, adj: tuple[int, ...], current: int) -> int:
-            carry_hop_rows(move, adj)
-            return s_flow_distance(move.graph)
-
-        return hops
+        return lambda move, adj, current: current + carry_hop_rows(move, adj)
     rows = spec.grid_delta
     return lambda move, adj, current: (
         current + rows[move.i][move.j] if move.added else current - rows[move.i][move.j])
@@ -350,26 +349,35 @@ def exact_decimal(value: Fraction) -> str:
     return repr(float(value))
 
 
-def read_delta(inp: TextIO) -> DeltaMatrix:
+def parse_delta(inp: TextIO) -> DeltaMatrix:
     """Parse the distance-matrix format: n, then n lines of n decimals.
 
-    Values parse exactly; any asymmetry is rejected outright.
+    Values parse exactly, each distinct text once.  Only the format is
+    checked: :class:`StatisticSpec` validates the matrix it is given, and
+    :func:`read_delta` validates what it parses.
     """
     header = inp.readline().split()
     if len(header) != 1:
         raise ValueError("distance-matrix header must be a single count")
     n = int(header[0])
+    exact = cache(Fraction)  # a symmetric matrix repeats each text
     rows = []
     for _ in range(n):
         fields = inp.readline().split()
         if len(fields) != n:
             raise ValueError(f"each matrix row needs exactly {n} entries")
         try:
-            rows.append(tuple(Fraction(f) for f in fields))
+            rows.append(tuple(map(exact, fields)))
         except ZeroDivisionError as exc:
             raise ValueError(f"distance-matrix row {len(rows)} has a zero denominator") from exc
     if any(line.strip() for line in inp):
         raise ValueError(f"unexpected text after the {n} matrix rows")
-    delta = tuple(rows)
+    return tuple(rows)
+
+
+def read_delta(inp: TextIO) -> DeltaMatrix:
+    """:func:`parse_delta`, then :func:`validate_delta`: any asymmetry is
+    rejected outright."""
+    delta = parse_delta(inp)
     validate_delta(delta)
     return delta

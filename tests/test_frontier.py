@@ -5,11 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ergmax import SampleSpace, branch_and_bound, brute_force, eval_hamiltonian
-from ergmax.frontier import witness
+from ergmax import (
+    Graph,
+    Hamiltonian,
+    SampleSpace,
+    StatisticKind,
+    StatisticSpec,
+    branch_and_bound,
+    brute_force,
+    eval_hamiltonian,
+    random_unit_square_delta,
+)
+from ergmax.frontier import distance_interval, witness
 from ergmax.graph import num_pairs
 
 from helpers import triangle_count_by_triples, triads_maxmin, union_find_connected
+from test_integer_scale import mixed_grid_delta
 
 ALPHAS = [Fraction(k, 10) for k in (0, 1, 3, 5, 7, 9, 10)]
 SPACES = [SampleSpace.connected_graphs(), SampleSpace.all_graphs()]
@@ -65,3 +76,110 @@ def test_witness_lies_in_its_space_with_the_counts_the_full_sweep_picks(n, alpha
 def test_witness_rejects_an_alpha_outside_the_unit_interval():
     with pytest.raises(ValueError, match="alpha must lie in"):
         witness(5, Fraction(11, 10), connected=True)
+
+
+# -- the distance model's interval ---------------------------------------------
+
+FLOW = StatisticSpec(StatisticKind.FLOW_DISTANCE)
+
+
+def distance_model(delta, alpha: Fraction, scale: int = 1) -> Hamiltonian:
+    physical = StatisticSpec(StatisticKind.PHYSICAL_DISTANCE,
+                             tuple(tuple(scale * d for d in row) for row in delta))
+    return Hamiltonian.max_min_pair(alpha, physical, FLOW, sense="minimize")
+
+
+def bound_over_every_edge_count(h: Hamiltonian) -> Fraction:
+    """The lower bound's formula, min over m >= n - 1 of max(alpha·S_m,
+    (1 - alpha)·2(2P - m)), with every m scored in Fractions."""
+    (alpha, physical), (beta, _) = h.terms
+    n = len(physical.delta)
+    pairs = num_pairs(n)
+    smallest = sorted(physical.delta[i][j] for i in range(n) for j in range(i + 1, n))
+    return min(max(alpha * sum(smallest[:m]), beta * 2 * (2 * pairs - m))
+               for m in range(n - 1, pairs + 1))
+
+
+def witness_by_full_sweep(h: Hamiltonian) -> tuple[Fraction, Graph]:
+    """The best star plus cheapest avoiding pairs, the lowest centre and then
+    the fewest pairs on ties, by scoring every centre and pair count in
+    Fractions."""
+    (alpha, physical), (beta, _) = h.terms
+    delta = physical.delta
+    n = len(delta)
+    pairs = num_pairs(n)
+    best = None
+    for c in range(n):
+        avoiding = sorted((delta[i][j], i, j) for i in range(n) for j in range(i + 1, n)
+                          if c not in (i, j))
+        for k in range(len(avoiding) + 1):
+            value = max(alpha * (sum(delta[c]) + sum(d for d, _, _ in avoiding[:k])),
+                        beta * 2 * (2 * pairs - (n - 1) - k))
+            if best is None or value < best[0]:
+                edges = [(c, v) for v in range(n) if v != c] + [(i, j) for _, i, j in avoiding[:k]]
+                best = value, Graph.from_edges(n, edges)
+    return best
+
+
+def assert_interval_holds(h: Hamiltonian, optimum: Fraction | None = None):
+    lower, value, g = distance_interval(h)
+    assert union_find_connected(g)
+    assert eval_hamiltonian(h, g) == value
+    assert (value, g) == witness_by_full_sweep(h)
+    assert lower == bound_over_every_edge_count(h)
+    assert lower <= value
+    if optimum is not None:
+        assert lower <= optimum <= value
+
+
+@pytest.mark.parametrize("scale", [1, 20])
+@pytest.mark.parametrize("space", SPACES, ids=lambda s: s.label())
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_distance_interval_brackets_the_brute_force_optimum(n, space, scale):
+    for seed in (1, 2, 3):
+        delta = random_unit_square_delta(n, seed)
+        for alpha in ALPHAS:
+            h = distance_model(delta, alpha, scale)
+            optimum, _ = brute_force(n, space, h)
+            assert_interval_holds(h, optimum.objective)
+
+
+@pytest.mark.parametrize("scale, alpha", [
+    (1, Fraction(7, 10)), (20, Fraction(7, 10)), (20, Fraction(1, 2)), (20, Fraction(3, 10))])
+def test_distance_interval_brackets_the_brute_force_optimum_at_six_nodes(scale, alpha):
+    h = distance_model(random_unit_square_delta(6, 6), alpha, scale)
+    optimum, _ = brute_force(6, SampleSpace.connected_graphs(), h)
+    assert_interval_holds(h, optimum.objective)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 12).flatmap(mixed_grid_delta),
+       st.fractions(min_value=0, max_value=1, max_denominator=20))
+def test_distance_witness_is_connected_and_scores_its_closed_form(delta, alpha):
+    assert_interval_holds(distance_model(delta, alpha))
+
+
+def test_distance_interval_at_the_benchmark_scale():
+    # the seed-1 points x20 at n = 30, as the flow-heuristic workload lays them out
+    delta = random_unit_square_delta(30, 1)
+    intervals = [distance_interval(distance_model(delta, Fraction(a), 20))
+                 for a in ("7/10", "1/2", "3/10")]
+    assert [(lower, value, g.edge_count) for lower, value, g in intervals] == [
+        (Fraction(2217, 5), Fraction(2238, 5), 124),
+        (Fraction(662), Fraction(663), 207),
+        (Fraction(777), Fraction(777), 315),
+    ]
+
+
+PHYSICAL = StatisticSpec(StatisticKind.PHYSICAL_DISTANCE, random_unit_square_delta(4, 1))
+
+
+@pytest.mark.parametrize("h", [
+    triads_maxmin(Fraction(1, 2)),
+    Hamiltonian.max_min_pair(Fraction(1, 2), FLOW, PHYSICAL, sense="minimize"),
+    Hamiltonian.linear([(Fraction(1, 2), PHYSICAL), (Fraction(1, 2), FLOW)], sense="minimize"),
+    Hamiltonian.max_min_pair(Fraction(1, 2), PHYSICAL, FLOW, sense="maximize"),
+], ids=["triads", "flow-first", "linear", "maximized"])
+def test_distance_interval_refuses_other_objectives(h):
+    with pytest.raises(ValueError, match="distance interval needs"):
+        distance_interval(h)

@@ -210,6 +210,25 @@ def test_the_pinned_distance_climb_runs_no_more_searches(monkeypatch, alpha, sea
     assert len(calls) == searches
 
 
+@pytest.mark.parametrize("alpha", [Fraction(7, 10), Fraction(1, 2), Fraction(3, 10)])
+def test_the_pinned_distance_climb_sums_hop_rows_only_for_its_starts_and_answers(
+        monkeypatch, alpha):
+    # a candidate's flow total steps by its re-searched rows' change; the n
+    # rows are summed only to score each restart's start and report its answer
+    from ergmax import stats
+
+    calls = []
+    total = stats.total_hop_count
+
+    def counted(g):
+        calls.append(g)
+        return total(g)
+
+    monkeypatch.setattr(stats, "total_hop_count", counted)
+    pinned_distance_climb(alpha)
+    assert len(calls) == 2 * 2
+
+
 # Recorded before candidates were scored from their parent graph.  Climbs from
 # random starts take moves, which the witness start of the n = 60 benchmark never does.
 @pytest.mark.parametrize("alpha, objective, bits, evaluations", [

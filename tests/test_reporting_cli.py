@@ -13,12 +13,13 @@ from ergmax import (
     star_with_chords,
 )
 from ergmax.cli import main
-from ergmax.frontier import witness
-from ergmax.stats import uniform_delta, write_delta
+from ergmax.frontier import distance_interval, witness
+from ergmax.stats import random_unit_square_delta, uniform_delta, write_delta
 from ergmax.reporting import (
     ExperimentSpec,
     dot_string,
     format_decimal,
+    hamiltonian_for,
     metrics_row,
     report_json_dict,
     run_experiment,
@@ -105,6 +106,40 @@ def test_run_experiment_distance_model_brute():
     assert report.hamiltonian.sense == "minimize"
 
 
+def scaled_delta_file(path, n: int, seed: int, scale: int = 20):
+    with open(path, "w") as f:
+        write_delta(tuple(tuple(scale * d for d in row)
+                          for row in random_unit_square_delta(n, seed)), f)
+    return str(path)
+
+
+@pytest.mark.parametrize("alpha, objective", [
+    (Fraction(7, 10), Fraction(2238, 5)),
+    (Fraction(1, 2), Fraction(663)),
+    (Fraction(3, 10), Fraction(777)),
+])
+def test_run_experiment_certifies_the_distance_witness_in_one_scan(tmp_path, alpha, objective):
+    # the flow-heuristic workload's layout: seed-1 points x20 at n = 30
+    spec = ExperimentSpec(n=30, model="distance_vs_flow", solver="local_search", alpha=alpha,
+                          seed=1, restarts=2,
+                          delta_source=scaled_delta_file(tmp_path / "d.txt", 30, 1))
+    report = run_experiment(spec)
+    # no toggle improves the witness: the first restart scans the 435 pairs once, and stops
+    assert report.result.graph == distance_interval(report.hamiltonian)[2]
+    assert (report.result.status, report.result.objective, report.result.nodes_explored) == (
+        "incumbent", objective, 435)
+
+
+@pytest.mark.parametrize("space", [SampleSpace.connected_graphs(), SampleSpace.all_graphs()],
+                         ids=lambda s: s.label())
+def test_run_experiment_solves_the_distance_model_from_the_witness(tmp_path, space):
+    spec = ExperimentSpec(n=5, model="distance_vs_flow", space=space, alpha=Fraction(1, 2),
+                          delta_source=scaled_delta_file(tmp_path / "d.txt", 5, 3))
+    result = run_experiment(spec).result
+    optimum, _ = brute_force(5, space, hamiltonian_for(spec))
+    assert (result.status, result.objective) == ("optimal", optimum.objective)
+
+
 def test_run_experiment_two_stage_records_p_star():
     spec = ExperimentSpec(n=4, solver="brute", alpha=Fraction(1, 2), gamma=Fraction(0))
     report = run_experiment(spec)
@@ -147,6 +182,41 @@ def test_cli_bound(capsys):
     assert out["witness_edges"] == 407
     assert out["witness_objective"]["fraction"] == "9541/10"
     assert out["upper_bound"]["fraction"] == "975/1"
+
+
+def test_cli_bound_prints_the_distance_interval(capsys, tmp_path):
+    def interval(out):
+        assert list(out) == ["n", "alpha", "lower_bound", "witness_edges", "witness_objective"]
+        return (Fraction(out["lower_bound"]["fraction"]), out["witness_edges"],
+                Fraction(out["witness_objective"]["fraction"]))
+
+    argv = ["bound", "--model", "distance_vs_flow", "--n", "30", "--alpha", "7/10"]
+    assert main(argv + ["--delta-file", scaled_delta_file(tmp_path / "d.txt", 30, 1)]) == 0
+    assert interval(json.loads(capsys.readouterr().out)) == (
+        Fraction(2217, 5), 124, Fraction(2238, 5))
+    # without a file, the seed draws the points
+    assert main(argv + ["--seed", "2"]) == 0
+    spec = ExperimentSpec(n=30, model="distance_vs_flow", alpha=Fraction(7, 10), seed=2)
+    lower, value, g = distance_interval(hamiltonian_for(spec))
+    assert interval(json.loads(capsys.readouterr().out)) == (lower, g.edge_count, value)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound", "--alpha", "1/2"],
+        ["solve", "--solver", "brute", "--out-dir", "run"],
+        ["heuristic", "--restarts", "1", "--out-dir", "run"],
+        ["export-lp", "--out", "model.lp"],
+    ],
+)
+def test_cli_refuses_an_asymmetric_distance_matrix(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "delta.txt").write_text("3\n0 1 2\n1 0 3\n2 4 0\n")
+    code = main(argv + ["--model", "distance_vs_flow", "--n", "3", "--delta-file", "delta.txt"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: distance matrix asymmetric at (1, 2)\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["delta.txt"]
 
 
 def test_cli_solve_exit_codes_and_json(capsys, tmp_path):
@@ -262,6 +332,7 @@ def test_cli_spec_echoes_the_experiment_defaults(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["bound", "--alpha", "1/2"],
         ["export-lp", "--out", "model.lp"],
         ["solve", "--solver", "brute", "--out-dir", "run"],
         ["heuristic", "--restarts", "1", "--out-dir", "run"],
@@ -444,6 +515,7 @@ def test_cli_check_refuses_a_meta_n_that_does_not_fit_the_edge_variables(
 @pytest.mark.parametrize(
     "argv",
     [
+        ["bound", "--alpha", "1/2"],
         ["solve", "--solver", "brute", "--out-dir", "run"],
         ["heuristic", "--restarts", "1", "--out-dir", "run"],
         ["export-lp", "--out", "model.lp"],

@@ -25,6 +25,7 @@ from ergmax.stats import (
     HamiltonianForm,
     grid_reader,
     grid_stepper,
+    parse_delta,
     read_delta,
     statistic_values,
     uniform_delta,
@@ -245,6 +246,30 @@ def test_delta_roundtrip_and_asymmetric_rejection():
     bad = "2\n0 0.5\n0.4 0\n"
     with pytest.raises(ValueError):
         read_delta(io.StringIO(bad))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("2\n0 0.5\n0.4 0\n", "asymmetric at \\(0, 1\\)"),
+    ("2\n0 -1/3\n-1/3 0\n", "negative distance at \\(0, 1\\)"),
+    ("2\n0.25 1\n1 0\n", "diagonal must be zero"),
+])
+def test_a_matrix_is_validated_on_its_grid_by_the_statistic_and_by_read_delta(text, message):
+    with pytest.raises(ValueError, match=message):
+        read_delta(io.StringIO(text))
+    with pytest.raises(ValueError, match=message):
+        StatisticSpec(StatisticKind.PHYSICAL_DISTANCE, parse_delta(io.StringIO(text)))
+
+
+def test_a_ragged_matrix_is_refused_by_the_statistic():
+    with pytest.raises(ValueError, match="must be square"):
+        StatisticSpec(StatisticKind.PHYSICAL_DISTANCE, ((0, 1), (1,)))
+
+
+def test_parse_delta_reads_each_distinct_text_once():
+    delta = parse_delta(io.StringIO("3\n0 1/3 0.25\n1/3 0 2\n0.25 2 0\n"))
+    assert delta == ((0, Fraction(1, 3), Fraction(1, 4)), (Fraction(1, 3), 0, 2),
+                     (Fraction(1, 4), 2, 0))
+    assert all(delta[i][j] is delta[j][i] for i in range(3) for j in range(3))
 
 
 def test_delta_rejects_rows_after_the_last():
