@@ -263,14 +263,43 @@ def _hop_row(g: Graph, source: int) -> tuple[int, tuple[int, ...]]:
 
 
 def _hop_rows(g: Graph) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Every source's (hop sum, BFS layers), built once per graph.  A graph
+    with a hub, a node adjacent to every other, has diameter at most two,
+    so source s has layers (s, its neighbours, the rest) and needs no search."""
     if g._hop_rows is None:
-        g._hop_rows = tuple(_hop_row(g, s) for s in range(g.n))
+        adj = g.adjacency()
+        everyone = (1 << g.n) - 1
+        if any(row | 1 << v == everyone for v, row in enumerate(adj)):
+            rows = []
+            for s, row in enumerate(adj):
+                rest = everyone & ~row & ~(1 << s)
+                # a hub source has no rest, and only n = 1 has no neighbours
+                layers = tuple(layer for layer in (1 << s, row, rest) if layer)
+                rows.append((row.bit_count() + 2 * rest.bit_count(), layers))
+            g._hop_rows = tuple(rows)
+        else:
+            g._hop_rows = tuple(_hop_row(g, s) for s in range(g.n))
     return g._hop_rows
+
+
+def shares_hub(adj: tuple[int, ...], i: int, j: int) -> bool:
+    """True when some common neighbour of i and j, given adjacency rows
+    `adj`, is adjacent to every node.  A hub other than i and j is adjacent
+    to both, so the common neighbours are the only candidates."""
+    everyone = (1 << len(adj)) - 1
+    common = adj[i] & adj[j]
+    while common:
+        low = common & -common
+        if adj[low.bit_length() - 1] | low == everyone:
+            return True
+        common ^= low
+    return False
 
 
 def total_hop_count(g: Graph) -> int:
     """Sum of shortest-path hop counts over all ordered node pairs; the
-    per-source rows are searched once per graph, or carried by carry_hop_rows."""
+    per-source rows are built once per graph, in closed form when it has a
+    hub, or carried by carry_hop_rows."""
     return sum(hop_sum for hop_sum, _ in _hop_rows(g))
 
 

@@ -11,9 +11,12 @@ better in either sense (see :class:`~ergmax.stats.Hamiltonian`), and a
 climb's result is divided back once, by :meth:`SolveResult.of`.  Each
 candidate is a :class:`~ergmax.graph.Toggle` scored from its parent graph
 (see :func:`~ergmax.stats.grid_stepper`): a Graph is built for the move
-taken, and for a candidate only when its flow distance or a connectivity
-test reads one, so an accepted flow move keeps the hop rows carried while
-it was scored.
+taken, and for a candidate only when a connectivity test reads one or
+its flow distance carries hop rows to one.  A flow step whose endpoints
+share a hub, a node adjacent to every other, moves the hop total by
+exactly 2 and builds none.  An accepted flow move keeps the hop rows
+carried while it was scored; one taken through the hub step gets them
+when a later step reads them.
 """
 
 from __future__ import annotations
@@ -83,13 +86,14 @@ def _feasible_toggles(
     A toggle is feasible when it keeps g in the objective's domain and in
     the space; toggles come in `pairs` order.  Each is scored from g, its
     values stepped from `values` with g's adjacency rows, read once here;
-    only the flow distance step builds the toggled graph, ``move.graph``.
-    The statistics are stepped before a removal's connectivity test, which
-    then finds the hop rows that step carried to ``move.graph`` and needs no
-    search.  A removal whose endpoints share a neighbour keeps them joined
-    through it, so it keeps a connected g connected without a search
-    either; one that leaves an endpoint with no neighbour disconnects g,
-    and is skipped before anything is stepped.
+    only a flow distance step whose endpoints share no hub builds the
+    toggled graph, ``move.graph``.  The statistics are stepped before a
+    removal's connectivity test, which then finds the hop rows that step
+    carried to ``move.graph`` and needs no search.  A removal whose
+    endpoints share a neighbour (a hub among them) keeps them joined
+    through it, so it keeps a connected g connected without a search or
+    a graph either; one that leaves an endpoint with no neighbour
+    disconnects g, and is skipped before anything is stepped.
     """
     if space.density is not None:
         return  # any single toggle changes the edge count

@@ -29,6 +29,7 @@ from .graph import (
     carry_hop_rows,
     count_triangles,
     num_pairs,
+    shares_hub,
     total_hop_count,
 )
 
@@ -147,10 +148,16 @@ def grid_stepper(spec: StatisticSpec) -> Callable[[Toggle, tuple[int, ...], int]
     Non-edges, triangles and physical distance step by a closed form and
     build no graph: the pair leaves or joins the non-edges, closes or opens
     one triangle per common neighbour of its endpoints, and adds or drops
-    its distance.  Flow distance builds ``move.graph``, gives it g's
-    per-source hop rows, re-searched only from the sources the toggle can
-    change, and steps `current` by those rows' change; it raises
-    DisconnectedGraphError when the toggled graph is disconnected."""
+    its distance.  Flow distance does too when a common neighbour of the
+    endpoints is a hub, adjacent to every node: the toggle spares the hub,
+    which then keeps g connected with diameter at most two before and
+    after it.  Two nodes are then one hop apart when adjacent and two hops
+    apart otherwise, so only the pair's own distance changes, from two hops
+    to one or back, and the ordered total moves by ∓2.  Any other flow step
+    builds ``move.graph``, gives it g's per-source hop rows, re-searched
+    only from the sources the toggle can change, and steps `current` by
+    those rows' change; it raises DisconnectedGraphError when the toggled
+    graph is disconnected."""
     if spec.kind is StatisticKind.NON_EDGES:
         return lambda move, adj, current: current - 1 if move.added else current + 1
     if spec.kind is StatisticKind.TRIANGLES:
@@ -160,7 +167,12 @@ def grid_stepper(spec: StatisticSpec) -> Callable[[Toggle, tuple[int, ...], int]
 
         return triangles
     if spec.kind is StatisticKind.FLOW_DISTANCE:
-        return lambda move, adj, current: current + carry_hop_rows(move, adj)
+        def flow(move: Toggle, adj: tuple[int, ...], current: int) -> int:
+            if shares_hub(adj, move.i, move.j):
+                return current - 2 if move.added else current + 2
+            return current + carry_hop_rows(move, adj)
+
+        return flow
     rows = spec.grid_delta
     return lambda move, adj, current: (
         current + rows[move.i][move.j] if move.added else current - rows[move.i][move.j])

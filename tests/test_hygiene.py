@@ -10,6 +10,8 @@ Python code (package, tests, demos, benchmark) or be exported in
 name a function it can find, and every name the benchmark imports from
 the package must exist.  Only ``stats.py`` reads a Hamiltonian's
 ``sense``: everywhere else it is folded into the sign of ``scale``.
+Only ``graph.py`` gives a graph its hop rows, which ``is_connected``
+takes as proof that the graph is connected.
 """
 
 from __future__ import annotations
@@ -74,6 +76,20 @@ def test_only_stats_reads_the_sense():
         if isinstance(node, ast.Attribute) and node.attr == "sense"
     ]
     assert not readers, f"modules that read .sense instead of the sign of scale: {readers}"
+
+
+def test_only_graph_assigns_hop_rows():
+    writers = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "graph.py"
+        for node in ast.walk(parse(path))
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        for sub in ast.walk(target)
+        if isinstance(sub, ast.Attribute) and sub.attr == "_hop_rows"
+    ]
+    assert not writers, f"modules that assign hop rows outside graph.py: {writers}"
 
 
 def test_every_private_function_is_referenced():

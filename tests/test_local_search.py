@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import unittest.mock
 from collections import Counter
 from fractions import Fraction
 
@@ -25,11 +26,14 @@ from ergmax import (
     random_unit_square_delta,
 )
 from ergmax.frontier import witness
+from ergmax import graph
 from ergmax.graph import DisconnectedGraphError, Toggle, all_pairs, bfs_layers, num_pairs
 from ergmax.local_search import _feasible_toggles, _scan_order, random_connected_graph
 from ergmax.stats import grid_stepper, grid_values
 
-from helpers import ordered_hop_sum, triangle_count_by_triples, triads_maxmin
+from helpers import (
+    ordered_hop_sum, triangle_count_by_triples, triads_maxmin, union_find_connected,
+)
 
 CONNECTED = SampleSpace.connected_graphs()
 
@@ -191,13 +195,12 @@ def pinned_distance_climb(alpha):
     return multi_restart(n, h, CONNECTED, SearchConfig(seed=3, restarts=2, start=Graph.star(n)))
 
 
-# Counted before candidates were scored from their parent graph: an accepted
-# flow move keeps the hop rows carried while it was scored, so no BFS runs twice.
+# An accepted flow move keeps the hop rows carried while it was scored, so no
+# BFS runs twice; a toggle that spares a hub, and every row of a graph that
+# has one, needs no BFS at all (608 / 642 / 730 searches before hubs were used).
 @pytest.mark.parametrize("alpha, searches", [
-    (Fraction(7, 10), 608), (Fraction(1, 2), 642), (Fraction(3, 10), 730)])
+    (Fraction(7, 10), 220), (Fraction(1, 2), 230), (Fraction(3, 10), 154)])
 def test_the_pinned_distance_climb_runs_no_more_searches(monkeypatch, alpha, searches):
-    from ergmax import graph
-
     calls = []
     search = graph.bfs_layers
 
@@ -294,13 +297,55 @@ def test_flow_distance_steps_exactly_along_a_walk_of_toggles(n, space, data):
         [(move, cand_values, _)] = _feasible_toggles(g, h, space, values, [(i, j)])
         toggled = move.graph
         assert cand_values == (ordered_hop_sum(toggled),)
-        # the carried rows are the ones a fresh graph searches for
-        fresh = Graph(n, toggled.bits)
-        assert toggled._hop_rows == tuple(
-            (sum(d * layer.bit_count() for d, layer in enumerate(layers)), layers)
-            for layers in (bfs_layers(fresh, s) for s in range(n)))
+        # the rows a later step reads, carried or built on that read, are the
+        # ones a fresh graph searches for
+        assert graph._hop_rows(toggled) == searched_hop_rows(toggled)
         if data.draw(st.booleans(), label="accept"):
             g, values = toggled, cand_values
+
+
+def searched_hop_rows(g):
+    """Every source's (hop sum, BFS layers), searched on a fresh copy of g."""
+    fresh = Graph(g.n, g.bits)
+    return tuple((sum(d * layer.bit_count() for d, layer in enumerate(layers)), layers)
+                 for layers in (bfs_layers(fresh, s) for s in range(g.n)))
+
+
+@st.composite
+def hub_graphs(draw):
+    """A random graph on 1..12 nodes with a star ORed in at one or two centres."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    bits = draw(st.integers(min_value=0, max_value=(1 << num_pairs(n)) - 1))
+    for centre in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2)):
+        bits |= Graph.star(n, centre).bits
+    return Graph(n, bits)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hub_graphs())
+def test_a_graph_with_a_hub_has_its_hop_rows_without_a_search(g):
+    with unittest.mock.patch.object(graph, "bfs_layers", side_effect=AssertionError("searched")):
+        rows = graph._hop_rows(g)
+    assert rows == searched_hop_rows(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(hub_graphs())
+def test_the_flow_step_of_a_hub_graph_matches_a_fresh_hop_total(g):
+    step, current = grid_stepper(FLOW), ordered_hop_sum(g)
+    hubs = {v for v in range(g.n) if all(g.has_edge(v, u) for u in range(g.n) if u != v)}
+    for i, j in all_pairs(g.n):
+        move = Toggle(g, i, j, not g.has_edge(i, j))
+        toggled = Graph(g.n, g.bits ^ Graph.from_edges(g.n, [(i, j)]).bits)
+        if not union_find_connected(toggled):
+            # only a removal that touches the one hub can disconnect g
+            assert hubs & {i, j} and not hubs - {i, j}
+            with pytest.raises(DisconnectedGraphError):
+                step(move, g.adjacency(), current)
+            continue
+        assert step(move, g.adjacency(), current) == ordered_hop_sum(toggled)
+        # a toggle that spares a hub steps in closed form and builds no graph
+        assert (move._graph is None) == bool(hubs - {i, j})
 
 
 def test_search_config_validation():

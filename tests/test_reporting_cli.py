@@ -130,6 +130,39 @@ def test_run_experiment_certifies_the_distance_witness_in_one_scan(tmp_path, alp
         "incumbent", objective, 435)
 
 
+@pytest.mark.parametrize("alpha, searches", [
+    (Fraction(7, 10), 415), (Fraction(1, 2), 147), (Fraction(3, 10), 59)])
+def test_the_distance_witness_scan_builds_graphs_only_for_its_centre_edges(
+        tmp_path, monkeypatch, alpha, searches):
+    # the witness holds a spanning star, so a toggle that spares its centre moves
+    # the hop total by exactly 2 with no search and no Graph; only the n - 1 = 29
+    # removals of a centre edge are built and re-searched (435 Graphs and
+    # 1 257 / 989 / 901 searches before hubs were used; the report's APL row
+    # is counted too)
+    from ergmax import graph
+
+    built, calls = [], []
+    toggled, search = Graph.toggled, graph.bfs_layers
+
+    def counted_toggle(g, i, j):
+        built.append((i, j))
+        return toggled(g, i, j)
+
+    def counted_search(g, source):
+        calls.append(source)
+        return search(g, source)
+
+    monkeypatch.setattr(Graph, "toggled", counted_toggle)
+    monkeypatch.setattr(graph, "bfs_layers", counted_search)
+    spec = ExperimentSpec(n=30, model="distance_vs_flow", solver="local_search", alpha=alpha,
+                          seed=1, restarts=2,
+                          delta_source=scaled_delta_file(tmp_path / "d.txt", 30, 1))
+    result = run_experiment(spec).result
+    [centre] = [v for v, row in enumerate(result.graph.adjacency()) if row.bit_count() == 29]
+    assert len(built) == 29 and all(centre in pair for pair in built)
+    assert len(calls) == searches
+
+
 @pytest.mark.parametrize("space", [SampleSpace.connected_graphs(), SampleSpace.all_graphs()],
                          ids=lambda s: s.label())
 def test_run_experiment_solves_the_distance_model_from_the_witness(tmp_path, space):
