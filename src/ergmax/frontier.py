@@ -19,6 +19,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from itertools import accumulate
 from operator import le
+from typing import Callable
 
 from .graph import Graph, all_pairs, num_pairs
 from .stats import Hamiltonian, HamiltonianForm, StatisticKind, unscaled
@@ -81,11 +82,17 @@ def distance_interval(h: Hamiltonian) -> tuple[Fraction, Fraction, Graph]:
     the sweep adds to the star the k cheapest pairs that avoid c, in
     (distance, i, j) order, so its physical distance is a prefix sum.
 
-    Both sweeps run over the pairs sorted once, in ints on h's grid.  As k
-    grows the physical term rises and the flow term falls, so the value
-    falls until the physical term binds and never falls after it: the best
-    k is the first at which it binds, found by bisection, or the one
-    before.  Ties go to the lowest centre, then the fewest pairs.
+    Both sweeps run over the pairs sorted once, in ints on h's grid, and
+    read their sums off one prefix sum of the sorted distances.  The k
+    cheapest pairs that avoid c are the first k + t sorted pairs less the
+    t of c's pairs ranked among them, where t counts c's pairs with fewer
+    than k avoiding pairs ranked before them; a bisection over those
+    counts, ascending in c's ranking, finds t.  As k grows the physical
+    term rises and the flow term falls, so the value falls until the
+    physical term binds and never falls after it: the best k is the first
+    at which it binds, found by bisection, or the one before.  So after
+    the sort each centre costs O(n + log n · log P).  Ties go to the
+    lowest centre, then the fewest pairs.
     """
     kinds = [spec.kind for _, spec in h.terms]
     if (h.form is not HamiltonianForm.MAX_MIN or h.floor is not None or max(h.grid_weights) > 0
@@ -95,25 +102,40 @@ def distance_interval(h: Hamiltonian) -> tuple[Fraction, Fraction, Graph]:
     (wp, wf), rows = h.grid_weights, h.terms[0][1].grid_delta
     n = len(rows)
     pairs = num_pairs(n)
+    most = pairs - (n - 1)  # the pairs a spanning star or tree leaves out
     ranked = sorted((rows[i][j], i, j) for i, j in all_pairs(n))
-
-    def best(m: int, costs: list[int]) -> tuple[int, int]:
-        """(score, -k) at the best k, the fewest on ties, for m edges of
-        total distance costs[0] plus k more pairs, of the next k costs."""
-        sums = list(accumulate(costs))
-
-        def terms(k: int) -> tuple[int, int]:
-            return wp * sums[k], wf * 2 * (2 * pairs - m - k)
-
-        binds = bisect_left(range(len(sums)), True, key=lambda k: le(*terms(k)))
-        return max((min(terms(k)), -k) for k in (binds - 1, binds) if 0 <= k < len(sums))
-
     costs = [d for d, _, _ in ranked]
-    lower, _ = best(n - 1, [sum(costs[:n - 1])] + costs[n - 1:])
+    prefix = [0, *accumulate(costs)]
+    ranks: list[list[int]] = [[] for _ in range(n)]  # each node's pairs' ranks, ascending
+    for r, (_, i, j) in enumerate(ranked):
+        ranks[i].append(r)
+        ranks[j].append(r)
+
+    def best(total: Callable[[int], int]) -> tuple[int, int]:
+        """(score, -k) at the best k, the fewest on ties, for n - 1 edges
+        plus k more pairs, of total distance total(k), 0 <= k <= most."""
+        def terms(k: int) -> tuple[int, int]:
+            return wp * total(k), wf * 2 * (2 * pairs - (n - 1) - k)
+
+        binds = bisect_left(range(most + 1), True, key=lambda k: le(*terms(k)))
+        return max((min(terms(k)), -k) for k in (binds - 1, binds) if 0 <= k <= most)
+
+    def avoiding(c: int) -> Callable[[int], int]:
+        """The distance of c's star plus the k cheapest pairs that avoid c, as a function of k."""
+        # ahead[t]: the avoiding pairs ranked before c's pair t; struck[t]: c's first t pairs' sum
+        ahead = [r - t for t, r in enumerate(ranks[c])]
+        struck = [0, *accumulate(costs[r] for r in ranks[c])]
+        star = struck[-1]
+
+        def total(k: int) -> int:
+            t = bisect_left(ahead, k)
+            return star + prefix[k + t] - struck[t]
+
+        return total
+
+    lower, _ = best(lambda k: prefix[n - 1 + k])
     # negated, so that among equal scores max keeps the lowest centre
-    (value, fewest), lowest = max(
-        (best(n - 1, [sum(rows[c])] + [d for d, i, j in ranked if c != i and c != j]), -c)
-        for c in range(n))
+    (value, fewest), lowest = max((best(avoiding(c)), -c) for c in range(n))
     c, k = -lowest, -fewest
     star = [(c, v) for v in range(n) if v != c]
     chords = [(i, j) for _, i, j in ranked if c != i and c != j][:k]

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 
 class DisconnectedGraphError(ValueError):
@@ -218,12 +218,12 @@ def connected_triples(g: Graph) -> int:
     return sum(d * (d - 1) // 2 for d in (a.bit_count() for a in adj))
 
 
-def bfs_layers(g: Graph, source: int) -> tuple[int, ...]:
-    """Breadth-first search from ``source``: the bitmasks of the nodes at hop
-    0, 1, 2, ... from it, up to the last nonempty one."""
-    adj = g.adjacency()
+def bfs_layers(adj: Sequence[int], source: int) -> Iterator[int]:
+    """Breadth-first search from ``source`` over the adjacency rows `adj`:
+    yield the bitmasks of the nodes at hop 0, 1, 2, ... from it, up to the
+    last nonempty one, each when it is reached, so a caller may stop early."""
     seen = frontier = 1 << source
-    layers = [frontier]
+    yield frontier
     while True:
         nxt = 0
         f = frontier
@@ -233,17 +233,27 @@ def bfs_layers(g: Graph, source: int) -> tuple[int, ...]:
             f ^= low
         frontier = nxt & ~seen
         if not frontier:
-            return tuple(layers)
+            return
         seen |= frontier
-        layers.append(frontier)
+        yield frontier
 
 
 def reached(g: Graph, source: int) -> int:
     """Bitmask of the nodes a breadth-first search from ``source`` reaches."""
     seen = 0
-    for layer in bfs_layers(g, source):
+    for layer in bfs_layers(g.adjacency(), source):
         seen |= layer
     return seen
+
+
+def joined_without(adj: tuple[int, ...], i: int, j: int) -> bool:
+    """True when i reaches j over the adjacency rows `adj` with the pair
+    (i, j) cleared, searching only until j is found: removing the edge
+    (i, j) keeps a connected graph connected exactly then."""
+    rows = list(adj)
+    rows[i] &= ~(1 << j)
+    rows[j] &= ~(1 << i)
+    return any(layer >> j & 1 for layer in bfs_layers(rows, i))
 
 
 def is_connected(g: Graph) -> bool:
@@ -255,7 +265,7 @@ def is_connected(g: Graph) -> bool:
 
 def _hop_row(g: Graph, source: int) -> tuple[int, tuple[int, ...]]:
     """(hop sum, BFS layers) from ``source``; raises if it misses a node."""
-    layers = bfs_layers(g, source)
+    layers = tuple(bfs_layers(g.adjacency(), source))
     counts = [layer.bit_count() for layer in layers]
     if sum(counts) != g.n:
         raise DisconnectedGraphError("hop sums are undefined on a disconnected graph")

@@ -11,12 +11,11 @@ better in either sense (see :class:`~ergmax.stats.Hamiltonian`), and a
 climb's result is divided back once, by :meth:`SolveResult.of`.  Each
 candidate is a :class:`~ergmax.graph.Toggle` scored from its parent graph
 (see :func:`~ergmax.stats.grid_stepper`): a Graph is built for the move
-taken, and for a candidate only when a connectivity test reads one or
-its flow distance carries hop rows to one.  A flow step whose endpoints
-share a hub, a node adjacent to every other, moves the hop total by
-exactly 2 and builds none.  An accepted flow move keeps the hop rows
-carried while it was scored; one taken through the hub step gets them
-when a later step reads them.
+taken, and for a candidate only when its flow distance carries hop rows
+to one, which a graph with a hub, a node adjacent to every other, never
+needs.  A removal's connectivity test searches the parent's rows.  An
+accepted flow move keeps the hop rows carried while it was scored; one
+stepped in closed form gets them when a later step reads them.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .exact import SolveResult
-from .graph import DisconnectedGraphError, Graph, Toggle, all_pairs, is_connected, reached
+from .graph import DisconnectedGraphError, Graph, Toggle, all_pairs, joined_without, reached
 from .space import SampleSpace
 from .stats import Hamiltonian, grid_values, score
 
@@ -86,14 +85,12 @@ def _feasible_toggles(
     A toggle is feasible when it keeps g in the objective's domain and in
     the space; toggles come in `pairs` order.  Each is scored from g, its
     values stepped from `values` with g's adjacency rows, read once here;
-    only a flow distance step whose endpoints share no hub builds the
-    toggled graph, ``move.graph``.  The statistics are stepped before a
-    removal's connectivity test, which then finds the hop rows that step
-    carried to ``move.graph`` and needs no search.  A removal whose
-    endpoints share a neighbour (a hub among them) keeps them joined
-    through it, so it keeps a connected g connected without a search or
-    a graph either; one that leaves an endpoint with no neighbour
-    disconnects g, and is skipped before anything is stepped.
+    only a flow distance step on a g without a hub builds the toggled
+    graph, ``move.graph``.  In the connected space a removal is decided
+    before anything is stepped: one that leaves an endpoint with no
+    neighbour is skipped, one whose endpoints share a neighbour keeps them
+    joined through it, and any other is kept only if a search from one
+    endpoint over g's rows without the pair reaches the other.
     """
     if space.density is not None:
         return  # any single toggle changes the edge count
@@ -101,15 +98,14 @@ def _feasible_toggles(
     adj = g.adjacency()
     for i, j in pairs:
         added = not adj[i] >> j & 1
-        may_cut = space.connected and not added
-        if may_cut and (adj[i] == 1 << j or adj[j] == 1 << i):
+        if space.connected and not added and (
+                adj[i] == 1 << j or adj[j] == 1 << i
+                or not adj[i] & adj[j] and not joined_without(adj, i, j)):
             continue
         move = Toggle(g, i, j, added)
         try:
             cand_values = tuple(step(move, adj, current) for step, current in steps)
         except DisconnectedGraphError:
-            continue
-        if may_cut and not (adj[i] & adj[j]) and not is_connected(move.graph):
             continue
         yield move, cand_values, score(h, cand_values)
 

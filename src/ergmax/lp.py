@@ -556,10 +556,10 @@ def _tree_flow(g: Graph, root: int, name: Callable[[int, int], str]) -> dict[str
     first, so each subtree is complete before it joins its parent's.
     Raises if g is disconnected.
     """
-    layers = bfs_layers(g, root)
+    adj = g.adjacency()
+    layers = tuple(bfs_layers(adj, root))
     if sum(layer.bit_count() for layer in layers) != g.n:
         raise DisconnectedGraphError("graph is disconnected; no spanning tree exists")
-    adj = g.adjacency()
     size = [1] * g.n
     values = {name(a, b): Fraction(0) for i, j in all_pairs(g.n) for a, b in ((i, j), (j, i))}
     for d in range(len(layers) - 1, 0, -1):

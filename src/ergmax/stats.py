@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 from enum import Enum
 from fractions import Fraction
 from functools import cache
@@ -148,16 +148,31 @@ def grid_stepper(spec: StatisticSpec) -> Callable[[Toggle, tuple[int, ...], int]
     Non-edges, triangles and physical distance step by a closed form and
     build no graph: the pair leaves or joins the non-edges, closes or opens
     one triangle per common neighbour of its endpoints, and adds or drops
-    its distance.  Flow distance does too when a common neighbour of the
-    endpoints is a hub, adjacent to every node: the toggle spares the hub,
-    which then keeps g connected with diameter at most two before and
-    after it.  Two nodes are then one hop apart when adjacent and two hops
-    apart otherwise, so only the pair's own distance changes, from two hops
-    to one or back, and the ordered total moves by ∓2.  Any other flow step
-    builds ``move.graph``, gives it g's per-source hop rows, re-searched
-    only from the sources the toggle can change, and steps `current` by
-    those rows' change; it raises DisconnectedGraphError when the toggled
-    graph is disconnected."""
+    its distance.  Flow distance does too when g has a hub, a node adjacent
+    to every other, so a g with one has every toggle stepped with no search
+    and no graph.  Such a g is connected with diameter at most two: two
+    nodes are one hop apart when adjacent and two hops apart otherwise.
+
+    *A toggle that spares a hub* keeps it, so the toggled graph has
+    diameter at most two as well, and only the pair's own distance
+    changes, from two hops to one or back: the ordered total moves by ∓2.
+    A hub outside the pair is adjacent to both endpoints, so it is one of
+    their common neighbours.
+
+    *A removal of (c, v) at a hub c* changes only distances from v: every
+    other pair keeps its adjacency and its path of length at most two
+    through c.  d(v, c) goes from 1 to 2 when v has a neighbour w other
+    than c, along v, w, c; when it has none, v is cut off and the step
+    raises DisconnectedGraphError.  A neighbour of v stays one hop away.
+    A non-neighbour y other than c stays two hops away when it shares a
+    neighbour other than c with v, and otherwise goes to three, along v,
+    w, c, y.  So the ordered total grows by 2·(1 + the number of nodes at
+    three hops).
+
+    A flow step of a graph with no hub builds ``move.graph``, gives it g's
+    per-source hop rows, re-searched only from the sources the toggle can
+    change, and steps `current` by those rows' change; it raises
+    DisconnectedGraphError when the toggled graph is disconnected."""
     if spec.kind is StatisticKind.NON_EDGES:
         return lambda move, adj, current: current - 1 if move.added else current + 1
     if spec.kind is StatisticKind.TRIANGLES:
@@ -168,8 +183,23 @@ def grid_stepper(spec: StatisticSpec) -> Callable[[Toggle, tuple[int, ...], int]
         return triangles
     if spec.kind is StatisticKind.FLOW_DISTANCE:
         def flow(move: Toggle, adj: tuple[int, ...], current: int) -> int:
-            if shares_hub(adj, move.i, move.j):
+            i, j = move.i, move.j
+            if shares_hub(adj, i, j):
                 return current - 2 if move.added else current + 2
+            if not move.added:
+                everyone = (1 << len(adj)) - 1
+                for c, v in ((i, j), (j, i)):
+                    if adj[c] | 1 << c == everyone:
+                        others = adj[v] ^ 1 << c
+                        if not others:
+                            raise DisconnectedGraphError(f"removing ({i}, {j}) cuts off node {v}")
+                        # v, its neighbours and theirs: all but the nodes at three hops
+                        near = adj[v]
+                        while others:
+                            low = others & -others
+                            near |= adj[low.bit_length() - 1]
+                            others ^= low
+                        return current + 2 * (1 + (everyone & ~near).bit_count())
             return current + carry_hop_rows(move, adj)
 
         return flow
@@ -361,6 +391,26 @@ def exact_decimal(value: Fraction) -> str:
     return repr(float(value))
 
 
+def _exact(text: str) -> Fraction:
+    """``Fraction(text)``, read through C decimals where they agree with it.
+
+    A finite Decimal is converted to a Fraction exactly, and the two read
+    every decimal alike, but Decimal also reads ``1__0`` and ``_1``, which
+    Fraction rejects, and reads no ``a/b``.  So a text with ``/`` or ``_``,
+    or one Decimal rejects or reads as infinite or NaN, goes to Fraction,
+    which accepts or rejects it as always.
+    """
+    if "/" not in text and "_" not in text:
+        try:
+            value = Decimal(text)
+        except InvalidOperation:
+            pass
+        else:
+            if value.is_finite():
+                return Fraction(value)
+    return Fraction(text)
+
+
 def parse_delta(inp: TextIO) -> DeltaMatrix:
     """Parse the distance-matrix format: n, then n lines of n decimals.
 
@@ -372,7 +422,7 @@ def parse_delta(inp: TextIO) -> DeltaMatrix:
     if len(header) != 1:
         raise ValueError("distance-matrix header must be a single count")
     n = int(header[0])
-    exact = cache(Fraction)  # a symmetric matrix repeats each text
+    exact = cache(_exact)  # a symmetric matrix repeats each text
     rows = []
     for _ in range(n):
         fields = inp.readline().split()

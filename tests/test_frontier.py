@@ -1,5 +1,8 @@
+from bisect import bisect_left
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
+from operator import le
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +20,7 @@ from ergmax import (
     random_unit_square_delta,
 )
 from ergmax.frontier import distance_interval, witness
-from ergmax.graph import num_pairs
+from ergmax.graph import all_pairs, num_pairs
 
 from helpers import triangle_count_by_triples, triads_maxmin, union_find_connected
 from test_integer_scale import mixed_grid_delta
@@ -157,6 +160,58 @@ def test_distance_interval_brackets_the_brute_force_optimum_at_six_nodes(scale, 
        st.fractions(min_value=0, max_value=1, max_denominator=20))
 def test_distance_witness_is_connected_and_scores_its_closed_form(delta, alpha):
     assert_interval_holds(distance_model(delta, alpha))
+
+
+def interval_by_list_sweep(h: Hamiltonian) -> tuple[Fraction, Fraction, Graph]:
+    """distance_interval as it was first written: for each centre, a list
+    of the pairs that avoid it and a prefix sum over that list."""
+    (wp, wf), rows = h.grid_weights, h.terms[0][1].grid_delta
+    n = len(rows)
+    pairs = num_pairs(n)
+    ranked = sorted((rows[i][j], i, j) for i in range(n) for j in range(i + 1, n))
+
+    def best(m, costs):
+        sums = list(accumulate(costs))
+
+        def terms(k):
+            return wp * sums[k], wf * 2 * (2 * pairs - m - k)
+
+        binds = bisect_left(range(len(sums)), True, key=lambda k: le(*terms(k)))
+        return max((min(terms(k)), -k) for k in (binds - 1, binds) if 0 <= k < len(sums))
+
+    costs = [d for d, _, _ in ranked]
+    lower, _ = best(n - 1, [sum(costs[:n - 1])] + costs[n - 1:])
+    (value, fewest), lowest = max(
+        (best(n - 1, [sum(rows[c])] + [d for d, i, j in ranked if c != i and c != j]), -c)
+        for c in range(n))
+    c, k = -lowest, -fewest
+    star = [(c, v) for v in range(n) if v != c]
+    chords = [(i, j) for _, i, j in ranked if c != i and c != j][:k]
+    return (Fraction(lower, h.scale), Fraction(value, h.scale),
+            Graph.from_edges(n, star + chords))
+
+
+@st.composite
+def interval_grids(draw):
+    """A symmetric distance matrix on 2..16 nodes: ints 0..5, heavy with ties,
+    or fractions over mixed denominators."""
+    n = draw(st.integers(2, 16), label="n")
+    if draw(st.booleans(), label="ties"):
+        entry = st.integers(0, 5).map(Fraction)
+    else:
+        entry = st.builds(Fraction, st.integers(0, 60), st.sampled_from([1, 2, 3, 4, 7, 10]))
+    upper = {pair: draw(entry) for pair in all_pairs(n)}
+    return tuple(tuple(Fraction(0) if i == j else upper[min(i, j), max(i, j)]
+                       for j in range(n)) for i in range(n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(interval_grids(), st.sampled_from([Fraction(a) for a in ("0", "3/10", "1/2", "7/10", "1")]))
+def test_distance_interval_matches_the_list_sweep(delta, alpha):
+    h = distance_model(delta, alpha)
+    lower, value, g = distance_interval(h)
+    ref_lower, ref_value, ref_g = interval_by_list_sweep(h)
+    assert (lower, value, g.bits) == (ref_lower, ref_value, ref_g.bits)
 
 
 def test_distance_interval_at_the_benchmark_scale():

@@ -120,13 +120,13 @@ def test_pendant_edge_removals_are_refused_without_a_connectivity_search(monkeyp
     from ergmax import local_search
 
     searched = []
-    search = local_search.is_connected
+    search = local_search.joined_without
 
-    def counted(g):
-        searched.append(g)
-        return search(g)
+    def counted(adj, i, j):
+        searched.append((i, j))
+        return search(adj, i, j)
 
-    monkeypatch.setattr(local_search, "is_connected", counted)
+    monkeypatch.setattr(local_search, "joined_without", counted)
     g = witness(60, alpha, connected=True)
     assert not has_improving_toggle(g, triads_maxmin(alpha), CONNECTED)
     assert not searched
@@ -195,11 +195,13 @@ def pinned_distance_climb(alpha):
     return multi_restart(n, h, CONNECTED, SearchConfig(seed=3, restarts=2, start=Graph.star(n)))
 
 
-# An accepted flow move keeps the hop rows carried while it was scored, so no
-# BFS runs twice; a toggle that spares a hub, and every row of a graph that
-# has one, needs no BFS at all (608 / 642 / 730 searches before hubs were used).
+# Every toggle of a graph with a hub, and every row of such a graph, is
+# stepped or built in closed form, and the climb from the star never leaves
+# graphs with a hub: the one search left is the start's connectivity test
+# (608 / 642 / 730 searches before hubs were used, 220 / 230 / 154 before a
+# removal at the hub was stepped in closed form).
 @pytest.mark.parametrize("alpha, searches", [
-    (Fraction(7, 10), 220), (Fraction(1, 2), 230), (Fraction(3, 10), 154)])
+    (Fraction(7, 10), 1), (Fraction(1, 2), 1), (Fraction(3, 10), 1)])
 def test_the_pinned_distance_climb_runs_no_more_searches(monkeypatch, alpha, searches):
     calls = []
     search = graph.bfs_layers
@@ -278,6 +280,42 @@ def test_a_triads_climb_builds_a_graph_only_for_each_move_it_takes(monkeypatch, 
     assert res.nodes_explored > 10 * len(built) > 0
 
 
+def test_the_connected_space_tests_a_removal_on_the_parent_rows():
+    # two triangles joined by the bridge (2, 3), and a 4-cycle: neither pair's
+    # endpoints share a neighbour, but only the bridge's removal disconnects
+    h = triads_maxmin(Fraction(1, 2))
+    for g, pair, kept in [
+        (Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)]), (2, 3), False),
+        (Graph.cycle(4), (0, 1), True),
+    ]:
+        values = grid_values(h, g)
+        moves = [move for move, _, _ in _feasible_toggles(g, h, CONNECTED, values, [pair])]
+        assert len(moves) == kept and all(move._graph is None for move in moves)
+        assert len(list(_feasible_toggles(g, h, SampleSpace.all_graphs(), values, [pair]))) == 1
+
+
+def test_a_connected_climb_builds_no_graph_to_test_a_removal(monkeypatch):
+    # a removal whose endpoints share no neighbour is tested by a search over
+    # the parent's rows, so the connected space builds only the moves taken,
+    # as the all space does (411 against 409 when the test built the graph)
+    h = triads_maxmin(Fraction(3, 10))
+    start = random_connected_graph(60, random.Random(1))
+    counts = {}
+    toggled = Graph.toggled
+    for space in (CONNECTED, SampleSpace.all_graphs()):
+        built = []
+
+        def counted(g, i, j):
+            built.append((i, j))
+            return toggled(g, i, j)
+
+        monkeypatch.setattr(Graph, "toggled", counted)
+        res = first_improve(start, h, space, SearchConfig(seed=1))
+        counts[space.label()] = (len(built), res.nodes_explored, res.objective)
+    assert counts == {"connected": (409, 2964, Fraction(791, 2)),
+                      "all": (409, 2964, Fraction(791, 2))}
+
+
 FLOW = StatisticSpec(StatisticKind.FLOW_DISTANCE)
 
 
@@ -308,7 +346,7 @@ def searched_hop_rows(g):
     """Every source's (hop sum, BFS layers), searched on a fresh copy of g."""
     fresh = Graph(g.n, g.bits)
     return tuple((sum(d * layer.bit_count() for d, layer in enumerate(layers)), layers)
-                 for layers in (bfs_layers(fresh, s) for s in range(g.n)))
+                 for layers in (tuple(bfs_layers(fresh.adjacency(), s)) for s in range(g.n)))
 
 
 @st.composite
@@ -337,15 +375,17 @@ def test_the_flow_step_of_a_hub_graph_matches_a_fresh_hop_total(g):
     for i, j in all_pairs(g.n):
         move = Toggle(g, i, j, not g.has_edge(i, j))
         toggled = Graph(g.n, g.bits ^ Graph.from_edges(g.n, [(i, j)]).bits)
-        if not union_find_connected(toggled):
-            # only a removal that touches the one hub can disconnect g
-            assert hubs & {i, j} and not hubs - {i, j}
-            with pytest.raises(DisconnectedGraphError):
-                step(move, g.adjacency(), current)
-            continue
-        assert step(move, g.adjacency(), current) == ordered_hop_sum(toggled)
-        # a toggle that spares a hub steps in closed form and builds no graph
-        assert (move._graph is None) == bool(hubs - {i, j})
+        # every toggle of a graph with a hub steps in closed form: no search, no graph
+        with unittest.mock.patch.object(graph, "bfs_layers",
+                                        side_effect=AssertionError("searched")):
+            if not union_find_connected(toggled):
+                # only a removal that touches the one hub can disconnect g
+                assert hubs & {i, j} and not hubs - {i, j}
+                with pytest.raises(DisconnectedGraphError):
+                    step(move, g.adjacency(), current)
+            else:
+                assert step(move, g.adjacency(), current) == ordered_hop_sum(toggled)
+        assert move._graph is None
 
 
 def test_search_config_validation():

@@ -272,6 +272,51 @@ def test_parse_delta_reads_each_distinct_text_once():
     assert all(delta[i][j] is delta[j][i] for i in range(3) for j in range(3))
 
 
+DIGITS = "0123456789\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669\u0966\u0967\uff10\uff11"
+
+
+@st.composite
+def numeric_fields(draw):
+    """One whitespace-free field: a decimal with a sign, leading zeros and
+    an exponent, an a/b form, or a scramble of the characters numbers use,
+    any of them in Unicode digits."""
+    digits = st.text(DIGITS, max_size=4)
+    sign = st.sampled_from(["", "+", "-"])
+    form = draw(st.sampled_from(["decimal", "ratio", "scramble"]))
+    if form == "decimal":
+        point = draw(st.sampled_from(["", "."]))
+        exponent = draw(st.sampled_from(["", "e", "E"]))
+        if exponent:
+            exponent += draw(sign) + draw(st.text(DIGITS, min_size=1, max_size=2))
+        return draw(sign) + draw(digits) + point + draw(digits) + exponent
+    if form == "ratio":
+        return draw(sign) + draw(digits) + "/" + draw(digits)
+    return draw(st.text("0123456789\u0663.eE+-_/xnaifINF", min_size=1, max_size=6))
+
+
+def assert_parsed_as_fraction_reads(field):
+    """parse_delta of a one-by-one matrix holding `field` is Fraction(field),
+    and raises ValueError exactly where Fraction(field) raises."""
+    try:
+        expected = Fraction(field)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(ValueError):
+            parse_delta(io.StringIO(f"1\n{field}\n"))
+    else:
+        assert parse_delta(io.StringIO(f"1\n{field}\n")) == ((expected,),)
+
+
+@pytest.mark.parametrize("field", ["inf", "nan", "Infinity", "0x1", "1__0", "1_0", ".5", "5.", "1e3"])
+def test_parse_delta_reads_the_corpus_as_fraction_does(field):
+    assert_parsed_as_fraction_reads(field)
+
+
+@settings(max_examples=500, deadline=None)
+@given(numeric_fields())
+def test_parse_delta_reads_a_drawn_field_as_fraction_does(field):
+    assert_parsed_as_fraction_reads(field)
+
+
 def test_delta_rejects_rows_after_the_last():
     with pytest.raises(ValueError, match="after"):
         read_delta(io.StringIO("2\n0 1\n1 0\n1 0\n"))
