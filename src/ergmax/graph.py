@@ -8,6 +8,7 @@ or plain ``int``); decimal rendering is left to the reporting layer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -62,7 +63,7 @@ class Graph:
     ``with_edge``, ``without_edge``) return new graphs.
     """
 
-    __slots__ = ("n", "bits", "_adj", "_triangles", "_hop_rows")
+    __slots__ = ("n", "bits", "_adj", "_triangles", "_hop_total")
 
     def __init__(self, n: int, bits: int = 0):
         if n < 1:
@@ -73,9 +74,7 @@ class Graph:
         self.bits = bits
         self._adj: tuple[int, ...] | None = None
         self._triangles: int | None = None  # set by count_triangles or carried by toggled
-        # per source (hop sum, BFS layers), held only by a connected graph;
-        # set by total_hop_count or carried by carry_hop_rows
-        self._hop_rows: tuple[tuple[int, tuple[int, ...]], ...] | None = None
+        self._hop_total: int | None = None  # set by total_hop_count, so only when connected
 
     # -- constructors ------------------------------------------------------
 
@@ -258,38 +257,9 @@ def joined_without(adj: tuple[int, ...], i: int, j: int) -> bool:
 
 def is_connected(g: Graph) -> bool:
     """True iff one traversal from node 0 reaches every node.  A graph that
-    holds hop rows is connected without a search: they are stored only when
+    holds a hop total is connected without a search: it is stored only when
     every source reaches every node."""
-    return g._hop_rows is not None or reached(g, 0) == (1 << g.n) - 1
-
-
-def _hop_row(g: Graph, source: int) -> tuple[int, tuple[int, ...]]:
-    """(hop sum, BFS layers) from ``source``; raises if it misses a node."""
-    layers = tuple(bfs_layers(g.adjacency(), source))
-    counts = [layer.bit_count() for layer in layers]
-    if sum(counts) != g.n:
-        raise DisconnectedGraphError("hop sums are undefined on a disconnected graph")
-    return sum(d * c for d, c in enumerate(counts)), layers
-
-
-def _hop_rows(g: Graph) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """Every source's (hop sum, BFS layers), built once per graph.  A graph
-    with a hub, a node adjacent to every other, has diameter at most two,
-    so source s has layers (s, its neighbours, the rest) and needs no search."""
-    if g._hop_rows is None:
-        adj = g.adjacency()
-        everyone = (1 << g.n) - 1
-        if any(row | 1 << v == everyone for v, row in enumerate(adj)):
-            rows = []
-            for s, row in enumerate(adj):
-                rest = everyone & ~row & ~(1 << s)
-                # a hub source has no rest, and only n = 1 has no neighbours
-                layers = tuple(layer for layer in (1 << s, row, rest) if layer)
-                rows.append((row.bit_count() + 2 * rest.bit_count(), layers))
-            g._hop_rows = tuple(rows)
-        else:
-            g._hop_rows = tuple(_hop_row(g, s) for s in range(g.n))
-    return g._hop_rows
+    return g._hop_total is not None or reached(g, 0) == (1 << g.n) - 1
 
 
 def shares_hub(adj: tuple[int, ...], i: int, j: int) -> bool:
@@ -307,72 +277,25 @@ def shares_hub(adj: tuple[int, ...], i: int, j: int) -> bool:
 
 
 def total_hop_count(g: Graph) -> int:
-    """Sum of shortest-path hop counts over all ordered node pairs; the
-    per-source rows are built once per graph, in closed form when it has a
-    hub, or carried by carry_hop_rows."""
-    return sum(hop_sum for hop_sum, _ in _hop_rows(g))
-
-
-def _two_hops_nearer(near: tuple[int, ...], far: tuple[int, ...]) -> int:
-    """The sources at least two hops nearer to one endpoint than to the other,
-    given the two endpoints' BFS layers (by symmetry, layer a of an endpoint
-    holds the sources a hops from it)."""
-    out = 0
-    within = far[0]  # sources within a + 1 hops of the far endpoint
-    for a, layer in enumerate(near):
-        if a + 1 < len(far):
-            within |= far[a + 1]
-        out |= layer & ~within
-    return out
-
-
-def _sole_parent_sources(
-    rows: tuple[tuple[int, tuple[int, ...]], ...], adj: tuple[int, ...], i: int, j: int
-) -> int:
-    """The sources one hop nearer to i than to j for which i is j's only
-    neighbour a hop nearer: removing (i, j) moves j farther from them."""
-    near, far = rows[i][1], rows[j][1]
-    out = 0
-    for a in range(min(len(near), len(far) - 1)):
-        sources = near[a] & far[a + 1]
-        while sources:
-            low = sources & -sources
-            if adj[j] & rows[low.bit_length() - 1][1][a] == 1 << i:
-                out |= low
-            sources ^= low
-    return out
-
-
-def carry_hop_rows(move: Toggle, adj: tuple[int, ...]) -> int:
-    """Give ``move.graph`` the hop rows of its parent g, whose adjacency rows
-    are `adj`, searched again only from the sources whose distances the flip
-    of pair (i, j) changes; return the change in the ordered hop total, the
-    sum of those sources' changes.
-
-    Adding (i, j) shortens paths exactly from the sources two or more hops
-    nearer to one endpoint than to the other.  Removing it lengthens them
-    exactly from the sources for which it is the far endpoint's only link
-    to the layer of the near one; a removal that disconnects the graph is
-    one of those and raises DisconnectedGraphError.
-    """
-    i, j = move.i, move.j
-    rows = _hop_rows(move.parent)
-    if move.added:
-        near_i, near_j = rows[i][1], rows[j][1]
-        affected = _two_hops_nearer(near_i, near_j) | _two_hops_nearer(near_j, near_i)
-    else:
-        affected = _sole_parent_sources(rows, adj, i, j) | _sole_parent_sources(rows, adj, j, i)
-    toggled = move.graph
-    carried = list(rows)
-    change = 0
-    while affected:
-        low = affected & -affected
-        s = low.bit_length() - 1
-        carried[s] = _hop_row(toggled, s)
-        change += carried[s][0] - rows[s][0]
-        affected ^= low
-    toggled._hop_rows = tuple(carried)
-    return change
+    """Sum of shortest-path hop counts over all ordered node pairs, computed
+    once per graph.  A graph with a hub, a node adjacent to every other, has
+    diameter at most two: its n(n-1) - 2m ordered non-adjacent pairs are two
+    hops apart and its 2m adjacent ones one, 2(n(n-1) - m) in all.  Any other
+    graph sums a search from every source, and raises if one misses a node."""
+    if g._hop_total is None:
+        adj = g.adjacency()
+        everyone = (1 << g.n) - 1
+        if any(row | 1 << v == everyone for v, row in enumerate(adj)):
+            g._hop_total = 2 * (g.n * (g.n - 1) - g.edge_count)
+        else:
+            total = 0
+            for s in range(g.n):
+                counts = [layer.bit_count() for layer in bfs_layers(adj, s)]
+                if sum(counts) != g.n:
+                    raise DisconnectedGraphError("hop sums are undefined on a disconnected graph")
+                total += sum(d * c for d, c in enumerate(counts))
+            g._hop_total = total
+    return g._hop_total
 
 
 def average_path_length(g: Graph) -> Fraction:
@@ -391,23 +314,23 @@ def clustering_coefficient(g: Graph) -> Fraction:
 
 
 def average_local_clustering(g: Graph) -> Fraction:
-    """Mean over all nodes of the local clustering coefficient (0 for degree < 2)."""
+    """Mean over all nodes of the local clustering coefficient (0 for degree < 2).
+    A node of degree d adds t/(d(d-1)), t twice the edges among its
+    neighbours: the t are summed per degree, then over one common denominator."""
     adj = g.adjacency()
-    total = Fraction(0)
-    for v in range(g.n):
-        nv = adj[v]
+    links: dict[int, int] = {}
+    for nv in adj:
         deg = nv.bit_count()
         if deg < 2:
             continue
-        # twice the number of edges among v's neighbors
-        links2 = 0
-        mask = nv
+        t, mask = 0, nv
         while mask:
             low = mask & -mask
-            links2 += (adj[low.bit_length() - 1] & nv).bit_count()
+            t += (adj[low.bit_length() - 1] & nv).bit_count()
             mask ^= low
-        total += Fraction(links2, deg * (deg - 1))
-    return total / g.n
+        links[deg] = links.get(deg, 0) + t
+    common = math.lcm(*(d * (d - 1) for d in links))
+    return Fraction(sum(t * (common // (d * (d - 1))) for d, t in links.items()), common * g.n)
 
 
 @dataclass(frozen=True)

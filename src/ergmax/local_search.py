@@ -11,11 +11,9 @@ better in either sense (see :class:`~ergmax.stats.Hamiltonian`), and a
 climb's result is divided back once, by :meth:`SolveResult.of`.  Each
 candidate is a :class:`~ergmax.graph.Toggle` scored from its parent graph
 (see :func:`~ergmax.stats.grid_stepper`): a Graph is built for the move
-taken, and for a candidate only when its flow distance carries hop rows
-to one, which a graph with a hub, a node adjacent to every other, never
-needs.  A removal's connectivity test searches the parent's rows.  An
-accepted flow move keeps the hop rows carried while it was scored; one
-stepped in closed form gets them when a later step reads them.
+taken, and for a candidate only when its flow distance is read off one,
+which a graph with a hub, a node adjacent to every other, never needs.
+A removal's connectivity test searches the parent's rows.
 """
 
 from __future__ import annotations
@@ -86,11 +84,12 @@ def _feasible_toggles(
     the space; toggles come in `pairs` order.  Each is scored from g, its
     values stepped from `values` with g's adjacency rows, read once here;
     only a flow distance step on a g without a hub builds the toggled
-    graph, ``move.graph``.  In the connected space a removal is decided
-    before anything is stepped: one that leaves an endpoint with no
-    neighbour is skipped, one whose endpoints share a neighbour keeps them
-    joined through it, and any other is kept only if a search from one
-    endpoint over g's rows without the pair reaches the other.
+    graph, ``move.graph``, and sums its hops.  In the connected space a
+    removal is decided before anything is stepped: one that leaves an
+    endpoint with no neighbour is skipped, one whose endpoints share a
+    neighbour keeps them joined through it, and any other is kept only if
+    a search from one endpoint over g's rows without the pair reaches the
+    other.
     """
     if space.density is not None:
         return  # any single toggle changes the edge count

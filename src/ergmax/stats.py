@@ -26,7 +26,6 @@ from .graph import (
     DisconnectedGraphError,
     Graph,
     Toggle,
-    carry_hop_rows,
     count_triangles,
     num_pairs,
     shares_hub,
@@ -167,12 +166,8 @@ def grid_stepper(spec: StatisticSpec) -> Callable[[Toggle, tuple[int, ...], int]
     A non-neighbour y other than c stays two hops away when it shares a
     neighbour other than c with v, and otherwise goes to three, along v,
     w, c, y.  So the ordered total grows by 2·(1 + the number of nodes at
-    three hops).
-
-    A flow step of a graph with no hub builds ``move.graph``, gives it g's
-    per-source hop rows, re-searched only from the sources the toggle can
-    change, and steps `current` by those rows' change; it raises
-    DisconnectedGraphError when the toggled graph is disconnected."""
+    three hops).  Any other flow step reads the total of ``move.graph``,
+    raising DisconnectedGraphError when that graph is disconnected."""
     if spec.kind is StatisticKind.NON_EDGES:
         return lambda move, adj, current: current - 1 if move.added else current + 1
     if spec.kind is StatisticKind.TRIANGLES:
@@ -200,7 +195,7 @@ def grid_stepper(spec: StatisticSpec) -> Callable[[Toggle, tuple[int, ...], int]
                             near |= adj[low.bit_length() - 1]
                             others ^= low
                         return current + 2 * (1 + (everyone & ~near).bit_count())
-            return current + carry_hop_rows(move, adj)
+            return s_flow_distance(move.graph)
 
         return flow
     rows = spec.grid_delta

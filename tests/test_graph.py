@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from ergmax import (
     DisconnectedGraphError,
     Graph,
+    average_local_clustering,
     average_path_length,
     clustering_coefficient,
     count_triangles,
@@ -127,17 +128,17 @@ def test_connectivity_matches_union_find(n):
         assert is_connected(g) == union_find_connected(g)
 
 
-def test_a_graph_holding_hop_rows_is_connected_without_a_search(monkeypatch):
+def test_a_graph_holding_a_hop_total_is_connected_without_a_search(monkeypatch):
     g = Graph.cycle(6)
     assert total_hop_count(g) == 6 * (1 + 1 + 2 + 2 + 3)
 
     def no_search(*args):
-        raise AssertionError("is_connected searched a graph that holds hop rows")
+        raise AssertionError("is_connected searched a graph that holds a hop total")
 
     monkeypatch.setattr(graph, "reached", no_search)
     assert is_connected(g)
     with pytest.raises(AssertionError):
-        is_connected(Graph.cycle(6))  # a fresh graph holds no rows, so it searches
+        is_connected(Graph.cycle(6))  # a fresh graph holds no total, so it searches
 
 
 # -- path lengths ------------------------------------------------------------
@@ -166,10 +167,23 @@ def test_clustering_examples():
 
 def test_average_local_clustering_on_paw():
     # nodes 0,1 close their single neighbor pair; node 2 closes 1 of 3; node 3 has degree 1
-    from ergmax import average_local_clustering
-
     paw = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
     assert average_local_clustering(paw) == (1 + 1 + Fraction(1, 3) + 0) / 4
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=12), st.data())
+def test_average_local_clustering_matches_a_mean_of_per_node_fractions(n, data):
+    # small edge sets leave isolated and degree-1 nodes, which count as 0
+    edges = data.draw(st.sets(st.sampled_from(all_pairs(n))) if n > 1 else st.just(set()))
+    g = Graph.from_edges(n, edges)
+    reference = Fraction(0)
+    for v in range(n):
+        nbrs = [u for u in range(n) if u != v and g.has_edge(u, v)]
+        if len(nbrs) > 1:
+            links = sum(g.has_edge(a, b) for a in nbrs for b in nbrs if a < b)
+            reference += Fraction(2 * links, len(nbrs) * (len(nbrs) - 1))
+    assert average_local_clustering(g) == reference / n
 
 
 # -- monotonicity under edge addition ----------------------------------------

@@ -10,7 +10,7 @@ Python code (package, tests, demos, benchmark) or be exported in
 name a function it can find, and every name the benchmark imports from
 the package must exist.  Only ``stats.py`` reads a Hamiltonian's
 ``sense``: everywhere else it is folded into the sign of ``scale``.
-Only ``graph.py`` gives a graph its hop rows, which ``is_connected``
+Only ``graph.py`` gives a graph its hop total, which ``is_connected``
 takes as proof that the graph is connected.
 """
 
@@ -78,7 +78,7 @@ def test_only_stats_reads_the_sense():
     assert not readers, f"modules that read .sense instead of the sign of scale: {readers}"
 
 
-def test_only_graph_assigns_hop_rows():
+def test_only_graph_assigns_the_hop_total():
     writers = [
         f"{path.name}:{node.lineno}"
         for path in sorted(PACKAGE.glob("*.py"))
@@ -87,9 +87,9 @@ def test_only_graph_assigns_hop_rows():
         if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
         for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
         for sub in ast.walk(target)
-        if isinstance(sub, ast.Attribute) and sub.attr == "_hop_rows"
+        if isinstance(sub, ast.Attribute) and sub.attr == "_hop_total"
     ]
-    assert not writers, f"modules that assign hop rows outside graph.py: {writers}"
+    assert not writers, f"modules that assign a hop total outside graph.py: {writers}"
 
 
 def test_every_private_function_is_referenced():

@@ -27,7 +27,7 @@ from ergmax import (
 )
 from ergmax.frontier import witness
 from ergmax import graph
-from ergmax.graph import DisconnectedGraphError, Toggle, all_pairs, bfs_layers, num_pairs
+from ergmax.graph import DisconnectedGraphError, Toggle, all_pairs, num_pairs, total_hop_count
 from ergmax.local_search import _feasible_toggles, _scan_order, random_connected_graph
 from ergmax.stats import grid_stepper, grid_values
 
@@ -195,8 +195,8 @@ def pinned_distance_climb(alpha):
     return multi_restart(n, h, CONNECTED, SearchConfig(seed=3, restarts=2, start=Graph.star(n)))
 
 
-# Every toggle of a graph with a hub, and every row of such a graph, is
-# stepped or built in closed form, and the climb from the star never leaves
+# Every toggle of a graph with a hub, and the hop total of such a graph, is
+# stepped or summed in closed form, and the climb from the star never leaves
 # graphs with a hub: the one search left is the start's connectivity test
 # (608 / 642 / 730 searches before hubs were used, 220 / 230 / 154 before a
 # removal at the hub was stepped in closed form).
@@ -218,8 +218,8 @@ def test_the_pinned_distance_climb_runs_no_more_searches(monkeypatch, alpha, sea
 @pytest.mark.parametrize("alpha", [Fraction(7, 10), Fraction(1, 2), Fraction(3, 10)])
 def test_the_pinned_distance_climb_sums_hop_rows_only_for_its_starts_and_answers(
         monkeypatch, alpha):
-    # a candidate's flow total steps by its re-searched rows' change; the n
-    # rows are summed only to score each restart's start and report its answer
+    # every candidate's flow total steps in closed form; a total is summed
+    # only to score each restart's start and report its answer
     from ergmax import stats
 
     calls = []
@@ -335,18 +335,10 @@ def test_flow_distance_steps_exactly_along_a_walk_of_toggles(n, space, data):
         [(move, cand_values, _)] = _feasible_toggles(g, h, space, values, [(i, j)])
         toggled = move.graph
         assert cand_values == (ordered_hop_sum(toggled),)
-        # the rows a later step reads, carried or built on that read, are the
-        # ones a fresh graph searches for
-        assert graph._hop_rows(toggled) == searched_hop_rows(toggled)
+        # the total the step cached on the toggled graph, or summed on this read
+        assert total_hop_count(toggled) == ordered_hop_sum(toggled)
         if data.draw(st.booleans(), label="accept"):
             g, values = toggled, cand_values
-
-
-def searched_hop_rows(g):
-    """Every source's (hop sum, BFS layers), searched on a fresh copy of g."""
-    fresh = Graph(g.n, g.bits)
-    return tuple((sum(d * layer.bit_count() for d, layer in enumerate(layers)), layers)
-                 for layers in (tuple(bfs_layers(fresh.adjacency(), s)) for s in range(g.n)))
 
 
 @st.composite
@@ -361,10 +353,10 @@ def hub_graphs(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(hub_graphs())
-def test_a_graph_with_a_hub_has_its_hop_rows_without_a_search(g):
+def test_a_graph_with_a_hub_has_its_hop_total_without_a_search(g):
     with unittest.mock.patch.object(graph, "bfs_layers", side_effect=AssertionError("searched")):
-        rows = graph._hop_rows(g)
-    assert rows == searched_hop_rows(g)
+        total = total_hop_count(g)
+    assert total == ordered_hop_sum(g)
 
 
 @settings(max_examples=200, deadline=None)

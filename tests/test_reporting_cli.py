@@ -1,5 +1,7 @@
+import itertools
 import json
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -162,6 +164,40 @@ def test_the_distance_witness_scan_builds_graphs_only_for_its_centre_edges(
     run_experiment(spec)
     assert built == []
     assert len(calls) == searches
+
+
+def test_distance_model_climbs_build_no_graph_and_search_only_the_start(tmp_path, monkeypatch):
+    # every climb from the distance witness stays on graphs with a hub, so no
+    # flow step reads a total off a built graph: the one search left is the
+    # connected space's test of the start, and the all space runs none
+    from ergmax import graph
+
+    built, calls = [], []
+    toggled, search = Graph.toggled, graph.bfs_layers
+
+    def counted_toggle(g, i, j):
+        built.append((i, j))
+        return toggled(g, i, j)
+
+    def counted_search(g, source):
+        calls.append(source)
+        return search(g, source)
+
+    monkeypatch.setattr(Graph, "toggled", counted_toggle)
+    monkeypatch.setattr(graph, "bfs_layers", counted_search)
+    counts = Counter()
+    for n, seed, scaled, alpha, space in itertools.product(
+            (8, 14, 30), (1, 2, 7), (False, True),
+            (Fraction(7, 10), Fraction(1, 2), Fraction(3, 10)),
+            (SampleSpace.connected_graphs(), SampleSpace.all_graphs())):
+        # distances x1 from the seed, or x20 from a file
+        source = scaled_delta_file(tmp_path / "d.txt", n, seed) if scaled else None
+        built.clear()
+        calls.clear()
+        run_experiment(ExperimentSpec(n=n, model="distance_vs_flow", solver="local_search",
+                                      alpha=alpha, space=space, seed=seed, delta_source=source))
+        counts[len(built), len(calls), space.label()] += 1
+    assert counts == {(0, 1, "connected"): 54, (0, 0, "all"): 54}
 
 
 @pytest.mark.parametrize("space", [SampleSpace.connected_graphs(), SampleSpace.all_graphs()],
