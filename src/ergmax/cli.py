@@ -1,6 +1,6 @@
-"""Command-line surface: solve, bound, export, inspect, and cross-check.
+"""Command-line surface: solve, bound, export, inspect, and check an assignment.
 
-Exit codes: 0 optimal/ok, 2 incumbent-only, 3 infeasible or mismatch,
+Exit codes: 0 optimal/ok, 2 incumbent-only, 3 infeasible or check mismatch,
 1 usage or I/O error.
 """
 
@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .exact import branch_and_bound, brute_force, structural_lower_bounds
+from .exact import structural_lower_bounds
 from .frontier import distance_interval, witness
 from .graph import graph_metrics, read_edge_list
 from .lp import (
@@ -212,31 +212,6 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0 if result.feasible else 3
 
 
-def cmd_oracle_compare(args: argparse.Namespace) -> int:
-    ns = [node_count(v) for v in args.n_list.split(",")]
-    alphas = [parse_fraction(v) for v in args.alpha_list.split(",")]
-    space = build_space(args)
-    all_ok = True
-    for n in ns:
-        for alpha in alphas:
-            spec = ExperimentSpec(n=n, alpha=alpha, space=space, solver="brute")
-            h = hamiltonian_for(spec)
-            ref, _ = brute_force(n, space, h)
-            cand = branch_and_bound(n, space, h)
-            # agreement: both proven optimal with one objective, or both infeasible
-            ok = (
-                cand.status == ref.status
-                and ref.status in ("optimal", "infeasible")
-                and cand.objective == ref.objective
-            )
-            all_ok &= ok
-            print(
-                f"n={n} alpha={alpha} brute={ref.objective} bnb={cand.objective} "
-                f"nodes={cand.nodes_explored} {'OK' if ok else 'MISMATCH'}"
-            )
-    return 0 if all_ok else 3
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ergmax",
@@ -287,13 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=parse_fraction, default=Fraction(0),
                    help="nonnegative violation tolerance (rational or decimal)")
     p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("oracle-compare", help="brute force vs branch-and-bound on a grid")
-    p.add_argument("--n-list", default="4,5")
-    p.add_argument("--alpha-list", default="3/10,1/2,7/10")
-    p.add_argument("--space", choices=("connected", "all"), default="connected")
-    p.add_argument("--density", type=int, default=None)
-    p.set_defaults(func=cmd_oracle_compare)
 
     return parser
 

@@ -48,6 +48,8 @@ class ExperimentSpec:
             raise ValueError(f"model must be one of {MODELS}")
         if self.solver not in SOLVERS:
             raise ValueError(f"solver must be one of {SOLVERS}")
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise ValueError(f"seed must be an int >= 0, not {self.seed!r}")
         self.alpha = Fraction(self.alpha)
         if self.gamma is not None:
             self.gamma = Fraction(self.gamma)

@@ -13,14 +13,13 @@ This module is the only one that reads a Hamiltonian's ``sense``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
 from enum import Enum
 from fractions import Fraction
 from functools import cache
 from typing import Callable, Sequence, TextIO
-
-import numpy as np
 
 from .graph import (
     DisconnectedGraphError,
@@ -335,16 +334,71 @@ def statistic_values(h: Hamiltonian, g: Graph) -> tuple[Fraction | int, ...]:
 # distance matrices
 
 _GRID = 10**6  # distances snap to a 6-decimal rational grid
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _unit_draws(seed: int, count: int) -> list[float]:
+    """The first `count` floats of ``numpy.random.default_rng(seed).random()``,
+    bit for bit, from the standard library.
+
+    The seed is expanded as numpy's SeedSequence does: its 32-bit words,
+    least significant first, are hashed into a 4-word pool, and 8 more
+    words hashed from the pool make four 64-bit words w0..w3.  These seed
+    numpy's PCG64 (O'Neill, HMC-CS-2014-0905): a 128-bit LCG with
+    increment ``(w2:w3) << 1 | 1``, stepped from 0, advanced by ``w0:w1``
+    and stepped again, whose XSL-RR output x gives ``(x >> 11) * 2**-53``.
+    """
+    seed = operator.index(seed)  # a float, str or None is refused, as numpy does
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+
+    def hasher(const: int, mult: int) -> Callable[[int], int]:
+        def hashmix(value: int) -> int:
+            nonlocal const
+            value ^= const
+            const = const * mult & _M32
+            value = value * const & _M32
+            return value ^ value >> 16
+        return hashmix
+
+    def mix(x: int, y: int) -> int:
+        value = 0xCA01F9DD * x - 0x4973F715 * y & _M32
+        return value ^ value >> 16
+
+    words = [seed >> shift & _M32 for shift in range(0, seed.bit_length() or 1, 32)]
+    hashmix = hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(word) for word in (words + [0] * 4)[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    out = hasher(0x8B51F9DD, 0x58F38DED)
+    half = [out(pool[i % 4]) for i in range(8)]
+    w = [half[2 * k] | half[2 * k + 1] << 32 for k in range(4)]
+    inc = ((w[2] << 64 | w[3]) << 1 | 1) & _M128
+    state = (inc + (w[0] << 64 | w[1])) * _PCG_MULT + inc & _M128
+    draws = []
+    for _ in range(count):
+        state = state * _PCG_MULT + inc & _M128
+        x, rot = (state >> 64 ^ state) & _M64, state >> 122
+        x = (x >> rot | x << 64 - rot) & _M64
+        draws.append((x >> 11) * 2.0**-53)
+    return draws
 
 
 def random_unit_square_delta(n: int, seed: int) -> DeltaMatrix:
     """Euclidean distances between n seeded uniform points in the unit square.
 
-    Entries are rounded to 6 decimals and stored exactly, so runs are
+    The points are numpy's ``default_rng(seed).random((n, 2))``, drawn by
+    :func:`_unit_draws`.  Entries are rounded to 6 decimals and stored exactly, so runs are
     reproducible and downstream arithmetic stays rational.
     """
-    rng = np.random.default_rng(seed)
-    pts = rng.random((n, 2))
+    u = _unit_draws(seed, 2 * n)
+    pts = list(zip(u[::2], u[1::2]))
     rows = []
     for i in range(n):
         row = []
@@ -352,8 +406,7 @@ def random_unit_square_delta(n: int, seed: int) -> DeltaMatrix:
             if i == j:
                 row.append(Fraction(0))
             else:
-                d = math.hypot(pts[i, 0] - pts[j, 0], pts[i, 1] - pts[j, 1])
-                row.append(Fraction(round(d * _GRID), _GRID))
+                row.append(Fraction(round(math.dist(pts[i], pts[j]) * _GRID), _GRID))
         rows.append(tuple(row))
     return tuple(rows)
 

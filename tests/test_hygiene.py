@@ -11,13 +11,15 @@ name a function it can find, and every name the benchmark imports from
 the package must exist.  Only ``stats.py`` reads a Hamiltonian's
 ``sense``: everywhere else it is folded into the sign of ``scale``.
 Only ``graph.py`` gives a graph its hop total, which ``is_connected``
-takes as proof that the graph is connected.
+takes as proof that the graph is connected.  The package imports nothing
+outside the standard library.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -65,6 +67,21 @@ def test_every_module_level_import_is_used(path):
             used |= used_names(stmt)
     unused = sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def test_the_package_imports_only_the_standard_library():
+    outside = [
+        f"{path.name}:{node.lineno} {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(parse(path))
+        for name in (
+            [alias.name for alias in node.names] if isinstance(node, ast.Import)
+            else [node.module] if isinstance(node, ast.ImportFrom) and node.level == 0
+            else []
+        )
+        if name.split(".")[0] not in sys.stdlib_module_names
+    ]
+    assert not outside, f"imports from outside the standard library: {outside}"
 
 
 def test_only_stats_reads_the_sense():

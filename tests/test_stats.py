@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import io
+import math
 from fractions import Fraction
 
 import pytest
@@ -23,6 +25,7 @@ from ergmax import (
 from ergmax.graph import Toggle, num_pairs
 from ergmax.stats import (
     HamiltonianForm,
+    _unit_draws,
     grid_reader,
     grid_stepper,
     parse_delta,
@@ -235,6 +238,65 @@ def test_random_delta_is_symmetric_grid_snapped_and_seeded():
     for i in range(6):
         for j in range(6):
             assert (d1[i][j] * 10**6).denominator == 1
+
+
+# every one-word seed below 50, the 32-bit edge, and seeds of two to seven
+# 32-bit words, which numpy's SeedSequence mixes into its pool word by word
+PORT_SEEDS = [*range(50), 2**32 - 1, 2**32, 2**40 + 7, 2**64 + 3,
+              123456789012345678901234567890, 2**128 + 5, 2**200 + 1]
+
+
+def test_the_unit_draws_are_numpys_stream():
+    np = pytest.importorskip("numpy")
+    for seed in PORT_SEEDS:
+        assert _unit_draws(seed, 128) == np.random.default_rng(seed).random(128).tolist(), seed
+
+
+def test_the_unit_square_matrices_are_numpys():
+    np = pytest.importorskip("numpy")
+    for seed in [*range(40), *PORT_SEEDS[50:]]:
+        for n in (2, 7, 14, 30, 60):
+            pts = np.random.default_rng(seed).random((n, 2))
+            expected = tuple(
+                tuple(Fraction(0) if i == j else Fraction(round(
+                    math.hypot(pts[i, 0] - pts[j, 0], pts[i, 1] - pts[j, 1]) * 10**6), 10**6)
+                    for j in range(n))
+                for i in range(n))
+            assert random_unit_square_delta(n, seed) == expected, (n, seed)
+
+
+# sha256 of write_delta's text for matrices drawn by numpy's generator, so the
+# generator stays pinned without numpy; n = 30 at seeds 1, 2 and 7 are the
+# flow benchmark's inputs before scaling
+DELTA_DIGESTS = {
+    (2, 0): "9d74d1950981e4185f102d2a6e1bc101c6ff858281f67332a00539c01fa92cbe",
+    (7, 3): "d949f9dcac4cfe8287b5922ee804d33ea5fee8b286c66888bed6eaa9c7d3b2a4",
+    (14, 3): "c052cb9f0f2a8a65c6f0edc16b6f5bc11a113213f46193159526a897e1c5705a",
+    (30, 1): "120cf55cc9dc7f8c218fd59d46360af84984dcf84e08551d6be6fddd7b0d108b",
+    (30, 2): "9b4806fc154dd97edf1ff711f4e631151783e2de12cbee5ba40a48c3fe93a4be",
+    (30, 7): "096bf3e040b5d8cbc1386a1bd25959a472b56f0decce4a94179df07863243f33",
+    (60, 5): "9c63e54ef21004e7b3623e1c90ccc9090e5f3cc560f0831510a10313275e3072",
+    (5, 2**40 + 7): "5990533839ff7bdd0fb87e8d74e58e42dc8bd57209a94033998568f85a1d7a4d",
+}
+
+
+@pytest.mark.parametrize(("n", "seed"), DELTA_DIGESTS)
+def test_unit_square_matrices_match_their_recorded_digests(n, seed):
+    buf = io.StringIO()
+    write_delta(random_unit_square_delta(n, seed), buf)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == DELTA_DIGESTS[n, seed]
+
+
+@pytest.mark.parametrize("seed", [None, 1.5, 1.0, "3"])
+def test_the_generator_refuses_a_seed_that_is_not_an_int(seed):
+    # a None seed would draw OS entropy, and a "seeded" run would never repeat
+    with pytest.raises(TypeError):
+        random_unit_square_delta(4, seed)
+
+
+def test_the_generator_refuses_a_negative_seed():
+    with pytest.raises(ValueError):
+        random_unit_square_delta(4, -1)
 
 
 def test_delta_roundtrip_and_asymmetric_rejection():
