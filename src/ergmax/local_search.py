@@ -38,6 +38,11 @@ class SearchConfig:
     start: Graph | str = "random_connected"
 
     def __post_init__(self) -> None:
+        # random.Random(None) would seed from the operating system
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise TypeError(f"seed must be an int, not {self.seed!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, not {self.seed}")
         if not isinstance(self.start, Graph) and self.start != "random_connected":
             raise ValueError(f"start must be a Graph or 'random_connected', not {self.start!r}")
         if self.restarts < 1:

@@ -14,7 +14,8 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from itertools import combinations
+from itertools import chain, combinations, starmap
+from string import Formatter
 from typing import Any, Callable, Iterable, Iterator, Mapping, TextIO
 
 from .graph import (
@@ -77,16 +78,42 @@ def _by_identity(render: Callable[[Any], str]) -> Callable[[Any], str]:
     return text
 
 
+def _literal(name: str) -> str:
+    """`name` as a pattern without fields: its braces doubled."""
+    if type(name) is not str:
+        raise TypeError(f"name {name!r} is not a string")
+    return name.replace("{", "{{").replace("}", "}}")
+
+
+# (literal text, field, format spec, conversion) for each field of a pattern
+_fields = Formatter().parse
+
+
+def _filled(patterns: tuple[Row, ...], indices: list[tuple[str, ...]]) -> Iterator[Row]:
+    """The rows of a block: each pattern filled from each index tuple in turn."""
+    for idx in indices:
+        for p in patterns:
+            yield Row(p.name.format(*idx), {v.format(*idx): c for v, c in p.coeffs.items()},
+                      p.relation, p.rhs)
+
+
 class ConstraintSystem:
-    """Ordered collection of variables, rows and one objective."""
+    """Ordered collection of variables, rows and one objective.
+
+    Rows are stored in blocks.  A block is a tuple of pattern rows whose
+    row and variable names carry fields ``{0}``, ``{1}``, ... (literal
+    braces doubled), and a list of index tuples of decimal-digit strings;
+    it stands for every pattern filled from every tuple, tuple by tuple.
+    A plain row is a block of one pattern without fields.
+    """
 
     def __init__(self, name: str = "model"):
         self.name = name
         self.variables: list[Variable] = []
-        self.rows: list[Row] = []
         self.objective_sense = "minimize"
         self.objective: dict[str, Fraction] = {}
         self.meta: dict[str, Any] = {}
+        self._blocks: list[tuple[tuple[Row, ...], list[tuple[str, ...]]]] = []
         self._var_names: set[str] = set()
         self._row_names: set[str] = set()
         # a coefficient given as an int (or as a string, from the JSON IR)
@@ -95,6 +122,12 @@ class ConstraintSystem:
 
     def _fraction(self, c: Number) -> Fraction:
         return c if type(c) is Fraction else self._exact[c]
+
+    @property
+    def rows(self) -> list[Row]:
+        """Every row, in the order added, filled from its block's patterns;
+        a filled row shares its pattern's coefficient objects."""
+        return [row for patterns, indices in self._blocks for row in _filled(patterns, indices)]
 
     def has_variable(self, name: str) -> bool:
         return name in self._var_names
@@ -106,6 +139,8 @@ class ConstraintSystem:
         lower: Number | None = None,
         upper: Number | None = None,
     ) -> None:
+        if type(name) is not str:
+            raise TypeError(f"name {name!r} is not a string")
         if name in self._var_names:
             raise ValueError(f"variable {name!r} declared twice")
         if kind not in ("binary", "continuous"):
@@ -127,21 +162,56 @@ class ConstraintSystem:
         relation: str,
         rhs: Number,
     ) -> None:
-        if name in self._row_names:
-            raise ValueError(f"row {name!r} declared twice")
-        if relation not in ("<=", "=", ">="):
-            raise ValueError(f"unknown relation {relation!r}")
-        if not self._var_names.issuperset(coeffs):
-            unknown = [v for v in coeffs if v not in self._var_names]
-            raise ValueError(f"row {name!r} references undeclared variables {unknown}")
+        """One row: a block of one pattern without fields, over one empty tuple."""
+        self.add_block([Row(_literal(name), {_literal(v): c for v, c in coeffs.items()},
+                            relation, rhs)], [()])
+
+    def add_block(self, patterns: Iterable[Row], indices: Iterable[tuple[str, ...]]) -> None:
+        """Add the rows of `patterns` filled from each index tuple in turn.
+
+        Refused with ValueError, adding nothing: a field that is not a
+        plain ``{k}`` or has no entry in an index tuple, an entry that is
+        not a string of decimal digits, a row name given twice, an unknown
+        relation, or a row naming an undeclared variable.
+        """
+        patterns, indices = tuple(patterns), list(indices)
+        var_patterns = list(dict.fromkeys(v for p in patterns for v in p.coeffs))
+        # one parse for all names; a field across the separator has a non-digit
+        for _, field, spec, conversion in _fields("\0".join([p.name for p in patterns]
+                                                            + var_patterns)):
+            if field is not None and not (field.isdecimal() and field.isascii()
+                                          and not spec and conversion is None):
+                raise ValueError(f"field {{{field}}} is not a plain index field")
+        for entry in set(chain.from_iterable(indices)):
+            if not (type(entry) is str and entry.isdecimal() and entry.isascii()):
+                raise ValueError(f"index entry {entry!r} is not a string of decimal digits")
+        try:
+            names = list(chain.from_iterable(starmap(p.name.format, indices) for p in patterns))
+            var_names = set(chain.from_iterable(starmap(v.format, indices) for v in var_patterns))
+        except IndexError as exc:
+            raise ValueError(f"a pattern field has no index entry: {exc}") from exc
+        new_names = set(names)
+        if len(new_names) != len(names) or not self._row_names.isdisjoint(new_names):
+            seen = set(self._row_names)
+            for row in _filled(patterns, indices):
+                if row.name in seen:
+                    raise ValueError(f"row {row.name!r} declared twice")
+                seen.add(row.name)
+        for p in patterns:
+            if p.relation not in ("<=", "=", ">="):
+                raise ValueError(f"unknown relation {p.relation!r}")
+        if not self._var_names.issuperset(var_names):
+            for row in _filled(patterns, indices):
+                unknown = [v for v in row.coeffs if v not in self._var_names]
+                if unknown:
+                    raise ValueError(f"row {row.name!r} references undeclared variables {unknown}")
         exact = self._exact
-        self.rows.append(Row(
-            name,
-            {v: c if type(c) is Fraction else exact[c] for v, c in coeffs.items()},
-            relation,
-            self._fraction(rhs),
-        ))
-        self._row_names.add(name)
+        self._blocks.append((tuple(
+            Row(p.name, {v: c if type(c) is Fraction else exact[c] for v, c in p.coeffs.items()},
+                p.relation, self._fraction(p.rhs))
+            for p in patterns
+        ), indices))
+        self._row_names |= new_names
 
     def set_objective(self, sense: str, coeffs: Mapping[str, Number]) -> None:
         if sense not in ("maximize", "minimize"):
@@ -185,17 +255,27 @@ class ConstraintSystem:
     def to_json(self, f: TextIO) -> None:
         """Write ``json.dumps(self.to_json_dict(), indent=2)`` into the open text file `f`.
 
-        Variables and rows are rendered and written one at a time, so no
-        string-valued copy of the system is built; names go through json's
-        string encoder, and each stored coefficient is rendered once.
+        Variables are rendered and written one at a time, and a block's
+        rows once as a format string filled for each index tuple, so no
+        string-valued copy of the system is built.  Names go through json's
+        string encoder, which leaves braces and the digits filled in
+        unchanged, and each stored coefficient is rendered once.
         """
         quoted = json.encoder.encode_basestring_ascii
         value = _by_identity(lambda c: "null" if c is None else f'"{c}"')
 
-        def coeffs_text(coeffs: dict[str, Fraction], pad: str) -> str:
+        def coeffs_text(coeffs: dict[str, Fraction], pad: str, left="{", right="}") -> str:
             # an object whose members sit at `pad`, closed two spaces left of it
             members = f",\n{pad}".join([f"{quoted(v)}: {value(c)}" for v, c in coeffs.items()])
-            return f"{{\n{pad}{members}\n{pad[:-2]}}}" if coeffs else "{}"
+            return f"{left}\n{pad}{members}\n{pad[:-2]}{right}" if coeffs else left + right
+
+        def row_format(r: Row) -> str:
+            # the pattern's item as a format string, so its own braces are doubled
+            return (
+                f'{{{{\n      "name": {quoted(r.name)},\n'
+                f'      "coeffs": {coeffs_text(r.coeffs, " " * 8, "{{", "}}")},\n'
+                f'      "relation": {quoted(r.relation)},\n      "rhs": {value(r.rhs)}\n    }}}}'
+            )
 
         def write_array(items: Iterable[str]) -> None:
             # items are rendered at indent 4; the array closes at indent 2
@@ -217,12 +297,10 @@ class ConstraintSystem:
             for v in self.variables
         )
         f.write(',\n  "rows": ')
-        write_array(
-            f'{{\n      "name": {quoted(r.name)},\n'
-            f'      "coeffs": {coeffs_text(r.coeffs, " " * 8)},\n'
-            f'      "relation": {quoted(r.relation)},\n      "rhs": {value(r.rhs)}\n    }}'
-            for r in self.rows
-        )
+        write_array(chain.from_iterable(
+            starmap(",\n    ".join(map(row_format, patterns)).format, indices)
+            for patterns, indices in self._blocks
+        ))
         f.write("\n}")
 
     @classmethod
@@ -243,9 +321,6 @@ class ConstraintSystem:
             obj = data["objective"]
             cs.set_objective(obj["sense"], obj["coeffs"])
             _refuse_booleans(*obj["coeffs"].values())
-            for x in cs.variables + cs.rows:
-                if type(x.name) is not str:
-                    raise TypeError(f"name {x.name!r} is not a string")
         except KeyError as exc:
             raise ValueError(f"malformed constraint IR: missing key {exc}") from exc
         except (TypeError, AttributeError, ZeroDivisionError) as exc:
@@ -268,23 +343,34 @@ def _refuse_booleans(*values: Any) -> None:
 
 
 # ---------------------------------------------------------------------------
-# variable-name scheme (deterministic given n and formulation options)
+# variable-name scheme (deterministic given n and formulation options); a
+# node given as one of FIELDS makes the name a pattern for a block
 
 
-def x_name(i: int, j: int) -> str:
+Node = int | str
+FIELDS = ("{0}", "{1}", "{2}")
+
+
+def x_name(i: Node, j: Node) -> str:
     return f"x_{i}_{j}"
 
 
-def w_name(i: int, j: int, k: int) -> str:
+def w_name(i: Node, j: Node, k: Node) -> str:
     return f"w_{i}_{j}_{k}"
 
 
-def flow_name(i: int, j: int) -> str:
+def flow_name(i: Node, j: Node) -> str:
     return f"f_{i}_{j}"
 
 
-def mcflow_name(h: int, i: int, j: int) -> str:
+def mcflow_name(h: Node, i: Node, j: Node) -> str:
     return f"fm_{h}_{i}_{j}"
+
+
+def _index_tuples(n: int, k: int) -> list[tuple[str, ...]]:
+    """The k-subsets of the nodes as increasing tuples of digit strings, in
+    the order of ``combinations(range(n), k)``."""
+    return list(combinations([str(v) for v in range(n)], k))
 
 
 def ensure_edge_variables(cs: ConstraintSystem, n: int) -> None:
@@ -316,21 +402,29 @@ def build_triangle_indicators(n: int, cs: ConstraintSystem | None = None) -> Con
     """Binary triangle indicators w_ijk for every triple i < j < k.
 
     The standard 4-row AND linearization pins w to the product of the
-    three edge variables without auxiliaries.
+    three edge variables without auxiliaries; its four rows are one block
+    over the triples.
     """
     if n < 3:
         raise ValueError("triangle indicators need n >= 3")
     cs = cs or ConstraintSystem("triangle_indicators")
     ensure_edge_variables(cs, n)
     cs.meta["triangle_variant"] = "and"
-    for i, j, k in combinations(range(n), 3):
-        w = w_name(i, j, k)
-        xij, xjk, xik = x_name(i, j), x_name(j, k), x_name(i, k)
-        cs.add_variable(w, "binary")
-        cs.add_row(f"tri_ub1_{i}_{j}_{k}", {w: 1, xij: -1}, "<=", 0)
-        cs.add_row(f"tri_ub2_{i}_{j}_{k}", {w: 1, xjk: -1}, "<=", 0)
-        cs.add_row(f"tri_ub3_{i}_{j}_{k}", {w: 1, xik: -1}, "<=", 0)
-        cs.add_row(f"tri_lb_{i}_{j}_{k}", {xij: 1, xjk: 1, xik: 1, w: -1}, "<=", 2)
+    triples = _index_tuples(n, 3)
+    i, j, k = FIELDS[:3]
+    w = w_name(i, j, k)
+    xij, xjk, xik = x_name(i, j), x_name(j, k), x_name(i, k)
+    for name in starmap(w.format, triples):
+        cs.add_variable(name, "binary")
+    cs.add_block(
+        [
+            Row(f"tri_ub1_{i}_{j}_{k}", {w: 1, xij: -1}, "<=", 0),
+            Row(f"tri_ub2_{i}_{j}_{k}", {w: 1, xjk: -1}, "<=", 0),
+            Row(f"tri_ub3_{i}_{j}_{k}", {w: 1, xik: -1}, "<=", 0),
+            Row(f"tri_lb_{i}_{j}_{k}", {xij: 1, xjk: 1, xik: 1, w: -1}, "<=", 2),
+        ],
+        triples,
+    )
     return cs
 
 
@@ -364,13 +458,12 @@ def build_connectivity_flow(n: int, cs: ConstraintSystem | None = None) -> Const
     ensure_edge_variables(cs, n)
     cs.meta["flow_root"] = 0
     _add_commodity(cs, n, 0, flow_name, "flow_balance")
-    for i, j in all_pairs(n):
-        cs.add_row(
-            f"flow_cap_{i}_{j}",
-            {flow_name(i, j): 1, flow_name(j, i): 1, x_name(i, j): -n},
-            "<=",
-            0,
-        )
+    i, j = FIELDS[:2]
+    cs.add_block(
+        [Row(f"flow_cap_{i}_{j}", {flow_name(i, j): 1, flow_name(j, i): 1, x_name(i, j): -n},
+             "<=", 0)],
+        _index_tuples(n, 2),
+    )
     return cs
 
 
@@ -386,10 +479,10 @@ def build_multicommodity_flow(n: int, cs: ConstraintSystem | None = None) -> Con
     ensure_edge_variables(cs, n)
     for h in range(n):
         _add_commodity(cs, n, h, partial(mcflow_name, h), f"mcflow_balance_{h}")
-    for i, j in all_pairs(n):
-        coeffs = {mcflow_name(h, a, b): 1 for h in range(n) for a, b in ((i, j), (j, i))}
-        coeffs[x_name(i, j)] = -n * n
-        cs.add_row(f"mcflow_cap_{i}_{j}", coeffs, "<=", 0)
+    i, j = FIELDS[:2]
+    coeffs = {mcflow_name(h, a, b): 1 for h in range(n) for a, b in ((i, j), (j, i))}
+    coeffs[x_name(i, j)] = -n * n
+    cs.add_block([Row(f"mcflow_cap_{i}_{j}", coeffs, "<=", 0)], _index_tuples(n, 2))
     return cs
 
 
@@ -484,7 +577,8 @@ def build_minmax_distance(
 
 
 def _lp_lines(cs: ConstraintSystem) -> Iterator[str]:
-    """The CPLEX LP text of `cs`, one line at a time, each ending in a newline."""
+    """The CPLEX LP text of `cs` in pieces, each ending in a newline: a block's
+    rows are rendered once as a format string and filled for each index tuple."""
     decimal = _by_identity(exact_decimal)
     # the text a term puts before its variable's name, e.g. "- 0.5 "
     term = _by_identity(lambda c: f"{'-' if c < 0 else '+'} {exact_decimal(abs(c))} ")
@@ -496,8 +590,10 @@ def _lp_lines(cs: ConstraintSystem) -> Iterator[str]:
     yield "Maximize\n" if cs.objective_sense == "maximize" else "Minimize\n"
     yield f" obj: {terms(cs.objective)}".rstrip() + "\n"
     yield "Subject To\n"
-    for row in cs.rows:
-        yield f" {row.name}: {terms(row.coeffs)} {row.relation} {decimal(row.rhs)}\n"
+    for patterns, indices in cs._blocks:
+        text = "".join([f" {r.name}: {terms(r.coeffs)} {r.relation} {decimal(r.rhs)}\n"
+                        for r in patterns])
+        yield from starmap(text.format, indices)
     bounded = [v for v in cs.variables if v.kind != "binary"]
     if bounded:
         yield "Bounds\n"
@@ -678,7 +774,8 @@ def check_assignment(
             result.variable_violations.append(f"{v.name} = {val} is not 0/1")
 
     violated_rows = set()
-    for row in cs.rows:
+    rows = cs.rows
+    for row in rows:
         lhs = sum((c * values[name] for name, c in row.coeffs.items()), start=Fraction(0))
         if row.relation == "<=":
             amount = lhs - row.rhs
@@ -711,7 +808,7 @@ def check_assignment(
             result.semantic_notes.append(
                 f"sum of triangle indicators {tri_total} != triangle count {count_triangles(g)}"
             )
-        flow_rows = [r.name for r in cs.rows if r.name.startswith("flow_")]
+        flow_rows = [r.name for r in rows if r.name.startswith("flow_")]
         if flow_rows:
             flow_ok = not any(name in violated_rows for name in flow_rows)
             if flow_ok != is_connected(g):

@@ -396,6 +396,20 @@ def test_search_config_validation():
         SearchConfig(start="star")
 
 
+@pytest.mark.parametrize("seed", [None, 1.0, "1", True, False])
+def test_search_config_refuses_a_seed_that_is_not_an_int(seed):
+    # random.Random(None) would draw its seed from the operating system
+    with pytest.raises(TypeError, match="seed must be an int"):
+        SearchConfig(seed=seed)
+
+
+def test_search_config_refuses_a_negative_seed_and_keeps_zero_and_large_ones():
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        SearchConfig(seed=-1)
+    assert SearchConfig(seed=0).seed == 0
+    assert SearchConfig(seed=2**63 - 1).seed == 2**63 - 1
+
+
 def reference_has_improving_toggle(g, h, space):
     """Evaluate every toggled graph from scratch."""
     base = eval_hamiltonian(h, g)

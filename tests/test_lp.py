@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ergmax import (
-    DisconnectedGraphError, Graph, SampleSpace, brute_force, is_connected, s_flow_distance,
+    DisconnectedGraphError, Graph, Hamiltonian, SampleSpace, StatisticKind, StatisticSpec,
+    brute_force, eval_hamiltonian, is_connected, s_flow_distance,
 )
 from ergmax import lp
 from ergmax.graph import num_pairs, reached, total_hop_count
-from ergmax.stats import uniform_delta
+from ergmax.stats import random_unit_square_delta, uniform_delta
 
 from helpers import iter_graphs, mc_flow_lp_value, solve_ir_with_milp, triads_maxmin
 
@@ -235,40 +236,47 @@ def test_maxmin_alpha_zero_forces_h_to_zero():
     assert not r.feasible  # the zero-weight epigraph row pins H
 
 
-@pytest.mark.parametrize("alpha", [Fraction(3, 10), Fraction(1, 2), Fraction(7, 10)])
+ALPHAS = [Fraction(3, 10), Fraction(1, 2), Fraction(7, 10)]
+
+
+def milp_decoded_graph(cs):
+    # HiGHS solves in floats, so its objective is not compared; the graph its
+    # solution decodes to is checked against every row and re-scored exactly
+    solved = solve_ir_with_milp(cs)
+    assert solved is not None
+    values, binary = solved[1], {v.name for v in cs.variables if v.kind == "binary"}
+    assert all(abs(values[name] - round(values[name])) <= 1e-6 for name in binary)
+    # binaries rounded, so the triangle indicators meet their edge products exactly
+    values = {name: round(x) if name in binary else x for name, x in values.items()}
+    verdict = lp.check_assignment(cs, values, tolerance=Fraction(1, 10**6))
+    assert verdict.feasible and not verdict.semantic_notes
+    assert verdict.graph is not None and is_connected(verdict.graph)
+    return verdict.graph
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
 def test_maxmin_milp_reproduces_the_brute_force_optimum(alpha):
     # end-to-end: the full mixed-binary model handed to an external solver
-    # must land on the combinatorial optimum, and its solution must decode
-    # into a feasible graph
-    cs = lp.build_maxmin(4, alpha)
-    solved = solve_ir_with_milp(cs)
-    assert solved is not None
-    objective, assignment = solved
-    ref, _ = brute_force(4, SampleSpace.connected_graphs(), triads_maxmin(alpha))
-    assert objective == pytest.approx(float(ref.objective), abs=1e-7)
-    verdict = lp.check_assignment(cs, assignment, tolerance=Fraction(1, 10**6))
-    assert verdict.feasible
-    assert verdict.graph is not None and is_connected(verdict.graph)
-    assert not verdict.semantic_notes
+    h = triads_maxmin(alpha)
+    g = milp_decoded_graph(lp.build_maxmin(6, alpha))
+    ref, _ = brute_force(6, SampleSpace.connected_graphs(), h)
+    assert eval_hamiltonian(h, g) == ref.objective
 
 
-def test_minmax_distance_milp_reproduces_the_brute_force_optimum():
-    from ergmax import Hamiltonian, StatisticKind, StatisticSpec
-
-    delta = uniform_delta(4)
-    alpha = Fraction(1, 2)
-    cs = lp.build_minmax_distance(4, alpha, delta)
-    solved = solve_ir_with_milp(cs)
-    assert solved is not None
-    objective, _ = solved
+@pytest.mark.parametrize("seed", [1, 3])
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_minmax_distance_milp_reproduces_the_brute_force_optimum(alpha, seed):
+    # distances scaled by 20, so the hop term binds at some weights
+    delta = tuple(tuple(20 * d for d in row) for row in random_unit_square_delta(6, seed))
     h = Hamiltonian.max_min_pair(
         alpha,
         StatisticSpec(StatisticKind.PHYSICAL_DISTANCE, delta),
         StatisticSpec(StatisticKind.FLOW_DISTANCE),
         sense="minimize",
     )
-    ref, _ = brute_force(4, SampleSpace.connected_graphs(), h)
-    assert objective == pytest.approx(float(ref.objective), abs=1e-7)
+    g = milp_decoded_graph(lp.build_minmax_distance(6, alpha, delta))
+    ref, _ = brute_force(6, SampleSpace.connected_graphs(), h)
+    assert eval_hamiltonian(h, g) == ref.objective
 
 
 def test_minmax_distance_model_builds_and_checks():
@@ -292,9 +300,47 @@ def test_undeclared_variables_are_refused_in_order_and_leave_the_system_as_it_wa
     with pytest.raises(ValueError, match=r"objective references undeclared variables \['y', 'z'\]"):
         cs.set_objective("maximize", {"y": 1, "x_0_1": 1, "z": 1})
     assert cs.objective == {} and cs.objective_sense == "minimize"
-    # the refused row's name was not taken
+    # a block is refused at its first row that names an undeclared variable
+    with pytest.raises(ValueError, match=r"row 'r' references undeclared variables \['z', 'y'\]"):
+        cs.add_block([lp.Row("q_{0}", {"x_0_{0}": 1}, "<=", 1),
+                      lp.Row("r", {"z": 1, "x_0_{0}": 1, "y": 2}, "<=", 1)], [("1",)])
+    assert cs.rows == rows
+    # the refused rows' names were not taken
     cs.add_row("r", {"x_0_1": 1}, "<=", 1)
     assert [r.name for r in cs.rows] == [r.name for r in rows] + ["r"]
+
+
+@pytest.mark.parametrize(
+    "patterns, indices, message",
+    [
+        # a row name repeated inside the block, then against an earlier row
+        ([("t_{0}", {"x_0_1": 1}, "<=", 1), ("t_1", {"x_0_1": 1}, "<=", 1)],
+         [("0",), ("1",)], r"row 't_1' declared twice"),
+        ([("t_{0}", {"x_0_{0}": 1}, "<=", 1)], [("1",), ("1",)], r"row 't_1' declared twice"),
+        ([("s_{1}", {"x_{0}_{1}": 1}, ">=", 0)], [("0", "2"), ("0", "1")],
+         r"row 's_1' declared twice"),
+        ([("u_{0}", {"x_0_1": 1, "x_0_{0}": -1, "y_{0}": 1}, "<=", 1)],
+         [("2",), ("3",), ("4",)], r"row 'u_2' references undeclared variables \['y_2'\]"),
+        ([("v_{0}", {"x_0_{0}": 1}, "=<", 1)], [("1",)], r"unknown relation '=<'"),
+        ([("v_{a}", {"x_0_1": 1}, "<=", 1)], [("1",)], r"field \{a\}"),
+        ([("v_{0:>3}", {"x_0_1": 1}, "<=", 1)], [("1",)], r"field \{0\}"),
+        ([("v_{1}", {"x_0_1": 1}, "<=", 1)], [("1",)], r"no index entry"),
+        ([("v_{0}", {"x_0_1": 1}, "<=", 1)], [("1",), ("-1",)], r"'-1' is not a string"),
+        ([("v_{0}", {"x_0_1": 1}, "<=", 1)], [(1,)], r"1 is not a string of decimal digits"),
+    ],
+)
+def test_a_refused_block_raises_as_add_row_does_and_adds_nothing(patterns, indices, message):
+    cs = lp.build_fixed_density(3, 1)
+    cs.add_row("s_1", {"x_0_1": 1}, "<=", 1)
+    rows, row_names, var_names = cs.rows, set(cs._row_names), set(cs._var_names)
+    text = lp.lp_string(cs)
+    with pytest.raises(ValueError, match=message):
+        cs.add_block([lp.Row(*p) for p in patterns], indices)
+    assert cs.rows == rows and cs._row_names == row_names and cs._var_names == var_names
+    assert lp.lp_string(cs) == text
+    # a block without fields over one empty tuple is add_row's row
+    cs.add_block([lp.Row("t{{0}}", {"x_0_1": 1}, "<=", 1)], [()])
+    assert cs.rows[-1] == lp.Row("t{0}", {"x_0_1": Fraction(1)}, "<=", Fraction(1))
 
 
 def test_check_assignment_requires_full_coverage():

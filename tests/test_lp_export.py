@@ -6,13 +6,16 @@ import io
 import json
 import re
 from fractions import Fraction
+from itertools import combinations
+from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ergmax import ConstraintSystem, SampleSpace
 from ergmax import lp
+from ergmax.graph import all_pairs, num_pairs
 from ergmax.stats import exact_decimal, random_unit_square_delta
 
 TERM_RE = re.compile(r"([+-])\s*([0-9.]+(?:e-?\d+)?)\s+(\w+)")
@@ -339,3 +342,103 @@ def test_the_exports_hash_a_fraction_per_distinct_value_not_per_term(monkeypatch
     monkeypatch.undo()
     assert len(cs.rows) == 960 and len(stored) > 100 * distinct
     assert hashes <= distinct
+
+
+# -- blocks against rows added one by one --------------------------------------
+
+
+def triangle_indicators_by_rows(n, cs=None):
+    """``build_triangle_indicators`` as written before blocks: one add_row per row."""
+    cs = cs or ConstraintSystem("triangle_indicators")
+    lp.ensure_edge_variables(cs, n)
+    cs.meta["triangle_variant"] = "and"
+    for i, j, k in combinations(range(n), 3):
+        w = lp.w_name(i, j, k)
+        xij, xjk, xik = lp.x_name(i, j), lp.x_name(j, k), lp.x_name(i, k)
+        cs.add_variable(w, "binary")
+        cs.add_row(f"tri_ub1_{i}_{j}_{k}", {w: 1, xij: -1}, "<=", 0)
+        cs.add_row(f"tri_ub2_{i}_{j}_{k}", {w: 1, xjk: -1}, "<=", 0)
+        cs.add_row(f"tri_ub3_{i}_{j}_{k}", {w: 1, xik: -1}, "<=", 0)
+        cs.add_row(f"tri_lb_{i}_{j}_{k}", {xij: 1, xjk: 1, xik: 1, w: -1}, "<=", 2)
+    return cs
+
+
+def connectivity_flow_by_rows(n, cs=None):
+    cs = cs or ConstraintSystem("connectivity_flow")
+    lp.ensure_edge_variables(cs, n)
+    cs.meta["flow_root"] = 0
+    lp._add_commodity(cs, n, 0, lp.flow_name, "flow_balance")
+    for i, j in all_pairs(n):
+        cs.add_row(f"flow_cap_{i}_{j}",
+                   {lp.flow_name(i, j): 1, lp.flow_name(j, i): 1, lp.x_name(i, j): -n}, "<=", 0)
+    return cs
+
+
+def multicommodity_flow_by_rows(n, cs=None):
+    cs = cs or ConstraintSystem("multicommodity_flow")
+    lp.ensure_edge_variables(cs, n)
+    for h in range(n):
+        lp._add_commodity(cs, n, h, lambda a, b, h=h: lp.mcflow_name(h, a, b),
+                          f"mcflow_balance_{h}")
+    for i, j in all_pairs(n):
+        coeffs = {lp.mcflow_name(h, a, b): 1 for h in range(n) for a, b in ((i, j), (j, i))}
+        coeffs[lp.x_name(i, j)] = -n * n
+        cs.add_row(f"mcflow_cap_{i}_{j}", coeffs, "<=", 0)
+    return cs
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.integers(3, 9), st.sampled_from(["triads", "distance"]),
+       st.sampled_from([Fraction(0), Fraction(3, 10), Fraction(1, 2), Fraction(7, 10), Fraction(1)]))
+def test_blocks_render_as_the_rows_added_one_by_one(data, n, model, alpha):
+    space = data.draw(st.sampled_from([SampleSpace.connected_graphs(), SampleSpace.all_graphs()])
+                      | st.integers(0, num_pairs(n)).map(SampleSpace.fixed_density))
+    if model == "triads":
+        def build():
+            return lp.build_maxmin(n, alpha, space)
+    else:
+        delta = random_unit_square_delta(n, data.draw(st.integers(0, 99)))
+
+        def build():
+            return lp.build_minmax_distance(n, alpha, delta, space)
+    cs = build()
+    with mock.patch.multiple(lp, build_triangle_indicators=triangle_indicators_by_rows,
+                             build_connectivity_flow=connectivity_flow_by_rows,
+                             build_multicommodity_flow=multicommodity_flow_by_rows):
+        reference = build()
+    assert all(indices == [()] for _, indices in reference._blocks)
+    assert cs.rows == reference.rows
+    text = lp.lp_string(cs)
+    assert text == reference_lp_string(cs) == lp.lp_string(reference)
+    ir = io.StringIO()
+    cs.to_json(ir)
+    assert ir.getvalue() == json.dumps(cs.to_json_dict(), indent=2)
+    clone = ConstraintSystem.from_json_dict(json.loads(ir.getvalue()))
+    again = io.StringIO()
+    clone.to_json(again)
+    assert lp.lp_string(clone) == text and again.getvalue() == ir.getvalue()
+
+
+def braced_names() -> ConstraintSystem:
+    cs = ConstraintSystem("{0}")
+    for name in ("{0}", "}{", "{{", "a{b}"):
+        cs.add_variable(name, "continuous", lower=0)
+    cs.add_row("{0}", {"{0}": 1, "}{": -1}, "<=", 1)
+    cs.add_row("}}{", {"{{": 2, "a{b}": Fraction(1, 3)}, ">=", 0)
+    cs.set_objective("minimize", {"a{b}": 1})
+    return cs
+
+
+@settings(max_examples=100, deadline=None)
+@given(constraint_systems())
+@example(braced_names())
+def test_plain_rows_with_any_names_round_trip_through_the_ir(cs):
+    assume(cs.meta.get("n") is None)  # a meta.n must count the x_ edge variables
+    ir = io.StringIO()
+    cs.to_json(ir)
+    clone = ConstraintSystem.from_json_dict(json.loads(ir.getvalue()))
+    assert clone.rows == cs.rows
+    assert lp.lp_string(clone) == lp.lp_string(cs) == reference_lp_string(cs)
+    again = io.StringIO()
+    clone.to_json(again)
+    assert again.getvalue() == ir.getvalue()
