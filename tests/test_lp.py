@@ -263,20 +263,19 @@ def test_maxmin_milp_reproduces_the_brute_force_optimum(alpha):
     assert eval_hamiltonian(h, g) == ref.objective
 
 
-@pytest.mark.parametrize("seed", [1, 3])
-@pytest.mark.parametrize("alpha", ALPHAS)
-def test_minmax_distance_milp_reproduces_the_brute_force_optimum(alpha, seed):
+def test_minmax_distance_milp_reproduces_the_brute_force_optimum():
     # distances scaled by 20, so the hop term binds at some weights
-    delta = tuple(tuple(20 * d for d in row) for row in random_unit_square_delta(6, seed))
-    h = Hamiltonian.max_min_pair(
-        alpha,
-        StatisticSpec(StatisticKind.PHYSICAL_DISTANCE, delta),
-        StatisticSpec(StatisticKind.FLOW_DISTANCE),
-        sense="minimize",
-    )
-    g = milp_decoded_graph(lp.build_minmax_distance(6, alpha, delta))
-    ref, _ = brute_force(6, SampleSpace.connected_graphs(), h)
-    assert eval_hamiltonian(h, g) == ref.objective
+    for seed, alpha in itertools.product([1, 3], ALPHAS):
+        delta = tuple(tuple(20 * d for d in row) for row in random_unit_square_delta(6, seed))
+        h = Hamiltonian.max_min_pair(
+            alpha,
+            StatisticSpec(StatisticKind.PHYSICAL_DISTANCE, delta),
+            StatisticSpec(StatisticKind.FLOW_DISTANCE),
+            sense="minimize",
+        )
+        g = milp_decoded_graph(lp.build_minmax_distance(6, alpha, delta))
+        ref, _ = brute_force(6, SampleSpace.connected_graphs(), h)
+        assert eval_hamiltonian(h, g) == ref.objective, (seed, alpha)
 
 
 def test_minmax_distance_model_builds_and_checks():
