@@ -5,9 +5,9 @@ First-improve local search
 Beyond about seven nodes exhaustive search is out of reach, so a
 first-improve walk toggles one edge at a time: scan the candidate
 toggles in a seeded shuffled order, apply the first strictly improving
-feasible one, and stop when a full scan finds nothing.  Restarts from
-random connected graphs escape the local optima a fixed start gets
-stuck in.
+feasible one, and stop when a full scan finds nothing.  A walk can stall
+below the optimum, so the solvers start from the Kruskal–Katona
+frontier witness instead, which no single toggle improves.
 """
 
 from fractions import Fraction
@@ -16,15 +16,15 @@ from ergmax import (
     Graph,
     Hamiltonian,
     SampleSpace,
-    SearchConfig,
     StatisticKind,
     StatisticSpec,
+    branch_and_bound,
     brute_force,
     eval_hamiltonian,
     first_improve,
     has_improving_toggle,
-    multi_restart,
 )
+from ergmax.frontier import witness
 
 NE = StatisticSpec(StatisticKind.NON_EDGES)
 TRI = StatisticSpec(StatisticKind.TRIANGLES)
@@ -35,24 +35,22 @@ h = Hamiltonian.max_min_pair(Fraction(1, 2), NE, TRI)
 # finds removals that trade non-edges for retained triangles
 k6 = Graph.complete(6)
 print("start K6: objective", eval_hamiltonian(h, k6))
-res = first_improve(k6, h, space, SearchConfig(seed=0))
+res = first_improve(k6, h, space)
 print("after first-improve:", res.objective, f"({res.graph.edge_count} edges, "
       f"{res.nodes_explored} candidate evaluations)")
 print("1-toggle locally optimal:", not has_improving_toggle(res.graph, h, space))
 
-# a single deterministic start can stall below the optimum; restarts
-# with different scan orders and random starts usually recover it
-ref, _ = brute_force(6, space, Hamiltonian.max_min_pair(Fraction(7, 10), NE, TRI))
+# a climb from the star stalls below the optimum
 h7 = Hamiltonian.max_min_pair(Fraction(7, 10), NE, TRI)
-single = first_improve(Graph.star(6), h7, space, SearchConfig(seed=0))
-best10 = multi_restart(6, h7, space, SearchConfig(seed=2, restarts=10, start="random_connected"))
-print(f"\nn=6, alpha=7/10: optimum {ref.objective}")
-print(f"  single star start:   {single.objective}")
-print(f"  best of 10 restarts: {best10.objective}")
+ref, _ = brute_force(6, space, h7)
+single = first_improve(Graph.star(6), h7, space)
+print(f"\nn=6, alpha=7/10: brute-force optimum {ref.objective}")
+print(f"  climb from the star: {single.objective}")
 
-# the heuristic value is always a valid lower bound for the exact search
-from ergmax import branch_and_bound
-
-exact = branch_and_bound(6, space, h7, incumbent=best10.graph)
-print("exact optimum from that incumbent:", exact.objective,
-      f"({exact.nodes_explored} nodes)")
+# the frontier witness scores the optimum in closed form, and bnb
+# warm-started from it only has to prove that no graph does better
+start = witness(6, Fraction(7, 10), True)
+print(f"  frontier witness:    {eval_hamiltonian(h7, start)}")
+exact = branch_and_bound(6, space, h7, incumbent=start)
+print(f"  bnb from the witness: {exact.objective}, {exact.status} "
+      f"after {exact.nodes_explored} nodes")

@@ -29,7 +29,6 @@ from fractions import Fraction
 from ergmax import (
     Hamiltonian,
     SampleSpace,
-    SearchConfig,
     StatisticKind,
     StatisticSpec,
     graph_metrics,
@@ -50,7 +49,7 @@ for alpha in (Fraction(7, 10), Fraction(1, 2), Fraction(3, 10)):
     h = Hamiltonian.max_min_pair(alpha, NE, TRI)
     t0 = time.perf_counter()
     start = witness(60, alpha, connected=True)
-    res = multi_restart(60, h, space, SearchConfig(seed=1, restarts=2, start=start))
+    res = multi_restart(start, h, space, seed=1, restarts=2)
     row = metrics_row(graph_metrics(res.graph))
     print(f"{str(alpha):7}  {row}   ({time.perf_counter() - t0:.1f}s)")
 
@@ -67,6 +66,6 @@ for scale in (1, 20):
                   Fraction(1, 10), Fraction(2, 10)):
         h = Hamiltonian.max_min_pair(alpha, PHYS, FLOW, sense="minimize")
         _, _, start = distance_interval(h)
-        res = multi_restart(n, h, space, SearchConfig(seed=3, restarts=2, start=start))
+        res = multi_restart(start, h, space, seed=3, restarts=2)
         row = metrics_row(graph_metrics(res.graph))
         print(f"{str(alpha):7}  {row}")

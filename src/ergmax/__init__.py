@@ -56,7 +56,6 @@ from .exact import (
     structural_lower_bounds,
 )
 from .local_search import (
-    SearchConfig,
     first_improve,
     has_improving_toggle,
     multi_restart,
@@ -105,7 +104,6 @@ __all__ = [
     "solve_two_stage",
     "star_with_chords",
     "structural_lower_bounds",
-    "SearchConfig",
     "first_improve",
     "has_improving_toggle",
     "multi_restart",

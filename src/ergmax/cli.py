@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -34,7 +33,7 @@ from .reporting import (
     run_experiment,
 )
 from .space import SampleSpace
-from .stats import eval_hamiltonian, validate_delta
+from .stats import eval_hamiltonian
 
 STATUS_EXIT = {"optimal": 0, "incumbent": 2, "infeasible": 3}
 
@@ -74,18 +73,6 @@ def seed(text: str) -> int:
     return value
 
 
-def resolve_seed(args: argparse.Namespace) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("NETOPT_SEED")
-    if env is None:
-        return 0
-    try:
-        return seed(env)
-    except (ValueError, argparse.ArgumentTypeError) as exc:
-        raise ValueError(f"NETOPT_SEED must be a nonnegative integer, got {env!r}") from exc
-
-
 def build_space(args: argparse.Namespace) -> SampleSpace:
     return SampleSpace(connected=args.space == "connected", density=args.density)
 
@@ -106,8 +93,7 @@ def add_instance_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--delta-file", default=None,
                    help="distance-matrix file for the distance model "
                         "(default: seeded unit-square generator)")
-    p.add_argument("--seed", type=seed, default=None,
-                   help="PRNG seed (falls back to NETOPT_SEED, then 0)")
+    p.add_argument("--seed", type=seed, default=0, help="PRNG seed (default 0)")
 
 
 # Flags only solve or heuristic takes.  They default to argparse.SUPPRESS,
@@ -124,7 +110,7 @@ def make_spec(args: argparse.Namespace, solver: str) -> ExperimentSpec:
         alpha=args.alpha,
         space=build_space(args),
         solver=solver,
-        seed=resolve_seed(args),
+        seed=args.seed,
         delta_source=args.delta_file,
         **{key: getattr(args, key) for key in SOLVER_OPTIONS if hasattr(args, key)},
     )
@@ -175,9 +161,7 @@ def cmd_export_lp(args: argparse.Namespace) -> int:
     if args.model == "triads_vs_nonedges":
         cs = build_maxmin(args.n, args.alpha, spec.space)
     else:
-        delta = resolve_delta(spec)
-        validate_delta(delta)
-        cs = build_minmax_distance(args.n, args.alpha, delta, spec.space)
+        cs = build_minmax_distance(args.n, args.alpha, resolve_delta(spec), spec.space)
     export_lp(cs, args.out)
     if args.ir_json:
         with open(args.ir_json, "w") as f:

@@ -18,45 +18,23 @@ A removal's connectivity test searches the parent's rows.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 import time
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .exact import SolveResult
-from .graph import DisconnectedGraphError, Graph, Toggle, all_pairs, joined_without, reached
+from .graph import DisconnectedGraphError, Graph, Toggle, all_pairs, joined_without
 from .space import SampleSpace
 from .stats import Hamiltonian, grid_values, score
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    seed: int = 0
-    restarts: int = 1
-    # every restart climbs from this graph, or from a fresh seeded random one
-    start: Graph | str = "random_connected"
-
-    def __post_init__(self) -> None:
-        # random.Random(None) would seed from the operating system
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
-            raise TypeError(f"seed must be an int, not {self.seed!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, not {self.seed}")
-        if not isinstance(self.start, Graph) and self.start != "random_connected":
-            raise ValueError(f"start must be a Graph or 'random_connected', not {self.start!r}")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-
-
-def random_connected_graph(n: int, rng: random.Random, p: float = 0.5) -> Graph:
-    """Seeded G(n, p) sample, patched with extra edges until connected."""
-    g = Graph.from_edges(n, (pair for pair in all_pairs(n) if rng.random() < p))
-    while (comp := reached(g, 0)) != (1 << n) - 1:
-        inside = [v for v in range(n) if comp >> v & 1]
-        outside = [v for v in range(n) if not comp >> v & 1]
-        g = g.with_edge(rng.choice(inside), rng.choice(outside))
-    return g
+def _seeded(seed: int) -> random.Random:
+    # random.Random(None) would seed from the operating system
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise TypeError(f"seed must be an int, not {seed!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, not {seed}")
+    return random.Random(seed)
 
 
 def _scan_order(pairs: list[tuple[int, int]], rng: random.Random) -> Iterator[tuple[int, int]]:
@@ -115,20 +93,20 @@ def first_improve(
     start: Graph,
     h: Hamiltonian,
     space: SampleSpace,
-    cfg: SearchConfig,
+    seed: int = 0,
 ) -> SolveResult:
     """Climb from `start` by first-improve toggles until 1-toggle locally optimal.
 
     Toggles that leave the space (disconnecting removals, any toggle
-    under a fixed edge count) are rejected, not repaired.  The returned
-    status is always 'incumbent'.
+    under a fixed edge count) are rejected, not repaired.  `seed` draws the
+    scan orders.  The returned status is always 'incumbent'.
     """
     if h.floor is not None:
         raise ValueError("local search takes no floor on the objective")
     if not space.admits(start):
         raise ValueError("start graph is infeasible for the sample space")
     t0 = time.perf_counter()
-    rng = random.Random(cfg.seed)
+    rng = _seeded(seed)
     pairs = list(all_pairs(start.n))
 
     g = start
@@ -160,30 +138,30 @@ def has_improving_toggle(g: Graph, h: Hamiltonian, space: SampleSpace) -> bool:
 
 
 def multi_restart(
-    n: int,
+    start: Graph,
     h: Hamiltonian,
     space: SampleSpace,
-    cfg: SearchConfig,
+    seed: int = 0,
+    restarts: int = 1,
 ) -> SolveResult:
-    """Best of `cfg.restarts` seeded first-improve runs.
+    """Best of `restarts` first-improve climbs from `start`, each with a
+    sub-seed drawn from `seed`.
 
     Deterministic given the seed; ties between restarts break toward the
-    lexicographically smallest edge bitset.  A fixed start that the first
-    restart leaves unchanged is returned after that restart alone, since
-    every later one would leave it unchanged too.
+    lexicographically smallest edge bitset.  A start that the first climb
+    leaves unchanged is returned after that climb alone, since every later
+    one would leave it unchanged too.
     """
     t0 = time.perf_counter()
-    master = random.Random(cfg.seed)
+    master = _seeded(seed)
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
     results: list[SolveResult] = []
-    for _ in range(cfg.restarts):
-        sub_seed = master.randrange(2**63)
-        sub_rng = random.Random(sub_seed)
-        start = cfg.start if isinstance(cfg.start, Graph) else random_connected_graph(n, sub_rng)
-        sub_cfg = dataclasses.replace(cfg, seed=sub_seed, restarts=1)
-        results.append(first_improve(start, h, space, sub_cfg))
-        if results[-1].graph == cfg.start:
-            # every move strictly improves, so a climb that ends at its fixed
-            # start has scanned it in full and found it 1-toggle optimal
+    for _ in range(restarts):
+        results.append(first_improve(start, h, space, master.randrange(2**63)))
+        if results[-1].graph == start:
+            # every move strictly improves, so a climb that ends at its start
+            # has scanned it in full and found it 1-toggle optimal
             break
     # the highest score on h's grid, then the smallest bitset; max keeps the first
     best = max(results, key=lambda r: (r.objective * h.scale, -r.graph.bits))

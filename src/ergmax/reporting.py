@@ -12,7 +12,7 @@ from typing import Any
 from .exact import SolveResult, branch_and_bound, brute_force, solve_two_stage
 from .frontier import distance_interval, witness
 from .graph import Graph, GraphMetrics, edge_list_string, graph_metrics
-from .local_search import SearchConfig, multi_restart
+from .local_search import multi_restart
 from .space import SampleSpace
 from .stats import (
     DeltaMatrix,
@@ -139,8 +139,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path | None = None) -> E
     elif spec.solver == "bnb":
         result = branch_and_bound(spec.n, spec.space, h, **bnb_options)
     else:
-        cfg = SearchConfig(seed=spec.seed, restarts=spec.restarts, start=start)
-        result = multi_restart(spec.n, h, spec.space, cfg)
+        result = multi_restart(start, h, spec.space, spec.seed, spec.restarts)
 
     metrics = graph_metrics(result.graph) if result.graph is not None else None
     report = ExperimentReport(spec, h, result, metrics, p_star, p_star_objective)

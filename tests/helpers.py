@@ -8,16 +8,28 @@ union-find, shortest paths by dense Floyd-Warshall.
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 from typing import Iterator
 
 from ergmax import Graph, Hamiltonian, StatisticKind, StatisticSpec
-from ergmax.graph import num_pairs
+from ergmax.graph import all_pairs, num_pairs, reached
 
 
 def iter_graphs(n: int) -> Iterator[Graph]:
     for bits in range(1 << num_pairs(n)):
         yield Graph(n, bits)
+
+
+def random_connected_graph(n: int, rng: random.Random, p: float = 0.5) -> Graph:
+    """Seeded G(n, p) sample, patched with extra edges until connected: a
+    start for climbs that should not begin at a graph with a hub."""
+    g = Graph.from_edges(n, (pair for pair in all_pairs(n) if rng.random() < p))
+    while (comp := reached(g, 0)) != (1 << n) - 1:
+        inside = [v for v in range(n) if comp >> v & 1]
+        outside = [v for v in range(n) if not comp >> v & 1]
+        g = g.with_edge(rng.choice(inside), rng.choice(outside))
+    return g
 
 
 def triangle_count_by_triples(g: Graph) -> int:

@@ -203,8 +203,9 @@ def test_the_searches_build_no_fraction_per_node_or_toggle(monkeypatch, solve):
     from fractions import Fraction
 
     from ergmax.exact import branch_and_bound, star_with_chords, structural_lower_bounds
-    from ergmax.local_search import SearchConfig, first_improve, random_connected_graph
+    from ergmax.local_search import first_improve
     from ergmax.reporting import ExperimentSpec, hamiltonian_for
+    from helpers import random_connected_graph
 
     space = ergmax.SampleSpace.connected_graphs()
     alpha = Fraction(1, 2)
@@ -220,7 +221,7 @@ def test_the_searches_build_no_fraction_per_node_or_toggle(monkeypatch, solve):
         start = random_connected_graph(20, random.Random(5))
 
         def run():
-            return first_improve(start, h, space, SearchConfig(seed=3)).nodes_explored
+            return first_improve(start, h, space, seed=3).nodes_explored
 
     built = 0
     fraction_new = Fraction.__new__

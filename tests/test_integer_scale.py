@@ -23,12 +23,13 @@ from hypothesis import strategies as st
 from ergmax import Graph, Hamiltonian, SampleSpace, StatisticKind, StatisticSpec
 from ergmax.exact import _breaks_lex_order, branch_and_bound, brute_force, solve_two_stage
 from ergmax.graph import all_pairs, num_pairs
-from ergmax.local_search import SearchConfig, _scan_order, first_improve, random_connected_graph
+from ergmax.local_search import _scan_order, first_improve
 from ergmax.stats import HamiltonianForm, eval_hamiltonian, read_delta
 
 from helpers import (
     iter_graphs,
     ordered_hop_sum,
+    random_connected_graph,
     triads_maxmin,
     triangle_count_by_triples,
     union_find_connected,
@@ -203,7 +204,7 @@ def test_every_solver_matches_a_fraction_reference(problem, seed):
         assert answer(branch_and_bound(n, space, h)) == reference_bnb(n, space, h)
     if h.floor is None:
         start = random_connected_graph(n, random.Random(seed))
-        result = first_improve(start, h, space, SearchConfig(seed=seed))
+        result = first_improve(start, h, space, seed)
         assert answer(result) == reference_first_improve(start, h, space, seed)
 
 
@@ -228,8 +229,7 @@ def test_scaling_every_weight_by_c_scales_the_optimum_by_c(problem, c, seed):
         same_work(branch_and_bound(n, space, h), branch_and_bound(n, space, scaled))
     if h.floor is None:
         start = random_connected_graph(n, random.Random(seed))
-        cfg = SearchConfig(seed=seed)
-        same_work(first_improve(start, h, space, cfg), first_improve(start, scaled, space, cfg))
+        same_work(first_improve(start, h, space, seed), first_improve(start, scaled, space, seed))
 
 
 def weighted_sum(h, g):
@@ -285,7 +285,7 @@ def test_a_mirrored_objective_is_solved_alike_with_its_value_negated(problem, se
     solvers = {
         "brute": lambda h: brute_force(n, space, h)[0],
         "bnb": lambda h: branch_and_bound(n, space, h),
-        "first_improve": lambda h: first_improve(start, h, space, SearchConfig(seed=seed)),
+        "first_improve": lambda h: first_improve(start, h, space, seed),
     }
     for name, solve in solvers.items():
         outcomes = []

@@ -15,7 +15,6 @@ from ergmax import (
     SampleSpace,
     StatisticKind,
     StatisticSpec,
-    SearchConfig,
     branch_and_bound,
     brute_force,
     eval_hamiltonian,
@@ -28,11 +27,12 @@ from ergmax import (
 from ergmax.frontier import witness
 from ergmax import graph
 from ergmax.graph import DisconnectedGraphError, Toggle, all_pairs, num_pairs, total_hop_count
-from ergmax.local_search import _feasible_toggles, _scan_order, random_connected_graph
+from ergmax.local_search import _feasible_toggles, _scan_order
 from ergmax.stats import grid_stepper, grid_values, score
 
 from helpers import (
-    ordered_hop_sum, triangle_count_by_triples, triads_maxmin, union_find_connected,
+    ordered_hop_sum, random_connected_graph, triangle_count_by_triples, triads_maxmin,
+    union_find_connected,
 )
 
 CONNECTED = SampleSpace.connected_graphs()
@@ -44,7 +44,7 @@ def test_complete_graph_is_not_locally_optimal():
     k4 = Graph.complete(4)
     assert eval_hamiltonian(h, k4) == 0
     assert has_improving_toggle(k4, h, CONNECTED)
-    res = first_improve(k4, h, CONNECTED, SearchConfig(seed=0))
+    res = first_improve(k4, h, CONNECTED)
     assert res.objective > 0
     assert res.status == "incumbent"
     assert not has_improving_toggle(res.graph, h, CONNECTED)
@@ -52,8 +52,8 @@ def test_complete_graph_is_not_locally_optimal():
 
 def test_local_optimum_is_a_fixed_point():
     h = triads_maxmin(Fraction(1, 2))
-    first = first_improve(Graph.star(6), h, CONNECTED, SearchConfig(seed=3))
-    again = first_improve(first.graph, h, CONNECTED, SearchConfig(seed=99))
+    first = first_improve(Graph.star(6), h, CONNECTED, seed=3)
+    again = first_improve(first.graph, h, CONNECTED, seed=99)
     assert again.graph == first.graph
     assert again.objective == first.objective
 
@@ -78,23 +78,23 @@ def test_objective_never_decreases_and_stays_feasible():
         else:
             break
     assert moves >= 2
-    assert g == first_improve(Graph.star(6), h, CONNECTED, SearchConfig(seed=5)).graph
+    assert g == first_improve(Graph.star(6), h, CONNECTED, seed=5).graph
 
 
 def test_best_of_restarts_matches_brute_force_at_n5():
     h = triads_maxmin(Fraction(1, 2))
     ref, _ = brute_force(5, CONNECTED, h)
-    cfg = SearchConfig(seed=7, restarts=20, start="random_connected")
-    res = multi_restart(5, h, CONNECTED, cfg)
+    # K5 scores 0, so every restart climbs, each in its own scan order
+    res = multi_restart(Graph.complete(5), h, CONNECTED, seed=7, restarts=20)
     assert res.objective == ref.objective
     assert not has_improving_toggle(res.graph, h, CONNECTED)
 
 
 def test_multi_restart_is_deterministic():
     h = triads_maxmin(Fraction(7, 10))
-    cfg = SearchConfig(seed=11, restarts=5, start="random_connected")
-    a = multi_restart(6, h, CONNECTED, cfg)
-    b = multi_restart(6, h, CONNECTED, cfg)
+    start = random_connected_graph(6, random.Random(11))
+    a = multi_restart(start, h, CONNECTED, seed=11, restarts=5)
+    b = multi_restart(start, h, CONNECTED, seed=11, restarts=5)
     assert a.graph == b.graph
     assert a.objective == b.objective
     assert a.nodes_explored == b.nodes_explored
@@ -102,12 +102,9 @@ def test_multi_restart_is_deterministic():
 
 def test_single_restart_equals_first_improve_with_derived_seed():
     h = triads_maxmin(Fraction(1, 2))
-    cfg = SearchConfig(seed=13, restarts=1, start=Graph.star(6))
-    combined = multi_restart(6, h, CONNECTED, cfg)
+    combined = multi_restart(Graph.star(6), h, CONNECTED, seed=13)
     sub_seed = random.Random(13).randrange(2**63)
-    direct = first_improve(
-        Graph.star(6), h, CONNECTED, SearchConfig(seed=sub_seed, start=Graph.star(6))
-    )
+    direct = first_improve(Graph.star(6), h, CONNECTED, sub_seed)
     assert combined.graph == direct.graph
     assert combined.objective == direct.objective
 
@@ -116,8 +113,8 @@ def test_restarts_from_a_one_toggle_optimal_start_stop_after_the_first():
     h = triads_maxmin(Fraction(1, 2))
     start = witness(8, Fraction(1, 2), connected=True)
     assert not has_improving_toggle(start, h, CONNECTED)
-    once = multi_restart(8, h, CONNECTED, SearchConfig(seed=4, restarts=1, start=start))
-    many = multi_restart(8, h, CONNECTED, SearchConfig(seed=4, restarts=10, start=start))
+    once = multi_restart(start, h, CONNECTED, seed=4)
+    many = multi_restart(start, h, CONNECTED, seed=4, restarts=10)
     assert many.graph == once.graph == start
     assert (many.objective, many.nodes_explored) == (once.objective, once.nodes_explored)
 
@@ -143,8 +140,8 @@ def test_pendant_edge_removals_are_refused_without_a_connectivity_search(monkeyp
 
 def test_heuristic_value_is_a_valid_bnb_lower_bound():
     h = triads_maxmin(Fraction(7, 10))
-    cfg = SearchConfig(seed=2, restarts=5, start="random_connected")
-    heur = multi_restart(6, h, CONNECTED, cfg)
+    start = random_connected_graph(6, random.Random(2))
+    heur = multi_restart(start, h, CONNECTED, seed=2, restarts=5)
     exact = branch_and_bound(6, CONNECTED, h, incumbent=heur.graph)
     assert exact.status == "optimal"
     assert exact.objective >= heur.objective
@@ -153,17 +150,17 @@ def test_heuristic_value_is_a_valid_bnb_lower_bound():
 def test_infeasible_start_is_rejected():
     h = triads_maxmin(Fraction(1, 2))
     with pytest.raises(ValueError):
-        first_improve(Graph(5), h, CONNECTED, SearchConfig(seed=0))
+        first_improve(Graph(5), h, CONNECTED)
     # a floored objective would leave candidates without a value to compare
     with pytest.raises(ValueError, match="no floor"):
-        first_improve(Graph.star(5), dataclasses.replace(h, floor=6), CONNECTED, SearchConfig())
+        first_improve(Graph.star(5), dataclasses.replace(h, floor=6), CONNECTED)
 
 
 def test_fixed_density_space_admits_no_single_toggle():
     h = triads_maxmin(Fraction(1, 2))
     space = SampleSpace.fixed_density(3, connected=True)
     start = Graph.star(4)
-    res = first_improve(start, h, space, SearchConfig(seed=0))
+    res = first_improve(start, h, space)
     assert res.graph == start  # every toggle changes the edge count
 
 
@@ -201,7 +198,7 @@ def pinned_distance_climb(alpha):
         StatisticSpec(StatisticKind.FLOW_DISTANCE),
         sense="minimize",
     )
-    return multi_restart(n, h, CONNECTED, SearchConfig(seed=3, restarts=2, start=Graph.star(n)))
+    return multi_restart(Graph.star(n), h, CONNECTED, seed=3, restarts=2)
 
 
 # Every toggle of a graph with a hub, and the hop total of such a graph, is
@@ -243,6 +240,20 @@ def test_the_pinned_distance_climb_sums_hop_rows_only_for_its_starts_and_answers
     assert len(calls) == 2 * 2
 
 
+def climbs_from_random_starts(n, h, seed, restarts):
+    """The best of `restarts` climbs, each from a random start drawn with its
+    own sub-seed, and their total evaluations: sub-seeds are drawn from `seed`
+    and ties broken as multi_restart does."""
+    master = random.Random(seed)
+    results = []
+    for _ in range(restarts):
+        sub_seed = master.randrange(2**63)
+        start = random_connected_graph(n, random.Random(sub_seed))
+        results.append(first_improve(start, h, CONNECTED, sub_seed))
+    best = max(results, key=lambda r: (r.objective * h.scale, -r.graph.bits))
+    return best, sum(r.nodes_explored for r in results)
+
+
 # Recorded before candidates were scored from their parent graph.  Climbs from
 # random starts take moves, which the witness start of the n = 60 benchmark never does.
 @pytest.mark.parametrize("alpha, objective, bits, evaluations", [
@@ -251,8 +262,8 @@ def test_the_pinned_distance_climb_sums_hop_rows_only_for_its_starts_and_answers
     (Fraction(3, 10), Fraction(182, 5), 0x205ADFD080203096063C5754522364222066D44650601242, 694),
 ])
 def test_seeded_triads_climbs_at_n20_are_pinned(alpha, objective, bits, evaluations):
-    res = multi_restart(20, triads_maxmin(alpha), CONNECTED, SearchConfig(seed=1, restarts=2))
-    assert (res.objective, res.graph.bits, res.nodes_explored) == (objective, bits, evaluations)
+    res, total = climbs_from_random_starts(20, triads_maxmin(alpha), seed=1, restarts=2)
+    assert (res.objective, res.graph.bits, total) == (objective, bits, evaluations)
 
 
 @pytest.mark.parametrize("alpha, objective, edges, triangles, evaluations", [
@@ -261,9 +272,9 @@ def test_seeded_triads_climbs_at_n20_are_pinned(alpha, objective, bits, evaluati
     (Fraction(3, 10), Fraction(399), 440, 570, 7031),
 ])
 def test_seeded_triads_climbs_at_n60_are_pinned(alpha, objective, edges, triangles, evaluations):
-    res = multi_restart(60, triads_maxmin(alpha), CONNECTED, SearchConfig(seed=1, restarts=2))
+    res, total = climbs_from_random_starts(60, triads_maxmin(alpha), seed=1, restarts=2)
     assert (res.objective, res.graph.edge_count, triangle_count_by_triples(res.graph),
-            res.nodes_explored) == (objective, edges, triangles, evaluations)
+            total) == (objective, edges, triangles, evaluations)
 
 
 @pytest.mark.parametrize("alpha", [Fraction(7, 10), Fraction(1, 2), Fraction(3, 10)])
@@ -279,7 +290,7 @@ def test_a_triads_climb_builds_a_graph_only_for_each_move_it_takes(monkeypatch, 
         return built[-1]
 
     monkeypatch.setattr(Graph, "toggled", counted)
-    res = first_improve(start, h, SampleSpace.all_graphs(), SearchConfig(seed=1))
+    res = first_improve(start, h, SampleSpace.all_graphs(), seed=1)
     # each graph built is the move taken from the one before it: it scores higher
     walk = [start, *built]
     assert walk[-1] == res.graph
@@ -319,7 +330,7 @@ def test_a_connected_climb_builds_no_graph_to_test_a_removal(monkeypatch):
             return toggled(g, i, j)
 
         monkeypatch.setattr(Graph, "toggled", counted)
-        res = first_improve(start, h, space, SearchConfig(seed=1))
+        res = first_improve(start, h, space, seed=1)
         counts[space.label()] = (len(built), res.nodes_explored, res.objective)
     assert counts == {"connected": (409, 2964, Fraction(791, 2)),
                       "all": (409, 2964, Fraction(791, 2))}
@@ -390,24 +401,29 @@ def test_the_flow_step_of_a_hub_graph_matches_a_fresh_hop_total(g):
 
 
 def test_search_config_validation():
-    with pytest.raises(ValueError):
-        SearchConfig(restarts=0)
-    with pytest.raises(ValueError):
-        SearchConfig(start="star")
+    # a search is configured by its plain seed and restarts arguments
+    h = triads_maxmin(Fraction(1, 2))
+    for restarts in (0, -1):
+        with pytest.raises(ValueError, match="restarts must be >= 1"):
+            multi_restart(Graph.star(5), h, CONNECTED, restarts=restarts)
 
 
 @pytest.mark.parametrize("seed", [None, 1.0, "1", True, False])
 def test_search_config_refuses_a_seed_that_is_not_an_int(seed):
     # random.Random(None) would draw its seed from the operating system
-    with pytest.raises(TypeError, match="seed must be an int"):
-        SearchConfig(seed=seed)
+    h = triads_maxmin(Fraction(1, 2))
+    for climb in (first_improve, multi_restart):
+        with pytest.raises(TypeError, match="seed must be an int"):
+            climb(Graph.star(5), h, CONNECTED, seed)
 
 
 def test_search_config_refuses_a_negative_seed_and_keeps_zero_and_large_ones():
-    with pytest.raises(ValueError, match="seed must be >= 0"):
-        SearchConfig(seed=-1)
-    assert SearchConfig(seed=0).seed == 0
-    assert SearchConfig(seed=2**63 - 1).seed == 2**63 - 1
+    h = triads_maxmin(Fraction(1, 2))
+    for climb in (first_improve, multi_restart):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            climb(Graph.star(5), h, CONNECTED, -1)
+        for seed in (0, 2**63 - 1):
+            assert climb(Graph.star(5), h, CONNECTED, seed).status == "incumbent"
 
 
 def reference_has_improving_toggle(g, h, space):
@@ -454,7 +470,7 @@ def test_has_improving_toggle_matches_a_from_scratch_scan(n, data):
         h = Hamiltonian.max_min_pair(alpha, phys, flow, sense="minimize")
     if data.draw(st.booleans()):
         # also cover local optima, where the answer is False
-        g = first_improve(g, h, space, SearchConfig(seed=0)).graph
+        g = first_improve(g, h, space).graph
     assert has_improving_toggle(g, h, space) == reference_has_improving_toggle(g, h, space)
 
 

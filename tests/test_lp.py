@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -240,15 +241,12 @@ ALPHAS = [Fraction(3, 10), Fraction(1, 2), Fraction(7, 10)]
 
 
 def milp_decoded_graph(cs):
-    # HiGHS solves in floats, so its objective is not compared; the graph its
-    # solution decodes to is checked against every row and re-scored exactly
+    # HiGHS solves in floats, so its objective is not compared: its raw solution
+    # must meet every row, bound, 0/1 value and edge product within 1e-6, and
+    # the graph it decodes to is re-scored exactly
     solved = solve_ir_with_milp(cs)
     assert solved is not None
-    values, binary = solved[1], {v.name for v in cs.variables if v.kind == "binary"}
-    assert all(abs(values[name] - round(values[name])) <= 1e-6 for name in binary)
-    # binaries rounded, so the triangle indicators meet their edge products exactly
-    values = {name: round(x) if name in binary else x for name, x in values.items()}
-    verdict = lp.check_assignment(cs, values, tolerance=Fraction(1, 10**6))
+    verdict = lp.check_assignment(cs, solved[1], tolerance=Fraction(1, 10**6))
     assert verdict.feasible and not verdict.semantic_notes
     assert verdict.graph is not None and is_connected(verdict.graph)
     return verdict.graph
@@ -363,6 +361,31 @@ def test_check_assignment_decodes_graph_and_flags_binaries():
     assert r.graph == Graph.from_edges(3, [(0, 1)])
     r = lp.check_assignment(cs, {"x_0_1": Fraction(1, 2), "x_0_2": 0, "x_1_2": 0})
     assert r.variable_violations
+
+
+def test_check_assignment_compares_triangle_indicators_within_the_tolerance():
+    # K5 with every indicator a hair below 1, as a floating-point solver returns it
+    cs = lp.build_maxmin(5, Fraction(1, 2))
+    a = lp.maxmin_assignment(5, Fraction(1, 2), Graph.complete(5))
+    near = a | {name: 1 - Fraction(1, 10**9) for name in a if name.startswith("w_")}
+    loose = lp.check_assignment(cs, near, tolerance=Fraction(1, 10**6))
+    assert loose.feasible and not loose.semantic_notes
+    assert not lp.check_assignment(cs, near).feasible
+    # an indicator farther off than the tolerance is still named
+    far = a | {"w_0_1_2": 1 - Fraction(1, 10**5)}
+    notes = lp.check_assignment(cs, far, tolerance=Fraction(1, 10**6)).semantic_notes
+    assert notes == ["w_0_1_2 = 99999/100000 but the edge product is 1"]
+
+
+@pytest.mark.parametrize("n, delta, message", [
+    (3, uniform_delta(4), "distance matrix is 4x4, graph has n=3"),
+    (4, uniform_delta(3), "distance matrix is 3x3, graph has n=4"),
+    (3, ((0, 1, 2), (1, 0, 1), (1, 1, 0)), "distance matrix asymmetric at (0, 2)"),
+    (3, ((0, -1, 1), (-1, 0, 1), (1, 1, 0)), "negative distance at (0, 1)"),
+])
+def test_the_distance_model_refuses_a_matrix_it_cannot_score(n, delta, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        lp.build_minmax_distance(n, Fraction(1, 2), delta)
 
 
 def test_check_assignment_tolerance_for_solver_floats():

@@ -404,8 +404,8 @@ def test_cli_spec_echoes_the_experiment_defaults(capsys):
     default = ExperimentSpec(n=4)
     for spec in (solve, heuristic):
         assert spec["gamma"] is None
-        assert (spec["restarts"], spec["node_limit"], spec["time_limit"]) == (
-            default.restarts, default.node_limit, default.time_limit
+        assert (spec["seed"], spec["restarts"], spec["node_limit"], spec["time_limit"]) == (
+            default.seed, default.restarts, default.node_limit, default.time_limit
         )
 
 
@@ -675,49 +675,27 @@ def test_cli_runs_without_numpy(capsys):
     assert answer(blocked.stdout) == answer(capsys.readouterr().out)
 
 
-def test_cli_seed_env_fallback(capsys, monkeypatch, tmp_path):
-    monkeypatch.setenv("NETOPT_SEED", "77")
-    main(["heuristic", "--n", "4", "--alpha", "1/2", "--restarts", "2",
-          "--out-dir", str(tmp_path / "env")])
-    capsys.readouterr()
-    data = json.loads((tmp_path / "env" / "result.json").read_text())
-    assert data["spec"]["seed"] == 77
-
-    monkeypatch.delenv("NETOPT_SEED")
-    main(["heuristic", "--n", "4", "--alpha", "1/2", "--restarts", "2",
-          "--out-dir", str(tmp_path / "flag"), "--seed", "5"])
-    capsys.readouterr()
-    data = json.loads((tmp_path / "flag" / "result.json").read_text())
-    assert data["spec"]["seed"] == 5
-
-
 @pytest.mark.parametrize(
-    "env, argv, message",
+    "argv, message",
     [
-        (None, ["heuristic", "--n", "20", "--alpha", "7/10", "--restarts", "1", "--seed", "-5"],
+        (["heuristic", "--n", "20", "--alpha", "7/10", "--restarts", "1", "--seed", "-5"],
          "argument --seed: need a nonnegative seed, got -5"),
-        (None, ["solve", "--n", "4", "--seed", "-1"],
+        (["solve", "--n", "4", "--seed", "-1"],
          "argument --seed: need a nonnegative seed, got -1"),
-        (None, ["heuristic", "--model", "distance_vs_flow", "--n", "5", "--seed", "-1"],
+        (["heuristic", "--model", "distance_vs_flow", "--n", "5", "--seed", "-1"],
          "argument --seed: need a nonnegative seed, got -1"),
-        (None, ["export-lp", "--model", "distance_vs_flow", "--n", "5", "--seed", "-1",
-                "--out", "m.lp"],
+        (["export-lp", "--model", "distance_vs_flow", "--n", "5", "--seed", "-1",
+          "--out", "m.lp"],
          "argument --seed: need a nonnegative seed, got -1"),
-        ("abc", ["heuristic", "--n", "4", "--restarts", "1"],
-         "NETOPT_SEED must be a nonnegative integer, got 'abc'"),
-        ("-3", ["export-lp", "--model", "distance_vs_flow", "--n", "5", "--out", "m.lp"],
-         "NETOPT_SEED must be a nonnegative integer, got '-3'"),
+        (["export-lp", "--model", "distance_vs_flow", "--n", "5", "--seed", "abc",
+          "--out", "m.lp"],
+         "argument --seed: invalid seed value: 'abc'"),
     ],
+    ids=["heuristic", "solve", "heuristic-distance", "export-lp", "export-lp-not-an-int"],
 )
-def test_cli_refuses_a_negative_or_malformed_seed(
-    capsys, monkeypatch, tmp_path, env, argv, message
-):
+def test_cli_refuses_a_negative_or_malformed_seed(capsys, monkeypatch, tmp_path, argv, message):
     # random.Random seeds with abs(seed), so -5 would silently rerun seed 5
     monkeypatch.chdir(tmp_path)
-    if env is None:
-        monkeypatch.delenv("NETOPT_SEED", raising=False)
-    else:
-        monkeypatch.setenv("NETOPT_SEED", env)
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
