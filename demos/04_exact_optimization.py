@@ -5,8 +5,9 @@ Exact solvers: brute force, branch-and-bound, and the two-stage variant
 Brute force enumerates every graph in the space and is the oracle for
 everything else.  Branch-and-bound explores edge variables depth-first
 with admissible per-statistic bounds and exact rational pruning, so it
-returns the same optimum while visiting far fewer states.  A structural
-bound gives a strong feasible incumbent to start from.
+returns the same optimum while visiting far fewer states.  The model's
+interval, a bound and a closed-form witness, gives a strong feasible
+incumbent to start from.
 """
 
 from fractions import Fraction
@@ -20,9 +21,8 @@ from ergmax import (
     brute_force,
     count_triangles,
     solve_two_stage,
-    star_with_chords,
-    structural_lower_bounds,
 )
+from ergmax.reporting import ExperimentSpec, hamiltonian_for, interval_for
 
 NE = StatisticSpec(StatisticKind.NON_EDGES)
 TRI = StatisticSpec(StatisticKind.TRIANGLES)
@@ -38,19 +38,20 @@ for n in (4, 5, 6):
         print(f"{n}  {str(alpha):5}  {str(ref.objective):9}  {str(res.objective):9}  {res.nodes_explored}")
         assert res.objective == ref.objective
 
-# the constructive lower bound: a star plus chords between consecutive
-# leaves; every chord closes one triangle through the center
-n, alpha = 60, Fraction(7, 10)
-bound = structural_lower_bounds(n, alpha)
-witness = star_with_chords(n, bound.min_triangles)
-print(f"\nn={n}, alpha={alpha}: any optimum has >= {bound.min_triangles} triangles "
-      f"and >= {bound.min_edges} edges")
+# the interval, with no search: no connected graph scores above the
+# all-space optimum of the Kruskal-Katona sweep, and the witness, a colex
+# core with pendants, is connected and scores its value
+spec = ExperimentSpec(n=60, alpha=Fraction(7, 10))
+bound, value, witness = interval_for(spec, hamiltonian_for(spec))
+print(f"\nn={spec.n}, alpha={spec.alpha}: the optimum lies in [{value}, {bound}]")
 print(f"witness: {witness.edge_count} edges, {count_triangles(witness)} triangles")
+assert (bound, value, witness.edge_count) == (975, Fraction(9541, 10), 407)
 
 # warm-starting the search with the witness only tightens it
-h = Hamiltonian.max_min_pair(Fraction(1, 2), NE, TRI)
+spec = ExperimentSpec(n=6, alpha=Fraction(1, 2))
+h = hamiltonian_for(spec)
 cold = branch_and_bound(6, space, h)
-warm = branch_and_bound(6, space, h, incumbent=star_with_chords(6, 5))
+warm = branch_and_bound(6, space, h, incumbent=interval_for(spec, h)[2])
 print(f"\nwarm start: {cold.nodes_explored} nodes -> {warm.nodes_explored} nodes, "
       f"same optimum {warm.objective == cold.objective}")
 

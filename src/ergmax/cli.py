@@ -12,28 +12,20 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .exact import structural_lower_bounds
-from .frontier import distance_interval, witness
 from .graph import graph_metrics, read_edge_list
-from .lp import (
-    ConstraintSystem,
-    build_maxmin,
-    build_minmax_distance,
-    check_assignment,
-    export_lp,
-)
+from .lp import ConstraintSystem, check_assignment, export_lp
 from .reporting import (
     MODELS,
     ExperimentSpec,
+    constraint_system_for,
     fraction_json,
     hamiltonian_for,
+    interval_for,
     metrics_row,
     report_json_dict,
-    resolve_delta,
     run_experiment,
 )
 from .space import SampleSpace
-from .stats import eval_hamiltonian
 
 STATUS_EXIT = {"optimal": 0, "incumbent": 2, "infeasible": 3}
 
@@ -45,40 +37,12 @@ def parse_fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
-def node_count(text: str) -> int:
-    n = int(text)
-    if n < 2:
-        raise argparse.ArgumentTypeError(f"need at least 2 nodes, got {n}")
-    return n
-
-
-def node_limit(text: str) -> int:
-    limit = int(text)
-    if limit < 1:
-        raise argparse.ArgumentTypeError(f"need a node limit of at least 1, got {limit}")
-    return limit
-
-
-def time_limit(text: str) -> float:
-    limit = float(text)
-    if not limit > 0:
-        raise argparse.ArgumentTypeError(f"need a positive time limit, got {limit}")
-    return limit
-
-
-def seed(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"need a nonnegative seed, got {value}")
-    return value
-
-
 def build_space(args: argparse.Namespace) -> SampleSpace:
     return SampleSpace(connected=args.space == "connected", density=args.density)
 
 
 def add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=node_count, required=True, help="number of nodes (at least 2)")
+    p.add_argument("--n", type=int, required=True, help="number of nodes (at least 2)")
     p.add_argument("--alpha", type=parse_fraction, default=Fraction(1, 2),
                    help="weight split, rational 'p/q' or decimal (default 1/2)")
     p.add_argument("--space", choices=("connected", "all"), default="connected")
@@ -93,7 +57,7 @@ def add_instance_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--delta-file", default=None,
                    help="distance-matrix file for the distance model "
                         "(default: seeded unit-square generator)")
-    p.add_argument("--seed", type=seed, default=0, help="PRNG seed (default 0)")
+    p.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
 
 
 # Flags only solve or heuristic takes.  They default to argparse.SUPPRESS,
@@ -102,8 +66,6 @@ SOLVER_OPTIONS = ("gamma", "node_limit", "time_limit", "restarts")
 
 
 def make_spec(args: argparse.Namespace, solver: str) -> ExperimentSpec:
-    if args.delta_file is not None and args.model != "distance_vs_flow":
-        raise ValueError("--delta-file is read only by --model distance_vs_flow")
     return ExperimentSpec(
         n=args.n,
         model=args.model,
@@ -118,31 +80,13 @@ def make_spec(args: argparse.Namespace, solver: str) -> ExperimentSpec:
 
 def cmd_bound(args: argparse.Namespace) -> int:
     spec = make_spec(args, "bnb")
-    h = hamiltonian_for(spec)
-    if spec.model == "distance_vs_flow":
-        # the interval: no graph scores below the bound, and the witness scores its value
-        lower, value, inner = distance_interval(h)
-        print(json.dumps({
-            "n": args.n,
-            "alpha": fraction_json(args.alpha),
-            "lower_bound": fraction_json(lower),
-            "witness_edges": inner.edge_count,
-            "witness_objective": fraction_json(value),
-        }, indent=2))
-        return 0
-    bound = structural_lower_bounds(args.n, args.alpha)
-    # the frontier interval: the connected optimum lies between the values of
-    # the connected witness and of the all-space optimum
-    inner = witness(args.n, args.alpha, connected=True)
-    outer = witness(args.n, args.alpha, connected=False)
+    bound, value, inner = interval_for(spec, hamiltonian_for(spec))
     print(json.dumps({
-        "n": args.n,
-        "alpha": fraction_json(args.alpha),
-        "min_triangles": bound.min_triangles,
-        "min_edges": bound.min_edges,
+        "n": spec.n,
+        "alpha": fraction_json(spec.alpha),
+        "bound": fraction_json(bound),
         "witness_edges": inner.edge_count,
-        "witness_objective": fraction_json(eval_hamiltonian(h, inner)),
-        "upper_bound": fraction_json(eval_hamiltonian(h, outer)),
+        "witness_objective": fraction_json(value),
     }, indent=2))
     return 0
 
@@ -157,11 +101,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_export_lp(args: argparse.Namespace) -> int:
-    spec = make_spec(args, "brute")
-    if args.model == "triads_vs_nonedges":
-        cs = build_maxmin(args.n, args.alpha, spec.space)
-    else:
-        cs = build_minmax_distance(args.n, args.alpha, resolve_delta(spec), spec.space)
+    cs = constraint_system_for(make_spec(args, "brute"))
     export_lp(cs, args.out)
     if args.ir_json:
         with open(args.ir_json, "w") as f:
@@ -203,10 +143,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("bound", help="the interval holding the optimum: the frontier's for "
-                                     "the triads model, with structural lower bounds, or the "
-                                     "distance model's lower bound and witness")
-    p.add_argument("--n", type=node_count, required=True)
+    p = sub.add_parser("bound", help="the interval holding the connected optimum: a bound "
+                                     "and a witness's value")
+    p.add_argument("--n", type=int, required=True)
     p.add_argument("--alpha", type=parse_fraction, required=True)
     add_instance_flags(p)
     p.set_defaults(func=cmd_bound, space="connected", density=None)
@@ -216,9 +155,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solver", choices=("brute", "bnb"), default="bnb")
     p.add_argument("--gamma", type=parse_fraction, default=argparse.SUPPRESS,
                    help="two-stage suboptimality tolerance in [0, 1]")
-    p.add_argument("--node-limit", type=node_limit, default=argparse.SUPPRESS,
+    p.add_argument("--node-limit", type=int, default=argparse.SUPPRESS,
                    help=f"bnb nodes per stage (default {ExperimentSpec.node_limit})")
-    p.add_argument("--time-limit", type=time_limit, default=argparse.SUPPRESS,
+    p.add_argument("--time-limit", type=float, default=argparse.SUPPRESS,
                    help=f"bnb seconds per stage (default {ExperimentSpec.time_limit})")
     p.add_argument("--out-dir", default=None, help="write result files here")
     p.set_defaults(func=cmd_run)
@@ -258,7 +197,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (OSError, ValueError, argparse.ArgumentTypeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

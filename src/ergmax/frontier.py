@@ -25,15 +25,13 @@ from .graph import Graph, all_pairs, num_pairs
 from .stats import Hamiltonian, HamiltonianForm, StatisticKind, unscaled
 
 
-def witness(n: int, alpha: Fraction, connected: bool) -> Graph:
-    """The best colex-core graph on n nodes for min(alpha·(P−m), (1−alpha)·t).
-
-    The core is K_s on nodes 0..s-1 plus node s joined to nodes 0..r-1; the
-    other nodes are pendants on node 0 when `connected`, else isolated, and
-    only the latter graph is the proven optimum of its space.  Ties go to the
-    smallest core.  The non-edge term never rises with the core and the
-    triangle term never falls, so the sweep stops once the best value found
-    reaches the non-edge term.
+def _sweep(n: int, alpha: Fraction, connected: bool) -> tuple[Fraction, int, int]:
+    """(value, s, r) of the best colex core on n nodes for
+    min(alpha·(P−m), (1−alpha)·t): K_s on nodes 0..s-1 plus node s joined to
+    nodes 0..r-1, the other nodes pendants on node 0 when `connected`, else
+    isolated.  Ties go to the smallest core.  The non-edge term never rises
+    with the core and the triangle term never falls, so the sweep stops once
+    the best value found reaches the non-edge term.
     """
     alpha = Fraction(alpha)
     if not 0 <= alpha <= 1:
@@ -55,10 +53,24 @@ def witness(n: int, alpha: Fraction, connected: bool) -> Graph:
         r += 1
         if r == s:
             s, r = s + 1, 0
-    core = best_s + (best_r > 0)
+    return Fraction(best, b), best_s, best_r
+
+
+def optimum(n: int, alpha: Fraction) -> Fraction:
+    """The all-space optimum of min(alpha·(P−m), (1−alpha)·t) on n nodes,
+    read off the sweep with no graph built; a bound on every space."""
+    return _sweep(n, alpha, connected=False)[0]
+
+
+def witness(n: int, alpha: Fraction, connected: bool) -> Graph:
+    """The best colex-core graph on n nodes for min(alpha·(P−m), (1−alpha)·t),
+    as :func:`_sweep` finds it; only the graph of the all space (not
+    `connected`) is the proven optimum of its space."""
+    _, s, r = _sweep(n, alpha, connected)
+    core = s + (r > 0)
     return Graph.from_edges(n, [
-        *((i, j) for j in range(best_s) for i in range(j)),
-        *((k, best_s) for k in range(best_r)),
+        *((i, j) for j in range(s) for i in range(j)),
+        *((k, s) for k in range(r)),
         *((0, u) for u in range(core, n) if connected),
     ])
 

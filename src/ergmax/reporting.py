@@ -10,15 +10,17 @@ from pathlib import Path
 from typing import Any
 
 from .exact import SolveResult, branch_and_bound, brute_force, solve_two_stage
-from .frontier import distance_interval, witness
+from .frontier import distance_interval, optimum, witness
 from .graph import Graph, GraphMetrics, edge_list_string, graph_metrics
 from .local_search import multi_restart
+from .lp import ConstraintSystem, build_maxmin, build_minmax_distance
 from .space import SampleSpace
 from .stats import (
     DeltaMatrix,
     Hamiltonian,
     StatisticKind,
     StatisticSpec,
+    eval_hamiltonian,
     parse_delta,
     random_unit_square_delta,
 )
@@ -48,8 +50,18 @@ class ExperimentSpec:
             raise ValueError(f"model must be one of {MODELS}")
         if self.solver not in SOLVERS:
             raise ValueError(f"solver must be one of {SOLVERS}")
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ValueError(f"seed must be an int >= 0, not {self.seed!r}")
+        if self.n < 2:
+            raise ValueError(f"need at least 2 nodes, got {self.n}")
+        # random.Random seeds with abs(seed), and True would run seed 1
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise ValueError(f"need a nonnegative int seed, got {self.seed!r}")
+        if self.node_limit < 1:
+            raise ValueError(f"need a node limit of at least 1, got {self.node_limit}")
+        # such a limit explores no node and would report the warm start as an incumbent
+        if not self.time_limit > 0:
+            raise ValueError(f"need a positive time limit, got {self.time_limit}")
+        if self.delta_source is not None and self.model != "distance_vs_flow":
+            raise ValueError("a distance-matrix file is read only by the distance_vs_flow model")
         self.alpha = Fraction(self.alpha)
         if self.gamma is not None:
             self.gamma = Fraction(self.gamma)
@@ -87,6 +99,27 @@ def hamiltonian_for(spec: ExperimentSpec, delta: DeltaMatrix | None = None) -> H
     )
 
 
+def interval_for(spec: ExperimentSpec, h: Hamiltonian
+                 ) -> tuple[Fraction, Fraction | None, Graph | None]:
+    """(bound, value, witness) for `spec`'s model and `h`, its objective: no
+    graph in the space scores past the bound, and the witness lies in the
+    space and scores value.  The triads model's bound is the all-space
+    optimum; under a fixed edge count there is no witness and no value."""
+    if spec.model == "triads_vs_nonedges":
+        g = witness(spec.n, spec.alpha, spec.space.connected)
+        bound, value = optimum(spec.n, spec.alpha), eval_hamiltonian(h, g)
+    else:
+        bound, value, g = distance_interval(h)
+    return (bound, value, g) if spec.space.density is None else (bound, None, None)
+
+
+def constraint_system_for(spec: ExperimentSpec) -> ConstraintSystem:
+    """The linear system of `spec`'s model, for export."""
+    if spec.model == "triads_vs_nonedges":
+        return build_maxmin(spec.n, spec.alpha, spec.space)
+    return build_minmax_distance(spec.n, spec.alpha, resolve_delta(spec), spec.space)
+
+
 @dataclass
 class ExperimentReport:
     spec: ExperimentSpec
@@ -105,12 +138,9 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path | None = None) -> E
     p_star = None
     p_star_objective = None
     # bnb's incumbent when the edge count is free, and local search's start
-    if spec.model == "triads_vs_nonedges":
-        start = witness(spec.n, spec.alpha, spec.space.connected)
-    else:
-        _, _, start = distance_interval(h)
+    _, _, start = interval_for(spec, h)
     bnb_options = {
-        "incumbent": start if spec.space.density is None else None,
+        "incumbent": start,
         "node_limit": spec.node_limit,
         "time_limit": spec.time_limit,
     }

@@ -463,8 +463,7 @@ def parse_delta(inp: TextIO) -> DeltaMatrix:
     """Parse the distance-matrix format: n, then n lines of n decimals.
 
     Values parse exactly, each distinct text once.  Only the format is
-    checked: :class:`StatisticSpec` validates the matrix it is given, and
-    :func:`read_delta` validates what it parses.
+    checked: :class:`StatisticSpec` validates the matrix it is given.
     """
     header = inp.readline().split()
     if len(header) != 1:
@@ -483,11 +482,3 @@ def parse_delta(inp: TextIO) -> DeltaMatrix:
     if any(line.strip() for line in inp):
         raise ValueError(f"unexpected text after the {n} matrix rows")
     return tuple(rows)
-
-
-def read_delta(inp: TextIO) -> DeltaMatrix:
-    """:func:`parse_delta`, then :func:`validate_delta`: any asymmetry is
-    rejected outright."""
-    delta = parse_delta(inp)
-    validate_delta(delta)
-    return delta

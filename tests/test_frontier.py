@@ -21,6 +21,7 @@ from ergmax import (
 )
 from ergmax.frontier import distance_interval, witness
 from ergmax.graph import all_pairs, num_pairs
+from ergmax.reporting import ExperimentSpec, hamiltonian_for, interval_for
 
 from helpers import triangle_count_by_triples, triads_maxmin, union_find_connected
 from test_integer_scale import mixed_grid_delta
@@ -238,3 +239,62 @@ PHYSICAL = StatisticSpec(StatisticKind.PHYSICAL_DISTANCE, random_unit_square_del
 def test_distance_interval_refuses_other_objectives(h):
     with pytest.raises(ValueError, match="distance interval needs"):
         distance_interval(h)
+
+
+# -- one interval per model ------------------------------------------------------
+
+INTERVAL_ALPHAS = [Fraction(a) for a in ("0", "3/10", "1/2", "7/10", "1")]
+# (model, seed, scale of the seed's distances)
+INSTANCES = [("triads_vs_nonedges", 0, 1)] + [
+    ("distance_vs_flow", seed, scale) for seed in (1, 2) for scale in (1, 20)]
+
+
+def interval_spaces(n: int) -> list[SampleSpace]:
+    """The connected and all spaces, and each at a tree's edge count and at
+    one edge fewer, where a connected graph cannot reach and flow is infinite."""
+    return SPACES + [SampleSpace.fixed_density(d, connected)
+                     for d in (n - 1, n - 2) for connected in (True, False)]
+
+
+def assert_interval_for_brackets_the_optimum(model, seed, scale, n, alpha, space):
+    spec = ExperimentSpec(n=n, model=model, alpha=alpha, space=space, seed=seed)
+    h = hamiltonian_for(spec, tuple(tuple(scale * d for d in row)
+                                    for row in random_unit_square_delta(n, seed)))
+    bound, value, g = interval_for(spec, h)
+    optimum = brute_force(n, space, h)[0].objective
+    if space.density is not None:
+        assert value is None and g is None
+    else:
+        assert space.admits(g) and eval_hamiltonian(h, g) == value
+    # the optimum, where the space holds a graph of finite score, lies between
+    # the witness's value and the bound
+    scores = [value, optimum, bound] if model == "triads_vs_nonedges" else [bound, optimum, value]
+    scores = [q for q in scores if q is not None]
+    assert scores == sorted(scores), (alpha, space.label(), scores)
+    if model == "triads_vs_nonedges" and space == SampleSpace.all_graphs():
+        assert bound == value == optimum
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("model, seed, scale", INSTANCES)
+def test_interval_for_brackets_the_brute_force_optimum(model, seed, scale, n):
+    for alpha in INTERVAL_ALPHAS:
+        for space in interval_spaces(n):
+            assert_interval_for_brackets_the_optimum(model, seed, scale, n, alpha, space)
+
+
+@pytest.mark.parametrize("i", range(len(INSTANCES)))
+def test_interval_for_brackets_the_brute_force_optimum_at_six_nodes(i):
+    # brute force takes most of a second a cell here, so one cell per instance
+    assert_interval_for_brackets_the_optimum(
+        *INSTANCES[i], 6, INTERVAL_ALPHAS[1 + i % 3], SPACES[i % 2])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 40), st.fractions(min_value=0, max_value=1, max_denominator=20),
+       st.booleans())
+def test_the_triads_bound_is_the_all_space_witness_value(n, alpha, connected):
+    spec = ExperimentSpec(n=n, alpha=alpha, space=SampleSpace(connected=connected))
+    h = hamiltonian_for(spec)
+    bound, _, _ = interval_for(spec, h)
+    assert bound == eval_hamiltonian(h, witness(n, alpha, connected=False))

@@ -10,7 +10,7 @@ Python code (package, tests, demos, benchmark) or be exported in
 name a function it can find, and every name the benchmark imports from
 the package must exist.  Only ``stats.py`` reads a Hamiltonian's
 ``sense``: everywhere else it is folded into the sign of ``scale``.
-Only ``graph.py`` gives a graph its hop total, which ``is_connected``
+``cli.py`` names no model.  Only ``graph.py`` gives a graph its hop total, which ``is_connected``
 takes as proof that the graph is connected.  The package imports nothing
 outside the standard library.
 """
@@ -93,6 +93,18 @@ def test_only_stats_reads_the_sense():
         if isinstance(node, ast.Attribute) and node.attr == "sense"
     ]
     assert not readers, f"modules that read .sense instead of the sign of scale: {readers}"
+
+
+def test_the_cli_names_no_model():
+    # each model's choices live in reporting, and the command line only parses and prints
+    from ergmax.reporting import MODELS
+
+    named = [
+        f"cli.py:{node.lineno} {node.value!r}"
+        for node in ast.walk(parse(PACKAGE / "cli.py"))
+        if isinstance(node, ast.Constant) and node.value in MODELS
+    ]
+    assert not named, f"model names in the command line: {named}"
 
 
 def test_only_graph_assigns_the_hop_total():

@@ -24,7 +24,7 @@ from ergmax import Graph, Hamiltonian, SampleSpace, StatisticKind, StatisticSpec
 from ergmax.exact import _breaks_lex_order, branch_and_bound, brute_force, solve_two_stage
 from ergmax.graph import all_pairs, num_pairs
 from ergmax.local_search import _scan_order, first_improve
-from ergmax.stats import HamiltonianForm, eval_hamiltonian, read_delta
+from ergmax.stats import HamiltonianForm, eval_hamiltonian, parse_delta
 
 from helpers import (
     iter_graphs,
@@ -167,7 +167,7 @@ def mixed_grid_delta(draw, n):
         " ".join("0" if i == j else upper[min(i, j), max(i, j)] for j in range(n)) + "\n"
         for i in range(n)
     )
-    return read_delta(io.StringIO(text))
+    return parse_delta(io.StringIO(text))
 
 
 @st.composite

@@ -244,11 +244,24 @@ def test_report_json_shape():
     assert data["telemetry"]["nodes_explored"] > 0
 
 
-@pytest.mark.parametrize("seed", [None, -1, 1.5, "3"])
+@pytest.mark.parametrize("seed", [None, -1, 1.5, "3", True, False])
 def test_experiment_spec_refuses_a_seed_that_is_not_a_nonnegative_int(seed):
-    # under a None seed both generators would draw OS entropy, and no run would repeat
+    # under a None seed both generators would draw OS entropy, and no run would repeat;
+    # True would run seed 1's points and report "seed": true
     with pytest.raises(ValueError, match="seed"):
         ExperimentSpec(n=4, seed=seed)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("n", 1, "need at least 2 nodes, got 1"),
+    ("node_limit", 0, "need a node limit of at least 1, got 0"),
+    ("time_limit", float("nan"), "need a positive time limit, got nan"),
+], ids=["n", "node_limit", "time_limit"])
+def test_experiment_spec_refuses_a_size_or_limit_out_of_range(field, value, message):
+    # a library caller gets the refusals the command line gives
+    with pytest.raises(ValueError) as refused:
+        ExperimentSpec(**{"n": 4, field: value})
+    assert str(refused.value) == message
 
 
 # -- CLI -----------------------------------------------------------------------
@@ -258,17 +271,16 @@ def test_cli_bound(capsys):
     code = main(["bound", "--n", "60", "--alpha", "7/10"])
     out = json.loads(capsys.readouterr().out)
     assert code == 0
-    assert out["min_triangles"] == 59
-    assert out["min_edges"] == 118
+    assert list(out) == ["n", "alpha", "bound", "witness_edges", "witness_objective"]
+    assert out["bound"]["fraction"] == "975/1"
     assert out["witness_edges"] == 407
     assert out["witness_objective"]["fraction"] == "9541/10"
-    assert out["upper_bound"]["fraction"] == "975/1"
 
 
 def test_cli_bound_prints_the_distance_interval(capsys, tmp_path):
     def interval(out):
-        assert list(out) == ["n", "alpha", "lower_bound", "witness_edges", "witness_objective"]
-        return (Fraction(out["lower_bound"]["fraction"]), out["witness_edges"],
+        assert list(out) == ["n", "alpha", "bound", "witness_edges", "witness_objective"]
+        return (Fraction(out["bound"]["fraction"]), out["witness_edges"],
                 Fraction(out["witness_objective"]["fraction"]))
 
     argv = ["bound", "--model", "distance_vs_flow", "--n", "30", "--alpha", "7/10"]
@@ -345,7 +357,7 @@ def test_cli_metrics_rejects_a_miscounted_edge_list(capsys, tmp_path):
 )
 def test_cli_refuses_fewer_than_two_nodes(capsys, argv):
     assert main(argv + ["--n", "1"]) == 1
-    assert f"ergmax {argv[0]}: error: argument --n" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: need at least 2 nodes, got 1\n"
 
 
 @pytest.mark.parametrize(
@@ -378,14 +390,19 @@ def test_cli_brute_force_refuses_the_bnb_limits(capsys, flag, value):
 
 
 @pytest.mark.parametrize(
-    "flag, value",
-    [("--node-limit", "-3"), ("--node-limit", "0"), ("--time-limit", "-1"),
-     ("--time-limit", "0"), ("--time-limit", "nan")],
+    "flag, value, message",
+    [("--node-limit", "-3", "need a node limit of at least 1, got -3"),
+     ("--node-limit", "0", "need a node limit of at least 1, got 0"),
+     ("--time-limit", "-1", "need a positive time limit, got -1.0"),
+     ("--time-limit", "0", "need a positive time limit, got 0.0"),
+     ("--time-limit", "nan", "need a positive time limit, got nan")],
+    ids=["--node-limit--3", "--node-limit-0", "--time-limit--1", "--time-limit-0",
+         "--time-limit-nan"],
 )
-def test_cli_solve_refuses_a_limit_that_cannot_be_met(capsys, flag, value):
+def test_cli_solve_refuses_a_limit_that_cannot_be_met(capsys, flag, value, message):
     # such a limit explores no node and would report the warm start as an incumbent
     assert main(["solve", "--n", "5", flag, value]) == 1
-    assert f"ergmax solve: error: argument {flag}" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("density", ["14", "10"])
@@ -608,7 +625,7 @@ def test_cli_refuses_a_delta_file_without_the_distance_model(capsys, monkeypatch
         write_delta(uniform_delta(4), f)
     assert main(argv + ["--n", "4", "--delta-file", "delta.txt"]) == 1
     err = capsys.readouterr().err
-    assert err.splitlines() == ["error: --delta-file is read only by --model distance_vs_flow"]
+    assert err == "error: a distance-matrix file is read only by the distance_vs_flow model\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["delta.txt"]
 
 
@@ -679,17 +696,17 @@ def test_cli_runs_without_numpy(capsys):
     "argv, message",
     [
         (["heuristic", "--n", "20", "--alpha", "7/10", "--restarts", "1", "--seed", "-5"],
-         "argument --seed: need a nonnegative seed, got -5"),
+         "error: need a nonnegative int seed, got -5"),
         (["solve", "--n", "4", "--seed", "-1"],
-         "argument --seed: need a nonnegative seed, got -1"),
+         "error: need a nonnegative int seed, got -1"),
         (["heuristic", "--model", "distance_vs_flow", "--n", "5", "--seed", "-1"],
-         "argument --seed: need a nonnegative seed, got -1"),
+         "error: need a nonnegative int seed, got -1"),
         (["export-lp", "--model", "distance_vs_flow", "--n", "5", "--seed", "-1",
           "--out", "m.lp"],
-         "argument --seed: need a nonnegative seed, got -1"),
+         "error: need a nonnegative int seed, got -1"),
         (["export-lp", "--model", "distance_vs_flow", "--n", "5", "--seed", "abc",
           "--out", "m.lp"],
-         "argument --seed: invalid seed value: 'abc'"),
+         "ergmax export-lp: error: argument --seed: invalid int value: 'abc'"),
     ],
     ids=["heuristic", "solve", "heuristic-distance", "export-lp", "export-lp-not-an-int"],
 )
@@ -700,7 +717,7 @@ def test_cli_refuses_a_negative_or_malformed_seed(capsys, monkeypatch, tmp_path,
     captured = capsys.readouterr()
     assert captured.out == ""
     errors = [line for line in captured.err.splitlines() if "error:" in line]
-    assert len(errors) == 1 and errors[0].endswith(message)
+    assert errors == [message]
     assert not (tmp_path / "m.lp").exists()
 
 

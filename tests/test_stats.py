@@ -29,7 +29,6 @@ from ergmax.stats import (
     grid_reader,
     grid_stepper,
     parse_delta,
-    read_delta,
     statistic_values,
     uniform_delta,
     validate_delta,
@@ -303,23 +302,24 @@ def test_delta_roundtrip_and_asymmetric_rejection():
     delta = random_unit_square_delta(4, seed=3)
     buf = io.StringIO()
     write_delta(delta, buf)
-    assert read_delta(io.StringIO(buf.getvalue())) == delta
+    assert parse_delta(io.StringIO(buf.getvalue())) == delta
 
-    bad = "2\n0 0.5\n0.4 0\n"
+    bad = parse_delta(io.StringIO("2\n0 0.5\n0.4 0\n"))
     with pytest.raises(ValueError):
-        read_delta(io.StringIO(bad))
+        validate_delta(bad)
 
 
 @pytest.mark.parametrize("text, message", [
     ("2\n0 0.5\n0.4 0\n", "asymmetric at \\(0, 1\\)"),
     ("2\n0 -1/3\n-1/3 0\n", "negative distance at \\(0, 1\\)"),
     ("2\n0.25 1\n1 0\n", "diagonal must be zero"),
-])
-def test_a_matrix_is_validated_on_its_grid_by_the_statistic_and_by_read_delta(text, message):
+], ids=["asymmetric", "negative", "diagonal"])
+def test_a_bad_matrix_is_refused_by_the_statistic_and_by_validate_delta(text, message):
+    delta = parse_delta(io.StringIO(text))
     with pytest.raises(ValueError, match=message):
-        read_delta(io.StringIO(text))
+        validate_delta(delta)
     with pytest.raises(ValueError, match=message):
-        StatisticSpec(StatisticKind.PHYSICAL_DISTANCE, parse_delta(io.StringIO(text)))
+        StatisticSpec(StatisticKind.PHYSICAL_DISTANCE, delta)
 
 
 def test_a_ragged_matrix_is_refused_by_the_statistic():
@@ -381,4 +381,4 @@ def test_parse_delta_reads_a_drawn_field_as_fraction_does(field):
 
 def test_delta_rejects_rows_after_the_last():
     with pytest.raises(ValueError, match="after"):
-        read_delta(io.StringIO("2\n0 1\n1 0\n1 0\n"))
+        parse_delta(io.StringIO("2\n0 1\n1 0\n1 0\n"))
