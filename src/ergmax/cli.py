@@ -7,6 +7,7 @@ Exit codes: 0 optimal/ok, 2 incumbent-only, 3 infeasible or check mismatch,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -21,6 +22,7 @@ from .reporting import (
     fraction_json,
     hamiltonian_for,
     interval_for,
+    json_text,
     metrics_row,
     report_json_dict,
     run_experiment,
@@ -81,13 +83,13 @@ def make_spec(args: argparse.Namespace, solver: str) -> ExperimentSpec:
 def cmd_bound(args: argparse.Namespace) -> int:
     spec = make_spec(args, "bnb")
     bound, value, inner = interval_for(spec, hamiltonian_for(spec))
-    print(json.dumps({
+    print(json_text({
         "n": spec.n,
         "alpha": fraction_json(spec.alpha),
         "bound": fraction_json(bound),
         "witness_edges": inner.edge_count,
         "witness_objective": fraction_json(value),
-    }, indent=2))
+    }))
     return 0
 
 
@@ -96,7 +98,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise ValueError("--node-limit and --time-limit limit bnb; brute force takes no limit")
     spec = make_spec(args, args.solver)
     report = run_experiment(spec, args.out_dir)
-    print(json.dumps(report_json_dict(report), indent=2))
+    print(json_text(report_json_dict(report)))
     return STATUS_EXIT[report.result.status]
 
 
@@ -136,7 +138,10 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0 if result.feasible else 3
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built at the first call and kept, since
+    parse_args reads it and leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="ergmax",
         description="Synthesize maximally probable networks over constrained graph spaces.",

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_EVEN, Decimal
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+from math import inf
 from pathlib import Path
 from typing import Any
 
@@ -60,11 +61,17 @@ class ExperimentSpec:
         # such a limit explores no node and would report the warm start as an incumbent
         if not self.time_limit > 0:
             raise ValueError(f"need a positive time limit, got {self.time_limit}")
+        if isinstance(self.restarts, bool) or not isinstance(self.restarts, int) or self.restarts < 1:
+            raise ValueError(f"need an int restart count of at least 1, got {self.restarts!r}")
         if self.delta_source is not None and self.model != "distance_vs_flow":
             raise ValueError("a distance-matrix file is read only by the distance_vs_flow model")
         self.alpha = Fraction(self.alpha)
+        if not 0 <= self.alpha <= 1:
+            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
         if self.gamma is not None:
             self.gamma = Fraction(self.gamma)
+            if not 0 <= self.gamma <= 1:
+                raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
 
 
 def resolve_delta(spec: ExperimentSpec) -> DeltaMatrix | None:
@@ -189,6 +196,50 @@ def fraction_json(q: Fraction | int | None) -> dict[str, Any] | None:
     return {"fraction": f"{q.numerator}/{q.denominator}", "decimal": float(q)}
 
 
+def _float_text(value: float) -> str:
+    """A float as json writes it, the non-finite ones included."""
+    if value != value:
+        return "NaN"
+    if value in (inf, -inf):
+        return "Infinity" if value > 0 else "-Infinity"
+    return float.__repr__(value)
+
+
+# the text of each scalar type a report holds, looked up by exact type
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
+def json_text(value: Any, newline: str = "\n") -> str:
+    """Exactly ``json.dumps(value, indent=2)`` for what reports hold: dicts with
+    str keys, lists, str, int, float, bool and None.  Any other type or key
+    raises TypeError.  ``newline`` is the line break and indent of the
+    enclosing level.  json's indenting encoder is pure Python and slower
+    than these joins."""
+    scalar = _SCALAR_TEXT.get(type(value))
+    if scalar is not None:
+        return scalar(value)
+    inner = newline + "  "
+    if type(value) is list:
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([json_text(v, inner) for v in value]) + newline + "]"
+    if type(value) is dict:
+        if not value:
+            return "{}"
+        if any(type(key) is not str for key in value):
+            raise TypeError("report keys must be str")
+        return "{" + inner + ("," + inner).join([
+            encode_basestring_ascii(k) + ": " + json_text(v, inner) for k, v in value.items()
+        ]) + newline + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def format_decimal(q: Fraction, places: int = 5) -> str:
     """Exact rational rounded half-even to a fixed number of decimal places."""
     d = Decimal(q.numerator) / Decimal(q.denominator)
@@ -276,7 +327,7 @@ def report_json_dict(report: ExperimentReport) -> dict[str, Any]:
 
 def write_report_files(report: ExperimentReport, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "result.json").write_text(json.dumps(report_json_dict(report), indent=2) + "\n")
+    (out_dir / "result.json").write_text(json_text(report_json_dict(report)) + "\n")
     if report.result.graph is not None:
         g = report.result.graph
         (out_dir / "graph.txt").write_text(edge_list_string(g))

@@ -1,3 +1,4 @@
+import argparse
 import itertools
 import json
 import os
@@ -9,6 +10,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ergmax import (
     Graph,
@@ -18,7 +21,7 @@ from ergmax import (
     solve_two_stage,
     star_with_chords,
 )
-from ergmax.cli import main
+from ergmax.cli import build_parser, main
 from ergmax.frontier import distance_interval, witness
 from ergmax.stats import random_unit_square_delta, uniform_delta, write_delta
 from ergmax.reporting import (
@@ -26,6 +29,7 @@ from ergmax.reporting import (
     dot_string,
     format_decimal,
     hamiltonian_for,
+    json_text,
     metrics_row,
     report_json_dict,
     run_experiment,
@@ -264,6 +268,57 @@ def test_experiment_spec_refuses_a_size_or_limit_out_of_range(field, value, mess
     assert str(refused.value) == message
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("alpha", 2, "alpha must lie in [0, 1], got 2"),
+    ("alpha", Fraction(-1, 10), "alpha must lie in [0, 1], got -1/10"),
+    ("gamma", Fraction(3, 2), "gamma must lie in [0, 1], got 3/2"),
+    ("gamma", -1, "gamma must lie in [0, 1], got -1"),
+    ("restarts", 0, "need an int restart count of at least 1, got 0"),
+    ("restarts", True, "need an int restart count of at least 1, got True"),
+    ("restarts", 2.0, "need an int restart count of at least 1, got 2.0"),
+], ids=["alpha-2", "alpha-negative", "gamma-3/2", "gamma-negative", "restarts-0",
+        "restarts-True", "restarts-float"])
+def test_experiment_spec_refuses_a_weight_or_restart_count_out_of_range(field, value, message):
+    # the solvers refuse these only when a run reaches them, and bnb never
+    # reads restarts, so a run of ExperimentSpec(restarts=0) reported "restarts": 0
+    with pytest.raises(ValueError) as refused:
+        ExperimentSpec(**{"n": 4, field: value})
+    assert str(refused.value) == message
+
+
+# -- report encoding -----------------------------------------------------------
+
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([-0.0, 1e-7, 1e22, float("inf"), float("-inf"), float("nan")])
+    | st.text()
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values)
+def test_json_text_is_json_dumps_with_indent_two(value):
+    assert json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [
+    (1, 2), [Fraction(1, 2)], {1: "a"}, {"a": {None: 1}}, {"a": [1, (2, 3)]},
+], ids=["tuple", "fraction", "int-key", "none-key", "nested-tuple"])
+def test_json_text_refuses_what_a_report_does_not_hold(value):
+    with pytest.raises(TypeError):
+        json_text(value)
+
+
 # -- CLI -----------------------------------------------------------------------
 
 
@@ -372,6 +427,61 @@ def test_cli_refuses_fewer_than_two_nodes(capsys, argv):
 def test_cli_refuses_a_flag_the_command_does_not_read(capsys, argv):
     assert main(argv + ["--n", "4"]) == 1
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--alpha", "2"], "alpha must lie in [0, 1], got 2"),
+    (["bound", "--alpha", "3/2"], "alpha must lie in [0, 1], got 3/2"),
+    (["solve", "--gamma", "3/2"], "gamma must lie in [0, 1], got 3/2"),
+    (["heuristic", "--restarts", "0"], "need an int restart count of at least 1, got 0"),
+], ids=["solve-alpha", "bound-alpha", "solve-gamma", "heuristic-restarts"])
+def test_cli_refuses_a_weight_or_restart_count_out_of_range(capsys, argv, message):
+    assert main(argv + ["--n", "4"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def without_wall_time(report: str) -> str:
+    return re.sub(r'"wall_time_s": [^\n]*', '"wall_time_s"', report)
+
+
+@pytest.mark.parametrize("first, then", [
+    (["solve", "--n", "6", "--gamma", "9/10", "--node-limit", "5000"], ["solve", "--n", "6"]),
+    (["heuristic", "--n", "8", "--restarts", "3"], ["heuristic", "--n", "8"]),
+    (["heuristic", "--model", "distance_vs_flow", "--n", "8", "--delta-file", "d.txt"],
+     ["heuristic", "--model", "distance_vs_flow", "--n", "8"]),
+], ids=["solve-gamma-node-limit", "heuristic-restarts", "heuristic-delta-file"])
+def test_a_reused_parser_keeps_no_flag_of_an_earlier_call(capsys, monkeypatch, tmp_path,
+                                                           first, then):
+    # main builds its parser once per process; each call must still parse as
+    # if the parser were new, after a call that set more flags and one that failed
+    monkeypatch.chdir(tmp_path)
+    scaled_delta_file(tmp_path / "d.txt", 8, 1)
+    build_parser.cache_clear()
+    code = main(then)
+    fresh = capsys.readouterr().out
+    main(first)
+    assert without_wall_time(capsys.readouterr().out) != without_wall_time(fresh)
+    assert main(then[:-2] + ["--n", "1"]) == 1
+    capsys.readouterr()
+    assert main(then) == code
+    assert without_wall_time(capsys.readouterr().out) == without_wall_time(fresh)
+
+
+def test_a_second_main_call_builds_no_parser(capsys, monkeypatch):
+    argv = ["bound", "--n", "6", "--alpha", "1/2"]
+    assert main(argv) == 0
+    once = capsys.readouterr().out
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert main(argv) == 0
+    assert built == []
+    assert capsys.readouterr().out == once
 
 
 def test_cli_gamma_solve_obeys_the_node_limit(capsys):
