@@ -217,10 +217,10 @@ _SCALAR_TEXT = {
 
 def json_text(value: Any, newline: str = "\n") -> str:
     """Exactly ``json.dumps(value, indent=2)`` for what reports hold: dicts with
-    str keys, lists, str, int, float, bool and None.  Any other type or key
-    raises TypeError.  ``newline`` is the line break and indent of the
-    enclosing level.  json's indenting encoder is pure Python and slower
-    than these joins."""
+    str keys, lists, str, int, float, bool and None.  Any other type, a
+    subclass included, or key raises TypeError.  ``newline`` is the line
+    break and indent of the enclosing level.  json's indenting encoder is
+    pure Python and slower than these joins."""
     scalar = _SCALAR_TEXT.get(type(value))
     if scalar is not None:
         return scalar(value)
