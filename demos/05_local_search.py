@@ -5,7 +5,9 @@ First-improve local search
 Beyond about seven nodes exhaustive search is out of reach, so a
 first-improve walk toggles one edge at a time: scan the candidate
 toggles in a seeded shuffled order, apply the first strictly improving
-feasible one, and stop when a full scan finds nothing.  A walk can stall
+feasible one, and stop when a full scan finds nothing.  A scan scores
+only the toggles in a direction that can raise the binding term, the one
+at the minimum, since no other can raise the max-min.  A walk can stall
 below the optimum, so the solvers start from the Kruskal–Katona
 frontier witness instead, which no single toggle improves.
 """

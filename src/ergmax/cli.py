@@ -26,6 +26,7 @@ from .reporting import (
     metrics_row,
     report_json_dict,
     run_experiment,
+    write_report_files,
 )
 from .space import SampleSpace
 
@@ -96,9 +97,12 @@ def cmd_bound(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     if args.solver == "brute" and {"node_limit", "time_limit"} & vars(args).keys():
         raise ValueError("--node-limit and --time-limit limit bnb; brute force takes no limit")
-    spec = make_spec(args, args.solver)
-    report = run_experiment(spec, args.out_dir)
-    print(json_text(report_json_dict(report)))
+    report = run_experiment(make_spec(args, args.solver))
+    # encoded once, for stdout and result.json alike
+    text = json_text(report_json_dict(report))
+    if args.out_dir is not None:
+        write_report_files(report, Path(args.out_dir), text)
+    print(text)
     return STATUS_EXIT[report.result.status]
 
 

@@ -4,8 +4,10 @@ Each pass scans the candidate edge toggles in a fresh uniformly random
 order and applies the first strictly improving feasible one; the walk
 stops at a state where no single toggle helps.  The order is drawn
 lazily, one pair per scanned position (forward Fisher-Yates), so a pass
-that stops early pays only for the pairs it scanned.  A fixed scan order
-would make restarts redundant, so the order is reseeded per restart.
+that stops early pays only for the pairs it scanned.  A pass scores only
+the toggles in a direction that can raise every binding term (see
+:func:`~ergmax.stats.improving_directions`); it still draws every position
+it reaches, so its walk is the one an unfiltered scan would take.
 Toggles are scored as ints on the objective's grid, where higher is
 better in either sense (see :class:`~ergmax.stats.Hamiltonian`), and a
 climb's result is divided back once, by :meth:`SolveResult.of`.  Each
@@ -25,7 +27,7 @@ from typing import Iterable, Iterator
 from .exact import SolveResult
 from .graph import DisconnectedGraphError, Graph, Toggle, all_pairs, joined_without
 from .space import SampleSpace
-from .stats import Hamiltonian, grid_values, score
+from .stats import Hamiltonian, grid_values, improving_directions, score
 
 
 def _seeded(seed: int) -> random.Random:
@@ -56,12 +58,15 @@ def _feasible_toggles(
     space: SampleSpace,
     values: tuple[int, ...],
     pairs: Iterable[tuple[int, int]],
+    directions: tuple[bool, bool] = (True, True),
 ) -> Iterator[tuple[Toggle, tuple[int, ...], int | None]]:
     """Yield (move, its statistic values, its objective) per feasible toggle
     of g, all on h's grid: `values` are g's.
 
     A toggle is feasible when it keeps g in the objective's domain and in
-    the space; toggles come in `pairs` order.  Each is scored from g, its
+    the space; toggles come in `pairs` order, and additions are skipped
+    unless ``directions[0]``, removals unless ``directions[1]``, before any
+    test.  Each is scored from g, its
     values stepped from `values` with g's adjacency rows, read once here;
     only a flow distance step on a g without a hub builds the toggled
     graph, ``move.graph``, and sums its hops.  In the connected space a
@@ -75,8 +80,11 @@ def _feasible_toggles(
         return  # any single toggle changes the edge count
     steps = tuple(zip(h.steppers, values))
     adj = g.adjacency()
+    adds, removes = directions
     for i, j in pairs:
         added = not adj[i] >> j & 1
+        if not (adds if added else removes):
+            continue
         if space.connected and not added and (
                 adj[i] == 1 << j or adj[j] == 1 << i
                 or not adj[i] & adj[j] and not joined_without(adj, i, j)):
@@ -99,7 +107,11 @@ def first_improve(
 
     Toggles that leave the space (disconnecting removals, any toggle
     under a fixed edge count) are rejected, not repaired.  `seed` draws the
-    scan orders.  The returned status is always 'incumbent'.
+    scan orders.  A scan scores only the toggles in the directions that
+    :func:`~ergmax.stats.improving_directions` leaves open at its graph, and
+    `nodes_explored` counts those; the others cannot improve, so the climb
+    ends where a scan of every toggle would.  The returned status is always
+    'incumbent'.
     """
     if h.floor is not None:
         raise ValueError("local search takes no floor on the objective")
@@ -117,7 +129,9 @@ def first_improve(
     # each move strictly raises an int score over finitely many graphs, so the climb ends
     while True:
         scan = _scan_order(pairs, rng)
-        for move, cand_values, cand_obj in _feasible_toggles(g, h, space, values, scan):
+        directions = improving_directions(h, values)
+        for move, cand_values, cand_obj in _feasible_toggles(
+                g, h, space, values, scan, directions):
             evaluations += 1
             if cand_obj > objective:
                 g, values, objective = move.graph, cand_values, cand_obj
@@ -128,7 +142,10 @@ def first_improve(
 
 
 def has_improving_toggle(g: Graph, h: Hamiltonian, space: SampleSpace) -> bool:
-    """Exhaustive post-hoc scan used to verify 1-toggle local optimality."""
+    """Exhaustive post-hoc scan used to verify 1-toggle local optimality.
+
+    It scores every feasible toggle in both directions, so it referees the
+    directions :func:`first_improve` rules out rather than trusting them."""
     values = grid_values(h, g)
     objective = score(h, values)
     return any(
@@ -161,7 +178,7 @@ def multi_restart(
         results.append(first_improve(start, h, space, master.randrange(2**63)))
         if results[-1].graph == start:
             # every move strictly improves, so a climb that ends at its start
-            # has scanned it in full and found it 1-toggle optimal
+            # has found it 1-toggle optimal
             break
     # the highest score on h's grid, then the smallest bitset; max keeps the first
     best = max(results, key=lambda r: (r.objective * h.scale, -r.graph.bits))

@@ -181,7 +181,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path | None = None) -> E
     metrics = graph_metrics(result.graph) if result.graph is not None else None
     report = ExperimentReport(spec, h, result, metrics, p_star, p_star_objective)
     if out_dir is not None:
-        write_report_files(report, Path(out_dir))
+        write_report_files(report, Path(out_dir), json_text(report_json_dict(report)))
     return report
 
 
@@ -325,9 +325,10 @@ def report_json_dict(report: ExperimentReport) -> dict[str, Any]:
     }
 
 
-def write_report_files(report: ExperimentReport, out_dir: Path) -> None:
+def write_report_files(report: ExperimentReport, out_dir: Path, text: str) -> None:
+    """Write the report's files; `text` is its JSON, ``json_text(report_json_dict(report))``."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "result.json").write_text(json_text(report_json_dict(report)) + "\n")
+    (out_dir / "result.json").write_text(text + "\n")
     if report.result.graph is not None:
         g = report.result.graph
         (out_dir / "graph.txt").write_text(edge_list_string(g))

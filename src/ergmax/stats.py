@@ -308,6 +308,29 @@ def score(h: Hamiltonian, values: Sequence[int]) -> int | None:
     return h.reduce(weighted)
 
 
+def improving_directions(h: Hamiltonian, values: Sequence[int]) -> tuple[bool, bool]:
+    """Whether adding an edge, and whether removing one, can raise the
+    :func:`score` of a graph whose terms are `values` on their grids.
+
+    A max_min score rises only when every binding term, one whose weighted
+    value is the least, rises.  Adding an edge never lowers an increasing
+    statistic nor raises another, so a binding term whose grid weight is
+    positive on an increasing statistic, or negative on another, rules out
+    removals; the reverse pairings rule out additions, and a zero weight
+    rules out both.  The linear form rules out neither."""
+    if h.form is HamiltonianForm.LINEAR:
+        return True, True
+    weighted = [w * v for w, v in zip(h.grid_weights, values)]
+    least = min(weighted)
+    adds = removes = True
+    for (_, spec), w, term in zip(h.terms, h.grid_weights, weighted):
+        if term == least:
+            rises = (w > 0) == spec.kind.increasing  # adding an edge may raise w·v
+            adds &= w != 0 and rises
+            removes &= w != 0 and not rises
+    return adds, removes
+
+
 def grid_values(h: Hamiltonian, g: Graph) -> tuple[int, ...]:
     """The terms' statistic values at ``g`` on their grids, in term order."""
     return tuple(read(g) for read in h.readers)

@@ -230,7 +230,9 @@ def test_the_searches_build_no_fraction_per_node_or_toggle(monkeypatch, solve):
     else:
         model = "triads_vs_nonedges" if solve == "first-improve-triads-20" else "distance_vs_flow"
         h = hamiltonian_for(ExperimentSpec(n=20, model=model, alpha=alpha, seed=1))
-        start = random_connected_graph(20, random.Random(5))
+        # a start that climbs under both models: at Random(5) the triads terms
+        # tie, so no toggle can raise both and the climb scores none
+        start = random_connected_graph(20, random.Random(51))
 
         def run():
             return first_improve(start, h, space, seed=3).nodes_explored

@@ -139,20 +139,52 @@ def reference_bnb(n, space, h):
     return best, top.bits, "optimal", nodes, tuple(reference_values(h.terms, top))
 
 
+# whether a statistic rises (or else falls) as edges are added: triangles and
+# the physical distance, a sum of nonnegative distances, rise; non-edges and
+# hop counts fall
+RISES_WITH_AN_EDGE = {
+    StatisticKind.NON_EDGES: False,
+    StatisticKind.TRIANGLES: True,
+    StatisticKind.PHYSICAL_DISTANCE: True,
+    StatisticKind.FLOW_DISTANCE: False,
+}
+
+
+def helpful_directions(h, g, objective):
+    """{added: whether a toggle that adds (True) or removes (False) an edge of
+    g may better `objective`}: a weighted min (max when minimizing) betters
+    only when every term at it moves the right way, and a zero weight never moves."""
+    helpful = {True: True, False: True}
+    if h.form is HamiltonianForm.LINEAR:
+        return helpful
+    maximize = h.sense == "maximize"
+    for (theta, spec), v in zip(h.terms, reference_values(h.terms, g)):
+        if theta * v == objective:
+            rises = (theta > 0) == RISES_WITH_AN_EDGE[spec.kind]  # theta·v, with an edge added
+            for added in (True, False):
+                helpful[added] &= theta != 0 and (rises == added) == maximize
+    return helpful
+
+
 def reference_first_improve(start, h, space, seed):
-    """first_improve's walk, scoring every toggled graph from scratch."""
+    """first_improve's walk, scoring every toggled graph from scratch.
+
+    Every toggle is scored, but only those in a direction that may help
+    are counted, as first_improve scores only those: a ruled-out toggle
+    that improved would send this walk elsewhere."""
     rng = random.Random(seed)
     pairs = list(all_pairs(start.n))
     g, objective, evaluations = start, reference_value(h, h.terms, start), 0
     improved = True
     while improved:
         improved = False
+        helpful = helpful_directions(h, g, objective)
         for i, j in _scan_order(pairs, rng):
             toggled = g.toggled(i, j)
             value = reference_value(h, h.terms, toggled)
             if value is None or not space.admits(toggled):
                 continue
-            evaluations += 1
+            evaluations += helpful[not g.has_edge(i, j)]
             if better(value, objective, h.sense):
                 g, objective, improved = toggled, value, True
                 break

@@ -28,7 +28,7 @@ from ergmax.frontier import witness
 from ergmax import graph
 from ergmax.graph import DisconnectedGraphError, Toggle, all_pairs, num_pairs, total_hop_count
 from ergmax.local_search import _feasible_toggles, _scan_order
-from ergmax.stats import grid_stepper, grid_values, score
+from ergmax.stats import grid_stepper, grid_values, improving_directions, score
 
 from helpers import (
     ordered_hop_sum, random_connected_graph, triangle_count_by_triples, triads_maxmin,
@@ -177,11 +177,12 @@ def test_random_connected_graph_is_connected_and_seeded():
 
 
 # Recorded before local search stepped the flow total from carried hop rows:
-# the scan order, and with it every answer, must not move.
+# the scan order, and with it every answer, must not move.  The evaluations
+# were 205 / 231 / 328 before scans skipped the directions that cannot improve.
 @pytest.mark.parametrize("alpha, objective, bits, evaluations", [
-    (Fraction(7, 10), Fraction(24720787, 250000), 0x200108001000100001FFF, 205),
-    (Fraction(1, 2), Fraction(599893, 4000), 0x40305108E120081129C1FFF, 231),
-    (Fraction(3, 10), Fraction(86204331, 500000), 0x34FD57BBE13F0DB12DD9FFF, 328),
+    (Fraction(7, 10), Fraction(24720787, 250000), 0x200108001000100001FFF, 53),
+    (Fraction(1, 2), Fraction(599893, 4000), 0x40305108E120081129C1FFF, 106),
+    (Fraction(3, 10), Fraction(86204331, 500000), 0x34FD57BBE13F0DB12DD9FFF, 183),
 ])
 def test_seeded_distance_model_answers_are_pinned(alpha, objective, bits, evaluations):
     res = pinned_distance_climb(alpha)
@@ -256,10 +257,12 @@ def climbs_from_random_starts(n, h, seed, restarts):
 
 # Recorded before candidates were scored from their parent graph.  Climbs from
 # random starts take moves, which the witness start of the n = 60 benchmark never does.
+# The evaluations were 487 / 484 / 694 at n = 20 and 4 266 / 5 156 / 7 031 at
+# n = 60 before scans skipped the directions that cannot improve.
 @pytest.mark.parametrize("alpha, objective, bits, evaluations", [
-    (Fraction(7, 10), Fraction(591, 10), 0x345CF8CE3AAF63FB38ADF63F6D7B451003B7E719D91585D8, 487),
-    (Fraction(1, 2), Fraction(105, 2), 0x225ADFD48C303096063E5796522F6C2220F6D54F50603243, 484),
-    (Fraction(3, 10), Fraction(182, 5), 0x205ADFD080203096063C5754522364222066D44650601242, 694),
+    (Fraction(7, 10), Fraction(591, 10), 0x345CF8CE3AAF63FB38ADF63F6D7B451003B7E719D91585D8, 226),
+    (Fraction(1, 2), Fraction(105, 2), 0x225ADFD48C303096063E5796522F6C2220F6D54F50603243, 42),
+    (Fraction(3, 10), Fraction(182, 5), 0x205ADFD080203096063C5754522364222066D44650601242, 366),
 ])
 def test_seeded_triads_climbs_at_n20_are_pinned(alpha, objective, bits, evaluations):
     res, total = climbs_from_random_starts(20, triads_maxmin(alpha), seed=1, restarts=2)
@@ -267,9 +270,9 @@ def test_seeded_triads_climbs_at_n20_are_pinned(alpha, objective, bits, evaluati
 
 
 @pytest.mark.parametrize("alpha, objective, edges, triangles, evaluations", [
-    (Fraction(7, 10), Fraction(7251, 10), 734, 2417, 4266),
-    (Fraction(1, 2), Fraction(596), 578, 1192, 5156),
-    (Fraction(3, 10), Fraction(399), 440, 570, 7031),
+    (Fraction(7, 10), Fraction(7251, 10), 734, 2417, 2401),
+    (Fraction(1, 2), Fraction(596), 578, 1192, 663),
+    (Fraction(3, 10), Fraction(399), 440, 570, 2478),
 ])
 def test_seeded_triads_climbs_at_n60_are_pinned(alpha, objective, edges, triangles, evaluations):
     res, total = climbs_from_random_starts(60, triads_maxmin(alpha), seed=1, restarts=2)
@@ -277,11 +280,16 @@ def test_seeded_triads_climbs_at_n60_are_pinned(alpha, objective, edges, triangl
             total) == (objective, edges, triangles, evaluations)
 
 
+# the seed of a start per alpha that climbs several moves and then scores
+# many candidates that do not help
+CLIMBING_STARTS = {Fraction(7, 10): 11, Fraction(1, 2): 1, Fraction(3, 10): 5}
+
+
 @pytest.mark.parametrize("alpha", [Fraction(7, 10), Fraction(1, 2), Fraction(3, 10)])
 def test_a_triads_climb_builds_a_graph_only_for_each_move_it_takes(monkeypatch, alpha):
     # in the all space no removal needs a connectivity search on a built graph
     h = triads_maxmin(alpha)
-    start = random_connected_graph(20, random.Random(1))
+    start = random_connected_graph(20, random.Random(CLIMBING_STARTS[alpha]))
     built = []
     toggled = Graph.toggled
 
@@ -317,7 +325,8 @@ def test_the_connected_space_tests_a_removal_on_the_parent_rows():
 def test_a_connected_climb_builds_no_graph_to_test_a_removal(monkeypatch):
     # a removal whose endpoints share no neighbour is tested by a search over
     # the parent's rows, so the connected space builds only the moves taken,
-    # as the all space does (411 against 409 when the test built the graph)
+    # as the all space does (411 against 409 when the test built the graph;
+    # 2 964 evaluations before scans skipped the directions that cannot improve)
     h = triads_maxmin(Fraction(3, 10))
     start = random_connected_graph(60, random.Random(1))
     counts = {}
@@ -332,8 +341,8 @@ def test_a_connected_climb_builds_no_graph_to_test_a_removal(monkeypatch):
         monkeypatch.setattr(Graph, "toggled", counted)
         res = first_improve(start, h, space, seed=1)
         counts[space.label()] = (len(built), res.nodes_explored, res.objective)
-    assert counts == {"connected": (409, 2964, Fraction(791, 2)),
-                      "all": (409, 2964, Fraction(791, 2))}
+    assert counts == {"connected": (409, 1742, Fraction(791, 2)),
+                      "all": (409, 1742, Fraction(791, 2))}
 
 
 FLOW = StatisticSpec(StatisticKind.FLOW_DISTANCE)
@@ -472,6 +481,78 @@ def test_has_improving_toggle_matches_a_from_scratch_scan(n, data):
         # also cover local optima, where the answer is False
         g = first_improve(g, h, space).graph
     assert has_improving_toggle(g, h, space) == reference_has_improving_toggle(g, h, space)
+
+
+@st.composite
+def maxmin_problems(draw):
+    """(g, h, space): a random graph in the space and on the objective's
+    domain, and a max_min objective over any kinds, with signed and zero
+    weights, in either sense."""
+    n = draw(st.integers(min_value=3, max_value=7), label="n")
+    sense = draw(st.sampled_from(["maximize", "minimize"]), label="sense")
+    delta = random_unit_square_delta(n, draw(st.integers(0, 99), label="points"))
+    kinds = draw(st.lists(st.sampled_from(StatisticKind), min_size=2, max_size=3), label="kinds")
+    specs = [StatisticSpec(k, delta if k is StatisticKind.PHYSICAL_DISTANCE else None)
+             for k in kinds]
+    if draw(st.booleans(), label="pair"):
+        alpha = draw(st.sampled_from([Fraction(k, 10) for k in (0, 3, 5, 7, 10)]), label="alpha")
+        h = Hamiltonian.max_min_pair(alpha, *specs[:2], sense=sense)
+    else:
+        weights = st.sampled_from([Fraction(-1), Fraction(-2, 3), Fraction(0), Fraction(3, 10),
+                                   Fraction(1, 2), Fraction(1)])
+        h = Hamiltonian.max_min([(draw(weights, label="weight"), s) for s in specs], sense=sense)
+    space = draw(st.sampled_from([CONNECTED, SampleSpace.all_graphs()]), label="space")
+    g = Graph(n, draw(st.integers(0, (1 << num_pairs(n)) - 1), label="bits"))
+    if space.connected or StatisticKind.FLOW_DISTANCE in kinds:
+        # a random spanning tree keeps g in the space and its flow distance finite
+        for v in range(1, n):
+            g = g.with_edge(draw(st.integers(min_value=0, max_value=v - 1)), v)
+    return g, h, space
+
+
+@settings(max_examples=300, deadline=None)
+@given(maxmin_problems())
+def test_no_toggle_in_a_ruled_out_direction_improves(problem):
+    g, h, space = problem
+    adds, removes = improving_directions(h, grid_values(h, g))
+    base = eval_hamiltonian(h, g)
+    for i, j in all_pairs(g.n):
+        added = not g.has_edge(i, j)
+        t = g.toggled(i, j)
+        if (adds if added else removes) or not space.admits(t):
+            continue
+        try:
+            value = eval_hamiltonian(h, t)
+        except DisconnectedGraphError:
+            continue
+        assert not (value > base if h.sense == "maximize" else value < base), (i, j)
+    # a weighted sum can rise with any toggle
+    linear = Hamiltonian.linear(list(h.terms), h.sense)
+    assert improving_directions(linear, grid_values(linear, g)) == (True, True)
+
+
+def unfiltered_first_improve(start, h, space, seed):
+    """first_improve as it was before scans ruled out directions: every
+    feasible toggle of each scan is scored.  Returns (graph, objective)."""
+    rng = random.Random(seed)
+    pairs = list(all_pairs(start.n))
+    g, values = start, grid_values(h, start)
+    while True:
+        for move, cand_values, cand_obj in _feasible_toggles(
+                g, h, space, values, _scan_order(pairs, rng)):
+            if cand_obj > score(h, values):
+                g, values = move.graph, cand_values
+                break
+        else:
+            return g, eval_hamiltonian(h, g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(maxmin_problems(), st.integers(min_value=0, max_value=2**32))
+def test_first_improve_climbs_as_the_unfiltered_scan_does(problem, seed):
+    start, h, space = problem
+    res = first_improve(start, h, space, seed)
+    assert (res.graph, res.objective) == unfiltered_first_improve(start, h, space, seed)
 
 
 @settings(max_examples=200, deadline=None)

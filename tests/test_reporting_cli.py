@@ -123,21 +123,24 @@ def scaled_delta_file(path, n: int, seed: int, scale: int = 20):
     return str(path)
 
 
-@pytest.mark.parametrize("alpha, objective", [
-    (Fraction(7, 10), Fraction(2238, 5)),
-    (Fraction(1, 2), Fraction(663)),
-    (Fraction(3, 10), Fraction(777)),
+@pytest.mark.parametrize("alpha, objective, evaluations", [
+    (Fraction(7, 10), Fraction(2238, 5), 311),
+    (Fraction(1, 2), Fraction(663), 228),
+    (Fraction(3, 10), Fraction(777), 120),
 ])
-def test_run_experiment_certifies_the_distance_witness_in_one_scan(tmp_path, alpha, objective):
+def test_run_experiment_certifies_the_distance_witness_in_one_scan(
+        tmp_path, alpha, objective, evaluations):
     # the flow-heuristic workload's layout: seed-1 points x20 at n = 30
     spec = ExperimentSpec(n=30, model="distance_vs_flow", solver="local_search", alpha=alpha,
                           seed=1, restarts=2,
                           delta_source=scaled_delta_file(tmp_path / "d.txt", 30, 1))
     report = run_experiment(spec)
-    # no toggle improves the witness: the first restart scans the 435 pairs once, and stops
+    # no toggle improves the witness: the first restart scans it once, and stops.
+    # The scan scores only the pairs in a direction that can raise the binding
+    # term (all 435 before directions were ruled out)
     assert report.result.graph == distance_interval(report.hamiltonian)[2]
     assert (report.result.status, report.result.objective, report.result.nodes_explored) == (
-        "incumbent", objective, 435)
+        "incumbent", objective, evaluations)
 
 
 @pytest.mark.parametrize("alpha, searches", [
@@ -374,6 +377,24 @@ def test_cli_solve_exit_codes_and_json(capsys, tmp_path):
     data = json.loads(capsys.readouterr().out)
     assert code == 0  # optimal
     assert data["objective"]["fraction"] == "1/2"
+
+
+def test_cli_solve_out_dir_encodes_the_report_once(capsys, monkeypatch, tmp_path):
+    from ergmax import cli, reporting
+
+    calls = []
+
+    def counted(report):
+        calls.append(report)
+        return report_json_dict(report)
+
+    # wherever the report is built, the CLI or the writer of its files
+    for module in (cli, reporting):
+        monkeypatch.setattr(module, "report_json_dict", counted)
+    assert main(["solve", "--n", "4", "--out-dir", str(tmp_path)]) == 0
+    assert len(calls) == 1
+    # stdout and result.json carry the same bytes
+    assert capsys.readouterr().out == (tmp_path / "result.json").read_text()
 
 
 def test_cli_heuristic_exits_incumbent(capsys):

@@ -28,6 +28,8 @@ from ergmax.stats import (
     _unit_draws,
     grid_reader,
     grid_stepper,
+    grid_values,
+    improving_directions,
     parse_delta,
     statistic_values,
     uniform_delta,
@@ -165,6 +167,22 @@ def test_toggled_value_is_exact_and_moves_in_the_monotone_direction(data):
         assert Fraction(value, spec.grid) == s_physical_distance(toggled, delta)
     added = toggled.edge_count > g.edge_count
     assert value >= current if added == kind.increasing else value <= current
+
+
+def test_improving_directions_follow_the_binding_terms():
+    # (adds, removes) at K4 (no non-edge, 4 triangles), the 5-star (6
+    # non-edges, no triangle) and K4 less an edge (1 non-edge, 2 triangles)
+    k4, star, chorded = Graph.complete(4), Graph.star(5), Graph.complete(4).toggled(0, 1)
+    for h, g, directions in [
+        (triads_maxmin(Fraction(1, 2)), k4, (False, True)),  # non-edges bind
+        (triads_maxmin(Fraction(1, 2)), star, (True, False)),  # triangles bind
+        (triads_maxmin(Fraction(2, 3)), chorded, (False, False)),  # both bind at 2/3
+        (triads_maxmin(Fraction(0)), k4, (False, False)),  # a zero weight binds at 0
+        (triads_maxmin(Fraction(1)), k4, (False, False)),  # so does either
+        (triads_maxmin(Fraction(1, 2), "minimize"), k4, (False, True)),  # triangles bind
+        (Hamiltonian.linear([(Fraction(1, 2), NE), (Fraction(1, 2), TRI)]), k4, (True, True)),
+    ]:
+        assert improving_directions(h, grid_values(h, g)) == directions, (h, g)
 
 
 def test_hamiltonian_validation():
