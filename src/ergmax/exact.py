@@ -16,9 +16,8 @@ import dataclasses
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
-from .graph import DisconnectedGraphError, Graph, all_pairs, is_connected, num_pairs
+from .graph import DisconnectedGraphError, Graph, Toggle, all_pairs, joined_without, num_pairs
 from .space import SampleSpace
 from .stats import (
     Hamiltonian,
@@ -160,33 +159,6 @@ def brute_force(
 # branch and bound
 
 
-def _node_bound(h: Hamiltonian) -> Callable[[Graph, Graph], int | None]:
-    """bnb's bound for `h`: a function of a partial assignment that bounds,
-    on h's grid, the objective over every completion of it.
-
-    `realized` has the decided-present edges, `optimistic` every undecided
-    pair too; each statistic is monotone in the edge set, so takes its
-    extreme at one of the two, chosen here once per term by the sign of
-    its grid weight (a weight-0 term at `optimistic`, where a flow distance
-    is finite if any completion's is).  Scored, the extremes bound the
-    score, and under a floor their weighted sum bounds each completion's.
-    At a leaf the bound is exact.  None means no completion scores: none
-    reaches the floor, or none has a finite flow distance.
-    """
-    extremes = tuple(
-        (read, spec.kind.increasing == (w > 0))
-        for read, w, (_, spec) in zip(h.readers, h.grid_weights, h.terms)
-    )
-
-    def bound(realized: Graph, optimistic: Graph) -> int | None:
-        try:
-            return score(h, [read(optimistic if up else realized) for read, up in extremes])
-        except DisconnectedGraphError:
-            return None
-
-    return bound
-
-
 def _breaks_lex_order(rows: tuple[int, ...], x: int, columns: int) -> bool:
     """True when row x of the adjacency matrix is lexicographically above
     some earlier row over the decided `columns` (a bitmask, column 0 most
@@ -216,12 +188,18 @@ def branch_and_bound(
 ) -> SolveResult:
     """Depth-first search over edge variables in lexicographic order, 1-branch first.
 
+    A node holds the adjacency rows of `realized`, its decided edges (the
+    pairs of rank below its depth), and `optimistic`, the undecided pairs
+    too, and each term's value at the one where it peaks (a weight-0 flow
+    term at `optimistic`, finite if any completion's is), stepped from its
+    parent's by the term's toggle step.  Only a leaf that beats the
+    incumbent, and a flow step summing a toggled graph's hops, build a Graph.
+
     A node is pruned when its admissible bound cannot beat the incumbent,
-    when the forced-absent pairs already disconnect the optimistic graph
-    (undecided treated as present), when a fixed edge count has become
-    unreachable, or when no completion reaches h's floor.  Exhausting
-    node or time limits downgrades the status to 'incumbent'; it never
-    mislabels a best-so-far as optimal.
+    when the forced-absent pairs already disconnect the optimistic graph,
+    when a fixed edge count has become unreachable, or when no completion
+    reaches h's floor.  Exhausting node or time limits downgrades the
+    status to 'incumbent'; it never mislabels a best-so-far as optimal.
 
     When every term is label-invariant, the 1-branch is not taken when it
     lifts a row of the adjacency matrix above an earlier one, so only
@@ -229,10 +207,9 @@ def branch_and_bound(
     and the graph returned may be a relabelling of another optimum.
     """
     space.validate_for(n)
-    if any(s.kind is StatisticKind.FLOW_DISTANCE and w > 0
-           for w, (_, s) in zip(h.grid_weights, h.terms)):
-        # a flow term that scores more as it grows is bounded at `realized`, which
-        # may be disconnected while some completion is connected: a wrong prune
+    ups = [spec.kind.increasing == (w > 0) for w, (_, spec) in zip(h.grid_weights, h.terms)]
+    if any(s.kind is StatisticKind.FLOW_DISTANCE and not up for up, (_, s) in zip(ups, h.terms)):
+        # at a disconnected `realized`, a flow term that scores more as it grows would prune wrongly
         raise ValueError(
             "flow distance admits no finite optimistic maximum over partial assignments")
     pairs = num_pairs(n)
@@ -240,7 +217,6 @@ def branch_and_bound(
     symmetric = all(spec.kind.label_invariant for _, spec in h.terms)
     start = time.perf_counter()
 
-    node_bound = _node_bound(h)
     # values, bounds and the incumbent are ints on h's grid
     best_graph, best_val = incumbent, None
     if incumbent is not None:
@@ -250,51 +226,68 @@ def branch_and_bound(
         if best_val is None:
             raise ValueError("warm-start incumbent violates the floor row")
 
-    bound_at_root: int | None = None
-    nodes = 0
-    limit_hit = False
-    # stack of (depth, realized, optimistic): pairs of rank below depth are
-    # decided, the rest are absent from realized and present in optimistic;
-    # the 1-branch is pushed last so it pops first
-    stack: list[tuple[int, Graph, Graph]] = [(0, Graph(n), Graph.complete(n))]
-    # a 1-branch child shares its parent's optimistic graph, and the
-    # parent is the pop just before it: that graph is connected already
-    connected: Graph | None = None
+    # the root reads the terms, a 1-branch steps those read at realized, a 0-branch the rest
+    adds = [(k, step) for k, step in enumerate(h.steppers) if not ups[k]]
+    drops = [(k, step) for k, step in enumerate(h.steppers) if ups[k]]
+    flow = any(spec.kind is StatisticKind.FLOW_DISTANCE for _, spec in h.terms)
+    empty, complete = Graph(n), Graph.complete(n)
+    values = [read(complete if up else empty) for read, up in zip(h.readers, ups)]
+
+    bound_at_root, nodes, limit_hit = None, 0, False
+    # stack of (depth, realized's bits and rows, optimistic's rows, the terms' values (None
+    # if optimistic has no flow distance), a 0-branch's dropped pair); 1-branches pop first
+    stack = [(0, 0, empty.adjacency(), complete.adjacency(), values, None)]
     while stack:
         if nodes >= node_limit or time.perf_counter() - start > time_limit:
             limit_hit = True
             break
-        depth, realized, optimistic = stack.pop()
+        depth, bits, rows, opt_rows, values, dropped = stack.pop()
         nodes += 1
-        if space.density is not None:
-            if realized.edge_count > space.density or optimistic.edge_count < space.density:
+        if space.density is not None and not 0 <= space.density - bits.bit_count() <= pairs - depth:
+            continue
+        # optimistic is connected at the root and kept by a 1-branch; a 0-branch's is
+        # when the dropped pair's ends share a neighbour or a search over it joins them
+        if space.connected and dropped is not None:
+            i, j = dropped
+            if not opt_rows[i] & opt_rows[j] and not joined_without(opt_rows, i, j):
                 continue
-        if space.connected and optimistic is not connected:
-            if not is_connected(optimistic):
-                continue
-            connected = optimistic
-        bound = node_bound(realized, optimistic)
-        if bound is None:
+        if values is None or (bound := score(h, values)) is None:
             continue
         if bound_at_root is None:
             bound_at_root = bound
         if best_val is not None and bound <= best_val:
             continue
         if depth == pairs:
-            # a leaf: realized equals optimistic, the density and connectivity
-            # checks above were exact, and its bound is its score, the best yet
-            best_val, best_graph = bound, realized
+            # a leaf: realized is optimistic, the checks above were exact, its bound is its score
+            best_val, best_graph = bound, Graph(n, bits)
             continue
         i, j = pair_list[depth]
-        stack.append((depth + 1, realized, optimistic.toggled(i, j)))
+        child = list(opt_rows)
+        child[i] ^= 1 << j
+        child[j] ^= 1 << i
+        parent = Graph.from_rows(bits | (1 << pairs) - (1 << depth), opt_rows) if flow else None
+        move = Toggle(parent, i, j, False)
+        stepped = values.copy()
+        try:
+            for k, step in drops:
+                stepped[k] = step(move, opt_rows, values[k])
+        except DisconnectedGraphError:
+            stepped = None
+        stack.append((depth + 1, bits, rows, tuple(child), stepped, pair_list[depth]))
         # pairs are decided in rank order, so the rows before i are decided,
         # row i up to column j and each row up to j up to column i.  A 0
         # never lifts a row; a 1 can lift only the two rows it is set in.
-        child = realized.toggled(i, j)
-        if symmetric and (_breaks_lex_order(child.adjacency(), i, (2 << j) - 1)
-                          or _breaks_lex_order(child.adjacency(), j, (2 << i) - 1)):
+        child = list(rows)
+        child[i] |= 1 << j
+        child[j] |= 1 << i
+        if symmetric and (_breaks_lex_order(child, i, (2 << j) - 1)
+                          or _breaks_lex_order(child, j, (2 << i) - 1)):
             continue
-        stack.append((depth + 1, child, optimistic))
+        move = Toggle(None, i, j, True)  # no flow term is read at realized
+        stepped = values.copy()
+        for k, step in adds:
+            stepped[k] = step(move, rows, values[k])
+        stack.append((depth + 1, bits | 1 << depth, tuple(child), opt_rows, stepped, None))
 
     status = "incumbent" if limit_hit else "infeasible" if best_graph is None else "optimal"
     return SolveResult.of(h, best_graph, best_val, status, nodes, start, bound_at_root)

@@ -97,6 +97,13 @@ class Graph:
         return cls.from_edges(n, ((v, (v + 1) % n) for v in range(n)))
 
     @classmethod
+    def from_rows(cls, bits: int, adj: tuple[int, ...]) -> "Graph":
+        """The graph with edge bitset `bits` holding `adj`, its adjacency rows, unchecked."""
+        g = cls(len(adj), bits)
+        g._adj = adj
+        return g
+
+    @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         bits = 0
         for i, j in edges:
@@ -167,14 +174,14 @@ class Graph:
 
 
 class Toggle:
-    """A candidate move: graph `parent` with pair (i, j) flipped, `added` when
-    the flip adds the pair.  A move is scored from its parent (see
-    :func:`ergmax.stats.grid_stepper`); the flipped :class:`Graph` is built
-    by :meth:`Graph.toggled` only when ``graph`` is first read."""
+    """A candidate move: graph `parent` (None if ``graph`` is never read) with
+    pair (i, j) flipped, `added` when the flip adds it.  A move is scored from
+    its parent (see :func:`ergmax.stats.grid_stepper`); the flipped
+    :class:`Graph` is built by :meth:`Graph.toggled` only when ``graph`` is first read."""
 
     __slots__ = ("parent", "i", "j", "added", "_graph")
 
-    def __init__(self, parent: Graph, i: int, j: int, added: bool):
+    def __init__(self, parent: Graph | None, i: int, j: int, added: bool):
         self.parent = parent
         self.i = i
         self.j = j

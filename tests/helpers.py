@@ -2,18 +2,22 @@
 
 Everything here deliberately avoids the production code paths it is
 used to check: triangles by triple enumeration, connectivity by
-union-find, shortest paths by dense Floyd-Warshall.
+union-find, shortest paths by dense Floyd-Warshall, and branch-and-bound
+by the loop that built a Graph pair per node and read every term afresh.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import time
 from fractions import Fraction
-from typing import Iterator
+from typing import Callable, Iterator
 
-from ergmax import Graph, Hamiltonian, StatisticKind, StatisticSpec
-from ergmax.graph import all_pairs, num_pairs, reached
+from ergmax import Graph, Hamiltonian, SampleSpace, SolveResult, StatisticKind, StatisticSpec
+from ergmax.exact import _breaks_lex_order
+from ergmax.graph import DisconnectedGraphError, all_pairs, is_connected, num_pairs, reached
+from ergmax.stats import grid_values, score
 
 
 def iter_graphs(n: int) -> Iterator[Graph]:
@@ -93,6 +97,94 @@ def triads_maxmin(alpha: Fraction, sense: str = "maximize") -> Hamiltonian:
         StatisticSpec(StatisticKind.TRIANGLES),
         sense=sense,
     )
+
+
+def reference_node_bound(h: Hamiltonian) -> Callable[[Graph, Graph], int | None]:
+    """The reference bnb's bound for `h`: a function of a partial assignment
+    that bounds, on h's grid, the objective over every completion of it.
+
+    `realized` has the decided-present edges, `optimistic` every undecided
+    pair too; each statistic is monotone in the edge set, so takes its
+    extreme at one of the two, chosen here once per term by the sign of
+    its grid weight (a weight-0 term at `optimistic`, where a flow distance
+    is finite if any completion's is).  Scored, the extremes bound the
+    score, and under a floor their weighted sum bounds each completion's.
+    At a leaf the bound is exact.  None means no completion scores: none
+    reaches the floor, or none has a finite flow distance.
+    """
+    extremes = tuple(
+        (read, spec.kind.increasing == (w > 0))
+        for read, w, (_, spec) in zip(h.readers, h.grid_weights, h.terms)
+    )
+
+    def bound(realized: Graph, optimistic: Graph) -> int | None:
+        try:
+            return score(h, [read(optimistic if up else realized) for read, up in extremes])
+        except DisconnectedGraphError:
+            return None
+
+    return bound
+
+
+def reference_branch_and_bound(
+    n: int,
+    space: SampleSpace,
+    h: Hamiltonian,
+    incumbent: Graph | None = None,
+    node_limit: int = 10_000_000,
+) -> SolveResult:
+    """`exact.branch_and_bound` as a plain loop over Graph pairs: each node
+    holds its realized and optimistic graphs, derived from its parent's by
+    one toggle, searches the optimistic graph for connectivity and reads
+    every term at its extreme afresh.  It visits the same nodes in the same
+    order, so its answer, node count and root bound are the referee's."""
+    pairs = num_pairs(n)
+    pair_list = all_pairs(n)
+    symmetric = all(spec.kind.label_invariant for _, spec in h.terms)
+    start = time.perf_counter()
+    node_bound = reference_node_bound(h)
+    best_graph, best_val = incumbent, None
+    if incumbent is not None:
+        best_val = score(h, grid_values(h, incumbent))
+    bound_at_root = None
+    nodes = 0
+    limit_hit = False
+    stack = [(0, Graph(n), Graph.complete(n))]
+    # a 1-branch child shares its parent's optimistic graph, and the
+    # parent is the pop just before it: that graph is connected already
+    connected = None
+    while stack:
+        if nodes >= node_limit:
+            limit_hit = True
+            break
+        depth, realized, optimistic = stack.pop()
+        nodes += 1
+        if space.density is not None:
+            if realized.edge_count > space.density or optimistic.edge_count < space.density:
+                continue
+        if space.connected and optimistic is not connected:
+            if not is_connected(optimistic):
+                continue
+            connected = optimistic
+        bound = node_bound(realized, optimistic)
+        if bound is None:
+            continue
+        if bound_at_root is None:
+            bound_at_root = bound
+        if best_val is not None and bound <= best_val:
+            continue
+        if depth == pairs:
+            best_val, best_graph = bound, realized
+            continue
+        i, j = pair_list[depth]
+        stack.append((depth + 1, realized, optimistic.toggled(i, j)))
+        child = realized.toggled(i, j)
+        if symmetric and (_breaks_lex_order(child.adjacency(), i, (2 << j) - 1)
+                          or _breaks_lex_order(child.adjacency(), j, (2 << i) - 1)):
+            continue
+        stack.append((depth + 1, child, optimistic))
+    status = "incumbent" if limit_hit else "infeasible" if best_graph is None else "optimal"
+    return SolveResult.of(h, best_graph, best_val, status, nodes, start, bound_at_root)
 
 
 def mc_flow_lp_value(g: Graph) -> float | None:

@@ -23,12 +23,18 @@ from ergmax import (
     star_with_chords,
     structural_lower_bounds,
 )
-from ergmax import exact
-from ergmax.exact import _breaks_lex_order, _node_bound, available_chord_slots
+from ergmax.exact import _breaks_lex_order, available_chord_slots
 from ergmax.graph import all_pairs, edge_index, num_pairs
+from ergmax.frontier import distance_interval, witness
+from ergmax.reporting import ExperimentSpec, hamiltonian_for, interval_for
 from ergmax.stats import HamiltonianForm, statistic_values
 
-from helpers import iter_graphs, triads_maxmin
+from helpers import (
+    iter_graphs,
+    reference_branch_and_bound,
+    reference_node_bound,
+    triads_maxmin,
+)
 
 CONNECTED = SampleSpace.connected_graphs()
 
@@ -193,20 +199,25 @@ def test_bnb_warm_start_never_worsens_on_the_n6_grid(alpha):
     assert warm.nodes_explored <= cold.nodes_explored
 
 
-@pytest.mark.parametrize("alpha, nodes, searches", [
-    (Fraction(3, 10), 200, 142), (Fraction(1, 2), 214, 147), (Fraction(7, 10), 112, 80)])
-def test_bnb_searches_each_optimistic_graph_for_connectivity_once(
-        monkeypatch, alpha, nodes, searches):
-    # the n = 6 connected triads jobs, warm-started as run_experiment does: a
-    # 1-branch child shares its parent's optimistic graph, already found
-    # connected, so no graph is searched twice and there are fewer searches
-    # than nodes; skipping a search prunes nothing, so the node counts stay
-    calls = []
-    monkeypatch.setattr(exact, "is_connected", lambda g: calls.append(g) or is_connected(g))
+@pytest.mark.parametrize("alpha, nodes", [
+    (Fraction(3, 10), 200), (Fraction(1, 2), 214), (Fraction(7, 10), 112)])
+def test_bnb_builds_no_graph_per_node(monkeypatch, alpha, nodes):
+    # the n = 6 connected triads jobs, warm-started from a star with chords:
+    # nodes carry rows and term values, so bnb builds the root's empty and
+    # complete graphs and then only each leaf that beats the incumbent
+    h = triads_maxmin(alpha)
     start = star_with_chords(6, structural_lower_bounds(6, alpha).min_triangles)
-    res = branch_and_bound(6, CONNECTED, triads_maxmin(alpha), incumbent=start)
-    assert (res.nodes_explored, len(calls)) == (nodes, searches)
-    assert len({id(g) for g in calls}) == searches
+    built = []
+    init = Graph.__init__
+    monkeypatch.setattr(Graph, "__init__", lambda g, *args: built.append(args) or init(g, *args))
+    res = branch_and_bound(6, CONNECTED, h, incumbent=start)
+    root, leaves = built[:2], [bits for _, bits in built[2:]]
+    assert res.nodes_explored == nodes
+    assert root == [(6,), (6, (1 << 15) - 1)]
+    # each leaf built scores strictly more than the incumbent before it
+    scores = [eval_hamiltonian(h, Graph(6, bits)) for bits in leaves]
+    assert scores == sorted(set(scores)) and all(v > eval_hamiltonian(h, start) for v in scores)
+    assert res.graph.bits == (leaves[-1] if leaves else start.bits)
 
 
 def spaces_for(n):
@@ -274,6 +285,77 @@ def test_bnb_equals_brute_force_on_random_cells(n, data):
     assert res.objective == ref.objective
 
 
+def twenty_times(delta):
+    return tuple(tuple(20 * d for d in row) for row in delta)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=3, max_value=6), st.data())
+def test_bnb_walks_the_reference_loop_node_for_node(n, data):
+    # the loop over rows and carried values against the loop over Graph pairs
+    # it replaced: the same nodes, so the same answer, count and root bound
+    pairs = num_pairs(n)
+    density = data.draw(st.none() | st.integers(min_value=0, max_value=pairs))
+    space = SampleSpace(connected=data.draw(st.booleans()), density=density)
+    alpha = data.draw(st.sampled_from([Fraction(k, 10) for k in range(11)]))
+    model = data.draw(st.sampled_from(["triads", "triads_floor", "distance"]))
+    if model == "distance":
+        delta = twenty_times(random_unit_square_delta(n, data.draw(st.integers(0, 99))))
+        h = Hamiltonian.max_min_pair(alpha, StatisticSpec(StatisticKind.PHYSICAL_DISTANCE, delta),
+                                     StatisticSpec(StatisticKind.FLOW_DISTANCE), "minimize")
+    else:
+        h = triads_maxmin(alpha)
+        if model == "triads_floor":
+            floor = data.draw(st.sampled_from([Fraction(0), Fraction(1), Fraction(5, 2), 4]))
+            h = dataclasses.replace(Hamiltonian.max_min(list(h.terms)), floor=floor)
+    # no start, the witness run_experiment starts from, or a drawn graph, if feasible
+    start = data.draw(st.sampled_from(["none", "witness", "drawn"]))
+    if start == "witness":
+        g = distance_interval(h)[2] if model == "distance" else witness(n, alpha, space.connected)
+    else:
+        ranks = data.draw(st.sets(st.integers(0, pairs - 1), min_size=density or 0,
+                                  max_size=pairs if density is None else density))
+        g = Graph(n, sum(1 << r for r in ranks))
+    try:
+        feasible = start != "none" and space.admits(g) and eval_hamiltonian(h, g) is not None
+    except DisconnectedGraphError:
+        feasible = False
+    incumbent = g if feasible else None
+    ref = reference_branch_and_bound(n, space, h, incumbent, node_limit=20_000)
+    res = branch_and_bound(n, space, h, incumbent, node_limit=20_000)
+    assert (res.status, res.objective, res.nodes_explored, res.bound_at_root) == (
+        ref.status, ref.objective, ref.nodes_explored, ref.bound_at_root)
+    assert (res.graph and res.graph.bits) == (ref.graph and ref.graph.bits)
+
+
+# recorded from the loop over Graph pairs: (alpha, nodes, objective, edge bitset,
+# root bound) of the connected triads model at n = 8 warm-started from the
+# frontier witness, and of the distance model at n = 7 (seed 1, distances x20)
+# warm-started from the distance witness, as run_experiment starts them
+PINNED_TRIADS_N8 = [
+    ("7/10", 3307, "63/10", 0x4CEFFF, "84/5"),
+    ("1/2", 6573, "13/2", 0x4E7FF, "14"),
+    ("3/10", 9676, "24/5", 0x63FF, "42/5"),
+]
+PINNED_DISTANCE_N7 = [
+    ("7/10", 16207, "13699609/500000", 0x115420, "63/5"),
+    ("1/2", 70303, "34", 0x17862, "21"),
+    ("3/10", 139057, "196/5", 0x11FC3F, "147/5"),
+]
+
+
+@pytest.mark.parametrize("model, n, cells", [
+    ("triads_vs_nonedges", 8, PINNED_TRIADS_N8), ("distance_vs_flow", 7, PINNED_DISTANCE_N7)])
+def test_bnb_keeps_its_recorded_answers_and_node_counts(model, n, cells):
+    for alpha, nodes, objective, bits, root in cells:
+        spec = ExperimentSpec(n=n, model=model, alpha=Fraction(alpha), seed=1)
+        delta = twenty_times(random_unit_square_delta(n, 1)) if model == "distance_vs_flow" else None
+        h = hamiltonian_for(spec, delta)
+        res = branch_and_bound(n, spec.space, h, incumbent=interval_for(spec, h)[2])
+        assert (res.status, res.nodes_explored, res.objective, res.graph.bits,
+                res.bound_at_root) == ("optimal", nodes, Fraction(objective), bits, Fraction(root))
+
+
 def test_two_stage_is_optimal_only_if_both_stages_are():
     # stage 1 stops at the node limit; stage 2 finishes within it, but its
     # floor rests on an unproven p*
@@ -313,7 +395,7 @@ def test_node_bound_is_admissible_on_partial_assignments():
                 realized = Graph(n, included)
                 optimistic = Graph(n, included | (full >> depth << depth))
                 # None: then no completion may score
-                bound = _node_bound(h)(realized, optimistic)
+                bound = reference_node_bound(h)(realized, optimistic)
                 for completion_bits in range(1 << (pairs - depth)):
                     g = Graph(n, included | (completion_bits << depth))
                     try:

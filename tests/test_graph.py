@@ -205,11 +205,16 @@ def test_adding_an_edge_is_monotone(n, data):
         assert average_path_length(g2) <= average_path_length(g)
 
 
-@given(st.integers(min_value=2, max_value=8), st.sampled_from(["bare", "rows", "counted"]),
-       st.data())
+@given(st.integers(min_value=2, max_value=8),
+       st.sampled_from(["bare", "rows", "counted", "held"]), st.data())
 def test_toggled_graphs_carry_their_adjacency_rows(n, start, data):
-    g = Graph(n, data.draw(st.integers(min_value=0, max_value=(1 << num_pairs(n)) - 1)))
-    if start == "rows":
+    bits = data.draw(st.integers(min_value=0, max_value=(1 << num_pairs(n)) - 1))
+    g = Graph(n, bits)
+    if start == "held":  # rows handed over by a caller that already has them
+        rows = g.adjacency()
+        g = Graph.from_rows(bits, rows)
+        assert g.n == n and g.adjacency() is rows
+    elif start == "rows":
         g.adjacency()
     elif start == "counted":
         count_triangles(g)
