@@ -4,12 +4,14 @@ First-improve local search
 
 Beyond about seven nodes exhaustive search is out of reach, so a
 first-improve walk toggles one edge at a time: scan the candidate
-toggles in a seeded shuffled order, apply the first strictly improving
-feasible one, and stop when a full scan finds nothing.  A scan scores
-only the toggles in a direction that can raise the binding term, the one
-at the minimum, since no other can raise the max-min.  A walk can stall
-below the optimum, so the solvers start from the Kruskal–Katona
-frontier witness instead, which no single toggle improves.
+toggles in rank order, apply the first strictly improving feasible one,
+and stop when a full scan finds nothing.  The walk is deterministic.  A
+scan scores only the toggles in a direction that can raise the binding
+term, the one at the minimum, since no other can raise the max-min; and
+since every toggle moves the non-edge count by exactly one, it skips a
+direction that would bring the non-edge term down to the minimum.  A
+walk can stall below the optimum, so the solvers start from the
+Kruskal–Katona frontier witness instead, which no single toggle improves.
 """
 
 from fractions import Fraction

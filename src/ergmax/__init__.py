@@ -55,11 +55,7 @@ from .exact import (
     star_with_chords,
     structural_lower_bounds,
 )
-from .local_search import (
-    first_improve,
-    has_improving_toggle,
-    multi_restart,
-)
+from .local_search import first_improve, has_improving_toggle
 from .reporting import ExperimentSpec, metrics_row, run_experiment
 
 __version__ = "0.1.0"
@@ -106,7 +102,6 @@ __all__ = [
     "structural_lower_bounds",
     "first_improve",
     "has_improving_toggle",
-    "multi_restart",
     "ExperimentSpec",
     "metrics_row",
     "run_experiment",

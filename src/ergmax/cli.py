@@ -60,7 +60,8 @@ def add_instance_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--delta-file", default=None,
                    help="distance-matrix file for the distance model "
                         "(default: seeded unit-square generator)")
-    p.add_argument("--seed", type=int, default=0, help="PRNG seed (default 0)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the distance model's generated points (default 0)")
 
 
 # Flags only solve or heuristic takes.  They default to argparse.SUPPRESS,
@@ -171,10 +172,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default=None, help="write result files here")
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("heuristic", help="first-improve local search with restarts")
+    p = sub.add_parser("heuristic", help="first-improve local search from a closed-form witness")
     add_model_flags(p)
     p.add_argument("--restarts", type=int, default=argparse.SUPPRESS,
-                   help=f"seeded restarts (default {ExperimentSpec.restarts})")
+                   help="reported only: the climb is deterministic and runs once "
+                        f"(default {ExperimentSpec.restarts})")
     p.add_argument("--out-dir", default=None, help="write result files here")
     p.set_defaults(func=cmd_run, solver="local_search")
 

@@ -13,7 +13,7 @@ from typing import Any
 from .exact import SolveResult, branch_and_bound, brute_force, solve_two_stage
 from .frontier import distance_interval, optimum, witness
 from .graph import Graph, GraphMetrics, edge_list_string, graph_metrics
-from .local_search import multi_restart
+from .local_search import first_improve
 from .lp import ConstraintSystem, build_maxmin, build_minmax_distance
 from .space import SampleSpace
 from .stats import (
@@ -42,7 +42,7 @@ class ExperimentSpec:
     gamma: Fraction | None = None
     seed: int = 0
     delta_source: str | None = None  # path to a matrix file; None -> seeded generator
-    restarts: int = 10
+    restarts: int = 10  # reported only: local search climbs once
     node_limit: int = 10_000_000
     time_limit: float = 300.0
 
@@ -53,7 +53,7 @@ class ExperimentSpec:
             raise ValueError(f"solver must be one of {SOLVERS}")
         if self.n < 2:
             raise ValueError(f"need at least 2 nodes, got {self.n}")
-        # random.Random seeds with abs(seed), and True would run seed 1
+        # the seed draws the distance model's points, and True would run seed 1
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
             raise ValueError(f"need a nonnegative int seed, got {self.seed!r}")
         if self.node_limit < 1:
@@ -176,7 +176,8 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path | None = None) -> E
     elif spec.solver == "bnb":
         result = branch_and_bound(spec.n, spec.space, h, **bnb_options)
     else:
-        result = multi_restart(start, h, spec.space, spec.seed, spec.restarts)
+        # a deterministic climb would only repeat itself: one runs, whatever spec.restarts
+        result = first_improve(start, h, spec.space)
 
     metrics = graph_metrics(result.graph) if result.graph is not None else None
     report = ExperimentReport(spec, h, result, metrics, p_star, p_star_objective)

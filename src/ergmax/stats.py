@@ -317,14 +317,21 @@ def improving_directions(h: Hamiltonian, values: Sequence[int]) -> tuple[bool, b
     statistic nor raises another, so a binding term whose grid weight is
     positive on an increasing statistic, or negative on another, rules out
     removals; the reverse pairings rule out additions, and a zero weight
-    rules out both.  The linear form rules out neither."""
+    rules out both.  Every toggle moves the non-edge count by exactly one,
+    so a non-edge term, binding or not, rules out a direction when its
+    weighted value one step later is at most the least: term − w after an
+    addition, term + w after a removal (for a binding term this is the rule
+    above).  The linear form rules out neither."""
     if h.form is HamiltonianForm.LINEAR:
         return True, True
     weighted = [w * v for w, v in zip(h.grid_weights, values)]
     least = min(weighted)
     adds = removes = True
     for (_, spec), w, term in zip(h.terms, h.grid_weights, weighted):
-        if term == least:
+        if spec.kind is StatisticKind.NON_EDGES:
+            adds &= term - w > least
+            removes &= term + w > least
+        elif term == least:
             rises = (w > 0) == spec.kind.increasing  # adding an edge may raise w·v
             adds &= w != 0 and rises
             removes &= w != 0 and not rises

@@ -17,11 +17,11 @@ from ergmax import (
     clustering_coefficient,
     count_triangles,
     eval_hamiltonian,
+    first_improve,
     graph_metrics,
     has_improving_toggle,
     is_connected,
     lp_string,
-    multi_restart,
     s_flow_distance,
     star_with_chords,
     structural_lower_bounds,
@@ -163,7 +163,7 @@ def test_criterion_6_local_search_soundness_on_the_grid():
             ref, _ = brute_force(n, CONNECTED, h)
             # the climb run_experiment runs: from the frontier witness
             start = witness(n, alpha, connected=True)
-            res = multi_restart(start, h, CONNECTED, seed=2, restarts=10)
+            res = first_improve(start, h, CONNECTED)
             sound &= CONNECTED.admits(res.graph)
             sound &= not has_improving_toggle(res.graph, h, CONNECTED)
             if res.objective == ref.objective:
@@ -186,7 +186,7 @@ def test_criterion_7_paper_scale_qualitative_consistency():
     n, alpha = 60, Fraction(7, 10)
     h = triads_maxmin(alpha)
     start = star_with_chords(n, structural_lower_bounds(n, alpha).min_triangles)
-    res = multi_restart(start, h, CONNECTED, seed=1, restarts=3)
+    res = first_improve(start, h, CONNECTED)
     elapsed = time.perf_counter() - t0
     m = graph_metrics(res.graph)
     ok = is_connected(res.graph)

@@ -12,7 +12,8 @@ the package must exist.  Only ``stats.py`` reads a Hamiltonian's
 ``sense``: everywhere else it is folded into the sign of ``scale``.
 ``cli.py`` names no model.  Only ``graph.py`` gives a graph its hop total, which ``is_connected``
 takes as proof that the graph is connected.  The package imports nothing
-outside the standard library.
+outside the standard library, and not ``random``: its searches are
+deterministic.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import importlib
 import sys
 from collections import Counter
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
@@ -69,19 +71,36 @@ def test_every_module_level_import_is_used(path):
     assert not unused, f"{path.name} imports names it never uses: {unused}"
 
 
+def imported_modules(path: Path) -> Iterator[tuple[int, str]]:
+    """(line, top-level module) of each absolute import in the file at `path`."""
+    for node in ast.walk(parse(path)):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module.split(".")[0]
+
+
 def test_the_package_imports_only_the_standard_library():
     outside = [
-        f"{path.name}:{node.lineno} {name}"
+        f"{path.name}:{line} {name}"
         for path in sorted(PACKAGE.glob("*.py"))
-        for node in ast.walk(parse(path))
-        for name in (
-            [alias.name for alias in node.names] if isinstance(node, ast.Import)
-            else [node.module] if isinstance(node, ast.ImportFrom) and node.level == 0
-            else []
-        )
-        if name.split(".")[0] not in sys.stdlib_module_names
+        for line, name in imported_modules(path)
+        if name not in sys.stdlib_module_names
     ]
     assert not outside, f"imports from outside the standard library: {outside}"
+
+
+def test_no_package_module_imports_random():
+    # the solvers are deterministic, and the distance model's points come
+    # from the seeded PCG stream in stats
+    importers = [
+        f"{path.name}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line, name in imported_modules(path)
+        if name == "random"
+    ]
+    assert not importers, f"modules that import random: {importers}"
 
 
 def test_only_stats_reads_the_sense():
@@ -211,13 +230,11 @@ def test_every_benchmark_import_resolves():
 def test_the_searches_build_no_fraction_per_node_or_toggle(monkeypatch, solve):
     # every search scores on its Hamiltonian's integer grid and divides back
     # once, so the Fractions it builds do not grow with its nodes or toggles
-    import random
     from fractions import Fraction
 
     from ergmax.exact import branch_and_bound, star_with_chords, structural_lower_bounds
     from ergmax.local_search import first_improve
     from ergmax.reporting import ExperimentSpec, hamiltonian_for
-    from helpers import random_connected_graph
 
     space = ergmax.SampleSpace.connected_graphs()
     alpha = Fraction(1, 2)
@@ -228,14 +245,15 @@ def test_the_searches_build_no_fraction_per_node_or_toggle(monkeypatch, solve):
         def run():
             return branch_and_bound(6, space, h, incumbent=start).nodes_explored
     else:
-        model = "triads_vs_nonedges" if solve == "first-improve-triads-20" else "distance_vs_flow"
+        triads = solve == "first-improve-triads-20"
+        model = "triads_vs_nonedges" if triads else "distance_vs_flow"
         h = hamiltonian_for(ExperimentSpec(n=20, model=model, alpha=alpha, seed=1))
-        # a start that climbs under both models: at Random(5) the triads terms
-        # tie, so no toggle can raise both and the climb scores none
-        start = random_connected_graph(20, random.Random(51))
+        # a start that climbs: K20 has no non-edge, so removals help the
+        # triads model; the star's flow term binds, so additions help the other
+        start = ergmax.Graph.complete(20) if triads else ergmax.Graph.star(20)
 
         def run():
-            return first_improve(start, h, space, seed=3).nodes_explored
+            return first_improve(start, h, space).nodes_explored
 
     built = 0
     fraction_new = Fraction.__new__

@@ -1,8 +1,6 @@
 import dataclasses
-import itertools
 import random
 import unittest.mock
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,30 +8,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ergmax import (
+    ExperimentSpec,
     Graph,
     Hamiltonian,
     SampleSpace,
     StatisticKind,
     StatisticSpec,
     branch_and_bound,
-    brute_force,
     eval_hamiltonian,
     first_improve,
     has_improving_toggle,
     is_connected,
-    multi_restart,
     random_unit_square_delta,
+    run_experiment,
 )
 from ergmax.frontier import witness
 from ergmax import graph
 from ergmax.graph import DisconnectedGraphError, Toggle, all_pairs, num_pairs, total_hop_count
-from ergmax.local_search import _feasible_toggles, _scan_order
+from ergmax.local_search import _feasible_toggles
 from ergmax.stats import grid_stepper, grid_values, improving_directions, score
 
 from helpers import (
     ordered_hop_sum, random_connected_graph, triangle_count_by_triples, triads_maxmin,
     union_find_connected,
 )
+from test_integer_scale import helpful_directions, mirrored, reference_value
 
 CONNECTED = SampleSpace.connected_graphs()
 
@@ -52,69 +51,40 @@ def test_complete_graph_is_not_locally_optimal():
 
 def test_local_optimum_is_a_fixed_point():
     h = triads_maxmin(Fraction(1, 2))
-    first = first_improve(Graph.star(6), h, CONNECTED, seed=3)
-    again = first_improve(first.graph, h, CONNECTED, seed=99)
+    first = first_improve(Graph.star(6), h, CONNECTED)
+    again = first_improve(first.graph, h, CONNECTED)
     assert again.graph == first.graph
     assert again.objective == first.objective
 
 
 def test_objective_never_decreases_and_stays_feasible():
     h = triads_maxmin(Fraction(7, 10))
-    # replay first_improve's walk move by move: the same seed draws the same scans
-    rng = random.Random(5)
-    pairs = list(all_pairs(6))
-    g = Graph.star(6)
-    values = grid_values(h, g)
-    moves = 0
-    while True:
-        scan = _scan_order(pairs, rng)
-        for move, cand_values, cand_obj in _feasible_toggles(g, h, CONNECTED, values, scan):
-            if cand_obj > score(h, values):
-                assert is_connected(move.graph)
-                assert eval_hamiltonian(h, move.graph) > eval_hamiltonian(h, g)
-                g, values = move.graph, cand_values
-                moves += 1
+    # replay first_improve's walk move by move from starts that are not
+    # locally optimal: the first improving toggle of each scan, in rank order
+    for start in (Graph.star(6), Graph.complete(5)):
+        g, values, moves = start, grid_values(h, start), 0
+        while True:
+            for move, cand_values, cand_obj in _feasible_toggles(
+                    g, h, CONNECTED, values, all_pairs(g.n)):
+                if cand_obj > score(h, values):
+                    assert is_connected(move.graph)
+                    assert eval_hamiltonian(h, move.graph) > eval_hamiltonian(h, g)
+                    g, values = move.graph, cand_values
+                    moves += 1
+                    break
+            else:
                 break
-        else:
-            break
-    assert moves >= 2
-    assert g == first_improve(Graph.star(6), h, CONNECTED, seed=5).graph
-
-
-def test_best_of_restarts_matches_brute_force_at_n5():
-    h = triads_maxmin(Fraction(1, 2))
-    ref, _ = brute_force(5, CONNECTED, h)
-    # K5 scores 0, so every restart climbs, each in its own scan order
-    res = multi_restart(Graph.complete(5), h, CONNECTED, seed=7, restarts=20)
-    assert res.objective == ref.objective
-    assert not has_improving_toggle(res.graph, h, CONNECTED)
-
-
-def test_multi_restart_is_deterministic():
-    h = triads_maxmin(Fraction(7, 10))
-    start = random_connected_graph(6, random.Random(11))
-    a = multi_restart(start, h, CONNECTED, seed=11, restarts=5)
-    b = multi_restart(start, h, CONNECTED, seed=11, restarts=5)
-    assert a.graph == b.graph
-    assert a.objective == b.objective
-    assert a.nodes_explored == b.nodes_explored
-
-
-def test_single_restart_equals_first_improve_with_derived_seed():
-    h = triads_maxmin(Fraction(1, 2))
-    combined = multi_restart(Graph.star(6), h, CONNECTED, seed=13)
-    sub_seed = random.Random(13).randrange(2**63)
-    direct = first_improve(Graph.star(6), h, CONNECTED, sub_seed)
-    assert combined.graph == direct.graph
-    assert combined.objective == direct.objective
+        assert moves >= 2
+        assert g == first_improve(start, h, CONNECTED).graph
 
 
 def test_restarts_from_a_one_toggle_optimal_start_stop_after_the_first():
-    h = triads_maxmin(Fraction(1, 2))
+    # run_experiment climbs from the witness, which no toggle improves, and
+    # the climb is deterministic: a restart count runs one climb, whatever it is
     start = witness(8, Fraction(1, 2), connected=True)
-    assert not has_improving_toggle(start, h, CONNECTED)
-    once = multi_restart(start, h, CONNECTED, seed=4)
-    many = multi_restart(start, h, CONNECTED, seed=4, restarts=10)
+    assert not has_improving_toggle(start, triads_maxmin(Fraction(1, 2)), CONNECTED)
+    once, many = (run_experiment(ExperimentSpec(n=8, solver="local_search", restarts=restarts)).result
+                  for restarts in (1, 10))
     assert many.graph == once.graph == start
     assert (many.objective, many.nodes_explored) == (once.objective, once.nodes_explored)
 
@@ -141,7 +111,7 @@ def test_pendant_edge_removals_are_refused_without_a_connectivity_search(monkeyp
 def test_heuristic_value_is_a_valid_bnb_lower_bound():
     h = triads_maxmin(Fraction(7, 10))
     start = random_connected_graph(6, random.Random(2))
-    heur = multi_restart(start, h, CONNECTED, seed=2, restarts=5)
+    heur = first_improve(start, h, CONNECTED)
     exact = branch_and_bound(6, CONNECTED, h, incumbent=heur.graph)
     assert exact.status == "optimal"
     assert exact.objective >= heur.objective
@@ -176,13 +146,13 @@ def test_random_connected_graph_is_connected_and_seeded():
     assert sparse.bits == 1342489112
 
 
-# Recorded before local search stepped the flow total from carried hop rows:
-# the scan order, and with it every answer, must not move.  The evaluations
-# were 205 / 231 / 328 before scans skipped the directions that cannot improve.
+# Recorded when scans took the pairs in rank order and confirmed by the
+# Fraction walk of test_integer_scale.reference_first_improve; the seeded
+# scan orders it replaced climbed elsewhere.
 @pytest.mark.parametrize("alpha, objective, bits, evaluations", [
-    (Fraction(7, 10), Fraction(24720787, 250000), 0x200108001000100001FFF, 53),
-    (Fraction(1, 2), Fraction(599893, 4000), 0x40305108E120081129C1FFF, 106),
-    (Fraction(3, 10), Fraction(86204331, 500000), 0x34FD57BBE13F0DB12DD9FFF, 183),
+    (Fraction(7, 10), Fraction(49561701, 500000), 0x8000000010013FFF, 75),
+    (Fraction(1, 2), Fraction(15395721, 100000), 0x800000000FFFFFFF, 80),
+    (Fraction(3, 10), Fraction(868, 5), 0x5FFFFFFFFFFFFFF, 79),
 ])
 def test_seeded_distance_model_answers_are_pinned(alpha, objective, bits, evaluations):
     res = pinned_distance_climb(alpha)
@@ -190,7 +160,7 @@ def test_seeded_distance_model_answers_are_pinned(alpha, objective, bits, evalua
 
 
 def pinned_distance_climb(alpha):
-    # demo 06's x20 layout at n = 14, seed 3, two restarts from the star
+    # demo 06's x20 layout at n = 14, climbing from the star
     n = 14
     delta = tuple(tuple(20 * v for v in row) for row in random_unit_square_delta(n, seed=2))
     h = Hamiltonian.max_min_pair(
@@ -199,7 +169,7 @@ def pinned_distance_climb(alpha):
         StatisticSpec(StatisticKind.FLOW_DISTANCE),
         sense="minimize",
     )
-    return multi_restart(Graph.star(n), h, CONNECTED, seed=3, restarts=2)
+    return first_improve(Graph.star(n), h, CONNECTED)
 
 
 # Every toggle of a graph with a hub, and the hop total of such a graph, is
@@ -226,7 +196,7 @@ def test_the_pinned_distance_climb_runs_no_more_searches(monkeypatch, alpha, sea
 def test_the_pinned_distance_climb_sums_hop_rows_only_for_its_starts_and_answers(
         monkeypatch, alpha):
     # every candidate's flow total steps in closed form; a total is summed
-    # only to score each restart's start and report its answer
+    # only to score the start and report the answer
     from ergmax import stats
 
     calls = []
@@ -238,51 +208,41 @@ def test_the_pinned_distance_climb_sums_hop_rows_only_for_its_starts_and_answers
 
     monkeypatch.setattr(stats, "total_hop_count", counted)
     pinned_distance_climb(alpha)
-    assert len(calls) == 2 * 2
+    assert len(calls) == 2
 
 
-def climbs_from_random_starts(n, h, seed, restarts):
-    """The best of `restarts` climbs, each from a random start drawn with its
-    own sub-seed, and their total evaluations: sub-seeds are drawn from `seed`
-    and ties broken as multi_restart does."""
-    master = random.Random(seed)
-    results = []
-    for _ in range(restarts):
-        sub_seed = master.randrange(2**63)
-        start = random_connected_graph(n, random.Random(sub_seed))
-        results.append(first_improve(start, h, CONNECTED, sub_seed))
-    best = max(results, key=lambda r: (r.objective * h.scale, -r.graph.bits))
-    return best, sum(r.nodes_explored for r in results)
+def climb_from_a_random_start(n, h, seed):
+    return first_improve(random_connected_graph(n, random.Random(seed)), h, CONNECTED)
 
 
-# Recorded before candidates were scored from their parent graph.  Climbs from
-# random starts take moves, which the witness start of the n = 60 benchmark never does.
-# The evaluations were 487 / 484 / 694 at n = 20 and 4 266 / 5 156 / 7 031 at
-# n = 60 before scans skipped the directions that cannot improve.
+# Recorded when scans took the pairs in rank order; the n = 20 answers were
+# confirmed by the Fraction walk of test_integer_scale.reference_first_improve.
+# Climbs from random starts take moves, which the witness start of the n = 60
+# benchmark never does.
 @pytest.mark.parametrize("alpha, objective, bits, evaluations", [
-    (Fraction(7, 10), Fraction(591, 10), 0x345CF8CE3AAF63FB38ADF63F6D7B451003B7E719D91585D8, 226),
-    (Fraction(1, 2), Fraction(105, 2), 0x225ADFD48C303096063E5796522F6C2220F6D54F50603243, 42),
-    (Fraction(3, 10), Fraction(182, 5), 0x205ADFD080203096063C5754522364222066D44650601242, 366),
+    (Fraction(7, 10), Fraction(621, 10), 0x22E535445C9FEDDB9078E98098831E31B048C8FFF9BFFFF, 8),
+    (Fraction(1, 2), Fraction(111, 2), 0x22E535445C9FEDDB9078E98098831A31B048C8FFE010000, 37),
+    (Fraction(3, 10), Fraction(411, 10), 0x22E535441C9FEDDB9078E18098800200004000800010000, 127),
 ])
 def test_seeded_triads_climbs_at_n20_are_pinned(alpha, objective, bits, evaluations):
-    res, total = climbs_from_random_starts(20, triads_maxmin(alpha), seed=1, restarts=2)
-    assert (res.objective, res.graph.bits, total) == (objective, bits, evaluations)
+    res = climb_from_a_random_start(20, triads_maxmin(alpha), seed=1)
+    assert (res.objective, res.graph.bits, res.nodes_explored) == (objective, bits, evaluations)
 
 
 @pytest.mark.parametrize("alpha, objective, edges, triangles, evaluations", [
-    (Fraction(7, 10), Fraction(7251, 10), 734, 2417, 2401),
-    (Fraction(1, 2), Fraction(596), 578, 1192, 663),
-    (Fraction(3, 10), Fraction(399), 440, 570, 2478),
+    (Fraction(7, 10), Fraction(7651, 10), 677, 2554, 854),
+    (Fraction(1, 2), Fraction(1327, 2), 443, 1329, 842),
+    (Fraction(3, 10), Fraction(2229, 5), 284, 637, 832),
 ])
 def test_seeded_triads_climbs_at_n60_are_pinned(alpha, objective, edges, triangles, evaluations):
-    res, total = climbs_from_random_starts(60, triads_maxmin(alpha), seed=1, restarts=2)
+    res = climb_from_a_random_start(60, triads_maxmin(alpha), seed=1)
     assert (res.objective, res.graph.edge_count, triangle_count_by_triples(res.graph),
-            total) == (objective, edges, triangles, evaluations)
+            res.nodes_explored) == (objective, edges, triangles, evaluations)
 
 
 # the seed of a start per alpha that climbs several moves and then scores
 # many candidates that do not help
-CLIMBING_STARTS = {Fraction(7, 10): 11, Fraction(1, 2): 1, Fraction(3, 10): 5}
+CLIMBING_STARTS = {Fraction(7, 10): 12, Fraction(1, 2): 41, Fraction(3, 10): 237}
 
 
 @pytest.mark.parametrize("alpha", [Fraction(7, 10), Fraction(1, 2), Fraction(3, 10)])
@@ -298,7 +258,7 @@ def test_a_triads_climb_builds_a_graph_only_for_each_move_it_takes(monkeypatch, 
         return built[-1]
 
     monkeypatch.setattr(Graph, "toggled", counted)
-    res = first_improve(start, h, SampleSpace.all_graphs(), seed=1)
+    res = first_improve(start, h, SampleSpace.all_graphs())
     # each graph built is the move taken from the one before it: it scores higher
     walk = [start, *built]
     assert walk[-1] == res.graph
@@ -325,8 +285,8 @@ def test_the_connected_space_tests_a_removal_on_the_parent_rows():
 def test_a_connected_climb_builds_no_graph_to_test_a_removal(monkeypatch):
     # a removal whose endpoints share no neighbour is tested by a search over
     # the parent's rows, so the connected space builds only the moves taken,
-    # as the all space does (411 against 409 when the test built the graph;
-    # 2 964 evaluations before scans skipped the directions that cannot improve)
+    # as the all space does (411 graphs for 409 moves when the test built the
+    # graph).  The two walks part where a removal would disconnect the graph.
     h = triads_maxmin(Fraction(3, 10))
     start = random_connected_graph(60, random.Random(1))
     counts = {}
@@ -335,14 +295,19 @@ def test_a_connected_climb_builds_no_graph_to_test_a_removal(monkeypatch):
         built = []
 
         def counted(g, i, j):
-            built.append((i, j))
-            return toggled(g, i, j)
+            built.append(toggled(g, i, j))
+            return built[-1]
 
         monkeypatch.setattr(Graph, "toggled", counted)
-        res = first_improve(start, h, space, seed=1)
+        res = first_improve(start, h, space)
+        # each graph built is the move taken from the one before it
+        walk = [start, *built]
+        assert walk[-1] == res.graph
+        assert all((before.bits ^ after.bits).bit_count() == 1
+                   for before, after in zip(walk, walk[1:]))
         counts[space.label()] = (len(built), res.nodes_explored, res.objective)
-    assert counts == {"connected": (409, 1742, Fraction(791, 2)),
-                      "all": (409, 1742, Fraction(791, 2))}
+    assert counts == {"connected": (576, 832, Fraction(2229, 5)),
+                      "all": (597, 860, Fraction(4521, 10))}
 
 
 FLOW = StatisticSpec(StatisticKind.FLOW_DISTANCE)
@@ -407,32 +372,6 @@ def test_the_flow_step_of_a_hub_graph_matches_a_fresh_hop_total(g):
             else:
                 assert step(move, g.adjacency(), current) == ordered_hop_sum(toggled)
         assert move._graph is None
-
-
-def test_search_config_validation():
-    # a search is configured by its plain seed and restarts arguments
-    h = triads_maxmin(Fraction(1, 2))
-    for restarts in (0, -1):
-        with pytest.raises(ValueError, match="restarts must be >= 1"):
-            multi_restart(Graph.star(5), h, CONNECTED, restarts=restarts)
-
-
-@pytest.mark.parametrize("seed", [None, 1.0, "1", True, False])
-def test_search_config_refuses_a_seed_that_is_not_an_int(seed):
-    # random.Random(None) would draw its seed from the operating system
-    h = triads_maxmin(Fraction(1, 2))
-    for climb in (first_improve, multi_restart):
-        with pytest.raises(TypeError, match="seed must be an int"):
-            climb(Graph.star(5), h, CONNECTED, seed)
-
-
-def test_search_config_refuses_a_negative_seed_and_keeps_zero_and_large_ones():
-    h = triads_maxmin(Fraction(1, 2))
-    for climb in (first_improve, multi_restart):
-        with pytest.raises(ValueError, match="seed must be >= 0"):
-            climb(Graph.star(5), h, CONNECTED, -1)
-        for seed in (0, 2**63 - 1):
-            assert climb(Graph.star(5), h, CONNECTED, seed).status == "incumbent"
 
 
 def reference_has_improving_toggle(g, h, space):
@@ -531,15 +470,15 @@ def test_no_toggle_in_a_ruled_out_direction_improves(problem):
     assert improving_directions(linear, grid_values(linear, g)) == (True, True)
 
 
-def unfiltered_first_improve(start, h, space, seed):
-    """first_improve as it was before scans ruled out directions: every
-    feasible toggle of each scan is scored.  Returns (graph, objective)."""
-    rng = random.Random(seed)
-    pairs = list(all_pairs(start.n))
+
+def unfiltered_first_improve(start, h, space):
+    """first_improve as it would be if scans ruled out no direction: every
+    feasible toggle of each scan is scored, in rank order.  Returns
+    (graph, objective)."""
     g, values = start, grid_values(h, start)
     while True:
         for move, cand_values, cand_obj in _feasible_toggles(
-                g, h, space, values, _scan_order(pairs, rng)):
+                g, h, space, values, all_pairs(g.n)):
             if cand_obj > score(h, values):
                 g, values = move.graph, cand_values
                 break
@@ -548,24 +487,45 @@ def unfiltered_first_improve(start, h, space, seed):
 
 
 @settings(max_examples=100, deadline=None)
-@given(maxmin_problems(), st.integers(min_value=0, max_value=2**32))
-def test_first_improve_climbs_as_the_unfiltered_scan_does(problem, seed):
+@given(maxmin_problems())
+def test_first_improve_climbs_as_the_unfiltered_scan_does(problem):
     start, h, space = problem
-    res = first_improve(start, h, space, seed)
-    assert (res.graph, res.objective) == unfiltered_first_improve(start, h, space, seed)
+    res = first_improve(start, h, space)
+    assert (res.graph, res.objective) == unfiltered_first_improve(start, h, space)
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=3, max_value=8),
+       st.sampled_from([Fraction(k, 10) for k in range(11)]),
+       st.sampled_from(["maximize", "minimize"]),
+       st.sampled_from([CONNECTED, SampleSpace.all_graphs()]), st.data())
+def test_the_non_edge_term_rules_out_no_toggle_that_improves(n, alpha, sense, space, data):
+    # random graphs almost never put the non-edge term one step from the
+    # least term; the witness, and graphs a toggle or two from it, often do
+    g = witness(n, alpha, space.connected)
+    for i, j in data.draw(st.lists(st.sampled_from(all_pairs(n)), max_size=2), label="toggles"):
+        if space.admits(g.toggled(i, j)):
+            g = g.toggled(i, j)
+    h = triads_maxmin(alpha) if sense == "maximize" else mirrored(triads_maxmin(alpha))
+    adds, removes = improving_directions(h, grid_values(h, g))
+    # the directions are the Fraction reference's, balance points included
+    helpful = helpful_directions(h, g, reference_value(h, h.terms, g))
+    assert (adds, removes) == (helpful[True], helpful[False])
+    base = eval_hamiltonian(h, g)
+    for i, j in all_pairs(n):
+        added = not g.has_edge(i, j)
+        t = g.toggled(i, j)
+        if (adds if added else removes) or not space.admits(t):
+            continue
+        value = eval_hamiltonian(h, t)
+        assert not (value > base if sense == "maximize" else value < base), (i, j)
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(min_value=0, max_value=30).flatmap(lambda m: st.permutations(range(m))),
-       st.integers(min_value=0, max_value=2**63))
-def test_scan_order_run_to_the_end_yields_each_element_once(items, seed):
-    pairs = list(items)
-    assert sorted(_scan_order(pairs, random.Random(seed))) == sorted(items)
-
-
-def test_scan_order_draws_every_order_of_three_about_equally_often():
-    # 6 000 seeds: each of the 3! orders expects 1 000 draws, standard deviation ~29
-    counts = Counter(tuple(_scan_order(["a", "b", "c"], random.Random(seed)))
-                     for seed in range(6_000))
-    assert set(counts) == set(itertools.permutations("abc"))
-    assert all(900 <= c <= 1_100 for c in counts.values()), counts
+# 375 / 230 / 1 590 before the non-edge term could rule out a direction
+@pytest.mark.parametrize("alpha, evaluations", [
+    (Fraction(7, 10), 375), (Fraction(1, 2), 230), (Fraction(3, 10), 0)])
+def test_the_n60_witnesses_certify_in_one_scan_of_the_open_pairs(alpha, evaluations):
+    # at 3/10 the triangle term binds, which rules out removals, and one more
+    # edge would take the non-edge term down to it, which rules out additions
+    g = witness(60, alpha, connected=True)
+    res = first_improve(g, triads_maxmin(alpha), CONNECTED)
+    assert (res.graph, res.nodes_explored) == (g, evaluations)

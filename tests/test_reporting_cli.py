@@ -25,6 +25,7 @@ from ergmax.cli import build_parser, main
 from ergmax.frontier import distance_interval, witness
 from ergmax.stats import random_unit_square_delta, uniform_delta, write_delta
 from ergmax.reporting import (
+    MODELS,
     ExperimentSpec,
     dot_string,
     format_decimal,
@@ -135,7 +136,7 @@ def test_run_experiment_certifies_the_distance_witness_in_one_scan(
                           seed=1, restarts=2,
                           delta_source=scaled_delta_file(tmp_path / "d.txt", 30, 1))
     report = run_experiment(spec)
-    # no toggle improves the witness: the first restart scans it once, and stops.
+    # no toggle improves the witness: the climb scans it once, and stops.
     # The scan scores only the pairs in a direction that can raise the binding
     # term (all 435 before directions were ruled out)
     assert report.result.graph == distance_interval(report.hamiltonian)[2]
@@ -463,6 +464,19 @@ def test_cli_refuses_a_weight_or_restart_count_out_of_range(capsys, argv, messag
 
 def without_wall_time(report: str) -> str:
     return re.sub(r'"wall_time_s": [^\n]*', '"wall_time_s"', report)
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_heuristic_prints_one_report_whatever_the_restart_count(capsys, model):
+    # the climb is deterministic, so one runs: the count is only echoed in spec.restarts
+    reports = set()
+    for restarts in ("1", "2", "10"):
+        argv = ["heuristic", "--model", model, "--n", "9", "--seed", "1", "--restarts", restarts]
+        assert main(argv) == 2
+        out = without_wall_time(capsys.readouterr().out)
+        assert f'"restarts": {restarts},' in out
+        reports.add(out.replace(f'"restarts": {restarts},', '"restarts": 1,'))
+    assert len(reports) == 1
 
 
 @pytest.mark.parametrize("first, then", [
