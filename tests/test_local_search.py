@@ -374,6 +374,39 @@ def test_the_flow_step_of_a_hub_graph_matches_a_fresh_hop_total(g):
         assert move._graph is None
 
 
+def heuristic_spec(**kwargs):
+    return ExperimentSpec(n=5, solver="local_search", **kwargs)
+
+
+def test_search_config_validation():
+    # a heuristic run is configured by its seed and restarts; one climb runs
+    # whatever the count, so any count of at least 1 gives the same answer
+    for restarts in (0, -1):
+        with pytest.raises(ValueError, match="restart count of at least 1"):
+            heuristic_spec(restarts=restarts)
+    answers = {(res.objective, res.graph, res.nodes_explored)
+               for res in (run_experiment(heuristic_spec(restarts=r)).result for r in (1, 2, 10))}
+    assert len(answers) == 1
+
+
+@pytest.mark.parametrize("seed", [None, 1.0, "1", True, False])
+def test_search_config_refuses_a_seed_that_is_not_an_int(seed):
+    # a None seed would draw the distance model's points from the operating system
+    for model in ("triads_vs_nonedges", "distance_vs_flow"):
+        with pytest.raises(ValueError, match="need a nonnegative int seed"):
+            heuristic_spec(model=model, seed=seed)
+
+
+def test_search_config_refuses_a_negative_seed_and_keeps_zero_and_large_ones():
+    for model in ("triads_vs_nonedges", "distance_vs_flow"):
+        with pytest.raises(ValueError, match="need a nonnegative int seed"):
+            heuristic_spec(model=model, seed=-1)
+        for seed in (0, 2**63 - 1):
+            report = run_experiment(heuristic_spec(model=model, seed=seed))
+            assert report.result.status == "incumbent"
+            assert not has_improving_toggle(report.result.graph, report.hamiltonian, CONNECTED)
+
+
 def reference_has_improving_toggle(g, h, space):
     """Evaluate every toggled graph from scratch."""
     base = eval_hamiltonian(h, g)
