@@ -13,6 +13,7 @@ everything else and is capped at n = 7 (2^21 graphs).
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -185,6 +186,7 @@ def branch_and_bound(
     incumbent: Graph | None = None,
     node_limit: int = 10_000_000,
     time_limit: float = 300.0,
+    ceiling: Fraction | None = None,
 ) -> SolveResult:
     """Depth-first search over edge variables in lexicographic order, 1-branch first.
 
@@ -200,6 +202,16 @@ def branch_and_bound(
     when a fixed edge count has become unreachable, or when no completion
     reaches h's floor.  Exhausting node or time limits downgrades the
     status to 'incumbent'; it never mislabels a best-so-far as optimal.
+
+    A `ceiling` is an objective no graph in the space beats (an upper
+    bound when maximizing, a lower bound when minimizing), such as a
+    closed form's bound or a proven optimum over a larger space.  Each
+    node's bound is capped at the last grid value not past it, and so is
+    the reported root bound.  The cap prunes a node only once the
+    incumbent has reached the ceiling, after which no leaf could have
+    replaced it: status, objective and graph are those of the search
+    without it, and no more nodes are explored.  A ceiling the warm
+    start already beats is refused, since it is no bound.
 
     When every term is label-invariant, the 1-branch is not taken when it
     lifts a row of the adjacency matrix above an earlier one, so only
@@ -225,6 +237,10 @@ def branch_and_bound(
         best_val = score(h, grid_values(h, incumbent))
         if best_val is None:
             raise ValueError("warm-start incumbent violates the floor row")
+    # the best grid value not past the ceiling: higher is better on the grid in either sense
+    cap = math.inf if ceiling is None else math.floor(Fraction(ceiling) * h.scale)
+    if best_val is not None and best_val > cap:
+        raise ValueError(f"the warm-start incumbent beats the ceiling {ceiling}, so it is no bound")
 
     # the root reads the terms, a 1-branch steps those read at realized, a 0-branch the rest
     adds = [(k, step) for k, step in enumerate(h.steppers) if not ups[k]]
@@ -253,6 +269,7 @@ def branch_and_bound(
                 continue
         if values is None or (bound := score(h, values)) is None:
             continue
+        bound = min(bound, cap)
         if bound_at_root is None:
             bound_at_root = bound
         if best_val is not None and bound <= best_val:
@@ -322,9 +339,15 @@ def solve_two_stage(
     `p_star_objective` selects what stage 1 maximizes: the weighted
     minimum ('maxmin', default) or the weighted sum ('linear'); the
     choice is echoed in the result.  With method='bnb', `bnb_options`
-    (limits, an incumbent) apply to stage 1 and, but for the incumbent,
-    to stage 2, which starts from stage 1's graph when that meets the
-    floor and is 'optimal' only if stage 1 is too.
+    (limits, an incumbent, a ceiling) apply to both stages but for two.
+    The incumbent warms stage 1 only: stage 2 starts from stage 1's graph
+    when that meets the floor, and is 'optimal' only if stage 1 is too.
+    A `ceiling` bounds the weighted-minimum objective, so stage 1 gets it
+    only when stage 1 is 'maxmin'.  Stage 2 maximizes that objective over
+    part of the space, so it gets the lower of the ceiling and, when
+    stage 1 is a proven 'maxmin' optimum, p*.  With weights >= 0 stage
+    1's graph then meets the floor and reaches p*, so stage 2 proves it
+    at its root.
     """
     gamma = Fraction(gamma)
     if not (0 <= gamma <= 1):
@@ -333,6 +356,7 @@ def solve_two_stage(
         raise ValueError("p_star_objective must be 'maxmin' or 'linear'")
     if method not in ("brute", "bnb"):
         raise ValueError("method must be 'brute' or 'bnb'")
+    ceiling = bnb_options.pop("ceiling", None)
 
     def solve(h: Hamiltonian, **options) -> SolveResult:
         if method == "brute":
@@ -340,15 +364,20 @@ def solve_two_stage(
         return branch_and_bound(n, space, h, **(bnb_options | options))
 
     maxmin_h = Hamiltonian.max_min(terms)
-    stage1 = solve(maxmin_h if p_star_objective == "maxmin" else Hamiltonian.linear(terms))
+    if p_star_objective == "maxmin":
+        stage1 = solve(maxmin_h, ceiling=ceiling)
+    else:
+        stage1 = solve(Hamiltonian.linear(terms))
     if stage1.status == "infeasible" or stage1.objective is None:
         return TwoStageResult(None, p_star_objective, gamma, stage1, None)
 
     p_star = stage1.objective
+    if p_star_objective == "maxmin" and stage1.status == "optimal":
+        ceiling = p_star if ceiling is None else min(ceiling, p_star)
     floored_h = dataclasses.replace(maxmin_h, floor=gamma * p_star)
     meets_floor = score(floored_h, grid_values(floored_h, stage1.graph)) is not None
     # stage 1's start may violate the floor, so stage 2 never inherits it
-    stage2 = solve(floored_h, incumbent=stage1.graph if meets_floor else None)
+    stage2 = solve(floored_h, incumbent=stage1.graph if meets_floor else None, ceiling=ceiling)
     if stage2.status == "optimal" and stage1.status != "optimal":
         # the floor rests on an unproven p*, so stage 2's optimum is unproven too
         stage2.status = "incumbent"

@@ -144,10 +144,11 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path | None = None) -> E
     h = hamiltonian_for(spec)
     p_star = None
     p_star_objective = None
-    # bnb's incumbent when the edge count is free, and local search's start
-    _, _, start = interval_for(spec, h)
+    # bnb's ceiling, its incumbent when the edge count is free, and local search's start
+    bound, _, start = interval_for(spec, h)
     bnb_options = {
         "incumbent": start,
+        "ceiling": bound,
         "node_limit": spec.node_limit,
         "time_limit": spec.time_limit,
     }

@@ -25,7 +25,7 @@ from ergmax import (
 )
 from ergmax.exact import _breaks_lex_order, available_chord_slots
 from ergmax.graph import all_pairs, edge_index, num_pairs
-from ergmax.frontier import distance_interval, witness
+from ergmax.frontier import distance_interval, optimum, witness
 from ergmax.reporting import ExperimentSpec, hamiltonian_for, interval_for
 from ergmax.stats import HamiltonianForm, statistic_values
 
@@ -356,6 +356,60 @@ def test_bnb_keeps_its_recorded_answers_and_node_counts(model, n, cells):
                 res.bound_at_root) == ("optimal", nodes, Fraction(objective), bits, Fraction(root))
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=3, max_value=6), st.data())
+def test_bnb_with_a_ceiling_returns_what_it_returns_without_one(n, data):
+    # a ceiling prunes only once the incumbent has reached it: the same answer
+    # in no more nodes, with the root bound capped at the ceiling
+    space = data.draw(st.sampled_from([
+        CONNECTED, SampleSpace.all_graphs(),
+        SampleSpace(connected=data.draw(st.booleans()),
+                    density=data.draw(st.integers(0, num_pairs(n))))]))
+    alpha = data.draw(st.sampled_from([Fraction(k, 10) for k in range(11)]))
+    model = data.draw(st.sampled_from(["triads", "triads_floor", "distance"]))
+    spec = ExperimentSpec(n=n, model="distance_vs_flow" if model == "distance" else
+                          "triads_vs_nonedges", alpha=alpha, space=space)
+    delta = twenty_times(random_unit_square_delta(n, data.draw(st.integers(0, 99))))
+    h = hamiltonian_for(spec, delta)
+    if model == "triads_floor":
+        floor = data.draw(st.sampled_from([Fraction(0), Fraction(1), Fraction(5, 2), 4]))
+        h = dataclasses.replace(Hamiltonian.max_min(list(h.terms)), floor=floor)
+    bound, _, start = interval_for(spec, h)
+    # run_experiment's warm start, when it lies in the space and meets the floor
+    if not (data.draw(st.booleans()) and start is not None and space.admits(start)
+            and eval_hamiltonian(h, start) is not None):
+        start = None
+    ref = branch_and_bound(n, space, h, start)
+    best = brute_force(n, space, h)[0].objective
+    ceilings = [bound] if best is None else [bound, best]
+    for ceiling in ceilings:
+        res = branch_and_bound(n, space, h, start, ceiling=ceiling)
+        assert (res.status, res.objective) == (ref.status, ref.objective)
+        assert (res.graph and res.graph.bits) == (ref.graph and ref.graph.bits)
+        assert res.nodes_explored <= ref.nodes_explored
+        # the lower on h's grid, where higher is better in either sense
+        assert res.bound_at_root == (None if ref.bound_at_root is None else min(
+            ref.bound_at_root, ceiling, key=lambda v: v * h.scale))
+    if best is not None:
+        # res ran at the optimum; a third of a grid step past it, on the side no
+        # graph reaches, caps as the optimum does: at the last grid value not past it
+        past = branch_and_bound(n, space, h, start, ceiling=best + Fraction(1, 3 * h.scale))
+        assert (past.nodes_explored, past.bound_at_root) == (res.nodes_explored, res.bound_at_root)
+
+
+@pytest.mark.parametrize("model", ["triads_vs_nonedges", "distance_vs_flow"])
+def test_bnb_refuses_a_ceiling_its_warm_start_beats(model):
+    spec = ExperimentSpec(n=6, model=model, seed=1)
+    h = hamiltonian_for(spec)
+    _, value, start = interval_for(spec, h)
+    # the witness scores value: a ceiling at it proves at the root, one grid step worse is no bound
+    res = branch_and_bound(6, spec.space, h, start, ceiling=value)
+    assert (res.status, res.objective, res.nodes_explored, res.bound_at_root) == (
+        "optimal", value, 1, value)
+    with pytest.raises(ValueError, match="beats the ceiling"):
+        branch_and_bound(6, spec.space, h, start, ceiling=value - Fraction(1, h.scale))
+
+
 def test_two_stage_is_optimal_only_if_both_stages_are():
     # stage 1 stops at the node limit; stage 2 finishes within it, but its
     # floor rests on an unproven p*
@@ -542,13 +596,32 @@ def test_two_stage_bnb_agrees_with_brute_across_spaces_and_objectives(n):
 
 
 def test_two_stage_bnb_starts_stage_two_from_the_stage_one_graph():
-    # without the warm start stage 2 explores 240 nodes; 21/10 is brute force's optimum
+    # 21/10 is brute force's optimum.  Stage 2 maximizes stage 1's objective over
+    # part of the space, so the proven p* caps it, and its start, stage 1's graph,
+    # reaches the cap at the root (240 nodes without the start, 200 without the cap)
     terms = list(triads_maxmin(Fraction(3, 10)).terms)
     two = solve_two_stage(6, CONNECTED, terms, Fraction(9, 10), method="bnb")
     assert two.stage2.status == "optimal"
-    assert two.stage2.nodes_explored < 240
+    assert (two.stage2.nodes_explored, two.stage2.bound_at_root) == (1, two.p_star)
     assert two.stage2.objective == Fraction(21, 10)
     assert two.stage2.graph == two.stage1.graph
+
+
+@pytest.mark.parametrize("objective", ["maxmin", "linear"])
+def test_two_stage_passes_a_ceiling_to_the_maxmin_stages_only(objective):
+    # the all-space optimum bounds the max-min objective, not the linear one
+    n, alpha, gamma = 6, Fraction(1, 2), Fraction(9, 10)
+    terms = list(triads_maxmin(alpha).terms)
+    ceiling = optimum(n, alpha)
+    capped = solve_two_stage(n, CONNECTED, terms, gamma, objective, method="bnb", ceiling=ceiling)
+    plain = solve_two_stage(n, CONNECTED, terms, gamma, objective, method="bnb")
+    assert capped.p_star == plain.p_star
+    root = plain.stage1.bound_at_root
+    assert capped.stage1.bound_at_root == (min(root, ceiling) if objective == "maxmin" else root)
+    assert (capped.stage2.status, capped.stage2.objective) == (
+        plain.stage2.status, plain.stage2.objective)
+    caps = [ceiling, capped.p_star] if objective == "maxmin" else [ceiling]
+    assert capped.stage2.bound_at_root == min(plain.stage2.bound_at_root, *caps)
 
 
 @pytest.mark.parametrize("objective, cold_nodes", [("maxmin", 237), ("linear", 80)])

@@ -30,6 +30,7 @@ from ergmax.reporting import (
     dot_string,
     format_decimal,
     hamiltonian_for,
+    interval_for,
     json_text,
     metrics_row,
     report_json_dict,
@@ -233,13 +234,54 @@ def test_run_experiment_two_stage_records_p_star():
 def test_run_experiment_two_stage_telemetry_covers_both_stages():
     spec = ExperimentSpec(n=6, alpha=Fraction(1, 2), gamma=Fraction(9, 10), node_limit=40)
     report = run_experiment(spec)
-    start = witness(6, spec.alpha, connected=True)
+    bound, _, start = interval_for(spec, report.hamiltonian)
     two = solve_two_stage(6, spec.space, list(report.hamiltonian.terms), spec.gamma,
-                          method="bnb", incumbent=start, node_limit=40)
+                          method="bnb", incumbent=start, ceiling=bound, node_limit=40)
     assert two.stage1.nodes_explored > 0 and two.stage2.nodes_explored > 0
     telemetry = report_json_dict(report)["telemetry"]
     assert telemetry["nodes_explored"] == two.stage1.nodes_explored + two.stage2.nodes_explored
     assert report.result.graph == two.stage2.graph
+
+
+# solve --solver bnb --n 6 --gamma 9/10 on the connected triads model: the edges,
+# each stage 2 optimum being stage 1's (p*), and the nodes of both stages
+GAMMA_REPORTS = [
+    ("3/10", "21/10", [[0, 1], [0, 2], [0, 3], [0, 4], [0, 5], [1, 2], [1, 3], [2, 3]], 201),
+    ("1/2", "5/2",
+     [[0, 1], [0, 2], [0, 3], [0, 4], [0, 5], [1, 2], [1, 3], [1, 4], [2, 3]], 215),
+    ("7/10", "14/5", [[0, 1], [0, 2], [0, 3], [0, 4], [0, 5], [1, 2], [1, 3], [1, 4], [2, 3],
+                      [2, 4], [3, 4]], 100),
+]
+
+
+@pytest.mark.parametrize("alpha, objective, edges, nodes", GAMMA_REPORTS)
+def test_cli_gamma_stage_two_proves_stage_one_at_its_root(capsys, alpha, objective, edges, nodes):
+    # stage 1's proven p* caps stage 2, whose start, stage 1's graph, meets it:
+    # stage 2 explores one node (it took 200, 214 and 99 before the cap)
+    assert main(["solve", "--solver", "bnb", "--n", "6", "--alpha", alpha,
+                 "--gamma", "9/10"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert (data["status"], data["objective"]["fraction"], data["graph"]["edges"]) == (
+        "optimal", objective, edges)
+    assert data["p_star"] == data["objective"] == data["telemetry"]["bound_at_root"]
+    assert data["telemetry"]["nodes_explored"] == nodes
+
+
+# the distance model's optima that HiGHS reached (seed-1 points x20, connected):
+# the interval closes, and its bound caps bnb's root at the witness's value
+@pytest.mark.parametrize("n, alpha, objective", [
+    (8, "1/2", "44"),  # about 3 M nodes before the cap
+    (9, "1/2", "56"),
+    (9, "3/10", "322/5"),
+    (10, "3/10", "40428111/500000"),
+])
+def test_run_experiment_proves_a_closed_distance_interval_at_the_root(tmp_path, n, alpha, objective):
+    spec = ExperimentSpec(n=n, model="distance_vs_flow", alpha=Fraction(alpha), seed=1,
+                          delta_source=scaled_delta_file(tmp_path / "d.txt", n, 1))
+    result = run_experiment(spec).result
+    assert (result.status, result.objective, result.nodes_explored, result.bound_at_root) == (
+        "optimal", Fraction(objective), 1, Fraction(objective))
+    assert result.graph == distance_interval(hamiltonian_for(spec))[2]
 
 
 def test_report_json_shape():
