@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import chain, combinations, starmap
+from operator import itemgetter
 from string import Formatter
 from typing import Any, Callable, Iterable, Iterator, Mapping, TextIO
 
@@ -88,6 +89,44 @@ def _literal(name: str) -> str:
 _fields = Formatter().parse
 
 
+def _check_fields(patterns: list[str], indices: list[tuple[str, ...]]) -> None:
+    """Refuse with ValueError a field of `patterns` that is not a plain
+    ``{k}``, or an index entry that is not a string of decimal digits."""
+    # one parse for all patterns; a field across the separator has a non-digit
+    for _, field, spec, conversion in _fields("\0".join(patterns)):
+        if field is not None and not (field.isdecimal() and field.isascii()
+                                      and not spec and conversion is None):
+            raise ValueError(f"field {{{field}}} is not a plain index field")
+    for entry in set(chain.from_iterable(indices)):
+        if not (type(entry) is str and entry.isdecimal() and entry.isascii()):
+            raise ValueError(f"index entry {entry!r} is not a string of decimal digits")
+
+
+def _names(patterns: list[str], indices: list[tuple[str, ...]]) -> list[str]:
+    """Every pattern filled from every index tuple, pattern by pattern."""
+    try:
+        return list(chain.from_iterable(starmap(p.format, indices) for p in patterns))
+    except IndexError as exc:
+        raise ValueError(f"a pattern field has no index entry: {exc}") from exc
+
+
+def _new_names(patterns: list[str], indices: list[tuple[str, ...]], taken: set[str],
+               what: str) -> set[str]:
+    """The names `patterns` take over `indices`; ValueError, naming the first
+    in fill order, if one comes twice or is already in `taken`."""
+    names = _names(patterns, indices)
+    new = set(names)
+    if len(new) != len(names) or not taken.isdisjoint(new):
+        seen = set(taken)
+        for idx in indices:
+            for p in patterns:
+                name = p.format(*idx)
+                if name in seen:
+                    raise ValueError(f"{what} {name!r} declared twice")
+                seen.add(name)
+    return new
+
+
 def _filled(patterns: tuple[Row, ...], indices: list[tuple[str, ...]]) -> Iterator[Row]:
     """The rows of a block: each pattern filled from each index tuple in turn."""
     for idx in indices:
@@ -96,23 +135,63 @@ def _filled(patterns: tuple[Row, ...], indices: list[tuple[str, ...]]) -> Iterat
                       p.relation, p.rhs)
 
 
+# index tuples filled into one string by :func:`_fill`
+_BATCH = 256
+
+
+def _fill(template: str, indices: list[tuple[str, ...]], sep: str = "") -> Iterable[str]:
+    """`template`, a pattern with ``{0}``, ``{1}``, ... fields, filled from each
+    index tuple in turn and joined by `sep`, one string per batch of tuples.
+
+    The template compiles once into a printf-style string, its literal ``%``
+    doubled, and an itemgetter over its fields; a batch is that string
+    repeated, filled by one ``%`` from its tuples' picked entries.  A block
+    of one tuple, as every plain variable and row is, is filled directly.
+    """
+    if len(indices) == 1:
+        return (template.format(*indices[0]),)
+    return _batches(template, indices, sep)
+
+
+def _batches(template: str, indices: list[tuple[str, ...]], sep: str) -> Iterator[str]:
+    parts, picks = [], []
+    for text, field, _, _ in _fields(template):
+        parts.append(text.replace("%", "%%"))
+        if field is not None:
+            parts.append("%s")
+            picks.append(int(field))
+    one = "".join(parts)
+    pick = itemgetter(*picks) if picks else None
+    joined: dict[int, str] = {}
+    for start in range(0, len(indices), _BATCH):
+        batch = indices[start:start + _BATCH]
+        if len(batch) not in joined:
+            joined[len(batch)] = sep.join([one] * len(batch))
+        text = joined[len(batch)]
+        if len(picks) > 1:
+            yield text % tuple(chain.from_iterable(map(pick, batch)))
+        else:  # one field picks a string, and none picks nothing
+            yield text % tuple(map(pick, batch) if picks else ())
+
+
 class ConstraintSystem:
     """Ordered collection of variables, rows and one objective.
 
-    Rows are stored in blocks.  A block is a tuple of pattern rows whose
-    row and variable names carry fields ``{0}``, ``{1}``, ... (literal
-    braces doubled), and a list of index tuples of decimal-digit strings;
-    it stands for every pattern filled from every tuple, tuple by tuple.
-    A plain row is a block of one pattern without fields.
+    Variables and rows are stored in blocks.  A block is a tuple of
+    patterns, variables or rows whose names (and a row's variable names)
+    carry fields ``{0}``, ``{1}``, ... (literal braces doubled), and a list
+    of index tuples of decimal-digit strings; it stands for every pattern
+    filled from every tuple, tuple by tuple.  A plain variable or row is a
+    block of one pattern without fields, over one empty tuple.
     """
 
     def __init__(self, name: str = "model"):
         self.name = name
-        self.variables: list[Variable] = []
         self.objective_sense = "minimize"
         self.objective: dict[str, Fraction] = {}
         self.meta: dict[str, Any] = {}
-        self._blocks: list[tuple[tuple[Row, ...], list[tuple[str, ...]]]] = []
+        self._var_blocks: list[tuple[tuple[Variable, ...], list[tuple[str, ...]]]] = []
+        self._row_blocks: list[tuple[tuple[Row, ...], list[tuple[str, ...]]]] = []
         self._var_names: set[str] = set()
         self._row_names: set[str] = set()
         # a coefficient given as an int (or as a string, from the JSON IR)
@@ -123,10 +202,17 @@ class ConstraintSystem:
         return c if type(c) is Fraction else self._exact[c]
 
     @property
+    def variables(self) -> list[Variable]:
+        """Every variable, in the order declared, filled from its block's patterns."""
+        return [Variable(p.name.format(*idx), p.kind, p.lower, p.upper)
+                for patterns, indices in self._var_blocks for idx in indices for p in patterns]
+
+    @property
     def rows(self) -> list[Row]:
         """Every row, in the order added, filled from its block's patterns;
         a filled row shares its pattern's coefficient objects."""
-        return [row for patterns, indices in self._blocks for row in _filled(patterns, indices)]
+        return [row for patterns, indices in self._row_blocks
+                for row in _filled(patterns, indices)]
 
     def has_variable(self, name: str) -> bool:
         return name in self._var_names
@@ -138,21 +224,46 @@ class ConstraintSystem:
         lower: Number | None = None,
         upper: Number | None = None,
     ) -> None:
-        if type(name) is not str:
-            raise TypeError(f"name {name!r} is not a string")
+        """One variable: a block of one pattern without fields, over one empty
+        tuple, stored without :meth:`add_variable_block`'s field and entry
+        checks, which such a block always passes."""
+        pattern = self._variable(_literal(name), kind, lower, upper)
         if name in self._var_names:
             raise ValueError(f"variable {name!r} declared twice")
+        self._var_blocks.append(((pattern,), [()]))
+        self._var_names.add(name)
+
+    def _variable(self, name: str, kind: str, lower: Number | None,
+                  upper: Number | None) -> Variable:
+        """A variable pattern, its bounds made Fractions, once its kind and
+        bounds are checked: ValueError on an unknown kind or a bounded binary."""
         if kind not in ("binary", "continuous"):
             raise ValueError(f"unknown variable kind {kind!r}")
-        self.variables.append(
-            Variable(
-                name,
-                kind,
-                None if lower is None else self._fraction(lower),
-                None if upper is None else self._fraction(upper),
-            )
-        )
-        self._var_names.add(name)
+        if kind == "binary" and (lower is not None or upper is not None):
+            raise ValueError(f"binary variable {name!r} takes no bounds")
+        return Variable(name, kind, None if lower is None else self._fraction(lower),
+                        None if upper is None else self._fraction(upper))
+
+    def add_variable_block(self, patterns: Iterable[Variable],
+                           indices: Iterable[tuple[str, ...]]) -> None:
+        """Declare the variables of `patterns` filled from each index tuple in turn.
+
+        Refused, declaring nothing: a name that is not a string (TypeError);
+        with ValueError, a field that is not a plain ``{k}`` or has no entry
+        in an index tuple, an entry that is not a string of decimal digits,
+        an unknown kind, a bound on a binary variable, or a name given twice.
+        """
+        patterns, indices = tuple(patterns), list(indices)
+        for p in patterns:
+            if type(p.name) is not str:
+                raise TypeError(f"name {p.name!r} is not a string")
+        names = [p.name for p in patterns]
+        _check_fields(names, indices)
+        patterns = tuple(self._variable(p.name, p.kind, p.lower, p.upper) for p in patterns)
+        new_names = _new_names(names, indices, self._var_names, "variable")
+        if patterns and indices:
+            self._var_blocks.append((patterns, indices))
+        self._var_names |= new_names
 
     def add_row(
         self,
@@ -175,27 +286,9 @@ class ConstraintSystem:
         """
         patterns, indices = tuple(patterns), list(indices)
         var_patterns = list(dict.fromkeys(v for p in patterns for v in p.coeffs))
-        # one parse for all names; a field across the separator has a non-digit
-        for _, field, spec, conversion in _fields("\0".join([p.name for p in patterns]
-                                                            + var_patterns)):
-            if field is not None and not (field.isdecimal() and field.isascii()
-                                          and not spec and conversion is None):
-                raise ValueError(f"field {{{field}}} is not a plain index field")
-        for entry in set(chain.from_iterable(indices)):
-            if not (type(entry) is str and entry.isdecimal() and entry.isascii()):
-                raise ValueError(f"index entry {entry!r} is not a string of decimal digits")
-        try:
-            names = list(chain.from_iterable(starmap(p.name.format, indices) for p in patterns))
-            var_names = set(chain.from_iterable(starmap(v.format, indices) for v in var_patterns))
-        except IndexError as exc:
-            raise ValueError(f"a pattern field has no index entry: {exc}") from exc
-        new_names = set(names)
-        if len(new_names) != len(names) or not self._row_names.isdisjoint(new_names):
-            seen = set(self._row_names)
-            for row in _filled(patterns, indices):
-                if row.name in seen:
-                    raise ValueError(f"row {row.name!r} declared twice")
-                seen.add(row.name)
+        _check_fields([p.name for p in patterns] + var_patterns, indices)
+        var_names = set(_names(var_patterns, indices))
+        new_names = _new_names([p.name for p in patterns], indices, self._row_names, "row")
         for p in patterns:
             if p.relation not in ("<=", "=", ">="):
                 raise ValueError(f"unknown relation {p.relation!r}")
@@ -205,11 +298,13 @@ class ConstraintSystem:
                 if unknown:
                     raise ValueError(f"row {row.name!r} references undeclared variables {unknown}")
         exact = self._exact
-        self._blocks.append((tuple(
+        patterns = tuple(
             Row(p.name, {v: c if type(c) is Fraction else exact[c] for v, c in p.coeffs.items()},
                 p.relation, self._fraction(p.rhs))
             for p in patterns
-        ), indices))
+        )
+        if patterns and indices:
+            self._row_blocks.append((patterns, indices))
         self._row_names |= new_names
 
     def set_objective(self, sense: str, coeffs: Mapping[str, Number]) -> None:
@@ -254,10 +349,10 @@ class ConstraintSystem:
     def to_json(self, f: TextIO) -> None:
         """Write ``json.dumps(self.to_json_dict(), indent=2)`` into the open text file `f`.
 
-        Variables are rendered and written one at a time, and a block's
-        rows once as a format string filled for each index tuple, so no
+        Each variable and row block is rendered once as a template and
+        filled by :func:`_fill`, a batch of index tuples per write, so no
         string-valued copy of the system is built.  Names go through json's
-        string encoder, which leaves braces and the digits filled in
+        string encoder, which leaves braces, ``%`` and the digits filled in
         unchanged, and each stored coefficient is rendered once.
         """
         quoted = json.encoder.encode_basestring_ascii
@@ -268,20 +363,29 @@ class ConstraintSystem:
             members = f",\n{pad}".join([f"{quoted(v)}: {value(c)}" for v, c in coeffs.items()])
             return f"{left}\n{pad}{members}\n{pad[:-2]}{right}" if coeffs else left + right
 
+        # each pattern's item as a template, so its own braces are doubled
+        def variable_format(v: Variable) -> str:
+            return (
+                f'{{{{\n      "name": {quoted(v.name)},\n      "kind": {quoted(v.kind)},\n'
+                f'      "lower": {value(v.lower)},\n      "upper": {value(v.upper)}\n    }}}}'
+            )
+
         def row_format(r: Row) -> str:
-            # the pattern's item as a format string, so its own braces are doubled
             return (
                 f'{{{{\n      "name": {quoted(r.name)},\n'
                 f'      "coeffs": {coeffs_text(r.coeffs, " " * 8, "{{", "}}")},\n'
                 f'      "relation": {quoted(r.relation)},\n      "rhs": {value(r.rhs)}\n    }}}}'
             )
 
-        def write_array(items: Iterable[str]) -> None:
-            # items are rendered at indent 4; the array closes at indent 2
+        def write_array(render: Callable[[Any], str], blocks: list) -> None:
+            # items are rendered at indent 4, a batch of them per write; the
+            # array closes at indent 2
+            sep = ",\n    "
             empty = True
-            for item in items:
-                f.write(("[\n    " if empty else ",\n    ") + item)
-                empty = False
+            for patterns, indices in blocks:
+                for text in _fill(sep.join(map(render, patterns)), indices, sep):
+                    f.write(("[\n    " if empty else sep) + text)
+                    empty = False
             f.write("[]" if empty else "\n  ]")
 
         head = json.dumps({"name": self.name, "meta": self.meta}, indent=2)
@@ -290,30 +394,26 @@ class ConstraintSystem:
             f',\n  "objective": {{\n    "sense": {quoted(self.objective_sense)},\n'
             f'    "coeffs": {coeffs_text(self.objective, " " * 6)}\n  }},\n  "variables": '
         )
-        write_array(
-            f'{{\n      "name": {quoted(v.name)},\n      "kind": {quoted(v.kind)},\n'
-            f'      "lower": {value(v.lower)},\n      "upper": {value(v.upper)}\n    }}'
-            for v in self.variables
-        )
+        write_array(variable_format, self._var_blocks)
         f.write(',\n  "rows": ')
-        write_array(chain.from_iterable(
-            starmap(",\n    ".join(map(row_format, patterns)).format, indices)
-            for patterns, indices in self._blocks
-        ))
+        write_array(row_format, self._row_blocks)
         f.write("\n}")
 
     @classmethod
     def from_json_dict(cls, data: dict[str, Any]) -> "ConstraintSystem":
         """Inverse of :meth:`to_json_dict`; a missing key, a wrong type (a
         JSON boolean where a number belongs among them), a variable or row
-        name that is not a string, or a ``meta.n`` that does not count the
-        declared ``x_`` edge variables raises ValueError."""
+        name that is not a string, anything :meth:`add_variable`,
+        :meth:`add_row` or :meth:`set_objective` refuses (a bound on a binary
+        variable among them), or a ``meta.n`` that does not count the
+        declared ``x_`` edge variables raises ValueError, its message
+        starting ``malformed constraint IR:``."""
         try:
             cs = cls(data.get("name", "model"))
             cs.meta = dict(data.get("meta", {}))
             for v in data["variables"]:
-                cs.add_variable(v["name"], v["kind"], v["lower"], v["upper"])
                 _refuse_booleans(v["lower"], v["upper"])
+                cs.add_variable(v["name"], v["kind"], v["lower"], v["upper"])
             for r in data["rows"]:
                 cs.add_row(r["name"], r["coeffs"], r["relation"], r["rhs"])
                 _refuse_booleans(r["rhs"], *r["coeffs"].values())
@@ -322,7 +422,7 @@ class ConstraintSystem:
             _refuse_booleans(*obj["coeffs"].values())
         except KeyError as exc:
             raise ValueError(f"malformed constraint IR: missing key {exc}") from exc
-        except (TypeError, AttributeError, ZeroDivisionError) as exc:
+        except (TypeError, ValueError, AttributeError, ZeroDivisionError) as exc:
             raise ValueError(f"malformed constraint IR: {exc}") from exc
         # checked here, before check_assignment builds the pair table of n
         n = cs.meta.get("n")
@@ -377,10 +477,9 @@ def ensure_edge_variables(cs: ConstraintSystem, n: int) -> None:
     cs.meta.setdefault("n", n)
     if cs.meta["n"] != n:
         raise ValueError("constraint system already built for a different n")
-    for i, j in all_pairs(n):
-        name = x_name(i, j)
-        if not cs.has_variable(name):
-            cs.add_variable(name, "binary")
+    x = x_name(*FIELDS[:2])
+    cs.add_variable_block([Variable(x, "binary")], [
+        pair for pair in _index_tuples(n, 2) if not cs.has_variable(x.format(*pair))])
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +512,7 @@ def build_triangle_indicators(n: int, cs: ConstraintSystem | None = None) -> Con
     i, j, k = FIELDS[:3]
     w = w_name(i, j, k)
     xij, xjk, xik = x_name(i, j), x_name(j, k), x_name(i, k)
-    for name in starmap(w.format, triples):
-        cs.add_variable(name, "binary")
+    cs.add_variable_block([Variable(w, "binary")], triples)
     cs.add_block(
         [
             Row(f"tri_ub1_{i}_{j}_{k}", {w: 1, xij: -1}, "<=", 0),
@@ -428,23 +526,29 @@ def build_triangle_indicators(n: int, cs: ConstraintSystem | None = None) -> Con
 
 
 def _add_commodity(
-    cs: ConstraintSystem, n: int, source: int, arc: Callable[[int, int], str], balance: str
+    cs: ConstraintSystem, n: int, source: int, arc: Callable[[Node, Node], str], balance: str
 ) -> None:
     """Arc variables of one commodity plus its balance rows ``{balance}_{k}``.
 
     n-1 units leave ``source`` and one unit terminates at every other node.
+    The arc pairs are one block over the pairs.  The balance rows are at
+    most three blocks of one pattern, whose field 0 is the row's node k and
+    fields 1, ..., n-1 the other nodes in order: the sinks before the
+    source, the source, and the sinks after it.
     """
-    for i, j in all_pairs(n):
-        cs.add_variable(arc(i, j), "continuous", lower=0)
-        cs.add_variable(arc(j, i), "continuous", lower=0)
-    for k in range(n):
-        coeffs: dict[str, int] = {}
-        for j in range(n):
-            if j == k:
-                continue
-            coeffs[arc(k, j)] = 1
-            coeffs[arc(j, k)] = -1
-        cs.add_row(f"{balance}_{k}", coeffs, "=", n - 1 if k == source else -1)
+    i, j = FIELDS[:2]
+    cs.add_variable_block([Variable(arc(i, j), "continuous", 0),
+                           Variable(arc(j, i), "continuous", 0)], _index_tuples(n, 2))
+    coeffs: dict[str, int] = {}
+    for m in range(1, n):
+        coeffs[arc("{0}", f"{{{m}}}")] = 1
+        coeffs[arc(f"{{{m}}}", "{0}")] = -1
+    nodes = [str(v) for v in range(n)]
+    rows = [(node, *nodes[:k], *nodes[k + 1:]) for k, node in enumerate(nodes)]
+    name = f"{_literal(balance)}_{{0}}"
+    for rhs, indices in ((-1, rows[:source]), (n - 1, rows[source:source + 1]),
+                         (-1, rows[source + 1:])):
+        cs.add_block([Row(name, coeffs, "=", rhs)], indices)
 
 
 def build_connectivity_flow(n: int, cs: ConstraintSystem | None = None) -> ConstraintSystem:
@@ -581,7 +685,8 @@ def build_minmax_distance(
 
 def _lp_lines(cs: ConstraintSystem) -> Iterator[str]:
     """The CPLEX LP text of `cs` in pieces, each ending in a newline: a block's
-    rows are rendered once as a format string and filled for each index tuple."""
+    rows, bounds or binaries are rendered once as a template and filled by
+    :func:`_fill`, a batch of index tuples per piece."""
     decimal = _by_identity(exact_decimal)
     # the text a term puts before its variable's name, e.g. "- 0.5 "
     term = _by_identity(lambda c: f"{'-' if c < 0 else '+'} {exact_decimal(abs(c))} ")
@@ -593,27 +698,28 @@ def _lp_lines(cs: ConstraintSystem) -> Iterator[str]:
     yield "Maximize\n" if cs.objective_sense == "maximize" else "Minimize\n"
     yield f" obj: {terms(cs.objective)}".rstrip() + "\n"
     yield "Subject To\n"
-    for patterns, indices in cs._blocks:
-        text = "".join([f" {r.name}: {terms(r.coeffs)} {r.relation} {decimal(r.rhs)}\n"
-                        for r in patterns])
-        yield from starmap(text.format, indices)
-    bounded = [v for v in cs.variables if v.kind != "binary"]
-    if bounded:
-        yield "Bounds\n"
-    for v in bounded:
+    for patterns, indices in cs._row_blocks:
+        yield from _fill("".join([f" {r.name}: {terms(r.coeffs)} {r.relation} {decimal(r.rhs)}\n"
+                                  for r in patterns]), indices)
+
+    def bound(v: Variable) -> str:
         if v.lower is None and v.upper is None:
-            yield f" {v.name} free\n"
-        elif v.upper is None:
-            yield f" {decimal(v.lower)} <= {v.name}\n"
-        elif v.lower is None:
-            yield f" -infinity <= {v.name} <= {decimal(v.upper)}\n"
-        else:
-            yield f" {decimal(v.lower)} <= {v.name} <= {decimal(v.upper)}\n"
-    binaries = [v.name for v in cs.variables if v.kind == "binary"]
-    if binaries:
-        yield "Binaries\n"
-    for name in binaries:
-        yield f" {name}\n"
+            return f" {v.name} free\n"
+        if v.upper is None:
+            return f" {decimal(v.lower)} <= {v.name}\n"
+        lower = "-infinity" if v.lower is None else decimal(v.lower)
+        return f" {lower} <= {v.name} <= {decimal(v.upper)}\n"
+
+    for head, binary, line in (("Bounds\n", False, bound),
+                               ("Binaries\n", True, lambda v: f" {v.name}\n")):
+        # each variable block's lines of the section as one template
+        blocks = [("".join([line(v) for v in patterns if (v.kind == "binary") == binary]),
+                   indices) for patterns, indices in cs._var_blocks]
+        blocks = [(text, indices) for text, indices in blocks if text]
+        if blocks:
+            yield head
+        for text, indices in blocks:
+            yield from _fill(text, indices)
     yield "End\n"
 
 
@@ -747,9 +853,10 @@ def check_assignment(
     tol = Fraction(tolerance)
     if tol < 0:
         raise ValueError(f"tolerance must be nonnegative, not {tol}")
+    variables = cs.variables
     values: dict[str, Fraction] = {}
     missing = []
-    for v in cs.variables:
+    for v in variables:
         if v.name not in assignment:
             missing.append(v.name)
         else:
@@ -765,7 +872,7 @@ def check_assignment(
                          + ("..." if len(missing) > 5 else ""))
 
     result = CheckResult(feasible=True)
-    for v in cs.variables:
+    for v in variables:
         val = values[v.name]
         lo = Fraction(0) if v.kind == "binary" else v.lower
         hi = Fraction(1) if v.kind == "binary" else v.upper

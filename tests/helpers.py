@@ -248,21 +248,22 @@ def solve_ir_with_milp(cs) -> tuple[float, dict[str, float]] | None:
     import numpy as np
     from scipy.optimize import Bounds, LinearConstraint, milp
 
-    names = [v.name for v in cs.variables]
+    variables = cs.variables
+    names = [v.name for v in variables]
     idx = {name: i for i, name in enumerate(names)}
     nv = len(names)
     sign = -1.0 if cs.objective_sense == "maximize" else 1.0
     c = np.zeros(nv)
     for name, coef in cs.objective.items():
         c[idx[name]] = sign * float(coef)
-    integrality = np.array([1 if v.kind == "binary" else 0 for v in cs.variables])
+    integrality = np.array([1 if v.kind == "binary" else 0 for v in variables])
     lb = np.array(
         [0.0 if v.kind == "binary" else (-np.inf if v.lower is None else float(v.lower))
-         for v in cs.variables]
+         for v in variables]
     )
     ub = np.array(
         [1.0 if v.kind == "binary" else (np.inf if v.upper is None else float(v.upper))
-         for v in cs.variables]
+         for v in variables]
     )
     constraints = []
     for row in cs.rows:

@@ -340,6 +340,69 @@ def test_a_refused_block_raises_as_add_row_does_and_adds_nothing(patterns, indic
     assert cs.rows[-1] == lp.Row("t{0}", {"x_0_1": Fraction(1)}, "<=", Fraction(1))
 
 
+@pytest.mark.parametrize(
+    "patterns, indices, error, message",
+    [
+        # a name repeated inside the block, across its tuples, then against an earlier block
+        ([("y_{0}", "binary"), ("y_1", "binary")], [("0",), ("1",)],
+         ValueError, r"variable 'y_1' declared twice"),
+        ([("y_{0}", "binary")], [("2",), ("2",)], ValueError, r"variable 'y_2' declared twice"),
+        ([("s_{0}", "continuous")], [("0",), ("1",)], ValueError,
+         r"variable 's_1' declared twice"),
+        ([("x_{0}_{1}", "binary")], [("1", "3"), ("0", "2")], ValueError,
+         r"variable 'x_0_2' declared twice"),
+        ([("v_{a}", "binary")], [("1",)], ValueError, r"field \{a\}"),
+        ([("v_{0:>3}", "binary")], [("1",)], ValueError, r"field \{0\}"),
+        ([("v_{1}", "binary")], [("1",)], ValueError, r"no index entry"),
+        ([("v_{0}", "binary")], [("1",), ("-1",)], ValueError, r"'-1' is not a string"),
+        ([("v_{0}", "binary")], [(1,)], ValueError, r"1 is not a string of decimal digits"),
+        ([("v_{0}", "integer")], [("1",)], ValueError, r"unknown variable kind 'integer'"),
+        ([("v_{0}", "binary", 0, 1)], [("1",)], ValueError,
+         r"binary variable 'v_\{0\}' takes no bounds"),
+        ([("v_{0}", "binary"), (5, "binary")], [("1",)], TypeError, r"name 5 is not a string"),
+    ],
+)
+def test_a_refused_variable_block_raises_as_add_variable_does_and_adds_nothing(
+        patterns, indices, error, message):
+    cs = lp.build_fixed_density(3, 1)
+    cs.add_variable("s_1", "continuous", lower=0)
+    variables, var_names, text = cs.variables, set(cs._var_names), lp.lp_string(cs)
+    with pytest.raises(error, match=message):
+        cs.add_variable_block([lp.Variable(*p) for p in patterns], indices)
+    assert cs.variables == variables and cs._var_names == var_names
+    assert lp.lp_string(cs) == text
+    # a block without fields over one empty tuple is add_variable's variable
+    cs.add_variable_block([lp.Variable("t{{0}}", "continuous", 0)], [()])
+    assert cs.variables[-1] == lp.Variable("t{0}", "continuous", Fraction(0), None)
+
+
+@pytest.mark.parametrize(
+    "args, error, message",
+    [
+        (("x_0_1", "binary"), ValueError, r"variable 'x_0_1' declared twice"),
+        (("y", "integer"), ValueError, r"unknown variable kind 'integer'"),
+        ((5, "binary"), TypeError, r"name 5 is not a string"),
+        (("y", "binary", 1, 1), ValueError, r"binary variable 'y' takes no bounds"),
+        (("y", "binary", None, 0), ValueError, r"binary variable 'y' takes no bounds"),
+    ],
+)
+def test_add_variable_refuses_and_declares_nothing(args, error, message):
+    cs = lp.build_fixed_density(3, 1)
+    variables = cs.variables
+    with pytest.raises(error, match=message):
+        cs.add_variable(*args)
+    assert cs.variables == variables and not cs.has_variable("y")
+
+
+def test_an_ir_with_a_bounded_binary_variable_is_malformed():
+    # once kept in the IR, dropped by the LP text and ignored by the checker
+    ir = lp.build_fixed_density(3, 1).to_json_dict()
+    ir["variables"][0]["lower"] = ir["variables"][0]["upper"] = "1"
+    with pytest.raises(ValueError, match=r"malformed constraint IR: binary variable 'x_0_1' "
+                                         r"takes no bounds"):
+        lp.ConstraintSystem.from_json_dict(ir)
+
+
 def test_check_assignment_requires_full_coverage():
     cs = lp.build_fixed_density(3, 1)
     with pytest.raises(ValueError):

@@ -173,6 +173,18 @@ GOLDEN_DIGESTS = {
         "ad64207054414c42ebd68e5dfc80817cbec636c258caf59e552efbbff4377fc8",
         "17cccbce0777fb5fe3bebb1758d35cad013778dce6403dff4df46cf0f12cc221",
     ),
+    # the benchmark's two export sizes: 9 880 triples and 14 commodities of
+    # 14 balance rows each, so the fills cross their batch boundaries
+    "maxmin_40_1/2_connected": (
+        lambda: lp.build_maxmin(40, Fraction(1, 2)),
+        "d6ed81e9f2e42049e0b617de801ff3385483e40e63d70a58a0668a8abbfe3eeb",
+        "398e569111a23f04f955a4a96500805b3585d15e083c69e66ec7a48634d91682",
+    ),
+    "minmax_distance_14_1/2_seed1": (
+        lambda: lp.build_minmax_distance(14, Fraction(1, 2), random_unit_square_delta(14, 1)),
+        "35c702c5a701614bf4fa199ec5c426bf447f0498d33ddadb74d96e3e4301f70b",
+        "6b7a8d548b6bb0afad47959b9080350f79cfba0b7a56b5b2fc4edae9466d6745",
+    ),
 }
 
 
@@ -233,14 +245,17 @@ META = st.recursive(
 
 @st.composite
 def constraint_systems(draw) -> ConstraintSystem:
-    """Small systems with arbitrary names, bounds of every shape, 1/3-style
-    coefficients and nested meta."""
+    """Small systems with arbitrary names, bounds of every shape on the
+    continuous variables, 1/3-style coefficients and nested meta."""
     cs = ConstraintSystem(draw(st.text(max_size=5)))
     cs.meta = draw(st.dictionaries(st.text(max_size=4), META, max_size=3))
     names = draw(st.lists(st.text(min_size=1, max_size=4), unique=True, max_size=5))
     for name in names:
-        cs.add_variable(name, draw(st.sampled_from(["binary", "continuous"])),
-                        draw(st.none() | NUMBERS), draw(st.none() | NUMBERS))
+        if draw(st.booleans()):
+            cs.add_variable(name, "binary")
+        else:
+            cs.add_variable(name, "continuous", draw(st.none() | NUMBERS),
+                            draw(st.none() | NUMBERS))
     coeffs = st.dictionaries(st.sampled_from(names), NUMBERS, max_size=4) if names else st.just({})
     for k in range(draw(st.integers(0, 4))):
         cs.add_row(f"r{k}", draw(coeffs), draw(st.sampled_from(["<=", "=", ">="])), draw(NUMBERS))
@@ -347,10 +362,20 @@ def test_the_exports_hash_a_fraction_per_distinct_value_not_per_term(monkeypatch
 # -- blocks against rows added one by one --------------------------------------
 
 
+def edge_variables_by_name(cs, n):
+    """``ensure_edge_variables`` as written before blocks: one add_variable per name."""
+    cs.meta.setdefault("n", n)
+    if cs.meta["n"] != n:
+        raise ValueError("constraint system already built for a different n")
+    for i, j in all_pairs(n):
+        if not cs.has_variable(lp.x_name(i, j)):
+            cs.add_variable(lp.x_name(i, j), "binary")
+
+
 def triangle_indicators_by_rows(n, cs=None):
     """``build_triangle_indicators`` as written before blocks: one add_row per row."""
     cs = cs or ConstraintSystem("triangle_indicators")
-    lp.ensure_edge_variables(cs, n)
+    edge_variables_by_name(cs, n)
     cs.meta["triangle_variant"] = "and"
     for i, j, k in combinations(range(n), 3):
         w = lp.w_name(i, j, k)
@@ -363,11 +388,25 @@ def triangle_indicators_by_rows(n, cs=None):
     return cs
 
 
+def commodity_by_rows(cs, n, source, arc, balance):
+    """``_add_commodity`` as written before blocks: one name and one row per call."""
+    for i, j in all_pairs(n):
+        cs.add_variable(arc(i, j), "continuous", lower=0)
+        cs.add_variable(arc(j, i), "continuous", lower=0)
+    for k in range(n):
+        coeffs = {}
+        for j in range(n):
+            if j != k:
+                coeffs[arc(k, j)] = 1
+                coeffs[arc(j, k)] = -1
+        cs.add_row(f"{balance}_{k}", coeffs, "=", n - 1 if k == source else -1)
+
+
 def connectivity_flow_by_rows(n, cs=None):
     cs = cs or ConstraintSystem("connectivity_flow")
-    lp.ensure_edge_variables(cs, n)
+    edge_variables_by_name(cs, n)
     cs.meta["flow_root"] = 0
-    lp._add_commodity(cs, n, 0, lp.flow_name, "flow_balance")
+    commodity_by_rows(cs, n, 0, lp.flow_name, "flow_balance")
     for i, j in all_pairs(n):
         cs.add_row(f"flow_cap_{i}_{j}",
                    {lp.flow_name(i, j): 1, lp.flow_name(j, i): 1, lp.x_name(i, j): -n}, "<=", 0)
@@ -376,9 +415,9 @@ def connectivity_flow_by_rows(n, cs=None):
 
 def multicommodity_flow_by_rows(n, cs=None):
     cs = cs or ConstraintSystem("multicommodity_flow")
-    lp.ensure_edge_variables(cs, n)
+    edge_variables_by_name(cs, n)
     for h in range(n):
-        lp._add_commodity(cs, n, h, lambda a, b, h=h: lp.mcflow_name(h, a, b),
+        commodity_by_rows(cs, n, h, lambda a, b, h=h: lp.mcflow_name(h, a, b),
                           f"mcflow_balance_{h}")
     for i, j in all_pairs(n):
         coeffs = {lp.mcflow_name(h, a, b): 1 for h in range(n) for a, b in ((i, j), (j, i))}
@@ -402,11 +441,14 @@ def test_blocks_render_as_the_rows_added_one_by_one(data, n, model, alpha):
         def build():
             return lp.build_minmax_distance(n, alpha, delta, space)
     cs = build()
-    with mock.patch.multiple(lp, build_triangle_indicators=triangle_indicators_by_rows,
+    with mock.patch.multiple(lp, ensure_edge_variables=edge_variables_by_name,
+                             build_triangle_indicators=triangle_indicators_by_rows,
                              build_connectivity_flow=connectivity_flow_by_rows,
                              build_multicommodity_flow=multicommodity_flow_by_rows):
         reference = build()
-    assert all(indices == [()] for _, indices in reference._blocks)
+    assert all(indices == [()] for _, indices in reference._row_blocks)
+    assert all(indices == [()] for _, indices in reference._var_blocks)
+    assert cs.variables == reference.variables
     assert cs.rows == reference.rows
     text = lp.lp_string(cs)
     assert text == reference_lp_string(cs) == lp.lp_string(reference)
@@ -420,11 +462,14 @@ def test_blocks_render_as_the_rows_added_one_by_one(data, n, model, alpha):
 
 
 def braced_names() -> ConstraintSystem:
+    # braces and printf's % in names, which the block filler must leave as they are
     cs = ConstraintSystem("{0}")
-    for name in ("{0}", "}{", "{{", "a{b}"):
+    for name in ("{0}", "}{", "{{", "a{b}", "%", "%s"):
         cs.add_variable(name, "continuous", lower=0)
-    cs.add_row("{0}", {"{0}": 1, "}{": -1}, "<=", 1)
+    cs.add_variable("%%", "binary")
+    cs.add_row("{0}", {"{0}": 1, "}{": -1, "%s": 1}, "<=", 1)
     cs.add_row("}}{", {"{{": 2, "a{b}": Fraction(1, 3)}, ">=", 0)
+    cs.add_row("%s%%", {"%": 1, "%%": -2}, "=", 0)
     cs.set_objective("minimize", {"a{b}": 1})
     return cs
 
@@ -436,6 +481,7 @@ def test_plain_rows_with_any_names_round_trip_through_the_ir(cs):
     assume(cs.meta.get("n") is None)  # a meta.n must count the x_ edge variables
     ir = io.StringIO()
     cs.to_json(ir)
+    assert ir.getvalue() == json.dumps(cs.to_json_dict(), indent=2)
     clone = ConstraintSystem.from_json_dict(json.loads(ir.getvalue()))
     assert clone.rows == cs.rows
     assert lp.lp_string(clone) == lp.lp_string(cs) == reference_lp_string(cs)

@@ -672,6 +672,27 @@ def test_cli_check_refuses_a_name_that_is_not_a_string(capsys, monkeypatch, tmp_
     ]
 
 
+def test_cli_check_refuses_a_bound_on_a_binary_variable(capsys, monkeypatch, tmp_path):
+    from ergmax.lp import maxmin_assignment
+
+    monkeypatch.chdir(tmp_path)
+    assert main(["export-lp", "--n", "3", "--out", "m.lp", "--ir-json", "m.json"]) == 0
+    ir = json.loads((tmp_path / "m.json").read_text())
+    assert ir["variables"][0]["name"] == "x_0_1"
+    ir["variables"][0]["lower"] = ir["variables"][0]["upper"] = "1"
+    (tmp_path / "m.json").write_text(json.dumps(ir))
+    witness = maxmin_assignment(3, Fraction(1, 2), Graph.complete(3))
+    witness["x_0_1"] = 0
+    (tmp_path / "a.json").write_text(json.dumps({k: str(v) for k, v in witness.items()}))
+    capsys.readouterr()
+    assert main(["check", "--ir-json", "m.json", "--assignment", "a.json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [line for line in captured.err.splitlines() if "error:" in line] == [
+        "error: malformed constraint IR: binary variable 'x_0_1' takes no bounds"
+    ]
+
+
 @pytest.mark.parametrize("value", [True, False])
 @pytest.mark.parametrize("place", ["rhs", "coefficient", "bound"])
 def test_cli_check_refuses_a_boolean_in_the_ir(capsys, monkeypatch, tmp_path, place, value):
