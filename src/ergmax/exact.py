@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph import DisconnectedGraphError, Graph, Toggle, all_pairs, joined_without, num_pairs
+from .graph import DisconnectedGraphError, Graph, all_pairs, joined_without, num_pairs
 from .space import SampleSpace
 from .stats import (
     Hamiltonian,
@@ -195,7 +195,7 @@ def branch_and_bound(
     too, and each term's value at the one where it peaks (a weight-0 flow
     term at `optimistic`, finite if any completion's is), stepped from its
     parent's by the term's toggle step.  Only a leaf that beats the
-    incumbent, and a flow step summing a toggled graph's hops, build a Graph.
+    incumbent builds a Graph.
 
     A node is pruned when its admissible bound cannot beat the incumbent,
     when the forced-absent pairs already disconnect the optimistic graph,
@@ -245,7 +245,6 @@ def branch_and_bound(
     # the root reads the terms, a 1-branch steps those read at realized, a 0-branch the rest
     adds = [(k, step) for k, step in enumerate(h.steppers) if not ups[k]]
     drops = [(k, step) for k, step in enumerate(h.steppers) if ups[k]]
-    flow = any(spec.kind is StatisticKind.FLOW_DISTANCE for _, spec in h.terms)
     empty, complete = Graph(n), Graph.complete(n)
     values = [read(complete if up else empty) for read, up in zip(h.readers, ups)]
 
@@ -282,12 +281,10 @@ def branch_and_bound(
         child = list(opt_rows)
         child[i] ^= 1 << j
         child[j] ^= 1 << i
-        parent = Graph.from_rows(bits | (1 << pairs) - (1 << depth), opt_rows) if flow else None
-        move = Toggle(parent, i, j, False)
         stepped = values.copy()
         try:
             for k, step in drops:
-                stepped[k] = step(move, opt_rows, values[k])
+                stepped[k] = step(opt_rows, i, j, False, values[k])
         except DisconnectedGraphError:
             stepped = None
         stack.append((depth + 1, bits, rows, tuple(child), stepped, pair_list[depth]))
@@ -300,10 +297,9 @@ def branch_and_bound(
         if symmetric and (_breaks_lex_order(child, i, (2 << j) - 1)
                           or _breaks_lex_order(child, j, (2 << i) - 1)):
             continue
-        move = Toggle(None, i, j, True)  # no flow term is read at realized
         stepped = values.copy()
         for k, step in adds:
-            stepped[k] = step(move, rows, values[k])
+            stepped[k] = step(rows, i, j, True, values[k])
         stack.append((depth + 1, bits | 1 << depth, tuple(child), opt_rows, stepped, None))
 
     status = "incumbent" if limit_hit else "infeasible" if best_graph is None else "optimal"

@@ -73,7 +73,7 @@ class Graph:
         self.n = n
         self.bits = bits
         self._adj: tuple[int, ...] | None = None
-        self._triangles: int | None = None  # set by count_triangles or carried by toggled
+        self._triangles: int | None = None  # set by count_triangles
         self._hop_total: int | None = None  # set by total_hop_count, so only when connected
 
     # -- constructors ------------------------------------------------------
@@ -95,13 +95,6 @@ class Graph:
         if n < 3:
             raise ValueError("a cycle needs at least 3 nodes")
         return cls.from_edges(n, ((v, (v + 1) % n) for v in range(n)))
-
-    @classmethod
-    def from_rows(cls, bits: int, adj: tuple[int, ...]) -> "Graph":
-        """The graph with edge bitset `bits` holding `adj`, its adjacency rows, unchecked."""
-        g = cls(len(adj), bits)
-        g._adj = adj
-        return g
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -139,15 +132,10 @@ class Graph:
     # -- derived graphs ----------------------------------------------------
 
     def toggled(self, i: int, j: int) -> "Graph":
-        """This graph with pair (i, j) flipped; built rows and a known triangle
-        count are carried, not rebuilt: the pair's common neighbors close the
-        triangles it adds or removes."""
+        """This graph with pair (i, j) flipped; built rows are carried, not rebuilt."""
         g = Graph(self.n, self.bits ^ _pair_bit(i, j, self.n))
         if self._adj is not None:
             adj = list(self._adj)
-            if self._triangles is not None:
-                closed = (adj[i] & adj[j]).bit_count()
-                g._triangles = self._triangles + (closed if g.bits > self.bits else -closed)
             adj[i] ^= 1 << j
             adj[j] ^= 1 << i
             g._adj = tuple(adj)
@@ -173,35 +161,13 @@ class Graph:
         return f"Graph(n={self.n}, edges={sorted(self.edges())})"
 
 
-class Toggle:
-    """A candidate move: graph `parent` (None if ``graph`` is never read) with
-    pair (i, j) flipped, `added` when the flip adds it.  A move is scored from
-    its parent (see :func:`ergmax.stats.grid_stepper`); the flipped
-    :class:`Graph` is built by :meth:`Graph.toggled` only when ``graph`` is first read."""
-
-    __slots__ = ("parent", "i", "j", "added", "_graph")
-
-    def __init__(self, parent: Graph | None, i: int, j: int, added: bool):
-        self.parent = parent
-        self.i = i
-        self.j = j
-        self.added = added
-        self._graph: Graph | None = None
-
-    @property
-    def graph(self) -> Graph:
-        if self._graph is None:
-            self._graph = self.parent.toggled(self.i, self.j)
-        return self._graph
-
-
 # ---------------------------------------------------------------------------
 # structural counts
 
 
 def count_triangles(g: Graph) -> int:
     """Number of node triples ``i < j < k`` with all three edges present; a count
-    carried by :meth:`Graph.toggled` or stored by an earlier call is returned as is."""
+    stored by an earlier call is returned as is."""
     if g._triangles is not None:
         return g._triangles
     adj = g.adjacency()
@@ -263,10 +229,8 @@ def joined_without(adj: tuple[int, ...], i: int, j: int) -> bool:
 
 
 def is_connected(g: Graph) -> bool:
-    """True iff one traversal from node 0 reaches every node.  A graph that
-    holds a hop total is connected without a search: it is stored only when
-    every source reaches every node."""
-    return g._hop_total is not None or reached(g, 0) == (1 << g.n) - 1
+    """True iff one traversal from node 0 reaches every node."""
+    return reached(g, 0) == (1 << g.n) - 1
 
 
 def shares_hub(adj: tuple[int, ...], i: int, j: int) -> bool:
@@ -283,25 +247,29 @@ def shares_hub(adj: tuple[int, ...], i: int, j: int) -> bool:
     return False
 
 
+def hop_total(adj: Sequence[int]) -> int:
+    """Sum of shortest-path hop counts over all ordered node pairs of the graph
+    with adjacency rows `adj`.  A graph with a hub, a node adjacent to every
+    other, has diameter at most two: its n(n-1) - 2m ordered non-adjacent pairs
+    are two hops apart and its 2m adjacent ones one, 2n(n-1) - 2m in all.  Any
+    other graph sums a search from every source, and raises if one misses a node."""
+    n = len(adj)
+    everyone = (1 << n) - 1
+    if any(row | 1 << v == everyone for v, row in enumerate(adj)):
+        return 2 * n * (n - 1) - sum(row.bit_count() for row in adj)
+    total = 0
+    for s in range(n):
+        counts = [layer.bit_count() for layer in bfs_layers(adj, s)]
+        if sum(counts) != n:
+            raise DisconnectedGraphError("hop sums are undefined on a disconnected graph")
+        total += sum(d * c for d, c in enumerate(counts))
+    return total
+
+
 def total_hop_count(g: Graph) -> int:
-    """Sum of shortest-path hop counts over all ordered node pairs, computed
-    once per graph.  A graph with a hub, a node adjacent to every other, has
-    diameter at most two: its n(n-1) - 2m ordered non-adjacent pairs are two
-    hops apart and its 2m adjacent ones one, 2(n(n-1) - m) in all.  Any other
-    graph sums a search from every source, and raises if one misses a node."""
+    """:func:`hop_total` of g's adjacency rows, computed once per graph."""
     if g._hop_total is None:
-        adj = g.adjacency()
-        everyone = (1 << g.n) - 1
-        if any(row | 1 << v == everyone for v, row in enumerate(adj)):
-            g._hop_total = 2 * (g.n * (g.n - 1) - g.edge_count)
-        else:
-            total = 0
-            for s in range(g.n):
-                counts = [layer.bit_count() for layer in bfs_layers(adj, s)]
-                if sum(counts) != g.n:
-                    raise DisconnectedGraphError("hop sums are undefined on a disconnected graph")
-                total += sum(d * c for d, c in enumerate(counts))
-            g._hop_total = total
+        g._hop_total = hop_total(g.adjacency())
     return g._hop_total
 
 

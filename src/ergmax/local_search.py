@@ -12,11 +12,9 @@ improve, so its walk is the one a scan of every toggle in rank order
 would take.  Toggles are scored as ints on the objective's grid, where
 higher is better in either sense (see :class:`~ergmax.stats.Hamiltonian`),
 and a climb's result is divided back once, by :meth:`SolveResult.of`.
-Each candidate is a :class:`~ergmax.graph.Toggle` scored from its parent
-graph (see :func:`~ergmax.stats.grid_stepper`): a Graph is built for the
-move taken, and for a candidate only when its flow distance is read off
-one, which a graph with a hub, a node adjacent to every other, never
-needs.  A removal's connectivity test searches the parent's rows.
+Each candidate is scored from its parent graph's adjacency rows (see
+:func:`~ergmax.stats.grid_stepper`), and a Graph is built only for the
+move taken.  A removal's connectivity test searches the parent's rows.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ import time
 from typing import Iterable, Iterator
 
 from .exact import SolveResult
-from .graph import DisconnectedGraphError, Graph, Toggle, all_pairs, joined_without
+from .graph import DisconnectedGraphError, Graph, all_pairs, joined_without
 from .space import SampleSpace
 from .stats import Hamiltonian, grid_values, improving_directions, score
 
@@ -54,19 +52,18 @@ def _feasible_toggles(
     space: SampleSpace,
     values: tuple[int, ...],
     pairs: Iterable[tuple[int, int]],
-) -> Iterator[tuple[Toggle, tuple[int, ...], int | None]]:
-    """Yield (move, its statistic values, its objective) per feasible toggle
-    of g among `pairs`, in their order, all on h's grid: `values` are g's.
+) -> Iterator[tuple[int, int, tuple[int, ...], int | None]]:
+    """Yield (i, j, its statistic values, its objective) per feasible toggle
+    (i, j) of g among `pairs`, in their order, all on h's grid: `values` are g's.
 
     A toggle is feasible when it keeps g in the objective's domain and in
     the space.  Each is scored from g, its values stepped from `values`
-    with g's adjacency rows, read once here; only a flow distance step on a
-    g without a hub builds the toggled graph, ``move.graph``, and sums its
-    hops.  In the connected space a removal is decided before anything is
-    stepped: one that leaves an endpoint with no neighbour is skipped, one
-    whose endpoints share a neighbour keeps them joined through it, and any
-    other is kept only if a search from one endpoint over g's rows without
-    the pair reaches the other.
+    with g's adjacency rows, read once here.  In the connected space a
+    removal is decided before anything is stepped: one that leaves an
+    endpoint with no neighbour is skipped, one whose endpoints share a
+    neighbour keeps them joined through it, and any other is kept only if
+    a search from one endpoint over g's rows without the pair reaches the
+    other.
     """
     if space.density is not None:
         return  # any single toggle changes the edge count
@@ -78,12 +75,11 @@ def _feasible_toggles(
                 adj[i] == 1 << j or adj[j] == 1 << i
                 or not adj[i] & adj[j] and not joined_without(adj, i, j)):
             continue
-        move = Toggle(g, i, j, added)
         try:
-            cand_values = tuple(step(move, adj, current) for step, current in steps)
+            cand_values = tuple(step(adj, i, j, added, current) for step, current in steps)
         except DisconnectedGraphError:
             continue
-        yield move, cand_values, score(h, cand_values)
+        yield i, j, cand_values, score(h, cand_values)
 
 
 def first_improve(start: Graph, h: Hamiltonian, space: SampleSpace) -> SolveResult:
@@ -111,10 +107,10 @@ def first_improve(start: Graph, h: Hamiltonian, space: SampleSpace) -> SolveResu
     # each move strictly raises an int score over finitely many graphs, so the climb ends
     while True:
         pairs = _open_pairs(g.adjacency(), *improving_directions(h, values))
-        for move, cand_values, cand_obj in _feasible_toggles(g, h, space, values, pairs):
+        for i, j, cand_values, cand_obj in _feasible_toggles(g, h, space, values, pairs):
             evaluations += 1
             if cand_obj > objective:
-                g, values, objective = move.graph, cand_values, cand_obj
+                g, values, objective = g.toggled(i, j), cand_values, cand_obj
                 break
         else:
             break  # a full scan found no improving toggle
@@ -130,6 +126,6 @@ def has_improving_toggle(g: Graph, h: Hamiltonian, space: SampleSpace) -> bool:
     objective = score(h, values)
     return any(
         cand_obj > objective
-        for _, _, cand_obj in _feasible_toggles(g, h, space, values, all_pairs(g.n))
+        for _, _, _, cand_obj in _feasible_toggles(g, h, space, values, all_pairs(g.n))
     )
 

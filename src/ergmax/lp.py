@@ -224,14 +224,8 @@ class ConstraintSystem:
         lower: Number | None = None,
         upper: Number | None = None,
     ) -> None:
-        """One variable: a block of one pattern without fields, over one empty
-        tuple, stored without :meth:`add_variable_block`'s field and entry
-        checks, which such a block always passes."""
-        pattern = self._variable(_literal(name), kind, lower, upper)
-        if name in self._var_names:
-            raise ValueError(f"variable {name!r} declared twice")
-        self._var_blocks.append(((pattern,), [()]))
-        self._var_names.add(name)
+        """One variable: a block of one pattern without fields, over one empty tuple."""
+        self.add_variable_block([Variable(_literal(name), kind, lower, upper)], [()])
 
     def _variable(self, name: str, kind: str, lower: Number | None,
                   upper: Number | None) -> Variable:
@@ -403,20 +397,27 @@ class ConstraintSystem:
     def from_json_dict(cls, data: dict[str, Any]) -> "ConstraintSystem":
         """Inverse of :meth:`to_json_dict`; a missing key, a wrong type (a
         JSON boolean where a number belongs among them), a variable or row
-        name that is not a string, anything :meth:`add_variable`,
-        :meth:`add_row` or :meth:`set_objective` refuses (a bound on a binary
-        variable among them), or a ``meta.n`` that does not count the
+        name that is not a string, anything :meth:`add_variable_block`,
+        :meth:`add_block` or :meth:`set_objective` refuses (a bound on a
+        binary variable among them), or a ``meta.n`` that does not count the
         declared ``x_`` edge variables raises ValueError, its message
-        starting ``malformed constraint IR:``."""
+        starting ``malformed constraint IR:``.  The variables are added as
+        one block of plain patterns, and so are the rows."""
         try:
             cs = cls(data.get("name", "model"))
             cs.meta = dict(data.get("meta", {}))
+            variables = []
             for v in data["variables"]:
                 _refuse_booleans(v["lower"], v["upper"])
-                cs.add_variable(v["name"], v["kind"], v["lower"], v["upper"])
+                variables.append(Variable(_literal(v["name"]), v["kind"], v["lower"], v["upper"]))
+            cs.add_variable_block(variables, [()])
+            rows = []
             for r in data["rows"]:
-                cs.add_row(r["name"], r["coeffs"], r["relation"], r["rhs"])
                 _refuse_booleans(r["rhs"], *r["coeffs"].values())
+                rows.append(Row(_literal(r["name"]),
+                                {_literal(v): c for v, c in r["coeffs"].items()},
+                                r["relation"], r["rhs"]))
+            cs.add_block(rows, [()])
             obj = data["objective"]
             cs.set_objective(obj["sense"], obj["coeffs"])
             _refuse_booleans(*obj["coeffs"].values())

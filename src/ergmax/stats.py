@@ -24,8 +24,8 @@ from typing import Callable, Sequence, TextIO
 from .graph import (
     DisconnectedGraphError,
     Graph,
-    Toggle,
     count_triangles,
+    hop_total,
     num_pairs,
     shares_hub,
     total_hop_count,
@@ -138,18 +138,19 @@ def grid_reader(spec: StatisticSpec) -> Callable[[Graph], int]:
     return lambda g: s_physical_distance(g, rows)
 
 
-def grid_stepper(spec: StatisticSpec) -> Callable[[Toggle, tuple[int, ...], int], int]:
+def grid_stepper(spec: StatisticSpec) -> Callable[[tuple[int, ...], int, int, bool, int], int]:
     """The toggle step of `spec`'s statistic on its grid: a function of
-    (move, adj, current) giving its value at `move`, a :class:`Toggle` of
-    some graph g, from its value `current` at g and g's adjacency rows `adj`.
+    (adj, i, j, added, current) giving its value once pair (i, j) of some
+    graph g is flipped, `added` when the flip adds it, from its value
+    `current` at g and g's adjacency rows `adj`.
 
-    Non-edges, triangles and physical distance step by a closed form and
-    build no graph: the pair leaves or joins the non-edges, closes or opens
-    one triangle per common neighbour of its endpoints, and adds or drops
-    its distance.  Flow distance does too when g has a hub, a node adjacent
-    to every other, so a g with one has every toggle stepped with no search
-    and no graph.  Such a g is connected with diameter at most two: two
-    nodes are one hop apart when adjacent and two hops apart otherwise.
+    Non-edges, triangles and physical distance step by a closed form: the
+    pair leaves or joins the non-edges, closes or opens one triangle per
+    common neighbour of its endpoints, and adds or drops its distance.
+    Flow distance does too when g has a hub, a node adjacent to every
+    other, so a g with one has every toggle stepped with no search.  Such a
+    g is connected with diameter at most two: two nodes are one hop apart
+    when adjacent and two hops apart otherwise.
 
     *A toggle that spares a hub* keeps it, so the toggled graph has
     diameter at most two as well, and only the pair's own distance
@@ -165,22 +166,21 @@ def grid_stepper(spec: StatisticSpec) -> Callable[[Toggle, tuple[int, ...], int]
     A non-neighbour y other than c stays two hops away when it shares a
     neighbour other than c with v, and otherwise goes to three, along v,
     w, c, y.  So the ordered total grows by 2·(1 + the number of nodes at
-    three hops).  Any other flow step reads the total of ``move.graph``,
-    raising DisconnectedGraphError when that graph is disconnected."""
+    three hops).  Any other flow step sums the hops over the toggled rows,
+    raising DisconnectedGraphError when they are disconnected."""
     if spec.kind is StatisticKind.NON_EDGES:
-        return lambda move, adj, current: current - 1 if move.added else current + 1
+        return lambda adj, i, j, added, current: current - 1 if added else current + 1
     if spec.kind is StatisticKind.TRIANGLES:
-        def triangles(move: Toggle, adj: tuple[int, ...], current: int) -> int:
-            closed = (adj[move.i] & adj[move.j]).bit_count()
-            return current + closed if move.added else current - closed
+        def triangles(adj: tuple[int, ...], i: int, j: int, added: bool, current: int) -> int:
+            closed = (adj[i] & adj[j]).bit_count()
+            return current + closed if added else current - closed
 
         return triangles
     if spec.kind is StatisticKind.FLOW_DISTANCE:
-        def flow(move: Toggle, adj: tuple[int, ...], current: int) -> int:
-            i, j = move.i, move.j
+        def flow(adj: tuple[int, ...], i: int, j: int, added: bool, current: int) -> int:
             if shares_hub(adj, i, j):
-                return current - 2 if move.added else current + 2
-            if not move.added:
+                return current - 2 if added else current + 2
+            if not added:
                 everyone = (1 << len(adj)) - 1
                 for c, v in ((i, j), (j, i)):
                     if adj[c] | 1 << c == everyone:
@@ -194,12 +194,15 @@ def grid_stepper(spec: StatisticSpec) -> Callable[[Toggle, tuple[int, ...], int]
                             near |= adj[low.bit_length() - 1]
                             others ^= low
                         return current + 2 * (1 + (everyone & ~near).bit_count())
-            return s_flow_distance(move.graph)
+            rows = list(adj)
+            rows[i] ^= 1 << j
+            rows[j] ^= 1 << i
+            return hop_total(rows)
 
         return flow
     rows = spec.grid_delta
-    return lambda move, adj, current: (
-        current + rows[move.i][move.j] if move.added else current - rows[move.i][move.j])
+    return lambda adj, i, j, added, current: (
+        current + rows[i][j] if added else current - rows[i][j])
 
 
 class HamiltonianForm(str, Enum):

@@ -20,7 +20,6 @@ from ergmax import (
     pair_of,
     read_edge_list,
 )
-from ergmax import graph
 from ergmax.graph import (
     all_pairs, bfs_layers, edge_list_string, num_pairs, reached, total_hop_count,
 )
@@ -128,19 +127,6 @@ def test_connectivity_matches_union_find(n):
         assert is_connected(g) == union_find_connected(g)
 
 
-def test_a_graph_holding_a_hop_total_is_connected_without_a_search(monkeypatch):
-    g = Graph.cycle(6)
-    assert total_hop_count(g) == 6 * (1 + 1 + 2 + 2 + 3)
-
-    def no_search(*args):
-        raise AssertionError("is_connected searched a graph that holds a hop total")
-
-    monkeypatch.setattr(graph, "reached", no_search)
-    assert is_connected(g)
-    with pytest.raises(AssertionError):
-        is_connected(Graph.cycle(6))  # a fresh graph holds no total, so it searches
-
-
 # -- path lengths ------------------------------------------------------------
 
 
@@ -206,15 +192,11 @@ def test_adding_an_edge_is_monotone(n, data):
 
 
 @given(st.integers(min_value=2, max_value=8),
-       st.sampled_from(["bare", "rows", "counted", "held"]), st.data())
+       st.sampled_from(["bare", "rows", "counted"]), st.data())
 def test_toggled_graphs_carry_their_adjacency_rows(n, start, data):
     bits = data.draw(st.integers(min_value=0, max_value=(1 << num_pairs(n)) - 1))
     g = Graph(n, bits)
-    if start == "held":  # rows handed over by a caller that already has them
-        rows = g.adjacency()
-        g = Graph.from_rows(bits, rows)
-        assert g.n == n and g.adjacency() is rows
-    elif start == "rows":
+    if start == "rows":
         g.adjacency()
     elif start == "counted":
         count_triangles(g)
@@ -222,7 +204,6 @@ def test_toggled_graphs_carry_their_adjacency_rows(n, start, data):
     for i, j in data.draw(st.lists(st.sampled_from(all_pairs(n)), max_size=12)):
         step = data.draw(st.sampled_from(steps))
         g = step(g, i, j) if data.draw(st.booleans()) else step(g, j, i)
-    # a carried count is read first, before anything could count it afresh
     assert count_triangles(g) == count_triangles(Graph(n, g.bits))
     assert g.adjacency() == Graph(n, g.bits).adjacency()
 

@@ -10,10 +10,10 @@ Python code (package, tests, demos, benchmark) or be exported in
 name a function it can find, and every name the benchmark imports from
 the package must exist.  Only ``stats.py`` reads a Hamiltonian's
 ``sense``: everywhere else it is folded into the sign of ``scale``.
-``cli.py`` names no model.  Only ``graph.py`` gives a graph its hop total, which ``is_connected``
-takes as proof that the graph is connected.  The package imports nothing
-outside the standard library, and not ``random``: its searches are
-deterministic.
+``cli.py`` names no model.  Only ``graph.py`` gives a graph its hop
+total.  The package imports nothing outside the standard library, and
+not ``random``: its searches are deterministic.  The searches build no
+Fraction per node or toggle, and branch-and-bound no Graph per node.
 """
 
 from __future__ import annotations
@@ -267,3 +267,34 @@ def test_the_searches_build_no_fraction_per_node_or_toggle(monkeypatch, solve):
     work = run()
     monkeypatch.undo()
     assert work > 100 and built <= 4
+
+
+def test_branch_and_bound_builds_no_graph_per_node(monkeypatch):
+    # every toggle step reads adjacency rows, so the Graphs bnb builds are its
+    # root's, its leaves' and the divide-back's, not one per node (15 000 for
+    # these 16 207 nodes when a flow step summed a toggled graph's hops)
+    from fractions import Fraction
+
+    from ergmax.exact import branch_and_bound
+    from ergmax.frontier import distance_interval
+    from ergmax.stats import random_unit_square_delta
+
+    delta = tuple(tuple(20 * d for d in row) for row in random_unit_square_delta(7, 1))
+    h = ergmax.Hamiltonian.max_min_pair(
+        Fraction(7, 10), ergmax.StatisticSpec(ergmax.StatisticKind.PHYSICAL_DISTANCE, delta),
+        ergmax.StatisticSpec(ergmax.StatisticKind.FLOW_DISTANCE), "minimize")
+    bound, _, start = distance_interval(h)
+    built = 0
+    graph_init = ergmax.Graph.__init__
+
+    def counted(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        graph_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ergmax.Graph, "__init__", counted)
+    res = branch_and_bound(7, ergmax.SampleSpace.connected_graphs(), h,
+                           incumbent=start, ceiling=bound)
+    monkeypatch.undo()
+    assert res.status == "optimal" and res.nodes_explored == 16_207
+    assert built <= 20

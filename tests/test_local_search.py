@@ -24,7 +24,7 @@ from ergmax import (
 )
 from ergmax.frontier import witness
 from ergmax import graph
-from ergmax.graph import DisconnectedGraphError, Toggle, all_pairs, num_pairs, total_hop_count
+from ergmax.graph import DisconnectedGraphError, all_pairs, num_pairs, total_hop_count
 from ergmax.local_search import _feasible_toggles
 from ergmax.stats import grid_stepper, grid_values, improving_directions, score
 
@@ -64,12 +64,13 @@ def test_objective_never_decreases_and_stays_feasible():
     for start in (Graph.star(6), Graph.complete(5)):
         g, values, moves = start, grid_values(h, start), 0
         while True:
-            for move, cand_values, cand_obj in _feasible_toggles(
+            for i, j, cand_values, cand_obj in _feasible_toggles(
                     g, h, CONNECTED, values, all_pairs(g.n)):
                 if cand_obj > score(h, values):
-                    assert is_connected(move.graph)
-                    assert eval_hamiltonian(h, move.graph) > eval_hamiltonian(h, g)
-                    g, values = move.graph, cand_values
+                    toggled = g.toggled(i, j)
+                    assert is_connected(toggled)
+                    assert eval_hamiltonian(h, toggled) > eval_hamiltonian(h, g)
+                    g, values = toggled, cand_values
                     moves += 1
                     break
             else:
@@ -277,8 +278,7 @@ def test_the_connected_space_tests_a_removal_on_the_parent_rows():
         (Graph.cycle(4), (0, 1), True),
     ]:
         values = grid_values(h, g)
-        moves = [move for move, _, _ in _feasible_toggles(g, h, CONNECTED, values, [pair])]
-        assert len(moves) == kept and all(move._graph is None for move in moves)
+        assert len(list(_feasible_toggles(g, h, CONNECTED, values, [pair]))) == kept
         assert len(list(_feasible_toggles(g, h, SampleSpace.all_graphs(), values, [pair]))) == 1
 
 
@@ -323,13 +323,12 @@ def test_flow_distance_steps_exactly_along_a_walk_of_toggles(n, space, data):
     for i, j in data.draw(st.lists(st.sampled_from(all_pairs(n)), max_size=25), label="toggles"):
         if not is_connected(g.toggled(i, j)):
             with pytest.raises(DisconnectedGraphError):
-                grid_stepper(FLOW)(Toggle(g, i, j, not g.has_edge(i, j)), g.adjacency(), values[0])
+                grid_stepper(FLOW)(g.adjacency(), i, j, not g.has_edge(i, j), values[0])
             assert not list(_feasible_toggles(g, h, space, values, [(i, j)]))
             continue
-        [(move, cand_values, _)] = _feasible_toggles(g, h, space, values, [(i, j)])
-        toggled = move.graph
+        [(_, _, cand_values, _)] = _feasible_toggles(g, h, space, values, [(i, j)])
+        toggled = g.toggled(i, j)
         assert cand_values == (ordered_hop_sum(toggled),)
-        # the total the step cached on the toggled graph, or summed on this read
         assert total_hop_count(toggled) == ordered_hop_sum(toggled)
         if data.draw(st.booleans(), label="accept"):
             g, values = toggled, cand_values
@@ -359,19 +358,18 @@ def test_the_flow_step_of_a_hub_graph_matches_a_fresh_hop_total(g):
     step, current = grid_stepper(FLOW), ordered_hop_sum(g)
     hubs = {v for v in range(g.n) if all(g.has_edge(v, u) for u in range(g.n) if u != v)}
     for i, j in all_pairs(g.n):
-        move = Toggle(g, i, j, not g.has_edge(i, j))
+        added = not g.has_edge(i, j)
         toggled = Graph(g.n, g.bits ^ Graph.from_edges(g.n, [(i, j)]).bits)
-        # every toggle of a graph with a hub steps in closed form: no search, no graph
+        # every toggle of a graph with a hub steps in closed form, with no search
         with unittest.mock.patch.object(graph, "bfs_layers",
                                         side_effect=AssertionError("searched")):
             if not union_find_connected(toggled):
                 # only a removal that touches the one hub can disconnect g
                 assert hubs & {i, j} and not hubs - {i, j}
                 with pytest.raises(DisconnectedGraphError):
-                    step(move, g.adjacency(), current)
+                    step(g.adjacency(), i, j, added, current)
             else:
-                assert step(move, g.adjacency(), current) == ordered_hop_sum(toggled)
-        assert move._graph is None
+                assert step(g.adjacency(), i, j, added, current) == ordered_hop_sum(toggled)
 
 
 def heuristic_spec(**kwargs):
@@ -510,10 +508,10 @@ def unfiltered_first_improve(start, h, space):
     (graph, objective)."""
     g, values = start, grid_values(h, start)
     while True:
-        for move, cand_values, cand_obj in _feasible_toggles(
+        for i, j, cand_values, cand_obj in _feasible_toggles(
                 g, h, space, values, all_pairs(g.n)):
             if cand_obj > score(h, values):
-                g, values = move.graph, cand_values
+                g, values = g.toggled(i, j), cand_values
                 break
         else:
             return g, eval_hamiltonian(h, g)

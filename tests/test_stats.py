@@ -22,7 +22,7 @@ from ergmax import (
     s_non_edges,
     s_physical_distance,
 )
-from ergmax.graph import Toggle, num_pairs
+from ergmax.graph import num_pairs
 from ergmax.stats import (
     HamiltonianForm,
     _unit_draws,
@@ -152,20 +152,19 @@ def test_toggled_value_is_exact_and_moves_in_the_monotone_direction(data):
     spec = StatisticSpec(kind, delta)
     read, step = grid_reader(spec), grid_stepper(spec)
     toggled = g.toggled(i, j)
-    move = Toggle(g, i, j, not g.has_edge(i, j))
+    added = not g.has_edge(i, j)
     if kind is StatisticKind.FLOW_DISTANCE:
         assume(is_connected(g))  # local search only updates from a value at g
         if not is_connected(toggled):
             with pytest.raises(DisconnectedGraphError):
-                step(move, g.adjacency(), s_flow_distance(g))
+                step(g.adjacency(), i, j, added, s_flow_distance(g))
             return
     current = read(g)
-    value = step(move, g.adjacency(), current)
+    value = step(g.adjacency(), i, j, added, current)
     assert type(value) is int and value == read(toggled)
     if delta is not None:
         # the grid value is the distance sum times the grid, exactly
         assert Fraction(value, spec.grid) == s_physical_distance(toggled, delta)
-    added = toggled.edge_count > g.edge_count
     assert value >= current if added == kind.increasing else value <= current
 
 
