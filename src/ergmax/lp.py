@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from itertools import chain, combinations, starmap
+from itertools import chain, combinations, repeat
 from operator import itemgetter
 from string import Formatter
 from typing import Any, Callable, Iterable, Iterator, Mapping, TextIO
@@ -85,29 +85,96 @@ def _literal(name: str) -> str:
     return name.replace("{", "{{").replace("}", "}}")
 
 
+def _unbraced(names: Iterable[Any]) -> bool:
+    """Whether every one of `names` is a string without braces, and so a
+    pattern of itself; False, leaving the fault to :func:`_literal` and the
+    checks after it, if they are not all strings or cannot be listed."""
+    try:
+        text = "".join(names)
+    except (KeyError, TypeError):
+        return False
+    return "{" not in text and "}" not in text
+
+
 # (literal text, field, format spec, conversion) for each field of a pattern
 _fields = Formatter().parse
 
 
+def _suffixes(entries: list[Any]) -> bool:
+    """Whether every entry is a name suffix: groups of ASCII decimal digits
+    joined by ``_``, such as ``"3_7_12"``.  The entries are joined and
+    tested at once, so each test is one pass over one string."""
+    if not entries:
+        return True
+    try:
+        text = "\n".join(entries)
+    except TypeError:  # an entry that is not a string
+        return False
+    # every group of every entry, one run: an empty group or entry shows as
+    # a "_" next to another or at an end
+    groups = text.replace("\n", "_")
+    return (text.isascii() and text.count("\n") == len(entries) - 1
+            and groups.replace("_", "").isdecimal() and "__" not in groups
+            and not groups.startswith("_") and not groups.endswith("_"))
+
+
 def _check_fields(patterns: list[str], indices: list[tuple[str, ...]]) -> None:
     """Refuse with ValueError a field of `patterns` that is not a plain
-    ``{k}``, or an index entry that is not a string of decimal digits."""
+    ``{k}``, or an index entry that is not a name suffix."""
     # one parse for all patterns; a field across the separator has a non-digit
     for _, field, spec, conversion in _fields("\0".join(patterns)):
         if field is not None and not (field.isdecimal() and field.isascii()
                                       and not spec and conversion is None):
             raise ValueError(f"field {{{field}}} is not a plain index field")
-    for entry in set(chain.from_iterable(indices)):
-        if not (type(entry) is str and entry.isdecimal() and entry.isascii()):
-            raise ValueError(f"index entry {entry!r} is not a string of decimal digits")
+    entries = list(chain.from_iterable(indices))
+    if not _suffixes(entries):
+        for entry in entries:
+            if not _suffixes([entry]):
+                raise ValueError(f"index entry {entry!r} is not a string of decimal digits"
+                                 " or of such groups joined by '_'")
 
 
-def _names(patterns: list[str], indices: list[tuple[str, ...]]) -> list[str]:
-    """Every pattern filled from every index tuple, pattern by pattern."""
+def _printf(template: str) -> tuple[str, list[int]]:
+    """`template`, a pattern with ``{0}``, ``{1}``, ... fields, as a
+    printf-style string with its literal ``%`` doubled, and the index of the
+    entry that fills each of its ``%s`` in turn."""
+    parts, picks = [], []
+    for text, field, _, _ in _fields(template):
+        parts.append(text.replace("%", "%%"))
+        if field is not None:
+            parts.append("%s")
+            picks.append(int(field))
+    return "".join(parts), picks
+
+
+def _names(patterns: list[str], indices: list[tuple[str, ...]],
+           distinct: bool = False) -> list[str]:
+    """Every pattern filled from every index tuple, pattern by pattern.
+
+    With `distinct`, a pattern of one field is filled once per distinct
+    entry of that field, and a pattern without fields once: the set of
+    names is the same, but ``x_{1}`` over the 9 880 triples of n = 40 is
+    780 names, not 9 880.
+    """
+    names: list[str] = []
+    columns: dict[int, set[str]] = {}  # a field's distinct entries
     try:
-        return list(chain.from_iterable(starmap(p.format, indices) for p in patterns))
+        for p in patterns:
+            if "{" not in p and "}" not in p:  # a literal name, its own pattern
+                names += [p] if distinct and indices else [p] * len(indices)
+                continue
+            one, picks = _printf(p)
+            if not picks:
+                names += [one % ()] if distinct and indices else [one % ()] * len(indices)
+            elif distinct and len(picks) == 1:
+                if picks[0] not in columns:
+                    columns[picks[0]] = set(map(itemgetter(picks[0]), indices))
+                names += map(one.__mod__, columns[picks[0]])
+            else:
+                names += map(one.__mod__, map(itemgetter(*picks), indices))
     except IndexError as exc:
         raise ValueError(f"a pattern field has no index entry: {exc}") from exc
+    return names
 
 
 def _new_names(patterns: list[str], indices: list[tuple[str, ...]], taken: set[str],
@@ -154,13 +221,7 @@ def _fill(template: str, indices: list[tuple[str, ...]], sep: str = "") -> Itera
 
 
 def _batches(template: str, indices: list[tuple[str, ...]], sep: str) -> Iterator[str]:
-    parts, picks = [], []
-    for text, field, _, _ in _fields(template):
-        parts.append(text.replace("%", "%%"))
-        if field is not None:
-            parts.append("%s")
-            picks.append(int(field))
-    one = "".join(parts)
+    one, picks = _printf(template)
     pick = itemgetter(*picks) if picks else None
     joined: dict[int, str] = {}
     for start in range(0, len(indices), _BATCH):
@@ -180,9 +241,13 @@ class ConstraintSystem:
     Variables and rows are stored in blocks.  A block is a tuple of
     patterns, variables or rows whose names (and a row's variable names)
     carry fields ``{0}``, ``{1}``, ... (literal braces doubled), and a list
-    of index tuples of decimal-digit strings; it stands for every pattern
-    filled from every tuple, tuple by tuple.  A plain variable or row is a
-    block of one pattern without fields, over one empty tuple.
+    of index tuples; it stands for every pattern filled from every tuple,
+    tuple by tuple.  An index entry is a whole name suffix, groups of
+    decimal digits joined by ``_`` such as ``"3_7_12"`` or ``"3_7"``, so a
+    name takes one field: ``w_{0}``, ``x_{1}``, ``x_{2}`` and ``x_{3}`` over
+    ``("0_1_2", "0_1", "1_2", "0_2")`` are ``w_0_1_2``, ``x_0_1``, ``x_1_2``
+    and ``x_0_2``.  A plain variable or row is a block of one pattern
+    without fields, over one empty tuple.
     """
 
     def __init__(self, name: str = "model"):
@@ -240,12 +305,14 @@ class ConstraintSystem:
 
     def add_variable_block(self, patterns: Iterable[Variable],
                            indices: Iterable[tuple[str, ...]]) -> None:
-        """Declare the variables of `patterns` filled from each index tuple in turn.
+        """Declare the variables of `patterns` filled from each index tuple in
+        turn, each entry a name suffix (see :class:`ConstraintSystem`).
 
         Refused, declaring nothing: a name that is not a string (TypeError);
         with ValueError, a field that is not a plain ``{k}`` or has no entry
-        in an index tuple, an entry that is not a string of decimal digits,
-        an unknown kind, a bound on a binary variable, or a name given twice.
+        in an index tuple, an entry that is not a name suffix (the message
+        names it), an unknown kind, a bound on a binary variable, or a name
+        given twice.
         """
         patterns, indices = tuple(patterns), list(indices)
         for p in patterns:
@@ -267,21 +334,24 @@ class ConstraintSystem:
         rhs: Number,
     ) -> None:
         """One row: a block of one pattern without fields, over one empty tuple."""
-        self.add_block([Row(_literal(name), {_literal(v): c for v, c in coeffs.items()},
-                            relation, rhs)], [()])
+        name = _literal(name)
+        if not _unbraced(coeffs):
+            coeffs = {_literal(v): c for v, c in coeffs.items()}
+        self.add_block([Row(name, coeffs, relation, rhs)], [()])
 
     def add_block(self, patterns: Iterable[Row], indices: Iterable[tuple[str, ...]]) -> None:
-        """Add the rows of `patterns` filled from each index tuple in turn.
+        """Add the rows of `patterns` filled from each index tuple in turn,
+        each entry a name suffix (see :class:`ConstraintSystem`).
 
         Refused with ValueError, adding nothing: a field that is not a
         plain ``{k}`` or has no entry in an index tuple, an entry that is
-        not a string of decimal digits, a row name given twice, an unknown
-        relation, or a row naming an undeclared variable.
+        not a name suffix (the message names it), a row name given twice,
+        an unknown relation, or a row naming an undeclared variable.
         """
         patterns, indices = tuple(patterns), list(indices)
         var_patterns = list(dict.fromkeys(v for p in patterns for v in p.coeffs))
         _check_fields([p.name for p in patterns] + var_patterns, indices)
-        var_names = set(_names(var_patterns, indices))
+        var_names = _names(var_patterns, indices, distinct=True)
         new_names = _new_names([p.name for p in patterns], indices, self._row_names, "row")
         for p in patterns:
             if p.relation not in ("<=", "=", ">="):
@@ -406,17 +476,25 @@ class ConstraintSystem:
         try:
             cs = cls(data.get("name", "model"))
             cs.meta = dict(data.get("meta", {}))
+            # a section's names are escaped one by one only if one of them
+            # holds a brace or is not a string; the escaping reports the latter
+            plain = _unbraced(v["name"] for v in data["variables"])
             variables = []
             for v in data["variables"]:
                 _refuse_booleans(v["lower"], v["upper"])
-                variables.append(Variable(_literal(v["name"]), v["kind"], v["lower"], v["upper"]))
+                variables.append(Variable(v["name"] if plain else _literal(v["name"]), v["kind"],
+                                          v["lower"], v["upper"]))
             cs.add_variable_block(variables, [()])
+            plain = _unbraced(chain.from_iterable((r["name"], *r["coeffs"]) for r in data["rows"]))
             rows = []
             for r in data["rows"]:
                 _refuse_booleans(r["rhs"], *r["coeffs"].values())
-                rows.append(Row(_literal(r["name"]),
-                                {_literal(v): c for v, c in r["coeffs"].items()},
-                                r["relation"], r["rhs"]))
+                if plain:
+                    rows.append(Row(r["name"], r["coeffs"], r["relation"], r["rhs"]))
+                else:
+                    rows.append(Row(_literal(r["name"]),
+                                    {_literal(v): c for v, c in r["coeffs"].items()},
+                                    r["relation"], r["rhs"]))
             cs.add_block(rows, [()])
             obj = data["objective"]
             cs.set_objective(obj["sense"], obj["coeffs"])
@@ -443,34 +521,32 @@ def _refuse_booleans(*values: Any) -> None:
 
 
 # ---------------------------------------------------------------------------
-# variable-name scheme (deterministic given n and formulation options); a
-# node given as one of FIELDS makes the name a pattern for a block
+# variable-name scheme (deterministic given n and formulation options); the
+# builders' blocks spell the same names from suffixes, ``x_{0}`` over "i_j"
+# being x_name(i, j), and likewise ``w_``, ``f_`` and ``fm_{h}_``
 
 
-Node = int | str
-FIELDS = ("{0}", "{1}", "{2}")
-
-
-def x_name(i: Node, j: Node) -> str:
+def x_name(i: int, j: int) -> str:
     return f"x_{i}_{j}"
 
 
-def w_name(i: Node, j: Node, k: Node) -> str:
+def w_name(i: int, j: int, k: int) -> str:
     return f"w_{i}_{j}_{k}"
 
 
-def flow_name(i: Node, j: Node) -> str:
+def flow_name(i: int, j: int) -> str:
     return f"f_{i}_{j}"
 
 
-def mcflow_name(h: Node, i: Node, j: Node) -> str:
+def mcflow_name(h: int, i: int, j: int) -> str:
     return f"fm_{h}_{i}_{j}"
 
 
-def _index_tuples(n: int, k: int) -> list[tuple[str, ...]]:
-    """The k-subsets of the nodes as increasing tuples of digit strings, in
-    the order of ``combinations(range(n), k)``."""
-    return list(combinations([str(v) for v in range(n)], k))
+def _arc_suffixes(n: int) -> list[list[str]]:
+    """``"i_j"`` at ``[i][j]`` for every two nodes: the name suffix of the
+    pair or arc (i, j)."""
+    nodes = [str(v) for v in range(n)]
+    return [list(map(f"{a}_".__add__, nodes)) for a in nodes]
 
 
 def ensure_edge_variables(cs: ConstraintSystem, n: int) -> None:
@@ -478,9 +554,9 @@ def ensure_edge_variables(cs: ConstraintSystem, n: int) -> None:
     cs.meta.setdefault("n", n)
     if cs.meta["n"] != n:
         raise ValueError("constraint system already built for a different n")
-    x = x_name(*FIELDS[:2])
-    cs.add_variable_block([Variable(x, "binary")], [
-        pair for pair in _index_tuples(n, 2) if not cs.has_variable(x.format(*pair))])
+    cs.add_variable_block([Variable("x_{0}", "binary")], [
+        (ij,) for i, row in enumerate(_arc_suffixes(n)) for ij in row[i + 1:]
+        if not cs.has_variable("x_" + ij)])
 
 
 # ---------------------------------------------------------------------------
@@ -502,51 +578,62 @@ def build_triangle_indicators(n: int, cs: ConstraintSystem | None = None) -> Con
 
     The standard 4-row AND linearization pins w to the product of the
     three edge variables without auxiliaries; its four rows are one block
-    over the triples.
+    over the triples' suffixes (ijk, ij, jk, ik).
     """
     if n < 3:
         raise ValueError("triangle indicators need n >= 3")
     cs = cs or ConstraintSystem("triangle_indicators")
     ensure_edge_variables(cs, n)
     cs.meta["triangle_variant"] = "and"
-    triples = _index_tuples(n, 3)
-    i, j, k = FIELDS[:3]
-    w = w_name(i, j, k)
-    xij, xjk, xik = x_name(i, j), x_name(j, k), x_name(i, k)
-    cs.add_variable_block([Variable(w, "binary")], triples)
+    nodes, table = [str(v) for v in range(n)], _arc_suffixes(n)
+    triples: list[tuple[str, str, str, str]] = []
+    for i, row in enumerate(table):
+        for j in range(i + 1, n):  # (i_j_k, i_j, j_k, i_k) for each k > j
+            triples += zip(map(f"{row[j]}_".__add__, nodes[j + 1:]), repeat(row[j]),
+                           table[j][j + 1:], row[j + 1:])
+    cs.add_variable_block([Variable("w_{0}", "binary")], triples)
     cs.add_block(
         [
-            Row(f"tri_ub1_{i}_{j}_{k}", {w: 1, xij: -1}, "<=", 0),
-            Row(f"tri_ub2_{i}_{j}_{k}", {w: 1, xjk: -1}, "<=", 0),
-            Row(f"tri_ub3_{i}_{j}_{k}", {w: 1, xik: -1}, "<=", 0),
-            Row(f"tri_lb_{i}_{j}_{k}", {xij: 1, xjk: 1, xik: 1, w: -1}, "<=", 2),
+            Row("tri_ub1_{0}", {"w_{0}": 1, "x_{1}": -1}, "<=", 0),
+            Row("tri_ub2_{0}", {"w_{0}": 1, "x_{2}": -1}, "<=", 0),
+            Row("tri_ub3_{0}", {"w_{0}": 1, "x_{3}": -1}, "<=", 0),
+            Row("tri_lb_{0}", {"x_{1}": 1, "x_{2}": 1, "x_{3}": 1, "w_{0}": -1}, "<=", 2),
         ],
         triples,
     )
     return cs
 
 
-def _add_commodity(
-    cs: ConstraintSystem, n: int, source: int, arc: Callable[[Node, Node], str], balance: str
-) -> None:
-    """Arc variables of one commodity plus its balance rows ``{balance}_{k}``.
+def _flow_suffixes(n: int) -> tuple[list[tuple[str, str]], list[tuple[str, ...]]]:
+    """The index tuples of a commodity's blocks: (ij, ji) for each pair
+    i < j, and for each node k, (k, k_m, m_k, ...) over the other nodes m
+    in order."""
+    table = _arc_suffixes(n)
+    arcs = [(row[j], table[j][i]) for i, row in enumerate(table) for j in range(i + 1, n)]
+    balance = [(str(k), *chain.from_iterable((table[k][m], table[m][k])
+                                             for m in range(n) if m != k))
+               for k in range(n)]
+    return arcs, balance
+
+
+def _add_commodity(cs: ConstraintSystem, n: int, source: int, arc: str, balance: str,
+                   suffixes: tuple[list[tuple[str, str]], list[tuple[str, ...]]]) -> None:
+    """Arc variables ``{arc}i_j`` of one commodity plus its balance rows
+    ``{balance}_k``, over `suffixes` from :func:`_flow_suffixes`.
 
     n-1 units leave ``source`` and one unit terminates at every other node.
     The arc pairs are one block over the pairs.  The balance rows are at
-    most three blocks of one pattern, whose field 0 is the row's node k and
-    fields 1, ..., n-1 the other nodes in order: the sinks before the
-    source, the source, and the sinks after it.
+    most three blocks of one pattern: the sinks before the source, the
+    source, and the sinks after it.
     """
-    i, j = FIELDS[:2]
-    cs.add_variable_block([Variable(arc(i, j), "continuous", 0),
-                           Variable(arc(j, i), "continuous", 0)], _index_tuples(n, 2))
+    arcs, rows = suffixes
+    cs.add_variable_block([Variable(arc + "{0}", "continuous", 0),
+                           Variable(arc + "{1}", "continuous", 0)], arcs)
     coeffs: dict[str, int] = {}
     for m in range(1, n):
-        coeffs[arc("{0}", f"{{{m}}}")] = 1
-        coeffs[arc(f"{{{m}}}", "{0}")] = -1
-    nodes = [str(v) for v in range(n)]
-    rows = [(node, *nodes[:k], *nodes[k + 1:]) for k, node in enumerate(nodes)]
-    name = f"{_literal(balance)}_{{0}}"
+        coeffs[f"{arc}{{{2 * m - 1}}}"] = 1
+        coeffs[f"{arc}{{{2 * m}}}"] = -1
+    name = balance + "_{0}"
     for rhs, indices in ((-1, rows[:source]), (n - 1, rows[source:source + 1]),
                          (-1, rows[source + 1:])):
         cs.add_block([Row(name, coeffs, "=", rhs)], indices)
@@ -561,13 +648,10 @@ def build_connectivity_flow(n: int, cs: ConstraintSystem | None = None) -> Const
     cs = cs or ConstraintSystem("connectivity_flow")
     ensure_edge_variables(cs, n)
     cs.meta["flow_root"] = 0
-    _add_commodity(cs, n, 0, flow_name, "flow_balance")
-    i, j = FIELDS[:2]
-    cs.add_block(
-        [Row(f"flow_cap_{i}_{j}", {flow_name(i, j): 1, flow_name(j, i): 1, x_name(i, j): -n},
-             "<=", 0)],
-        _index_tuples(n, 2),
-    )
+    suffixes = _flow_suffixes(n)
+    _add_commodity(cs, n, 0, "f_", "flow_balance", suffixes)
+    cs.add_block([Row("flow_cap_{0}", {"f_{0}": 1, "f_{1}": 1, "x_{0}": -n}, "<=", 0)],
+                 suffixes[0])
     return cs
 
 
@@ -575,18 +659,19 @@ def build_multicommodity_flow(n: int, cs: ConstraintSystem | None = None) -> Con
     """One commodity per node, n-1 units from its node to all others.
 
     All commodities share the per-pair capacity n^2 * x_ij; minimizing
-    the total flow makes it the flow-distance statistic.
+    the total flow makes it the flow-distance statistic.  Every commodity's
+    blocks take the same index tuples.
     """
     if n < 2:
         raise ValueError("multicommodity flow needs n >= 2")
     cs = cs or ConstraintSystem("multicommodity_flow")
     ensure_edge_variables(cs, n)
+    suffixes = _flow_suffixes(n)
     for h in range(n):
-        _add_commodity(cs, n, h, partial(mcflow_name, h), f"mcflow_balance_{h}")
-    i, j = FIELDS[:2]
-    coeffs = {mcflow_name(h, a, b): 1 for h in range(n) for a, b in ((i, j), (j, i))}
-    coeffs[x_name(i, j)] = -n * n
-    cs.add_block([Row(f"mcflow_cap_{i}_{j}", coeffs, "<=", 0)], _index_tuples(n, 2))
+        _add_commodity(cs, n, h, f"fm_{h}_", f"mcflow_balance_{h}", suffixes)
+    coeffs = {f"fm_{h}_{{{k}}}": 1 for h in range(n) for k in (0, 1)}
+    coeffs["x_{0}"] = -n * n
+    cs.add_block([Row("mcflow_cap_{0}", coeffs, "<=", 0)], suffixes[0])
     return cs
 
 

@@ -14,7 +14,16 @@ import time
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from ergmax import Graph, Hamiltonian, SampleSpace, SolveResult, StatisticKind, StatisticSpec
+from ergmax import (
+    ConstraintSystem,
+    Graph,
+    Hamiltonian,
+    SampleSpace,
+    SolveResult,
+    StatisticKind,
+    StatisticSpec,
+    lp,
+)
 from ergmax.exact import _breaks_lex_order
 from ergmax.graph import DisconnectedGraphError, all_pairs, is_connected, num_pairs, reached
 from ergmax.stats import grid_values, score
@@ -282,3 +291,130 @@ def solve_ir_with_milp(cs) -> tuple[float, dict[str, float]] | None:
         return None
     assert res.success, res.message
     return sign * res.fun, dict(zip(names, (float(x) for x in res.x)))
+
+
+# -- constraint systems by name: one add_variable or add_row per variable or row
+
+
+def edge_variables_by_name(cs: ConstraintSystem, n: int) -> None:
+    """``lp.ensure_edge_variables``: one add_variable per edge name."""
+    cs.meta.setdefault("n", n)
+    if cs.meta["n"] != n:
+        raise ValueError("constraint system already built for a different n")
+    for i, j in all_pairs(n):
+        if not cs.has_variable(lp.x_name(i, j)):
+            cs.add_variable(lp.x_name(i, j), "binary")
+
+
+def fixed_density_by_rows(n: int, d: int, cs: ConstraintSystem | None = None):
+    cs = cs or ConstraintSystem("fixed_density")
+    edge_variables_by_name(cs, n)
+    cs.add_row("edge_count", {lp.x_name(i, j): 1 for i, j in all_pairs(n)}, "=", d)
+    return cs
+
+
+def triangle_indicators_by_rows(n: int, cs: ConstraintSystem | None = None):
+    cs = cs or ConstraintSystem("triangle_indicators")
+    edge_variables_by_name(cs, n)
+    cs.meta["triangle_variant"] = "and"
+    for i, j, k in itertools.combinations(range(n), 3):
+        w = lp.w_name(i, j, k)
+        xij, xjk, xik = lp.x_name(i, j), lp.x_name(j, k), lp.x_name(i, k)
+        cs.add_variable(w, "binary")
+        cs.add_row(f"tri_ub1_{i}_{j}_{k}", {w: 1, xij: -1}, "<=", 0)
+        cs.add_row(f"tri_ub2_{i}_{j}_{k}", {w: 1, xjk: -1}, "<=", 0)
+        cs.add_row(f"tri_ub3_{i}_{j}_{k}", {w: 1, xik: -1}, "<=", 0)
+        cs.add_row(f"tri_lb_{i}_{j}_{k}", {xij: 1, xjk: 1, xik: 1, w: -1}, "<=", 2)
+    return cs
+
+
+def commodity_by_rows(cs: ConstraintSystem, n: int, source: int,
+                      arc: Callable[[int, int], str], balance: str) -> None:
+    """One commodity's arc variables and balance rows, n-1 units from `source`."""
+    for i, j in all_pairs(n):
+        cs.add_variable(arc(i, j), "continuous", lower=0)
+        cs.add_variable(arc(j, i), "continuous", lower=0)
+    for k in range(n):
+        coeffs = {}
+        for j in range(n):
+            if j != k:
+                coeffs[arc(k, j)] = 1
+                coeffs[arc(j, k)] = -1
+        cs.add_row(f"{balance}_{k}", coeffs, "=", n - 1 if k == source else -1)
+
+
+def connectivity_flow_by_rows(n: int, cs: ConstraintSystem | None = None):
+    cs = cs or ConstraintSystem("connectivity_flow")
+    edge_variables_by_name(cs, n)
+    cs.meta["flow_root"] = 0
+    commodity_by_rows(cs, n, 0, lp.flow_name, "flow_balance")
+    for i, j in all_pairs(n):
+        cs.add_row(f"flow_cap_{i}_{j}",
+                   {lp.flow_name(i, j): 1, lp.flow_name(j, i): 1, lp.x_name(i, j): -n}, "<=", 0)
+    return cs
+
+
+def multicommodity_flow_by_rows(n: int, cs: ConstraintSystem | None = None):
+    cs = cs or ConstraintSystem("multicommodity_flow")
+    edge_variables_by_name(cs, n)
+    for h in range(n):
+        commodity_by_rows(cs, n, h, lambda a, b, h=h: lp.mcflow_name(h, a, b),
+                          f"mcflow_balance_{h}")
+    for i, j in all_pairs(n):
+        coeffs = {lp.mcflow_name(h, a, b): 1 for h in range(n) for a, b in ((i, j), (j, i))}
+        coeffs[lp.x_name(i, j)] = -n * n
+        cs.add_row(f"mcflow_cap_{i}_{j}", coeffs, "<=", 0)
+    return cs
+
+
+def maxmin_by_rows(n: int, alpha: Fraction, space: SampleSpace) -> ConstraintSystem:
+    """``lp.build_maxmin``: maximize H below alpha * non-edges and (1 - alpha) * triangles."""
+    alpha = Fraction(alpha)
+    cs = ConstraintSystem("maxmin_nonedges_triangles")
+    edge_variables_by_name(cs, n)
+    triangle_indicators_by_rows(n, cs)
+    if space.density is not None:
+        fixed_density_by_rows(n, space.density, cs)
+    if space.connected:
+        connectivity_flow_by_rows(n, cs)
+    cs.meta["space"] = space.label()
+    pairs = num_pairs(n)
+    cs.add_variable("H", "continuous", lower=0, upper=alpha * pairs)
+    row = {lp.x_name(i, j): alpha for i, j in all_pairs(n)}
+    cs.add_row("epi_non_edges", {**row, "H": 1}, "<=", alpha * pairs)
+    row = {lp.w_name(i, j, k): alpha - 1 for i, j, k in itertools.combinations(range(n), 3)}
+    cs.add_row("epi_triangles", {**row, "H": 1}, "<=", 0)
+    cs.set_objective("maximize", {"H": 1})
+    cs.meta["alpha"] = str(alpha)
+    cs.meta["formulation"] = "maxmin_nonedges_triangles"
+    return cs
+
+
+def minmax_distance_by_rows(n: int, alpha: Fraction, delta,
+                            space: SampleSpace) -> ConstraintSystem:
+    """``lp.build_minmax_distance``: minimize H above alpha * physical distance
+    and (1 - alpha) * total flow."""
+    alpha = Fraction(alpha)
+    cs = ConstraintSystem("minmax_distance")
+    edge_variables_by_name(cs, n)
+    multicommodity_flow_by_rows(n, cs)
+    if space.density is not None:
+        fixed_density_by_rows(n, space.density, cs)
+    cs.meta["space"] = space.label()
+    cs.add_variable("H", "continuous", lower=0)
+    row = {lp.x_name(i, j): alpha * Fraction(delta[i][j]) for i, j in all_pairs(n)}
+    cs.add_row("epi_physical", {**row, "H": -1}, "<=", 0)
+    row = {lp.mcflow_name(h, a, b): 1 - alpha
+           for h in range(n) for i, j in all_pairs(n) for a, b in ((i, j), (j, i))}
+    cs.add_row("epi_flow", {**row, "H": -1}, "<=", 0)
+    cs.set_objective("minimize", {"H": 1})
+    cs.meta["alpha"] = str(alpha)
+    cs.meta["formulation"] = "minmax_distance"
+    return cs
+
+
+def expanded(cs: ConstraintSystem) -> tuple[list, list]:
+    """Every variable and every row of `cs` with its coefficients in order,
+    as plain tuples, so that two systems compare term by term."""
+    return ([(v.name, v.kind, v.lower, v.upper) for v in cs.variables],
+            [(r.name, list(r.coeffs.items()), r.relation, r.rhs) for r in cs.rows])

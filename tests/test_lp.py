@@ -376,6 +376,39 @@ def test_a_refused_variable_block_raises_as_add_variable_does_and_adds_nothing(
     assert cs.variables[-1] == lp.Variable("t{0}", "continuous", Fraction(0), None)
 
 
+def test_an_entry_of_digit_groups_joined_by_underscores_fills_one_field():
+    cs = lp.build_fixed_density(3, 1)
+    cs.add_variable_block([lp.Variable("y_{0}", "continuous", 0)], [("12_3",), ("4",)])
+    cs.add_block([lp.Row("t_{0}", {"y_{0}": 1, "x_{1}": -1}, "<=", 0)], [("12_3", "0_1")])
+    assert [v.name for v in cs.variables[-2:]] == ["y_12_3", "y_4"]
+    assert cs.rows[-1] == lp.Row("t_12_3", {"y_12_3": Fraction(1), "x_0_1": Fraction(-1)},
+                                 "<=", Fraction(0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text("01_\n a\u0661", max_size=5), max_size=6))
+def test_the_joined_entry_test_agrees_with_a_test_of_each_entry(entries):
+    suffix = re.compile(r"[0-9]+(?:_[0-9]+)*\Z", re.ASCII)
+    assert lp._suffixes(entries) == all(suffix.match(e) is not None for e in entries)
+
+
+# an index entry is a whole name suffix: decimal digit groups joined by "_"
+@pytest.mark.parametrize(
+    "entry", ["", "_1", "1_", "1__2", "1 2", "a_1", "\u0661", "1\n2", "1_\n", 12, None], ids=repr)
+def test_a_block_with_an_entry_that_is_no_name_suffix_is_refused_by_that_entry(entry):
+    cs = lp.build_fixed_density(3, 1)
+    variables, rows, text = cs.variables, cs.rows, lp.lp_string(cs)
+    # the bad entry among good ones, so the joined test finds it and the loop names it
+    indices = [("0_1", "2"), ("1_2", entry), ("0_2", "7")]
+    message = re.escape(f"index entry {entry!r} is not a string of decimal digits")
+    with pytest.raises(ValueError, match=message):
+        cs.add_variable_block([lp.Variable("y_{0}_{1}", "binary")], indices)
+    with pytest.raises(ValueError, match=message):
+        cs.add_block([lp.Row("t_{1}", {"x_{0}": 1}, "<=", 1)], indices)
+    assert cs.variables == variables and cs.rows == rows and lp.lp_string(cs) == text
+    assert not any(name.startswith(("y_", "t_")) for name in cs._var_names | cs._row_names)
+
+
 @pytest.mark.parametrize(
     "args, error, message",
     [

@@ -6,8 +6,6 @@ import io
 import json
 import re
 from fractions import Fraction
-from itertools import combinations
-from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -15,8 +13,18 @@ from hypothesis import strategies as st
 
 from ergmax import ConstraintSystem, SampleSpace
 from ergmax import lp
-from ergmax.graph import all_pairs, num_pairs
+from ergmax.graph import num_pairs
 from ergmax.stats import exact_decimal, random_unit_square_delta
+
+from helpers import (
+    connectivity_flow_by_rows,
+    expanded,
+    fixed_density_by_rows,
+    maxmin_by_rows,
+    minmax_distance_by_rows,
+    multicommodity_flow_by_rows,
+    triangle_indicators_by_rows,
+)
 
 TERM_RE = re.compile(r"([+-])\s*([0-9.]+(?:e-?\d+)?)\s+(\w+)")
 
@@ -362,68 +370,42 @@ def test_the_exports_hash_a_fraction_per_distinct_value_not_per_term(monkeypatch
 # -- blocks against rows added one by one --------------------------------------
 
 
-def edge_variables_by_name(cs, n):
-    """``ensure_edge_variables`` as written before blocks: one add_variable per name."""
-    cs.meta.setdefault("n", n)
-    if cs.meta["n"] != n:
-        raise ValueError("constraint system already built for a different n")
-    for i, j in all_pairs(n):
-        if not cs.has_variable(lp.x_name(i, j)):
-            cs.add_variable(lp.x_name(i, j), "binary")
+def referee_cases(n):
+    """(builder, its reference by rows) for each builder of the package at n."""
+    alpha, d = Fraction(3, 10), num_pairs(n) // 2
+    delta = random_unit_square_delta(n, n)
+    cases = {
+        "fixed_density": (lambda: lp.build_fixed_density(n, d),
+                          lambda: fixed_density_by_rows(n, d)),
+        "triangle_indicators": (lambda: lp.build_triangle_indicators(n),
+                                lambda: triangle_indicators_by_rows(n)),
+        "connectivity_flow": (lambda: lp.build_connectivity_flow(n),
+                              lambda: connectivity_flow_by_rows(n)),
+        "multicommodity_flow": (lambda: lp.build_multicommodity_flow(n),
+                                lambda: multicommodity_flow_by_rows(n)),
+        "minmax_distance": (lambda: lp.build_minmax_distance(n, alpha, delta),
+                            lambda: minmax_distance_by_rows(
+                                n, alpha, delta, SampleSpace.connected_graphs())),
+    }
+    for space in (SampleSpace.connected_graphs(), SampleSpace.all_graphs(),
+                  SampleSpace.fixed_density(d)):
+        cases[f"maxmin_{space.label()}"] = (
+            lambda space=space: lp.build_maxmin(n, alpha, space),
+            lambda space=space: maxmin_by_rows(n, alpha, space))
+    return cases
 
 
-def triangle_indicators_by_rows(n, cs=None):
-    """``build_triangle_indicators`` as written before blocks: one add_row per row."""
-    cs = cs or ConstraintSystem("triangle_indicators")
-    edge_variables_by_name(cs, n)
-    cs.meta["triangle_variant"] = "and"
-    for i, j, k in combinations(range(n), 3):
-        w = lp.w_name(i, j, k)
-        xij, xjk, xik = lp.x_name(i, j), lp.x_name(j, k), lp.x_name(i, k)
-        cs.add_variable(w, "binary")
-        cs.add_row(f"tri_ub1_{i}_{j}_{k}", {w: 1, xij: -1}, "<=", 0)
-        cs.add_row(f"tri_ub2_{i}_{j}_{k}", {w: 1, xjk: -1}, "<=", 0)
-        cs.add_row(f"tri_ub3_{i}_{j}_{k}", {w: 1, xik: -1}, "<=", 0)
-        cs.add_row(f"tri_lb_{i}_{j}_{k}", {xij: 1, xjk: 1, xik: 1, w: -1}, "<=", 2)
-    return cs
-
-
-def commodity_by_rows(cs, n, source, arc, balance):
-    """``_add_commodity`` as written before blocks: one name and one row per call."""
-    for i, j in all_pairs(n):
-        cs.add_variable(arc(i, j), "continuous", lower=0)
-        cs.add_variable(arc(j, i), "continuous", lower=0)
-    for k in range(n):
-        coeffs = {}
-        for j in range(n):
-            if j != k:
-                coeffs[arc(k, j)] = 1
-                coeffs[arc(j, k)] = -1
-        cs.add_row(f"{balance}_{k}", coeffs, "=", n - 1 if k == source else -1)
-
-
-def connectivity_flow_by_rows(n, cs=None):
-    cs = cs or ConstraintSystem("connectivity_flow")
-    edge_variables_by_name(cs, n)
-    cs.meta["flow_root"] = 0
-    commodity_by_rows(cs, n, 0, lp.flow_name, "flow_balance")
-    for i, j in all_pairs(n):
-        cs.add_row(f"flow_cap_{i}_{j}",
-                   {lp.flow_name(i, j): 1, lp.flow_name(j, i): 1, lp.x_name(i, j): -n}, "<=", 0)
-    return cs
-
-
-def multicommodity_flow_by_rows(n, cs=None):
-    cs = cs or ConstraintSystem("multicommodity_flow")
-    edge_variables_by_name(cs, n)
-    for h in range(n):
-        commodity_by_rows(cs, n, h, lambda a, b, h=h: lp.mcflow_name(h, a, b),
-                          f"mcflow_balance_{h}")
-    for i, j in all_pairs(n):
-        coeffs = {lp.mcflow_name(h, a, b): 1 for h in range(n) for a, b in ((i, j), (j, i))}
-        coeffs[lp.x_name(i, j)] = -n * n
-        cs.add_row(f"mcflow_cap_{i}_{j}", coeffs, "<=", 0)
-    return cs
+@pytest.mark.parametrize("n", range(3, 10))
+def test_every_builder_declares_what_its_reference_adds_name_by_name(n):
+    # the reference names each variable and row by x_name, w_name, flow_name
+    # and mcflow_name over node ints, one add_variable or add_row each
+    for model, (build, by_rows) in referee_cases(n).items():
+        cs, reference = build(), by_rows()
+        assert all(indices == [()] for _, indices in reference._row_blocks)
+        assert all(indices == [()] for _, indices in reference._var_blocks)
+        assert expanded(cs) == expanded(reference), model
+        assert (cs.name, cs.meta, cs.objective_sense, cs.objective) == (
+            reference.name, reference.meta, reference.objective_sense, reference.objective), model
 
 
 @settings(max_examples=80, deadline=None)
@@ -433,21 +415,12 @@ def test_blocks_render_as_the_rows_added_one_by_one(data, n, model, alpha):
     space = data.draw(st.sampled_from([SampleSpace.connected_graphs(), SampleSpace.all_graphs()])
                       | st.integers(0, num_pairs(n)).map(SampleSpace.fixed_density))
     if model == "triads":
-        def build():
-            return lp.build_maxmin(n, alpha, space)
+        cs = lp.build_maxmin(n, alpha, space)
+        reference = maxmin_by_rows(n, alpha, space)
     else:
         delta = random_unit_square_delta(n, data.draw(st.integers(0, 99)))
-
-        def build():
-            return lp.build_minmax_distance(n, alpha, delta, space)
-    cs = build()
-    with mock.patch.multiple(lp, ensure_edge_variables=edge_variables_by_name,
-                             build_triangle_indicators=triangle_indicators_by_rows,
-                             build_connectivity_flow=connectivity_flow_by_rows,
-                             build_multicommodity_flow=multicommodity_flow_by_rows):
-        reference = build()
-    assert all(indices == [()] for _, indices in reference._row_blocks)
-    assert all(indices == [()] for _, indices in reference._var_blocks)
+        cs = lp.build_minmax_distance(n, alpha, delta, space)
+        reference = minmax_distance_by_rows(n, alpha, delta, space)
     assert cs.variables == reference.variables
     assert cs.rows == reference.rows
     text = lp.lp_string(cs)
