@@ -16,7 +16,6 @@ from fractions import Fraction
 from functools import partial
 from itertools import chain, combinations, repeat
 from operator import itemgetter
-from string import Formatter
 from typing import Any, Callable, Iterable, Iterator, Mapping, TextIO
 
 from .graph import (
@@ -34,9 +33,14 @@ from .stats import Hamiltonian, StatisticKind, StatisticSpec, eval_hamiltonian, 
 Number = Fraction | int
 
 
+# a pattern's name: a string, taken as written, or a (prefix, k) pair that
+# fills as prefix + entry k of an index tuple
+Name = str | tuple[str, int]
+
+
 @dataclass(slots=True)
 class Variable:
-    name: str
+    name: Name
     kind: str  # 'binary' | 'continuous'
     lower: Fraction | None = None
     upper: Fraction | None = None
@@ -44,8 +48,8 @@ class Variable:
 
 @dataclass(slots=True)
 class Row:
-    name: str
-    coeffs: dict[str, Fraction]
+    name: Name
+    coeffs: dict[Name, Fraction]
     relation: str  # '<=' | '=' | '>='
     rhs: Fraction
 
@@ -78,28 +82,6 @@ def _by_identity(render: Callable[[Any], str]) -> Callable[[Any], str]:
     return text
 
 
-def _literal(name: str) -> str:
-    """`name` as a pattern without fields: its braces doubled."""
-    if type(name) is not str:
-        raise TypeError(f"name {name!r} is not a string")
-    return name.replace("{", "{{").replace("}", "}}")
-
-
-def _unbraced(names: Iterable[Any]) -> bool:
-    """Whether every one of `names` is a string without braces, and so a
-    pattern of itself; False, leaving the fault to :func:`_literal` and the
-    checks after it, if they are not all strings or cannot be listed."""
-    try:
-        text = "".join(names)
-    except (KeyError, TypeError):
-        return False
-    return "{" not in text and "}" not in text
-
-
-# (literal text, field, format spec, conversion) for each field of a pattern
-_fields = Formatter().parse
-
-
 def _suffixes(entries: list[Any]) -> bool:
     """Whether every entry is a name suffix: groups of ASCII decimal digits
     joined by ``_``, such as ``"3_7_12"``.  The entries are joined and
@@ -118,14 +100,8 @@ def _suffixes(entries: list[Any]) -> bool:
             and not groups.startswith("_") and not groups.endswith("_"))
 
 
-def _check_fields(patterns: list[str], indices: list[tuple[str, ...]]) -> None:
-    """Refuse with ValueError a field of `patterns` that is not a plain
-    ``{k}``, or an index entry that is not a name suffix."""
-    # one parse for all patterns; a field across the separator has a non-digit
-    for _, field, spec, conversion in _fields("\0".join(patterns)):
-        if field is not None and not (field.isdecimal() and field.isascii()
-                                      and not spec and conversion is None):
-            raise ValueError(f"field {{{field}}} is not a plain index field")
+def _check_entries(indices: list[tuple[str, ...]]) -> None:
+    """Refuse with ValueError an index entry that is not a name suffix."""
     entries = list(chain.from_iterable(indices))
     if not _suffixes(entries):
         for entry in entries:
@@ -134,50 +110,39 @@ def _check_fields(patterns: list[str], indices: list[tuple[str, ...]]) -> None:
                                  " or of such groups joined by '_'")
 
 
-def _printf(template: str) -> tuple[str, list[int]]:
-    """`template`, a pattern with ``{0}``, ``{1}``, ... fields, as a
-    printf-style string with its literal ``%`` doubled, and the index of the
-    entry that fills each of its ``%s`` in turn."""
-    parts, picks = [], []
-    for text, field, _, _ in _fields(template):
-        parts.append(text.replace("%", "%%"))
-        if field is not None:
-            parts.append("%s")
-            picks.append(int(field))
-    return "".join(parts), picks
+def _fill_name(name: Name, idx: tuple[str, ...]) -> str:
+    return name if type(name) is str else name[0] + idx[name[1]]
 
 
-def _names(patterns: list[str], indices: list[tuple[str, ...]],
+def _names(patterns: list[Any], indices: list[tuple[str, ...]],
            distinct: bool = False) -> list[str]:
-    """Every pattern filled from every index tuple, pattern by pattern.
+    """Every pattern name filled from every index tuple, pattern by pattern.
 
-    With `distinct`, a pattern of one field is filled once per distinct
-    entry of that field, and a pattern without fields once: the set of
-    names is the same, but ``x_{1}`` over the 9 880 triples of n = 40 is
-    780 names, not 9 880.
+    With `distinct`, a (prefix, k) name is filled once per distinct entry
+    k, and a string once: the set of names is the same, but ``("x_", 1)``
+    over the 9 880 triples of n = 40 is 780 names, not 9 880.  Refused: a
+    name that is not a string or a tuple (TypeError), and with ValueError
+    a tuple that is not a (prefix, k) pair or whose k is past an index tuple.
     """
     names: list[str] = []
-    columns: dict[int, set[str]] = {}  # a field's distinct entries
-    try:
-        for p in patterns:
-            if "{" not in p and "}" not in p:  # a literal name, its own pattern
-                names += [p] if distinct and indices else [p] * len(indices)
-                continue
-            one, picks = _printf(p)
-            if not picks:
-                names += [one % ()] if distinct and indices else [one % ()] * len(indices)
-            elif distinct and len(picks) == 1:
-                if picks[0] not in columns:
-                    columns[picks[0]] = set(map(itemgetter(picks[0]), indices))
-                names += map(one.__mod__, columns[picks[0]])
-            else:
-                names += map(one.__mod__, map(itemgetter(*picks), indices))
-    except IndexError as exc:
-        raise ValueError(f"a pattern field has no index entry: {exc}") from exc
+    width = min(map(len, indices), default=0)
+    column = _Memo(lambda k: set(map(itemgetter(k), indices)))  # entry k's distinct values
+    for p in patterns:
+        if type(p) is str:
+            names += [p] * (min(len(indices), 1) if distinct else len(indices))
+            continue
+        if type(p) is not tuple:
+            raise TypeError(f"name {p!r} is not a string")
+        if len(p) != 2 or type(p[0]) is not str or type(p[1]) is not int or p[1] < 0:
+            raise ValueError(f"name {p!r} is not a (prefix, k) pair")
+        prefix, k = p
+        if indices and k >= width:
+            raise ValueError(f"name {p!r} has no index entry {k}")
+        names += map(prefix.__add__, column[k] if distinct else map(itemgetter(k), indices))
     return names
 
 
-def _new_names(patterns: list[str], indices: list[tuple[str, ...]], taken: set[str],
+def _new_names(patterns: list[Any], indices: list[tuple[str, ...]], taken: set[str],
                what: str) -> set[str]:
     """The names `patterns` take over `indices`; ValueError, naming the first
     in fill order, if one comes twice or is already in `taken`."""
@@ -187,7 +152,7 @@ def _new_names(patterns: list[str], indices: list[tuple[str, ...]], taken: set[s
         seen = set(taken)
         for idx in indices:
             for p in patterns:
-                name = p.format(*idx)
+                name = _fill_name(p, idx)
                 if name in seen:
                     raise ValueError(f"{what} {name!r} declared twice")
                 seen.add(name)
@@ -198,56 +163,65 @@ def _filled(patterns: tuple[Row, ...], indices: list[tuple[str, ...]]) -> Iterat
     """The rows of a block: each pattern filled from each index tuple in turn."""
     for idx in indices:
         for p in patterns:
-            yield Row(p.name.format(*idx), {v.format(*idx): c for v, c in p.coeffs.items()},
+            yield Row(_fill_name(p.name, idx), {_fill_name(v, idx): c for v, c in p.coeffs.items()},
                       p.relation, p.rhs)
+
+
+class _Slots(list):
+    """The entry k that fills each ``%s`` of a printf-style template, in turn.
+
+    Called on a name, it gives the name's template text, appending k for a
+    (prefix, k) pair: a string or prefix with its ``%`` doubled, and a
+    ``%s`` after the prefix.  A renderer calls it on a pattern's names in
+    the order their text comes, so the slots follow the ``%s`` in turn.
+    """
+
+    def __call__(self, name: Name) -> str:
+        if type(name) is str:
+            return name.replace("%", "%%")
+        self.append(name[1])
+        return name[0].replace("%", "%%") + "%s"
 
 
 # index tuples filled into one string by :func:`_fill`
 _BATCH = 256
 
 
-def _fill(template: str, indices: list[tuple[str, ...]], sep: str = "") -> Iterable[str]:
-    """`template`, a pattern with ``{0}``, ``{1}``, ... fields, filled from each
-    index tuple in turn and joined by `sep`, one string per batch of tuples.
-
-    The template compiles once into a printf-style string, its literal ``%``
-    doubled, and an itemgetter over its fields; a batch is that string
-    repeated, filled by one ``%`` from its tuples' picked entries.  A block
-    of one tuple, as every plain variable and row is, is filled directly.
-    """
-    if len(indices) == 1:
-        return (template.format(*indices[0]),)
-    return _batches(template, indices, sep)
-
-
-def _batches(template: str, indices: list[tuple[str, ...]], sep: str) -> Iterator[str]:
-    one, picks = _printf(template)
-    pick = itemgetter(*picks) if picks else None
+def _fill(render: Callable[[Any, _Slots], str], patterns: Iterable[Any],
+          indices: list[tuple[str, ...]], sep: str = "") -> Iterator[str]:
+    """The text of a block: each of `patterns` rendered once by
+    ``render(p, slots)`` and joined by `sep` into one printf-style template,
+    then the template filled from each index tuple in turn, joined by `sep`,
+    one string per batch of tuples.  A batch is the template repeated,
+    filled by one ``%`` from its tuples' entries that the slots pick."""
+    slots = _Slots()
+    template = sep.join([render(p, slots) for p in patterns])
+    pick = itemgetter(*slots) if slots else None
     joined: dict[int, str] = {}
     for start in range(0, len(indices), _BATCH):
         batch = indices[start:start + _BATCH]
         if len(batch) not in joined:
-            joined[len(batch)] = sep.join([one] * len(batch))
+            joined[len(batch)] = sep.join([template] * len(batch))
         text = joined[len(batch)]
-        if len(picks) > 1:
+        if len(slots) > 1:
             yield text % tuple(chain.from_iterable(map(pick, batch)))
-        else:  # one field picks a string, and none picks nothing
-            yield text % tuple(map(pick, batch) if picks else ())
+        else:  # one slot picks a string, and none picks nothing
+            yield text % tuple(map(pick, batch) if slots else ())
 
 
 class ConstraintSystem:
     """Ordered collection of variables, rows and one objective.
 
     Variables and rows are stored in blocks.  A block is a tuple of
-    patterns, variables or rows whose names (and a row's variable names)
-    carry fields ``{0}``, ``{1}``, ... (literal braces doubled), and a list
-    of index tuples; it stands for every pattern filled from every tuple,
-    tuple by tuple.  An index entry is a whole name suffix, groups of
-    decimal digits joined by ``_`` such as ``"3_7_12"`` or ``"3_7"``, so a
-    name takes one field: ``w_{0}``, ``x_{1}``, ``x_{2}`` and ``x_{3}`` over
-    ``("0_1_2", "0_1", "1_2", "0_2")`` are ``w_0_1_2``, ``x_0_1``, ``x_1_2``
-    and ``x_0_2``.  A plain variable or row is a block of one pattern
-    without fields, over one empty tuple.
+    patterns, variables or rows, and a list of index tuples; it stands for
+    every pattern filled from every tuple, tuple by tuple.  A pattern's name
+    (and each of a row pattern's variable names) is a string, taken as
+    written, or a ``(prefix, k)`` pair, filled as ``prefix + idx[k]``.  An
+    index entry is a whole name suffix, groups of decimal digits joined by
+    ``_`` such as ``"3_7_12"`` or ``"3_7"``: ``("w_", 0)``, ``("x_", 1)``,
+    ``("x_", 2)`` and ``("x_", 3)`` over ``("0_1_2", "0_1", "1_2", "0_2")``
+    are ``w_0_1_2``, ``x_0_1``, ``x_1_2`` and ``x_0_2``.  A plain variable
+    or row is a block of one pattern named by a string, over one empty tuple.
     """
 
     def __init__(self, name: str = "model"):
@@ -269,7 +243,7 @@ class ConstraintSystem:
     @property
     def variables(self) -> list[Variable]:
         """Every variable, in the order declared, filled from its block's patterns."""
-        return [Variable(p.name.format(*idx), p.kind, p.lower, p.upper)
+        return [Variable(_fill_name(p.name, idx), p.kind, p.lower, p.upper)
                 for patterns, indices in self._var_blocks for idx in indices for p in patterns]
 
     @property
@@ -289,10 +263,10 @@ class ConstraintSystem:
         lower: Number | None = None,
         upper: Number | None = None,
     ) -> None:
-        """One variable: a block of one pattern without fields, over one empty tuple."""
-        self.add_variable_block([Variable(_literal(name), kind, lower, upper)], [()])
+        """One variable: a block of one pattern, over one empty tuple."""
+        self.add_variable_block([Variable(name, kind, lower, upper)], [()])
 
-    def _variable(self, name: str, kind: str, lower: Number | None,
+    def _variable(self, name: Name, kind: str, lower: Number | None,
                   upper: Number | None) -> Variable:
         """A variable pattern, its bounds made Fractions, once its kind and
         bounds are checked: ValueError on an unknown kind or a bounded binary."""
@@ -308,20 +282,16 @@ class ConstraintSystem:
         """Declare the variables of `patterns` filled from each index tuple in
         turn, each entry a name suffix (see :class:`ConstraintSystem`).
 
-        Refused, declaring nothing: a name that is not a string (TypeError);
-        with ValueError, a field that is not a plain ``{k}`` or has no entry
-        in an index tuple, an entry that is not a name suffix (the message
-        names it), an unknown kind, a bound on a binary variable, or a name
-        given twice.
+        Refused, declaring nothing: a name that is neither a string nor a
+        tuple (TypeError); with ValueError, a tuple that is not a
+        ``(prefix, k)`` pair or whose k is past an index tuple, an entry that
+        is not a name suffix (the message names it), an unknown kind, a bound
+        on a binary variable, or a name given twice.
         """
         patterns, indices = tuple(patterns), list(indices)
-        for p in patterns:
-            if type(p.name) is not str:
-                raise TypeError(f"name {p.name!r} is not a string")
-        names = [p.name for p in patterns]
-        _check_fields(names, indices)
+        _check_entries(indices)
         patterns = tuple(self._variable(p.name, p.kind, p.lower, p.upper) for p in patterns)
-        new_names = _new_names(names, indices, self._var_names, "variable")
+        new_names = _new_names([p.name for p in patterns], indices, self._var_names, "variable")
         if patterns and indices:
             self._var_blocks.append((patterns, indices))
         self._var_names |= new_names
@@ -333,25 +303,23 @@ class ConstraintSystem:
         relation: str,
         rhs: Number,
     ) -> None:
-        """One row: a block of one pattern without fields, over one empty tuple."""
-        name = _literal(name)
-        if not _unbraced(coeffs):
-            coeffs = {_literal(v): c for v, c in coeffs.items()}
+        """One row: a block of one pattern, over one empty tuple."""
         self.add_block([Row(name, coeffs, relation, rhs)], [()])
 
     def add_block(self, patterns: Iterable[Row], indices: Iterable[tuple[str, ...]]) -> None:
         """Add the rows of `patterns` filled from each index tuple in turn,
         each entry a name suffix (see :class:`ConstraintSystem`).
 
-        Refused with ValueError, adding nothing: a field that is not a
-        plain ``{k}`` or has no entry in an index tuple, an entry that is
-        not a name suffix (the message names it), a row name given twice,
+        Refused, adding nothing: a name that is neither a string nor a
+        tuple (TypeError); with ValueError, a tuple that is not a
+        ``(prefix, k)`` pair or whose k is past an index tuple, an entry that
+        is not a name suffix (the message names it), a row name given twice,
         an unknown relation, or a row naming an undeclared variable.
         """
         patterns, indices = tuple(patterns), list(indices)
-        var_patterns = list(dict.fromkeys(v for p in patterns for v in p.coeffs))
-        _check_fields([p.name for p in patterns] + var_patterns, indices)
-        var_names = _names(var_patterns, indices, distinct=True)
+        _check_entries(indices)
+        var_names = _names(list(dict.fromkeys(v for p in patterns for v in p.coeffs)), indices,
+                           distinct=True)
         new_names = _new_names([p.name for p in patterns], indices, self._row_names, "row")
         for p in patterns:
             if p.relation not in ("<=", "=", ">="):
@@ -416,38 +384,40 @@ class ConstraintSystem:
         Each variable and row block is rendered once as a template and
         filled by :func:`_fill`, a batch of index tuples per write, so no
         string-valued copy of the system is built.  Names go through json's
-        string encoder, which leaves braces, ``%`` and the digits filled in
+        string encoder, which leaves ``%`` and the digits filled in
         unchanged, and each stored coefficient is rendered once.
         """
         quoted = json.encoder.encode_basestring_ascii
         value = _by_identity(lambda c: "null" if c is None else f'"{c}"')
 
-        def coeffs_text(coeffs: dict[str, Fraction], pad: str, left="{", right="}") -> str:
-            # an object whose members sit at `pad`, closed two spaces left of it
-            members = f",\n{pad}".join([f"{quoted(v)}: {value(c)}" for v, c in coeffs.items()])
-            return f"{left}\n{pad}{members}\n{pad[:-2]}{right}" if coeffs else left + right
+        def coeffs_text(coeffs: dict[Name, Fraction], pad: str, text: Callable[[Name], str]) -> str:
+            # an object whose members sit at `pad`, closed two spaces left of
+            # it; a string without "%" is its own text, with no call
+            members = f",\n{pad}".join([
+                f"{quoted(v if type(v) is str and '%' not in v else text(v))}: {value(c)}"
+                for v, c in coeffs.items()])
+            return f"{{\n{pad}{members}\n{pad[:-2]}}}" if coeffs else "{}"
 
-        # each pattern's item as a template, so its own braces are doubled
-        def variable_format(v: Variable) -> str:
+        def variable_item(v: Variable, slots: _Slots) -> str:
             return (
-                f'{{{{\n      "name": {quoted(v.name)},\n      "kind": {quoted(v.kind)},\n'
-                f'      "lower": {value(v.lower)},\n      "upper": {value(v.upper)}\n    }}}}'
+                f'{{\n      "name": {quoted(slots(v.name))},\n      "kind": {quoted(v.kind)},\n'
+                f'      "lower": {value(v.lower)},\n      "upper": {value(v.upper)}\n    }}'
             )
 
-        def row_format(r: Row) -> str:
+        def row_item(r: Row, slots: _Slots) -> str:
             return (
-                f'{{{{\n      "name": {quoted(r.name)},\n'
-                f'      "coeffs": {coeffs_text(r.coeffs, " " * 8, "{{", "}}")},\n'
-                f'      "relation": {quoted(r.relation)},\n      "rhs": {value(r.rhs)}\n    }}}}'
+                f'{{\n      "name": {quoted(slots(r.name))},\n'
+                f'      "coeffs": {coeffs_text(r.coeffs, " " * 8, slots)},\n'
+                f'      "relation": {quoted(r.relation)},\n      "rhs": {value(r.rhs)}\n    }}'
             )
 
-        def write_array(render: Callable[[Any], str], blocks: list) -> None:
+        def write_array(render: Callable[[Any, _Slots], str], blocks: list) -> None:
             # items are rendered at indent 4, a batch of them per write; the
             # array closes at indent 2
             sep = ",\n    "
             empty = True
             for patterns, indices in blocks:
-                for text in _fill(sep.join(map(render, patterns)), indices, sep):
+                for text in _fill(render, patterns, indices, sep):
                     f.write(("[\n    " if empty else sep) + text)
                     empty = False
             f.write("[]" if empty else "\n  ]")
@@ -456,11 +426,12 @@ class ConstraintSystem:
         f.write(head[:-2])  # all but the closing "\n}"
         f.write(
             f',\n  "objective": {{\n    "sense": {quoted(self.objective_sense)},\n'
-            f'    "coeffs": {coeffs_text(self.objective, " " * 6)}\n  }},\n  "variables": '
+            # the objective is written, not filled: its names go as they are
+            f'    "coeffs": {coeffs_text(self.objective, " " * 6, str)}\n  }},\n  "variables": '
         )
-        write_array(variable_format, self._var_blocks)
+        write_array(variable_item, self._var_blocks)
         f.write(',\n  "rows": ')
-        write_array(row_format, self._row_blocks)
+        write_array(row_item, self._row_blocks)
         f.write("\n}")
 
     @classmethod
@@ -472,29 +443,20 @@ class ConstraintSystem:
         binary variable among them), or a ``meta.n`` that does not count the
         declared ``x_`` edge variables raises ValueError, its message
         starting ``malformed constraint IR:``.  The variables are added as
-        one block of plain patterns, and so are the rows."""
+        one block over one empty tuple, and so are the rows; JSON has no
+        tuples, so every name is a string, and any other is refused."""
         try:
             cs = cls(data.get("name", "model"))
             cs.meta = dict(data.get("meta", {}))
-            # a section's names are escaped one by one only if one of them
-            # holds a brace or is not a string; the escaping reports the latter
-            plain = _unbraced(v["name"] for v in data["variables"])
             variables = []
             for v in data["variables"]:
                 _refuse_booleans(v["lower"], v["upper"])
-                variables.append(Variable(v["name"] if plain else _literal(v["name"]), v["kind"],
-                                          v["lower"], v["upper"]))
+                variables.append(Variable(v["name"], v["kind"], v["lower"], v["upper"]))
             cs.add_variable_block(variables, [()])
-            plain = _unbraced(chain.from_iterable((r["name"], *r["coeffs"]) for r in data["rows"]))
             rows = []
             for r in data["rows"]:
                 _refuse_booleans(r["rhs"], *r["coeffs"].values())
-                if plain:
-                    rows.append(Row(r["name"], r["coeffs"], r["relation"], r["rhs"]))
-                else:
-                    rows.append(Row(_literal(r["name"]),
-                                    {_literal(v): c for v, c in r["coeffs"].items()},
-                                    r["relation"], r["rhs"]))
+                rows.append(Row(r["name"], r["coeffs"], r["relation"], r["rhs"]))
             cs.add_block(rows, [()])
             obj = data["objective"]
             cs.set_objective(obj["sense"], obj["coeffs"])
@@ -505,7 +467,7 @@ class ConstraintSystem:
             raise ValueError(f"malformed constraint IR: {exc}") from exc
         # checked here, before check_assignment builds the pair table of n
         n = cs.meta.get("n")
-        edge_vars = sum(v.name.startswith("x_") for v in cs.variables)
+        edge_vars = sum(name.startswith("x_") for name in cs._var_names)
         if n is not None and (type(n) is not int or num_pairs(n) != edge_vars):
             raise ValueError(
                 f"malformed constraint IR: meta.n = {n!r} does not fit {edge_vars} edge variables")
@@ -522,8 +484,8 @@ def _refuse_booleans(*values: Any) -> None:
 
 # ---------------------------------------------------------------------------
 # variable-name scheme (deterministic given n and formulation options); the
-# builders' blocks spell the same names from suffixes, ``x_{0}`` over "i_j"
-# being x_name(i, j), and likewise ``w_``, ``f_`` and ``fm_{h}_``
+# builders' blocks spell the same names from suffixes, ``("x_", 0)`` over
+# ("i_j",) being x_name(i, j), and likewise ``w_``, ``f_`` and ``fm_h_``
 
 
 def x_name(i: int, j: int) -> str:
@@ -554,7 +516,7 @@ def ensure_edge_variables(cs: ConstraintSystem, n: int) -> None:
     cs.meta.setdefault("n", n)
     if cs.meta["n"] != n:
         raise ValueError("constraint system already built for a different n")
-    cs.add_variable_block([Variable("x_{0}", "binary")], [
+    cs.add_variable_block([Variable(("x_", 0), "binary")], [
         (ij,) for i, row in enumerate(_arc_suffixes(n)) for ij in row[i + 1:]
         if not cs.has_variable("x_" + ij)])
 
@@ -591,13 +553,13 @@ def build_triangle_indicators(n: int, cs: ConstraintSystem | None = None) -> Con
         for j in range(i + 1, n):  # (i_j_k, i_j, j_k, i_k) for each k > j
             triples += zip(map(f"{row[j]}_".__add__, nodes[j + 1:]), repeat(row[j]),
                            table[j][j + 1:], row[j + 1:])
-    cs.add_variable_block([Variable("w_{0}", "binary")], triples)
+    cs.add_variable_block([Variable(("w_", 0), "binary")], triples)
     cs.add_block(
         [
-            Row("tri_ub1_{0}", {"w_{0}": 1, "x_{1}": -1}, "<=", 0),
-            Row("tri_ub2_{0}", {"w_{0}": 1, "x_{2}": -1}, "<=", 0),
-            Row("tri_ub3_{0}", {"w_{0}": 1, "x_{3}": -1}, "<=", 0),
-            Row("tri_lb_{0}", {"x_{1}": 1, "x_{2}": 1, "x_{3}": 1, "w_{0}": -1}, "<=", 2),
+            Row(("tri_ub1_", 0), {("w_", 0): 1, ("x_", 1): -1}, "<=", 0),
+            Row(("tri_ub2_", 0), {("w_", 0): 1, ("x_", 2): -1}, "<=", 0),
+            Row(("tri_ub3_", 0), {("w_", 0): 1, ("x_", 3): -1}, "<=", 0),
+            Row(("tri_lb_", 0), {("x_", 1): 1, ("x_", 2): 1, ("x_", 3): 1, ("w_", 0): -1}, "<=", 2),
         ],
         triples,
     )
@@ -618,8 +580,8 @@ def _flow_suffixes(n: int) -> tuple[list[tuple[str, str]], list[tuple[str, ...]]
 
 def _add_commodity(cs: ConstraintSystem, n: int, source: int, arc: str, balance: str,
                    suffixes: tuple[list[tuple[str, str]], list[tuple[str, ...]]]) -> None:
-    """Arc variables ``{arc}i_j`` of one commodity plus its balance rows
-    ``{balance}_k``, over `suffixes` from :func:`_flow_suffixes`.
+    """Arc variables ``arc + "i_j"`` of one commodity plus its balance rows
+    ``balance + "_k"``, over `suffixes` from :func:`_flow_suffixes`.
 
     n-1 units leave ``source`` and one unit terminates at every other node.
     The arc pairs are one block over the pairs.  The balance rows are at
@@ -627,13 +589,13 @@ def _add_commodity(cs: ConstraintSystem, n: int, source: int, arc: str, balance:
     source, and the sinks after it.
     """
     arcs, rows = suffixes
-    cs.add_variable_block([Variable(arc + "{0}", "continuous", 0),
-                           Variable(arc + "{1}", "continuous", 0)], arcs)
-    coeffs: dict[str, int] = {}
+    cs.add_variable_block([Variable((arc, 0), "continuous", 0),
+                           Variable((arc, 1), "continuous", 0)], arcs)
+    coeffs: dict[Name, int] = {}
     for m in range(1, n):
-        coeffs[f"{arc}{{{2 * m - 1}}}"] = 1
-        coeffs[f"{arc}{{{2 * m}}}"] = -1
-    name = balance + "_{0}"
+        coeffs[arc, 2 * m - 1] = 1
+        coeffs[arc, 2 * m] = -1
+    name = (balance + "_", 0)
     for rhs, indices in ((-1, rows[:source]), (n - 1, rows[source:source + 1]),
                          (-1, rows[source + 1:])):
         cs.add_block([Row(name, coeffs, "=", rhs)], indices)
@@ -650,7 +612,7 @@ def build_connectivity_flow(n: int, cs: ConstraintSystem | None = None) -> Const
     cs.meta["flow_root"] = 0
     suffixes = _flow_suffixes(n)
     _add_commodity(cs, n, 0, "f_", "flow_balance", suffixes)
-    cs.add_block([Row("flow_cap_{0}", {"f_{0}": 1, "f_{1}": 1, "x_{0}": -n}, "<=", 0)],
+    cs.add_block([Row(("flow_cap_", 0), {("f_", 0): 1, ("f_", 1): 1, ("x_", 0): -n}, "<=", 0)],
                  suffixes[0])
     return cs
 
@@ -669,9 +631,9 @@ def build_multicommodity_flow(n: int, cs: ConstraintSystem | None = None) -> Con
     suffixes = _flow_suffixes(n)
     for h in range(n):
         _add_commodity(cs, n, h, f"fm_{h}_", f"mcflow_balance_{h}", suffixes)
-    coeffs = {f"fm_{h}_{{{k}}}": 1 for h in range(n) for k in (0, 1)}
-    coeffs["x_{0}"] = -n * n
-    cs.add_block([Row("mcflow_cap_{0}", coeffs, "<=", 0)], suffixes[0])
+    coeffs: dict[Name, int] = {(f"fm_{h}_", k): 1 for h in range(n) for k in (0, 1)}
+    coeffs["x_", 0] = -n * n
+    cs.add_block([Row(("mcflow_cap_", 0), coeffs, "<=", 0)], suffixes[0])
     return cs
 
 
@@ -777,35 +739,39 @@ def _lp_lines(cs: ConstraintSystem) -> Iterator[str]:
     # the text a term puts before its variable's name, e.g. "- 0.5 "
     term = _by_identity(lambda c: f"{'-' if c < 0 else '+'} {exact_decimal(abs(c))} ")
 
-    def terms(coeffs: dict[str, Fraction]) -> str:
-        return " ".join([term(c) + name for name, c in coeffs.items()])
+    def terms(coeffs: dict[Name, Fraction], text: Callable[[Name], str]) -> str:
+        # a string without "%" is its own text, with no call
+        return " ".join([term(c) + (v if type(v) is str and "%" not in v else text(v))
+                         for v, c in coeffs.items()])
+
+    def row(r: Row, slots: _Slots) -> str:
+        return f" {slots(r.name)}: {terms(r.coeffs, slots)} {r.relation} {decimal(r.rhs)}\n"
 
     yield f"\\ {cs.name}\n"
     yield "Maximize\n" if cs.objective_sense == "maximize" else "Minimize\n"
-    yield f" obj: {terms(cs.objective)}".rstrip() + "\n"
+    # the objective is written, not filled: its names go as they are
+    yield f" obj: {terms(cs.objective, str)}".rstrip() + "\n"
     yield "Subject To\n"
     for patterns, indices in cs._row_blocks:
-        yield from _fill("".join([f" {r.name}: {terms(r.coeffs)} {r.relation} {decimal(r.rhs)}\n"
-                                  for r in patterns]), indices)
+        yield from _fill(row, patterns, indices)
 
-    def bound(v: Variable) -> str:
+    def bound(v: Variable, slots: _Slots) -> str:
         if v.lower is None and v.upper is None:
-            return f" {v.name} free\n"
+            return f" {slots(v.name)} free\n"
         if v.upper is None:
-            return f" {decimal(v.lower)} <= {v.name}\n"
+            return f" {decimal(v.lower)} <= {slots(v.name)}\n"
         lower = "-infinity" if v.lower is None else decimal(v.lower)
-        return f" {lower} <= {v.name} <= {decimal(v.upper)}\n"
+        return f" {lower} <= {slots(v.name)} <= {decimal(v.upper)}\n"
 
     for head, binary, line in (("Bounds\n", False, bound),
-                               ("Binaries\n", True, lambda v: f" {v.name}\n")):
+                               ("Binaries\n", True, lambda v, slots: f" {slots(v.name)}\n")):
         # each variable block's lines of the section as one template
-        blocks = [("".join([line(v) for v in patterns if (v.kind == "binary") == binary]),
-                   indices) for patterns, indices in cs._var_blocks]
-        blocks = [(text, indices) for text, indices in blocks if text]
+        blocks = [(chosen, indices) for patterns, indices in cs._var_blocks
+                  if (chosen := [v for v in patterns if (v.kind == "binary") == binary])]
         if blocks:
             yield head
-        for text, indices in blocks:
-            yield from _fill(text, indices)
+        for patterns, indices in blocks:
+            yield from _fill(line, patterns, indices)
     yield "End\n"
 
 

@@ -11,7 +11,8 @@ name a function it can find, and every name the benchmark imports from
 the package must exist.  Only ``stats.py`` reads a Hamiltonian's
 ``sense``: everywhere else it is folded into the sign of ``scale``.
 ``cli.py`` names no model.  Only ``graph.py`` gives a graph its hop
-total.  The package imports nothing outside the standard library, and
+total.  ``lp.py`` fills names without ``string`` or ``.format``.  The
+package imports nothing outside the standard library, and
 not ``random``: its searches are deterministic.  The searches build no
 Fraction per node or toggle, and branch-and-bound no Graph per node.
 """
@@ -138,6 +139,17 @@ def test_only_graph_assigns_the_hop_total():
         if isinstance(sub, ast.Attribute) and sub.attr == "_hop_total"
     ]
     assert not writers, f"modules that assign a hop total outside graph.py: {writers}"
+
+
+def test_lp_fills_names_by_one_path():
+    # a pattern name is a string or a (prefix, k) pair, filled by
+    # concatenation or a printf-style batch, never by a format template
+    tree = parse(PACKAGE / "lp.py")
+    found = [f"lp.py:{line} {name}" for line, name in imported_modules(PACKAGE / "lp.py")
+             if name == "string"]
+    found += [f"lp.py:{node.lineno} .format" for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and node.attr == "format"]
+    assert not found, f"format templates in lp.py: {found}"
 
 
 def test_every_private_function_is_referenced():

@@ -299,8 +299,8 @@ def test_undeclared_variables_are_refused_in_order_and_leave_the_system_as_it_wa
     assert cs.objective == {} and cs.objective_sense == "minimize"
     # a block is refused at its first row that names an undeclared variable
     with pytest.raises(ValueError, match=r"row 'r' references undeclared variables \['z', 'y'\]"):
-        cs.add_block([lp.Row("q_{0}", {"x_0_{0}": 1}, "<=", 1),
-                      lp.Row("r", {"z": 1, "x_0_{0}": 1, "y": 2}, "<=", 1)], [("1",)])
+        cs.add_block([lp.Row(("q_", 0), {("x_", 0): 1}, "<=", 1),
+                      lp.Row("r", {"z": 1, ("x_", 0): 1, "y": 2}, "<=", 1)], [("0_1",)])
     assert cs.rows == rows
     # the refused rows' names were not taken
     cs.add_row("r", {"x_0_1": 1}, "<=", 1)
@@ -311,19 +311,24 @@ def test_undeclared_variables_are_refused_in_order_and_leave_the_system_as_it_wa
     "patterns, indices, message",
     [
         # a row name repeated inside the block, then against an earlier row
-        ([("t_{0}", {"x_0_1": 1}, "<=", 1), ("t_1", {"x_0_1": 1}, "<=", 1)],
+        ([(("t_", 0), {"x_0_1": 1}, "<=", 1), ("t_1", {"x_0_1": 1}, "<=", 1)],
          [("0",), ("1",)], r"row 't_1' declared twice"),
-        ([("t_{0}", {"x_0_{0}": 1}, "<=", 1)], [("1",), ("1",)], r"row 't_1' declared twice"),
-        ([("s_{1}", {"x_{0}_{1}": 1}, ">=", 0)], [("0", "2"), ("0", "1")],
+        ([(("t_", 0), {("x_0_", 0): 1}, "<=", 1)], [("1",), ("1",)], r"row 't_1' declared twice"),
+        ([(("s_", 1), {("x_", 0): 1}, ">=", 0)], [("0_2", "2"), ("0_1", "1")],
          r"row 's_1' declared twice"),
-        ([("u_{0}", {"x_0_1": 1, "x_0_{0}": -1, "y_{0}": 1}, "<=", 1)],
+        ([(("u_", 0), {"x_0_1": 1, ("x_0_", 0): -1, ("y_", 0): 1}, "<=", 1)],
          [("2",), ("3",), ("4",)], r"row 'u_2' references undeclared variables \['y_2'\]"),
-        ([("v_{0}", {"x_0_{0}": 1}, "=<", 1)], [("1",)], r"unknown relation '=<'"),
-        ([("v_{a}", {"x_0_1": 1}, "<=", 1)], [("1",)], r"field \{a\}"),
-        ([("v_{0:>3}", {"x_0_1": 1}, "<=", 1)], [("1",)], r"field \{0\}"),
-        ([("v_{1}", {"x_0_1": 1}, "<=", 1)], [("1",)], r"no index entry"),
-        ([("v_{0}", {"x_0_1": 1}, "<=", 1)], [("1",), ("-1",)], r"'-1' is not a string"),
-        ([("v_{0}", {"x_0_1": 1}, "<=", 1)], [(1,)], r"1 is not a string of decimal digits"),
+        ([(("v_", 0), {("x_0_", 0): 1}, "=<", 1)], [("1",)], r"unknown relation '=<'"),
+        # a tuple that is not a (prefix, k) pair, or whose k is past the index tuple
+        ([(("v_", -1), {"x_0_1": 1}, "<=", 1)], [("1",)], r"\('v_', -1\) is not a \(prefix, k\)"),
+        ([(("v_", True), {"x_0_1": 1}, "<=", 1)], [("1",)], r"\('v_', True\) is not a \(prefix"),
+        ([(("v_", 1), {"x_0_1": 1}, "<=", 1)], [("1",)], r"no index entry"),
+        ([(("v_", 0), {"x_0_1": 1}, "<=", 1)], [("1",), ("-1",)], r"'-1' is not a string"),
+        ([(("v_", 0), {"x_0_1": 1}, "<=", 1)], [(1,)], r"1 is not a string of decimal digits"),
+        # the same in a coefficient's name, and a k past only the second tuple
+        ([("v", {("x_0_", 0, 1): 1}, "<=", 1)], [("1",)], r"\('x_0_', 0, 1\) is not a \(prefix"),
+        ([("v", {(5, 0): 1}, "<=", 1)], [("1",)], r"name \(5, 0\) is not a \(prefix, k\)"),
+        ([("v", {("x_0_", 1): 1}, "<=", 1)], [("1", "2"), ("2",)], r"no index entry 1"),
     ],
 )
 def test_a_refused_block_raises_as_add_row_does_and_adds_nothing(patterns, indices, message):
@@ -335,8 +340,9 @@ def test_a_refused_block_raises_as_add_row_does_and_adds_nothing(patterns, indic
         cs.add_block([lp.Row(*p) for p in patterns], indices)
     assert cs.rows == rows and cs._row_names == row_names and cs._var_names == var_names
     assert lp.lp_string(cs) == text
-    # a block without fields over one empty tuple is add_row's row
-    cs.add_block([lp.Row("t{{0}}", {"x_0_1": 1}, "<=", 1)], [()])
+    # a block of a string-named pattern over one empty tuple is add_row's row,
+    # its name taken as written
+    cs.add_block([lp.Row("t{0}", {"x_0_1": 1}, "<=", 1)], [()])
     assert cs.rows[-1] == lp.Row("t{0}", {"x_0_1": Fraction(1)}, "<=", Fraction(1))
 
 
@@ -344,22 +350,27 @@ def test_a_refused_block_raises_as_add_row_does_and_adds_nothing(patterns, indic
     "patterns, indices, error, message",
     [
         # a name repeated inside the block, across its tuples, then against an earlier block
-        ([("y_{0}", "binary"), ("y_1", "binary")], [("0",), ("1",)],
+        ([(("y_", 0), "binary"), ("y_1", "binary")], [("0",), ("1",)],
          ValueError, r"variable 'y_1' declared twice"),
-        ([("y_{0}", "binary")], [("2",), ("2",)], ValueError, r"variable 'y_2' declared twice"),
-        ([("s_{0}", "continuous")], [("0",), ("1",)], ValueError,
+        ([(("y_", 0), "binary")], [("2",), ("2",)], ValueError, r"variable 'y_2' declared twice"),
+        ([(("s_", 0), "continuous")], [("0",), ("1",)], ValueError,
          r"variable 's_1' declared twice"),
-        ([("x_{0}_{1}", "binary")], [("1", "3"), ("0", "2")], ValueError,
+        ([(("x_", 0), "binary")], [("1_3",), ("0_2",)], ValueError,
          r"variable 'x_0_2' declared twice"),
-        ([("v_{a}", "binary")], [("1",)], ValueError, r"field \{a\}"),
-        ([("v_{0:>3}", "binary")], [("1",)], ValueError, r"field \{0\}"),
-        ([("v_{1}", "binary")], [("1",)], ValueError, r"no index entry"),
-        ([("v_{0}", "binary")], [("1",), ("-1",)], ValueError, r"'-1' is not a string"),
-        ([("v_{0}", "binary")], [(1,)], ValueError, r"1 is not a string of decimal digits"),
-        ([("v_{0}", "integer")], [("1",)], ValueError, r"unknown variable kind 'integer'"),
-        ([("v_{0}", "binary", 0, 1)], [("1",)], ValueError,
-         r"binary variable 'v_\{0\}' takes no bounds"),
-        ([("v_{0}", "binary"), (5, "binary")], [("1",)], TypeError, r"name 5 is not a string"),
+        # a tuple that is not a (prefix, k) pair, or whose k is past the index tuple
+        ([(("v_", -1), "binary")], [("1",)], ValueError, r"\('v_', -1\) is not a \(prefix, k\)"),
+        ([(("v_", True), "binary")], [("1",)], ValueError, r"\('v_', True\) is not a \(prefix"),
+        ([(("v_", 1), "binary")], [("1",)], ValueError, r"no index entry"),
+        ([(("v_", 0), "binary")], [("1",), ("-1",)], ValueError, r"'-1' is not a string"),
+        ([(("v_", 0), "binary")], [(1,)], ValueError, r"1 is not a string of decimal digits"),
+        ([(("v_", 0), "integer")], [("1",)], ValueError, r"unknown variable kind 'integer'"),
+        ([(("v_", 0), "binary", 0, 1)], [("1",)], ValueError,
+         r"binary variable \('v_', 0\) takes no bounds"),
+        ([(("v_", 0), "binary"), (5, "binary")], [("1",)], TypeError, r"name 5 is not a string"),
+        # three items, a prefix that is not a string, and a k past only the second tuple
+        ([(("v_", 0, 1), "binary")], [("1",)], ValueError, r"\('v_', 0, 1\) is not a \(prefix"),
+        ([((5, 0), "binary")], [("1",)], ValueError, r"name \(5, 0\) is not a \(prefix, k\)"),
+        ([(("v_", 1), "binary")], [("1", "2"), ("2",)], ValueError, r"no index entry 1"),
     ],
 )
 def test_a_refused_variable_block_raises_as_add_variable_does_and_adds_nothing(
@@ -371,15 +382,16 @@ def test_a_refused_variable_block_raises_as_add_variable_does_and_adds_nothing(
         cs.add_variable_block([lp.Variable(*p) for p in patterns], indices)
     assert cs.variables == variables and cs._var_names == var_names
     assert lp.lp_string(cs) == text
-    # a block without fields over one empty tuple is add_variable's variable
-    cs.add_variable_block([lp.Variable("t{{0}}", "continuous", 0)], [()])
+    # a block of a string-named pattern over one empty tuple is add_variable's
+    # variable, its name taken as written
+    cs.add_variable_block([lp.Variable("t{0}", "continuous", 0)], [()])
     assert cs.variables[-1] == lp.Variable("t{0}", "continuous", Fraction(0), None)
 
 
 def test_an_entry_of_digit_groups_joined_by_underscores_fills_one_field():
     cs = lp.build_fixed_density(3, 1)
-    cs.add_variable_block([lp.Variable("y_{0}", "continuous", 0)], [("12_3",), ("4",)])
-    cs.add_block([lp.Row("t_{0}", {"y_{0}": 1, "x_{1}": -1}, "<=", 0)], [("12_3", "0_1")])
+    cs.add_variable_block([lp.Variable(("y_", 0), "continuous", 0)], [("12_3",), ("4",)])
+    cs.add_block([lp.Row(("t_", 0), {("y_", 0): 1, ("x_", 1): -1}, "<=", 0)], [("12_3", "0_1")])
     assert [v.name for v in cs.variables[-2:]] == ["y_12_3", "y_4"]
     assert cs.rows[-1] == lp.Row("t_12_3", {"y_12_3": Fraction(1), "x_0_1": Fraction(-1)},
                                  "<=", Fraction(0))
@@ -402,9 +414,9 @@ def test_a_block_with_an_entry_that_is_no_name_suffix_is_refused_by_that_entry(e
     indices = [("0_1", "2"), ("1_2", entry), ("0_2", "7")]
     message = re.escape(f"index entry {entry!r} is not a string of decimal digits")
     with pytest.raises(ValueError, match=message):
-        cs.add_variable_block([lp.Variable("y_{0}_{1}", "binary")], indices)
+        cs.add_variable_block([lp.Variable(("y_", 1), "binary")], indices)
     with pytest.raises(ValueError, match=message):
-        cs.add_block([lp.Row("t_{1}", {"x_{0}": 1}, "<=", 1)], indices)
+        cs.add_block([lp.Row(("t_", 1), {("x_", 0): 1}, "<=", 1)], indices)
     assert cs.variables == variables and cs.rows == rows and lp.lp_string(cs) == text
     assert not any(name.startswith(("y_", "t_")) for name in cs._var_names | cs._row_names)
 

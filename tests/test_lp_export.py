@@ -434,6 +434,28 @@ def test_blocks_render_as_the_rows_added_one_by_one(data, n, model, alpha):
     assert lp.lp_string(clone) == text and again.getvalue() == ir.getvalue()
 
 
+def test_a_block_writes_percent_and_braces_in_its_names_as_given():
+    # a (prefix, k) name's prefix and a string name keep their % and braces
+    # through both writers' printf-style fill
+    suffixes = [("1",), ("2_3",)]
+    cs, reference = ConstraintSystem("%s"), ConstraintSystem("%s")
+    cs.add_variable_block([lp.Variable(("%s{", 0), "continuous", 0),
+                           lp.Variable(("b%_", 0), "binary")], suffixes)
+    cs.add_variable("%}", "continuous")
+    cs.add_block([lp.Row(("r%%_", 0), {("%s{", 0): 1, "%}": -1, ("b%_", 0): 2}, "<=", 0)],
+                 suffixes)
+    for (k,) in suffixes:
+        reference.add_variable("%s{" + k, "continuous", lower=0)
+        reference.add_variable("b%_" + k, "binary")
+    reference.add_variable("%}", "continuous")
+    for (k,) in suffixes:
+        reference.add_row("r%%_" + k, {"%s{" + k: 1, "%}": -1, "b%_" + k: 2}, "<=", 0)
+    assert lp.lp_string(cs) == lp.lp_string(reference) == reference_lp_string(reference)
+    ir = io.StringIO()
+    cs.to_json(ir)
+    assert ir.getvalue() == json.dumps(reference.to_json_dict(), indent=2)
+
+
 def braced_names() -> ConstraintSystem:
     # braces and printf's % in names, which the block filler must leave as they are
     cs = ConstraintSystem("{0}")

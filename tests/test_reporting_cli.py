@@ -651,6 +651,9 @@ def test_cli_check_refuses_a_malformed_ir(capsys, tmp_path, ir):
     [
         ("variables", {"name": 5, "kind": "binary", "lower": None, "upper": None}),
         ("rows", {"name": 7, "coeffs": {}, "relation": "=", "rhs": "0"}),
+        # JSON loads a pair as a list, so the IR cannot name a (prefix, k) pattern
+        ("variables", {"name": ["x_", 0], "kind": "binary", "lower": None, "upper": None}),
+        ("rows", {"name": ["x_", 0], "coeffs": {}, "relation": "=", "rhs": "0"}),
     ],
 )
 def test_cli_check_refuses_a_name_that_is_not_a_string(capsys, monkeypatch, tmp_path, key, entry):
